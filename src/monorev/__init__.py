@@ -11,7 +11,6 @@ from .words import (
     WordSyntaxError,
     format_word,
     free_reduce,
-    invert_word,
     parse_word,
     shift_word,
     word_of,
@@ -41,7 +40,6 @@ from .reversing import (
     DEFAULT_FUEL,
     Diverged,
     Empty,
-    NoRedex,
     ReversalStep,
     ReversalTrace,
     ReversingGrid,
@@ -50,19 +48,14 @@ from .reversing import (
     build_grid,
     grid_to_dot,
     left_reverse,
-    left_reverse_step,
     reverse_quotient,
     right_reverse,
-    right_reverse_step,
 )
 from .completeness import (
     Certificate,
     CubeResult,
     certify,
-    certify_cancellative,
-    certify_complete,
     cube_condition,
-    enumerate_generator_triples,
     enumerate_word_triples,
 )
 from .derivation import (
@@ -78,7 +71,6 @@ from .derivation import (
     shift_script,
     substitute_t,
     t_expression,
-    verify_positive_equality,
     verify_script,
     verify_translation_product,
 )

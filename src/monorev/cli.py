@@ -15,7 +15,7 @@ import sys
 
 from . import catalog
 from .completeness import certify, cube_condition
-from .derivation import DerivationError, parse_script, verify_script
+from .derivation import DerivationError, parse_script, script_presentation, verify_script
 from .oracle import (
     OracleCapError,
     cancellation_scan,
@@ -210,8 +210,8 @@ def _cmd_certify(args) -> int:
 def _cmd_derive(args) -> int:
     with open(args.script, encoding="utf-8") as fh:
         text = fh.read()
-    script = parse_script(text)
-    p = catalog.load(script.presentation)
+    p = _load(script_presentation(text))
+    script = parse_script(text, p)
     result = verify_script(p, script)
     if args.format == "json":
         data = {

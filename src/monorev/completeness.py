@@ -35,7 +35,7 @@ from .reversing import (
     left_reverse,
     right_reverse,
 )
-from .words import EPSILON, Generator, Letter, Word, invert_word
+from .words import EPSILON, Generator, Letter, Word
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
             raise ValueError("cube condition expects positive words")
     triple = (u, v, w)
     if side == "right":
-        first = right_reverse(p, invert_word(u) * w * invert_word(w) * v, fuel)
+        first = right_reverse(p, u.inverse() * w * w.inverse() * v, fuel)
     else:
-        first = left_reverse(p, v * invert_word(w) * w * invert_word(u), fuel)
+        first = left_reverse(p, v * w.inverse() * w * u.inverse(), fuel)
     out = first.outcome
     if isinstance(out, Diverged):
         return CubeResult(triple, side, "inconclusive", "first reversal ran out of fuel",
@@ -72,9 +72,9 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
         return CubeResult(triple, side, "fail", "stuck-hypothesis", first, None)
     vp, up = (out.v_prime, out.u_prime) if isinstance(out, Terminal) else (EPSILON, EPSILON)
     if side == "right":
-        second = right_reverse(p, invert_word(u * vp) * (v * up), fuel)
+        second = right_reverse(p, (u * vp).inverse() * (v * up), fuel)
     else:
-        second = left_reverse(p, (up * v) * invert_word(vp * u), fuel)
+        second = left_reverse(p, (up * v) * (vp * u).inverse(), fuel)
     out2 = second.outcome
     if isinstance(out2, Empty):
         return CubeResult(triple, side, "pass", "ok", first, second)
@@ -86,40 +86,21 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
     return CubeResult(triple, side, "fail", "not-trivial", first, second)
 
 
-def enumerate_generator_triples(p: Presentation, t_bound: int = 3) -> list[tuple[Generator, Generator, Generator]]:
-    """Ordered generator triples, normalised in the integer families.
-
-    Integer-family indices run over [0, 2*t_bound] and any triple that
-    mentions the family must attain index 0, so each class of triples under
-    index translation is enumerated exactly once.
-    """
-    if t_bound < 0:
-        raise ValueError("t_bound must be >= 0")
-    gens = list(p.alphabet.finite_generators())
-    for fam in sorted(p.alphabet.integer_families):
-        gens.extend(Generator(fam, d) for d in range(0, 2 * t_bound + 1))
-    gens.sort()
-    fams = p.alphabet.integer_families
-    out = []
-    for triple in itertools.product(gens, repeat=3):
-        indices = [g.index for g in triple if g.family in fams]
-        if indices and min(indices) != 0:
-            continue
-        out.append(triple)
-    return out
-
-
 def enumerate_word_triples(p: Presentation, max_len: int,
                            t_bound: int = 3) -> list[tuple[Word, Word, Word]]:
     """Ordered triples of positive words up to max_len, index-normalised.
 
     The cube condition quantifies over word triples; for homogeneous
-    presentations generator triples suffice, this is the exhaustive
-    fallback.  Normalisation shifts the smallest integer-family index
-    across the whole triple to 0.
+    presentations generator triples (max_len 1) suffice, longer words are
+    the exhaustive fallback.  Integer-family indices run over
+    [0, 2*t_bound] and any triple that mentions the family must attain
+    index 0, so each class of triples under index translation is
+    enumerated exactly once.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    if t_bound < 0:
+        raise ValueError("t_bound must be >= 0")
     gens = list(p.alphabet.finite_generators())
     for fam in sorted(p.alphabet.integer_families):
         gens.extend(Generator(fam, d) for d in range(0, 2 * t_bound + 1))
@@ -212,11 +193,7 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
             f"not complemented on either side; e.g. generators ({pair[0]}, {pair[1]}) "
             "head more than one relation"
         )
-    if word_len is None:
-        triples = [(Word((Letter(a),)), Word((Letter(b),)), Word((Letter(c),)))
-                   for a, b, c in enumerate_generator_triples(p, t_bound)]
-    else:
-        triples = enumerate_word_triples(p, word_len, t_bound)
+    triples = enumerate_word_triples(p, 1 if word_len is None else word_len, t_bound)
     failures = []
     inconclusive = 0
     for side in sides:
@@ -243,15 +220,3 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
         refusal = f"{missing} side not complemented, claim restricted to {sides[0]} reversing"
     return Certificate(p.name, claim, t_bound, fuel, len(triples), tuple(failures),
                        refusal, _tool_version())
-
-
-def certify_complete(p: Presentation, t_bound: int = 3,
-                     fuel: int = DEFAULT_FUEL) -> Certificate:
-    """Bounded completeness certificate: both-side cube checks only."""
-    return certify(p, t_bound, fuel, goal="complete")
-
-
-def certify_cancellative(p: Presentation, t_bound: int = 3,
-                         fuel: int = DEFAULT_FUEL) -> Certificate:
-    """Full chain: homogeneity, complementedness, then bounded cubes."""
-    return certify(p, t_bound, fuel, goal="cancellative")

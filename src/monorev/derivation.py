@@ -32,8 +32,7 @@ from functools import lru_cache
 from typing import Union
 
 from .presentation import Presentation
-from .reversing import DEFAULT_FUEL, Empty, right_reverse
-from .words import Generator, Letter, Word, free_reduce, invert_word, parse_letter, shift_word
+from .words import Generator, Letter, Word, free_reduce, parse_letter, shift_word
 
 
 class DerivationError(ValueError):
@@ -132,8 +131,8 @@ _CANCEL_RE = re.compile(r"cancel\s+@(\d+)\Z")
 _INSERT_RE = re.compile(r"insert\s+(\S+)\s+@(\d+)\Z")
 
 
-def parse_script(text: str, p: Presentation | None = None) -> DerivationScript:
-    """Parse the line format; loads the named catalog entry unless one is given."""
+def _split_script(text: str) -> tuple[dict[str, str], list[str]]:
+    """The header lines of a script, by key, and its step lines."""
     header: dict[str, str] = {}
     body: list[str] = []
     for raw in text.splitlines():
@@ -150,6 +149,17 @@ def parse_script(text: str, p: Presentation | None = None) -> DerivationScript:
     for key in ("presentation", "start", "expect"):
         if key not in header:
             raise DerivationError(f"script lacks a {key!r} line")
+    return header, body
+
+
+def script_presentation(text: str) -> str:
+    """The presentation a script names: a catalog key or a file path."""
+    return _split_script(text)[0]["presentation"]
+
+
+def parse_script(text: str, p: Presentation | None = None) -> DerivationScript:
+    """Parse the line format; loads the named catalog entry unless one is given."""
+    header, body = _split_script(text)
     if p is None:
         from . import catalog
 
@@ -250,9 +260,9 @@ def t_expression(i: int) -> Word:
     if i >= 2:
         prefix = Word(tuple(Letter(Generator("t", 1 - j % 2)) for j in range(i - 1)))
         centre = _T1 if i % 2 else _T0
-        return prefix * centre * invert_word(prefix)
+        return prefix * centre * prefix.inverse()
     # t(i) = t(i+1)^-1 t(1) t(0)
-    return free_reduce(invert_word(t_expression(i + 1)) * _T1 * _T0)
+    return free_reduce(t_expression(i + 1).inverse() * _T1 * _T0)
 
 
 def substitute_t(word: Word, family: str = "t") -> Word:
@@ -263,22 +273,10 @@ def substitute_t(word: Word, family: str = "t") -> Word:
             out.append(letter)
             continue
         expr = t_expression(letter.gen.index)
-        out.extend(expr.letters if letter.sign > 0 else invert_word(expr).letters)
+        out.extend(expr.letters if letter.sign > 0 else expr.inverse().letters)
     return free_reduce(Word(tuple(out)))
 
 
 def verify_translation_product(i: int) -> bool:
     """Does t(i) t(i-1) collapse freely to t(1) t(0) after substitution?"""
     return free_reduce(t_expression(i) * t_expression(i - 1)) == _T1 * _T0
-
-
-def verify_positive_equality(p: Presentation, u: Word, v: Word,
-                             fuel: int = DEFAULT_FUEL) -> bool:
-    """Equality certificate for positive words via right reversing.
-
-    Only trustworthy as a negative answer when reversing is complete for p.
-    """
-    if not (u.is_positive() and v.is_positive()):
-        raise ValueError("expected positive words")
-    trace = right_reverse(p, invert_word(u) * v, fuel)
-    return isinstance(trace.outcome, Empty)

@@ -44,22 +44,35 @@ def _rewrites(letters, oriented):
                 yield letters[:i] + rhs + letters[i + span:]
 
 
-def equivalence_class(p: Presentation, word: Word, cap: int = 1_000_000) -> frozenset[Word]:
-    """All positive words equal to the given one, by closure under rewriting."""
-    _require_finite(p)
-    if not word.is_positive():
-        raise ValueError("oracle handles positive words only")
+def _closure(p: Presentation, word: Word, cap: int,
+             target: tuple[Letter, ...] | None = None) -> set[tuple[Letter, ...]]:
+    """Breadth-first closure of a word under the relations, as letter tuples.
+
+    Stops as soon as target is reached, and then includes it.  Raises
+    OracleCapError when a new word would push the closure past cap.
+    """
     oriented = _oriented(p)
     seen = {word.letters}
     queue = deque(seen)
     while queue:
         for nxt in _rewrites(queue.popleft(), oriented):
+            if nxt == target:
+                seen.add(nxt)
+                return seen
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise OracleCapError(f"class of {word} exceeded cap {cap}")
                 seen.add(nxt)
                 queue.append(nxt)
-    return frozenset(Word(l) for l in seen)
+    return seen
+
+
+def equivalence_class(p: Presentation, word: Word, cap: int = 1_000_000) -> frozenset[Word]:
+    """All positive words equal to the given one, by closure under rewriting."""
+    _require_finite(p)
+    if not word.is_positive():
+        raise ValueError("oracle handles positive words only")
+    return frozenset(Word(l) for l in _closure(p, word, cap))
 
 
 def monoid_equal(p: Presentation, u: Word, v: Word, cap: int = 1_000_000) -> bool:
@@ -71,20 +84,7 @@ def monoid_equal(p: Presentation, u: Word, v: Word, cap: int = 1_000_000) -> boo
         return True
     if p.homogeneous and len(u) != len(v):
         return False
-    oriented = _oriented(p)
-    seen = {u.letters}
-    queue = deque(seen)
-    target = v.letters
-    while queue:
-        for nxt in _rewrites(queue.popleft(), oriented):
-            if nxt == target:
-                return True
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise OracleCapError(f"class of {u} exceeded cap {cap}")
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return v.letters in _closure(p, u, cap, v.letters)
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,12 @@ class Schema:
             return None
         return bindings
 
-    def _pair_query(self, x: Generator, y: Generator, end: int) -> list[RelationInstance]:
+    def pair_query(self, x: Generator, y: Generator, end: int) -> list[RelationInstance]:
+        """Instances oriented so that lhs has x and rhs has y at the given end.
+
+        end is 0 for the leading pair (right reversing) and -1 for the
+        trailing pair (left reversing).
+        """
         found: list[RelationInstance] = []
         seen = set()
         for swap in (False, True):
@@ -206,14 +211,6 @@ class Schema:
                 seen.add(key)
                 found.append(inst)
         return found
-
-    def leading(self, x: Generator, y: Generator) -> list[RelationInstance]:
-        """Instances oriented so that lhs starts with x and rhs starts with y."""
-        return self._pair_query(x, y, 0)
-
-    def trailing(self, x: Generator, y: Generator) -> list[RelationInstance]:
-        """Instances oriented so that lhs ends with x and rhs ends with y."""
-        return self._pair_query(x, y, -1)
 
     # -- enumeration ------------------------------------------------------
 
@@ -322,54 +319,46 @@ def instances_for_pair(p: Presentation, x: Generator, y: Generator,
     """All relation instances whose sides lead (right) or trail (left) with (x, y)."""
     p.alphabet.require(x)
     p.alphabet.require(y)
+    end = 0 if side == "right" else -1
     out: list[RelationInstance] = []
     for s in p.schemas:
-        out.extend(s.leading(x, y) if side == "right" else s.trailing(x, y))
+        out.extend(s.pair_query(x, y, end))
     return out
 
 
-def right_complement(p: Presentation, x: Generator, y: Generator):
-    """Complement of x^-1 y: EQUAL, a ComplementPair with x*v' = y*u', or None.
+def _complement(p: Presentation, x: Generator, y: Generator, side: str):
+    """Both complements, cached per presentation under (side, x, y).
 
     Ambiguity is detected lazily, per queried pair, so reversing still works
     on presentations whose conflicts live elsewhere in the alphabet.
     """
     if x == y:
         return EQUAL
-    key = ("right", x, y)
+    key = (side, x, y)
     if key not in p._complements:
-        insts = instances_for_pair(p, x, y, "right")
+        insts = instances_for_pair(p, x, y, side)
         if len(insts) > 1:
             p._complements[key] = AmbiguousComplementError((x, y), insts)
         elif not insts:
             p._complements[key] = None
         else:
             inst = insts[0]
-            p._complements[key] = ComplementPair(inst.lhs[1:], inst.rhs[1:], inst)
+            rest = slice(1, None) if side == "right" else slice(None, -1)
+            p._complements[key] = ComplementPair(inst.lhs[rest], inst.rhs[rest], inst)
     result = p._complements[key]
     if isinstance(result, AmbiguousComplementError):
         raise result
     return result
+
+
+def right_complement(p: Presentation, x: Generator, y: Generator):
+    """Complement of x^-1 y: EQUAL, a ComplementPair with x*v' = y*u', or None."""
+    return _complement(p, x, y, "right")
 
 
 def left_complement(p: Presentation, x: Generator, y: Generator):
     """Complement of x y^-1: EQUAL, a ComplementPair with v'*x = u'*y, or None."""
-    if x == y:
-        return EQUAL
-    key = ("left", x, y)
-    if key not in p._complements:
-        insts = instances_for_pair(p, x, y, "left")
-        if len(insts) > 1:
-            p._complements[key] = AmbiguousComplementError((x, y), insts)
-        elif not insts:
-            p._complements[key] = None
-        else:
-            inst = insts[0]
-            p._complements[key] = ComplementPair(inst.lhs[:-1], inst.rhs[:-1], inst)
-    result = p._complements[key]
-    if isinstance(result, AmbiguousComplementError):
-        raise result
-    return result
+    return _complement(p, x, y, "left")
 
 
 # -- global checks --------------------------------------------------------
@@ -385,28 +374,36 @@ class ComplementReport:
         return "complemented" if not self.conflicts else "conflict"
 
 
-def pair_scan_generators(p: Presentation, span: int = 2) -> list[Generator]:
+def pair_scan_generators(p: Presentation) -> list[Generator]:
     """Representative generators for pair scans.
 
-    Schemas reference integer indices only through a parameter plus a bounded
-    offset, so the relation pattern seen by a pair (t_a, t_b) depends only on
-    the families and is invariant under translation; indices in [-span, span]
-    cover every behavior the schema language can express.
+    Schemas reference integer indices only through a parameter plus a
+    constant offset, so the relation pattern seen by a pair (t(a), t(b))
+    is invariant under translation.  Indices in [-2, 2] cover every pair
+    whose letters carry different parameters, and every index difference up
+    to 4.  A boundary pair whose two letters carry the same parameter fixes
+    the difference d of their indices, so t(d) joins the scan: the pairs
+    (t(0), t(d)) and (t(d), t(0)) stand for that difference.
     """
     gens = p.alphabet.finite_generators()
     for fam in sorted(p.alphabet.integer_families):
-        gens.extend(Generator(fam, i) for i in range(-span, span + 1))
+        indices = set(range(-2, 3))
+        for s in p.schemas:
+            for a, b in ((s.lhs[0], s.rhs[0]), (s.lhs[-1], s.rhs[-1])):
+                if a.family == fam and a.param is not None and a.param == b.param:
+                    indices.add(abs(a.offset - b.offset))
+        gens.extend(Generator(fam, i) for i in sorted(indices))
     return sorted(gens)
 
 
-def check_complemented(p: Presentation, span: int = 2) -> tuple[ComplementReport, ComplementReport]:
+def check_complemented(p: Presentation) -> tuple[ComplementReport, ComplementReport]:
     """Scan all generator pairs for complement conflicts, right and left.
 
     A pair conflicts when more than one relation leads (or trails) with it,
     or when a relation relates x... to x... with distinct sides.
     """
     reports = []
-    gens = pair_scan_generators(p, span)
+    gens = pair_scan_generators(p)
     for side in ("right", "left"):
         conflicts = []
         for x, y in itertools.product(gens, repeat=2):

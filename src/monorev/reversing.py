@@ -3,8 +3,11 @@
 Right reversing rewrites x^-1 y (x, y generators) into v' u'^-1 where
 x v' = y u' is a relation, and deletes x^-1 x outright.  Left reversing is
 the mirror image: x y^-1 becomes v'^-1 u' where v' x = u' y, and x x^-1 is
-deleted.  Both use the leftmost redex at every step, so traces are
-deterministic and reproduce the usual reversing diagrams cell by cell.
+deleted.  One loop serves both sides: the side fixes, once per call, the
+sign pair that makes a redex, the complement lookup and the letters a
+relation step splices in.  The loop rewrites the leftmost redex at every
+step, so traces are deterministic and reproduce the usual reversing
+diagrams cell by cell.  A single step is a call with fuel=1.
 
 A reversal ends in one of four ways: the word becomes empty, it reaches the
 sorted terminal shape, it gets stuck on a pair with no complement, or the
@@ -30,7 +33,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .presentation import EQUAL, Presentation, RelationInstance, left_complement, right_complement
-from .words import Generator, Letter, Word, invert_word
+from .words import Generator, Letter, Word
 
 DEFAULT_FUEL = 10000
 
@@ -73,17 +76,14 @@ class Diverged:
 Outcome = Union[Empty, Terminal, Stuck, Diverged]
 
 
-def _replacement(side: str, rule: RelationInstance) -> list[Letter]:
-    """Letters a relation step splices in, from the oriented instance.
+def _right_splice(rule: RelationInstance) -> list[Letter]:
+    """Letters a right step puts in place of x^-1 y: v' u'^-1, from x v' = y u'."""
+    return list(rule.lhs.letters[1:]) + [l.inverse() for l in reversed(rule.rhs.letters[1:])]
 
-    Right rules are oriented x v' = y u' (leading pair), left rules
-    v' x = u' y (trailing pair); see right_complement/left_complement.
-    """
-    if side == "right":
-        v, u = rule.lhs[1:], rule.rhs[1:]
-        return list(v.letters) + [l.inverse() for l in reversed(u.letters)]
-    v, u = rule.lhs[:-1], rule.rhs[:-1]
-    return [l.inverse() for l in reversed(v.letters)] + list(u.letters)
+
+def _left_splice(rule: RelationInstance) -> list[Letter]:
+    """Letters a left step puts in place of x y^-1: v'^-1 u', from v' x = u' y."""
+    return [l.inverse() for l in reversed(rule.lhs.letters[:-1])] + list(rule.rhs.letters[:-1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,13 +104,14 @@ class ReversalTrace:
 
     def words(self) -> Iterator[Word]:
         """Replay the trace, yielding the start and every intermediate."""
+        splice = _right_splice if self.side == "right" else _left_splice
         letters = list(self.start.letters)
         yield self.start
         for s in self.steps:
             if s.kind == "cancel":
                 del letters[s.position:s.position + 2]
             else:
-                letters[s.position:s.position + 2] = _replacement(self.side, s.rule)
+                letters[s.position:s.position + 2] = splice(s.rule)
             yield Word(tuple(letters))
 
     def touched_indices(self, family: str) -> tuple[int, int] | None:
@@ -140,129 +141,72 @@ class ReversalTrace:
         return lo, hi
 
 
-def _classify_right(word: Word) -> Outcome:
+def _classify(word: Word, side: str) -> Outcome:
+    """Empty, or the Terminal split of a word without redex on the given side."""
     if not word:
         return Empty()
-    split = len(word)
-    for i, letter in enumerate(word):
-        if letter.sign < 0:
-            split = i
-            break
-    return Terminal(word[:split], invert_word(word[split:]))
+    lead = 1 if side == "right" else -1
+    split = next((i for i, l in enumerate(word) if l.sign != lead), len(word))
+    head, tail = word[:split], word[split:]
+    if side == "right":
+        return Terminal(head, tail.inverse())
+    return Terminal(tail, head.inverse())
 
 
-def _classify_left(word: Word) -> Outcome:
-    if not word:
-        return Empty()
-    split = len(word)
-    for i, letter in enumerate(word):
-        if letter.sign > 0:
-            split = i
+def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace:
+    """The reversing loop for both sides: rewrite the leftmost redex until none is left.
+
+    Complements are looked up through the module attributes right_complement
+    and left_complement, once per call, so a wrapper installed there sees
+    every lookup.
+    """
+    if side == "right":
+        first, second, complement, splice = -1, 1, right_complement, _right_splice
+    else:
+        first, second, complement, splice = 1, -1, left_complement, _left_splice
+    steps: list[ReversalStep] = []
+    letters = list(word.letters)
+    hint = 0
+    while True:
+        pos = -1
+        for i in range(hint, len(letters) - 1):
+            if letters[i].sign == first and letters[i + 1].sign == second:
+                pos = i
+                break
+        if pos < 0:
+            final = Word(tuple(letters))
+            return ReversalTrace(side, word, tuple(steps), _classify(final, side), final)
+        if len(steps) >= fuel:
+            outcome = Diverged(fuel)
             break
-    return Terminal(word[split:], invert_word(word[:split]))
+        x, y = letters[pos].gen, letters[pos + 1].gen
+        comp = complement(p, x, y)
+        if comp is None:
+            outcome = Stuck(pos, (x, y))
+            break
+        if comp is EQUAL:
+            del letters[pos:pos + 2]
+            steps.append(ReversalStep(pos, "cancel", None))
+        else:
+            letters[pos:pos + 2] = splice(comp.rule)
+            steps.append(ReversalStep(pos, "relation", comp.rule))
+        # the prefix before pos-1 was redex-free and is untouched
+        hint = max(0, pos - 1)
+    return ReversalTrace(side, word, tuple(steps), outcome, Word(tuple(letters)))
 
 
 def right_reverse(p: Presentation, word: Word, fuel: int = DEFAULT_FUEL) -> ReversalTrace:
     """Right-reverse until terminal shape, stuck pair, or fuel exhaustion.
 
-    May raise AmbiguousComplementError when the leftmost redex pair is
-    related by more than one relation.
+    fuel=1 performs a single step.  May raise AmbiguousComplementError when
+    the leftmost redex pair is related by more than one relation.
     """
-    steps: list[ReversalStep] = []
-    letters = list(word.letters)
-    hint = 0
-    while True:
-        pos = -1
-        for i in range(hint, len(letters) - 1):
-            if letters[i].sign < 0 and letters[i + 1].sign > 0:
-                pos = i
-                break
-        if pos < 0:
-            final = Word(tuple(letters))
-            return ReversalTrace("right", word, tuple(steps), _classify_right(final), final)
-        if len(steps) >= fuel:
-            final = Word(tuple(letters))
-            return ReversalTrace("right", word, tuple(steps), Diverged(fuel), final)
-        x, y = letters[pos].gen, letters[pos + 1].gen
-        comp = right_complement(p, x, y)
-        if comp is None:
-            final = Word(tuple(letters))
-            return ReversalTrace("right", word, tuple(steps), Stuck(pos, (x, y)), final)
-        if comp is EQUAL:
-            del letters[pos:pos + 2]
-            steps.append(ReversalStep(pos, "cancel", None))
-        else:
-            letters[pos:pos + 2] = _replacement("right", comp.rule)
-            steps.append(ReversalStep(pos, "relation", comp.rule))
-        # the prefix before pos-1 was redex-free and is untouched
-        hint = max(0, pos - 1)
+    return _reverse(p, word, fuel, "right")
 
 
 def left_reverse(p: Presentation, word: Word, fuel: int = DEFAULT_FUEL) -> ReversalTrace:
     """Mirror of right_reverse: rewrites x y^-1 and deletes x x^-1."""
-    steps: list[ReversalStep] = []
-    letters = list(word.letters)
-    hint = 0
-    while True:
-        pos = -1
-        for i in range(hint, len(letters) - 1):
-            if letters[i].sign > 0 and letters[i + 1].sign < 0:
-                pos = i
-                break
-        if pos < 0:
-            final = Word(tuple(letters))
-            return ReversalTrace("left", word, tuple(steps), _classify_left(final), final)
-        if len(steps) >= fuel:
-            final = Word(tuple(letters))
-            return ReversalTrace("left", word, tuple(steps), Diverged(fuel), final)
-        x, y = letters[pos].gen, letters[pos + 1].gen
-        comp = left_complement(p, x, y)
-        if comp is None:
-            final = Word(tuple(letters))
-            return ReversalTrace("left", word, tuple(steps), Stuck(pos, (x, y)), final)
-        if comp is EQUAL:
-            del letters[pos:pos + 2]
-            steps.append(ReversalStep(pos, "cancel", None))
-        else:
-            letters[pos:pos + 2] = _replacement("left", comp.rule)
-            steps.append(ReversalStep(pos, "relation", comp.rule))
-        hint = max(0, pos - 1)
-
-
-# -- single steps, for callers that drive the loop themselves -------------
-
-
-@dataclass(frozen=True, slots=True)
-class NoRedex:
-    """The word is already in terminal shape for the requested side."""
-
-
-def right_reverse_step(p: Presentation, word: Word):
-    """One right-reversing step: (ReversalStep, Word), NoRedex, or Stuck."""
-    return _one_step(p, word, "right")
-
-
-def left_reverse_step(p: Presentation, word: Word):
-    """One left-reversing step: (ReversalStep, Word), NoRedex, or Stuck."""
-    return _one_step(p, word, "left")
-
-
-def _one_step(p: Presentation, word: Word, side: str):
-    letters = list(word.letters)
-    first, second = (-1, 1) if side == "right" else (1, -1)
-    complement = right_complement if side == "right" else left_complement
-    for i in range(len(letters) - 1):
-        if letters[i].sign == first and letters[i + 1].sign == second:
-            x, y = letters[i].gen, letters[i + 1].gen
-            comp = complement(p, x, y)
-            if comp is None:
-                return Stuck(i, (x, y))
-            if comp is EQUAL:
-                del letters[i:i + 2]
-                return ReversalStep(i, "cancel", None), Word(tuple(letters))
-            letters[i:i + 2] = _replacement(side, comp.rule)
-            return ReversalStep(i, "relation", comp.rule), Word(tuple(letters))
-    return NoRedex()
+    return _reverse(p, word, fuel, "left")
 
 
 def reverse_quotient(p: Presentation, u: Word, v: Word, side: str = "right",
@@ -276,8 +220,8 @@ def reverse_quotient(p: Presentation, u: Word, v: Word, side: str = "right",
     if not (u.is_positive() and v.is_positive()):
         raise ValueError("quotient reversal expects positive words")
     if side == "right":
-        return right_reverse(p, invert_word(u) * v, fuel)
-    return left_reverse(p, u * invert_word(v), fuel)
+        return right_reverse(p, u.inverse() * v, fuel)
+    return left_reverse(p, u * v.inverse(), fuel)
 
 
 # -- grids ----------------------------------------------------------------

@@ -155,10 +155,6 @@ def format_word(w: Word) -> str:
     return " ".join(str(l) for l in w)
 
 
-def invert_word(w: Word) -> Word:
-    return w.inverse()
-
-
 def free_reduce(w: Word) -> Word:
     """Delete adjacent mutually inverse letters until none remain.
 

@@ -35,6 +35,14 @@ generators: a1 b1
 a1 = b1 b1
 """
 
+# two relations share the pairs (t(i), t(i+5)) and (t(i+5), t(i)), a wider
+# offset than the [-2, 2] index window of the pair scan spans
+WIDE_OFFSET = """\
+generators: a1 ; families: t
+schema x: t(i) t(i+5) = t(i+5) t(i)
+schema y: t(i) a1 t(i+5) = t(i+5) a1 t(i)
+"""
+
 
 @pytest.fixture(scope="session")
 def d4():

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from monorev import catalog, save_presentation
 from monorev.cli import main
 
 from conftest import FIXTURES, GLUE, NONHOM, SKEWED, TWO_COMMUTES
@@ -162,6 +163,16 @@ def test_derive(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] and data["steps"] == 7 and len(data["intermediates"]) == 8
+
+
+def test_derive_presentation_file(capsys, tmp_path):
+    pres = tmp_path / "d4.pres"
+    pres.write_text(save_presentation(catalog.load("d4:new")))
+    script = tmp_path / "climb.script"
+    script.write_text(f"presentation: {pres}\nstart: t(1) t(0)\nexpect: t(2) t(1)\n"
+                      "rel translation i=2,j=1 rl @0\n")
+    code, out, _ = run(capsys, "derive", str(script))
+    assert code == 0 and "verified: t(1) t(0) = t(2) t(1) in 1 steps" in out
 
 
 def test_derive_failure(capsys, tmp_path):

@@ -7,15 +7,12 @@ import pytest
 from monorev import catalog
 from monorev.completeness import (
     certify,
-    certify_cancellative,
-    certify_complete,
     cube_condition,
-    enumerate_generator_triples,
     enumerate_word_triples,
 )
 from monorev.presentation import load_presentation
 from monorev.reversing import Empty
-from conftest import NONHOM, ONE_SIDED
+from conftest import NONHOM, ONE_SIDED, WIDE_OFFSET
 
 D4_CERT_JSON = """\
 {
@@ -80,16 +77,16 @@ def test_cube_validation(d4):
 
 
 def test_enumerate_generator_triples(d4):
-    assert len(enumerate_generator_triples(d4, 0)) == 125
-    triples = enumerate_generator_triples(d4, 3)
+    assert len(enumerate_word_triples(d4, 1, 0)) == 125
+    triples = enumerate_word_triples(d4, 1, 3)
     assert len(triples) == 395
     for triple in triples:
-        indices = [g.index for g in triple if g.family == "t"]
+        indices = [w[0].gen.index for w in triple if w[0].gen.family == "t"]
         assert not indices or min(indices) == 0
     c3 = catalog.load("affine-a:classical:3")
-    assert len(enumerate_generator_triples(c3)) == 27
+    assert len(enumerate_word_triples(c3, 1)) == 27
     with pytest.raises(ValueError):
-        enumerate_generator_triples(d4, -1)
+        enumerate_word_triples(d4, 1, -1)
 
 
 def test_enumerate_word_triples():
@@ -100,7 +97,7 @@ def test_enumerate_word_triples():
 
 
 def test_certify_elliptic(d4):
-    cert = certify_cancellative(d4)
+    cert = certify(d4)
     assert cert.claim == "cancellative-up-to" and cert.established
     assert cert.triples_checked == 395 and not cert.failures
     assert cert.refusal is None
@@ -108,22 +105,30 @@ def test_certify_elliptic(d4):
 
 
 def test_certify_complete_goal(d4):
-    cert = certify_complete(d4)
+    cert = certify(d4, goal="complete")
     assert cert.claim == "complete-up-to" and cert.established
     with pytest.raises(ValueError):
         certify(d4, goal="bogus")
 
 
 def test_certify_refuses_yamada(yamada):
-    cert = certify_cancellative(yamada)
+    cert = certify(yamada)
     assert cert.claim == "refused" and not cert.established
     assert cert.triples_checked == 0
     assert "(s1, t(1))" in cert.refusal
 
 
+def test_certify_refuses_wide_offset_conflict():
+    # both schemas lead and trail with a pair five indices apart
+    p = load_presentation(WIDE_OFFSET, name="wide-offset")
+    cert = certify(p)
+    assert cert.claim == "refused"
+    assert "(t(0), t(5))" in cert.refusal
+
+
 def test_certify_refuses_inhomogeneous():
     p = load_presentation(NONHOM, name="nonhom")
-    cert = certify_cancellative(p)
+    cert = certify(p)
     assert cert.claim == "refused"
     assert "rerun with a word length" in cert.refusal
 
@@ -137,7 +142,7 @@ def test_certify_word_mode():
 
 
 def test_certify_falsified(skewed):
-    cert = certify_cancellative(skewed)
+    cert = certify(skewed)
     assert cert.claim == "falsified" and not cert.established
     assert cert.triples_checked == 27 and len(cert.failures) == 4
     assert cert.failures[0] == ("right", ("a1", "b1", "c1"), "not-trivial")
@@ -148,7 +153,7 @@ def test_certify_falsified(skewed):
 
 def test_certify_one_sided_claim():
     p = load_presentation(ONE_SIDED, name="one-sided")
-    cert = certify_cancellative(p)
+    cert = certify(p)
     assert cert.claim == "right-complete-up-to" and cert.established
     assert cert.triples_checked == 8 and not cert.failures
     assert cert.refusal == ("left side not complemented, "
@@ -158,7 +163,7 @@ def test_certify_one_sided_claim():
 
 
 def test_certify_undetermined_on_divergence():
-    cert = certify_cancellative(catalog.load("affine-a:classical:3"))
+    cert = certify(catalog.load("affine-a:classical:3"))
     assert cert.claim == "undetermined" and not cert.established
     assert not cert.failures
     assert cert.refusal == "12 cube checks ran out of fuel"

@@ -15,10 +15,10 @@ from monorev.derivation import (
     shift_script,
     substitute_t,
     t_expression,
-    verify_positive_equality,
     verify_script,
     verify_translation_product,
 )
+from monorev.reversing import Empty, reverse_quotient
 from monorev.words import Letter, Generator, free_reduce, shift_word
 
 from conftest import FIXTURES
@@ -151,7 +151,7 @@ def test_translation_products():
 def test_verify_positive_equality(d4):
     u = d4.parse("t(1) t(0) s1 t(1) t(0) s1")
     v = d4.parse("s1 t(1) t(0) s1 t(1) t(0)")
-    assert verify_positive_equality(d4, u, v)
-    assert not verify_positive_equality(d4, d4.parse("s1"), d4.parse("s2"))
+    assert isinstance(reverse_quotient(d4, u, v).outcome, Empty)
+    assert not isinstance(reverse_quotient(d4, d4.parse("s1"), d4.parse("s2")).outcome, Empty)
     with pytest.raises(ValueError):
-        verify_positive_equality(d4, d4.parse("s1^-1"), d4.parse("s1"))
+        reverse_quotient(d4, d4.parse("s1^-1"), d4.parse("s1"))

@@ -70,13 +70,13 @@ def test_fixed_schema_requires_positive_words():
 
 def test_leading_and_trailing_orientation(d4):
     tb = d4.schema("t_braid")
-    inst = tb.leading(T2, S3)[0]
+    inst = tb.pair_query(T2, S3, 0)[0]
     assert str(inst.lhs) == "t(2) s3 t(2)" and str(inst.rhs) == "s3 t(2) s3"
-    swapped = tb.leading(S3, T2)[0]
+    swapped = tb.pair_query(S3, T2, 0)[0]
     assert str(swapped.lhs) == "s3 t(2) s3"
-    inst = tb.trailing(T2, S3)[0]
+    inst = tb.pair_query(T2, S3, -1)[0]
     assert str(inst.lhs) == "t(2) s3 t(2)" and str(inst.rhs) == "s3 t(2) s3"
-    assert tb.leading(T2, Generator("s", 9)) == []
+    assert tb.pair_query(T2, Generator("s", 9), 0) == []
 
 
 def test_right_complement(d4, two_commutes):

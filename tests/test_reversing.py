@@ -1,4 +1,4 @@
-"""Reversing traces, the one-step driver, quotients, grids, and DOT output.
+"""Reversing traces, single steps (fuel=1), quotients, grids, and DOT output.
 
 The three-step reversal of t(2)^-1 s3 s3 in d4:new is used as the anchor
 case throughout: its full trace, terminal split, grid shape, and DOT
@@ -11,16 +11,13 @@ from monorev.presentation import AmbiguousComplementError
 from monorev.reversing import (
     Diverged,
     Empty,
-    NoRedex,
     Stuck,
     Terminal,
     build_grid,
     grid_to_dot,
     left_reverse,
-    left_reverse_step,
     reverse_quotient,
     right_reverse,
-    right_reverse_step,
 )
 from monorev.words import Generator
 
@@ -117,20 +114,22 @@ def test_one_step_replays_full_trace(d4):
     steps = []
     cur = word
     while True:
-        got = right_reverse_step(d4, cur)
-        if isinstance(got, NoRedex):
+        got = right_reverse(d4, cur, fuel=1)
+        if not got.steps:  # no redex left
             break
-        step, cur = got
-        steps.append(step)
+        steps.extend(got.steps)
+        cur = got.final
     assert steps == list(full.steps)
     assert cur == full.final
 
 
 def test_one_step_terminal_and_stuck(d4, two_commutes):
-    assert isinstance(right_reverse_step(d4, d4.parse("s3 t(2)^-1")), NoRedex)
-    got = right_reverse_step(two_commutes, two_commutes.parse("b1^-1 c1"))
-    assert isinstance(got, Stuck)
-    step, after = left_reverse_step(d4, d4.parse("s3 s3^-1"))
+    got = right_reverse(d4, d4.parse("s3 t(2)^-1"), fuel=1)
+    assert not got.steps and got.reached_terminal
+    got = right_reverse(two_commutes, two_commutes.parse("b1^-1 c1"), fuel=1)
+    assert isinstance(got.outcome, Stuck)
+    got = left_reverse(d4, d4.parse("s3 s3^-1"), fuel=1)
+    (step,), after = got.steps, got.final
     assert step.kind == "cancel" and not after
 
 

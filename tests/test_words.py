@@ -11,7 +11,6 @@ from monorev.words import (
     Word,
     WordSyntaxError,
     free_reduce,
-    invert_word,
     parse_word,
     shift_word,
     word_of,
@@ -91,8 +90,8 @@ def test_free_reduce_fixed_cases():
 
 def test_free_reduce_kills_ww_inverse():
     w = parse_word("s1 t(2)^-1 s3 s3", AB)
-    assert free_reduce(w * invert_word(w)) == EPSILON
-    assert free_reduce(invert_word(w) * w) == EPSILON
+    assert free_reduce(w * w.inverse()) == EPSILON
+    assert free_reduce(w.inverse() * w) == EPSILON
 
 
 def test_shift_word():
