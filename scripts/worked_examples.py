@@ -28,8 +28,8 @@ rel translation i=2,j=1 lr @1
 """
 
 
-def run(*argv: str) -> None:
-    print(f"$ monorev {' '.join(argv)}")
+def run(*argv: str, shown: str | None = None) -> None:
+    print(f"$ monorev {shown or ' '.join(argv)}")
     code = monorev(list(argv))
     if code != 0:
         sys.exit(f"exit code {code} from: {' '.join(argv)}")
@@ -45,13 +45,11 @@ def main() -> int:
     run("cube", "e8:new", "s7", "t(2)", "s8")
 
     print("== double twist commutes with s1, three ways ==\n")
-    with tempfile.NamedTemporaryFile("w", suffix=".script", delete=False) as fh:
-        fh.write(DOUBLE_TWIST)
-        path = fh.name
-    try:
-        run("derive", path)
-    finally:
-        os.unlink(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "double_twist.script")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(DOUBLE_TWIST)
+        run("derive", path, shown="derive double_twist.script")
     run("quotient", "d4:new", "t(1) t(0) s1 t(1) t(0) s1", "s1 t(1) t(0) s1 t(1) t(0)")
     run("oracle", "equal", "d4:new", "--window", "2",
         "t(1) t(0) s1 t(1) t(0) s1", "s1 t(1) t(0) s1 t(1) t(0)")

@@ -38,6 +38,7 @@ from .presentation import (
 )
 from .reversing import (
     DEFAULT_FUEL,
+    Cycles,
     Diverged,
     Empty,
     ReversalStep,

@@ -2,8 +2,8 @@
 
 Exit codes are uniform across subcommands: 0 for success or a passing
 check, 1 for a definite failure or counterexample, 2 for inconclusive
-outcomes (fuel exhaustion, stuck reversals, ambiguous preconditions,
-oracle caps), 3 for usage and input errors.
+outcomes (reversals proved to cycle, fuel exhaustion, stuck reversals,
+ambiguous preconditions, oracle caps), 3 for usage and input errors.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .presentation import (
 )
 from .reversing import (
     DEFAULT_FUEL,
-    Diverged,
+    Cycles,
     Empty,
     ReversalTrace,
     Stuck,
@@ -83,7 +83,14 @@ def _outcome_json(outcome) -> dict:
     if isinstance(outcome, Stuck):
         return {"kind": "stuck", "position": outcome.position,
                 "pair": [str(g) for g in outcome.pair]}
+    if isinstance(outcome, Cycles):
+        return {"kind": "cycles", "step": outcome.step, "period": outcome.period,
+                "shift": outcome.shift}
     return {"kind": "diverged", "fuel": outcome.fuel}
+
+
+def _cycle_text(outcome: Cycles) -> str:
+    return f"cycles (step {outcome.step}, period {outcome.period}, shift {outcome.shift})"
 
 
 def _trace_json(trace: ReversalTrace) -> dict:
@@ -120,6 +127,8 @@ def _print_trace(trace: ReversalTrace, limit: int) -> None:
         print(f"u' = {out.u_prime}")
     elif isinstance(out, Stuck):
         print(f"outcome: stuck @{out.position} on ({out.pair[0]}, {out.pair[1]})")
+    elif isinstance(out, Cycles):
+        print(f"outcome: {_cycle_text(out)}")
     else:
         print(f"outcome: diverged (fuel {out.fuel})")
 
@@ -170,6 +179,8 @@ def _cmd_quotient(args) -> int:
             print(f"common multiple: {out.v_prime} {u} = {out.u_prime} {v}")
     elif isinstance(out, Stuck):
         print(f"stuck @{out.position} on ({out.pair[0]}, {out.pair[1]})")
+    elif isinstance(out, Cycles):
+        print(f"no common multiple reachable by reversing: the reversal {_cycle_text(out)}")
     else:
         print(f"diverged (fuel {out.fuel})")
     return _outcome_exit(trace)

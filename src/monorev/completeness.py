@@ -14,8 +14,10 @@ triple be normalised to smallest family index 0, and a bound B covers all
 normalised triples with indices up to 2B.
 
 A triple that gets stuck in the first reversal counts as a failure (the
-hypothesis word itself has no common multiple witness), and fuel exhaustion
-anywhere makes the certificate undetermined rather than falsified.
+hypothesis word itself has no common multiple witness).  A second reversal
+that is proved to cycle fails too, since it can never reach the empty word.
+A first reversal that cycles, and fuel exhaustion anywhere, make the
+certificate undetermined rather than falsified.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from .presentation import Presentation, check_complemented
 from .reversing import (
     DEFAULT_FUEL,
+    Cycles,
     Diverged,
     Empty,
     ReversalTrace,
@@ -65,6 +68,8 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
     else:
         first = left_reverse(p, v * w.inverse() * w * u.inverse(), fuel)
     out = first.outcome
+    if isinstance(out, Cycles):
+        return CubeResult(triple, side, "inconclusive", "first reversal cycles", first, None)
     if isinstance(out, Diverged):
         return CubeResult(triple, side, "inconclusive", "first reversal ran out of fuel",
                           first, None)
@@ -78,6 +83,8 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
     out2 = second.outcome
     if isinstance(out2, Empty):
         return CubeResult(triple, side, "pass", "ok", first, second)
+    if isinstance(out2, Cycles):
+        return CubeResult(triple, side, "fail", "second reversal cycles", first, second)
     if isinstance(out2, Diverged):
         return CubeResult(triple, side, "inconclusive", "second reversal ran out of fuel",
                           first, second)
@@ -165,7 +172,8 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     "cancellative" yields cancellative-up-to, "complete" stops at
     complete-up-to.  With only one complemented side the claim is the
     side-qualified right-/left-complete-up-to either way.  Any cube failure
-    falsifies, fuel exhaustion without failure is undetermined, and a
+    falsifies, a check that does not terminate (a first reversal proved to
+    cycle, or fuel exhaustion) without failure is undetermined, and a
     missing precondition (inhomogeneity or a complement conflict on both
     sides) refuses the check outright.
 
@@ -195,20 +203,24 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
         )
     triples = enumerate_word_triples(p, 1 if word_len is None else word_len, t_bound)
     failures = []
-    inconclusive = 0
+    cycling = fuel_outs = 0
     for side in sides:
         for u, v, w in triples:
             res = cube_condition(p, u, v, w, side=side, fuel=fuel)
             if res.status == "fail":
                 failures.append((side, (str(u), str(v), str(w)), res.reason))
             elif res.status == "inconclusive":
-                inconclusive += 1
+                if isinstance(res.first.outcome, Cycles):
+                    cycling += 1
+                else:
+                    fuel_outs += 1
     refusal = None
     if failures:
         claim = "falsified"
-    elif inconclusive:
+    elif cycling or fuel_outs:
         claim = "undetermined"
-        refusal = f"{inconclusive} cube checks ran out of fuel"
+        refusal = (f"{cycling + fuel_outs} cube checks did not terminate "
+                   f"({cycling} proved to cycle, {fuel_outs} ran out of fuel)")
     elif not p.homogeneous:
         claim = "complete-up-to" if len(sides) == 2 else f"{sides[0]}-complete-up-to"
         refusal = "not homogeneous, completeness does not imply cancellativity here"

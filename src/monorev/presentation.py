@@ -285,6 +285,7 @@ class Presentation:
     homogeneous: bool = True
     window: int | None = None
     _complements: dict = field(default_factory=dict, repr=False, compare=False)
+    _invariant: bool | None = field(default=None, repr=False, compare=False)
 
     def schema(self, name: str) -> Schema:
         for s in self.schemas:
@@ -294,6 +295,20 @@ class Presentation:
 
     def parse(self, text: str) -> Word:
         return parse_word(text, self.alphabet)
+
+    def translation_invariant(self) -> bool:
+        """True when one shift k of every integer-family index maps relations onto relations.
+
+        That holds when every integer-family letter of every schema carries a
+        parameter ranging over Z, so the shift just moves the parameter.  A
+        fixed index such as t(100) breaks it.  Computed once per presentation.
+        """
+        if self._invariant is None:
+            fams = self.alphabet.integer_families
+            self._invariant = all(
+                pl.param is not None and s._param(pl.param).values is None
+                for s in self.schemas for pl in s.lhs + s.rhs if pl.family in fams)
+        return self._invariant
 
 
 # -- complements ----------------------------------------------------------
@@ -309,9 +324,27 @@ EQUAL = Equal()
 
 @dataclass(frozen=True, slots=True)
 class ComplementPair:
+    """x v' = y u' (right) or v' x = u' y (left), with the letters a reversal step pushes."""
+
     v_prime: Word
     u_prime: Word
     rule: RelationInstance
+    push: tuple[Letter, ...]
+
+
+def splice(rule: RelationInstance, side: str) -> tuple[Letter, ...]:
+    """The letters a reversing step with this rule puts in place of its redex, in stack order.
+
+    Right, from x v' = y u': x^-1 y becomes v' u'^-1.  Left, from v' x = u' y:
+    x y^-1 becomes v'^-1 u'.  The letters come last first, the order in which
+    they are pushed onto a stack of unread letters so that the first one ends
+    on top.
+    """
+    if side == "right":
+        return (tuple(l.inverse() for l in rule.rhs.letters[1:])
+                + tuple(reversed(rule.lhs.letters[1:])))
+    return (tuple(reversed(rule.rhs.letters[:-1]))
+            + tuple(l.inverse() for l in rule.lhs.letters[:-1]))
 
 
 def instances_for_pair(p: Presentation, x: Generator, y: Generator,
@@ -344,7 +377,8 @@ def _complement(p: Presentation, x: Generator, y: Generator, side: str):
         else:
             inst = insts[0]
             rest = slice(1, None) if side == "right" else slice(None, -1)
-            p._complements[key] = ComplementPair(inst.lhs[rest], inst.rhs[rest], inst)
+            p._complements[key] = ComplementPair(inst.lhs[rest], inst.rhs[rest], inst,
+                                                 splice(inst, side))
     result = p._complements[key]
     if isinstance(result, AmbiguousComplementError):
         raise result

@@ -3,15 +3,35 @@
 Right reversing rewrites x^-1 y (x, y generators) into v' u'^-1 where
 x v' = y u' is a relation, and deletes x^-1 x outright.  Left reversing is
 the mirror image: x y^-1 becomes v'^-1 u' where v' x = u' y, and x x^-1 is
-deleted.  One loop serves both sides: the side fixes, once per call, the
-sign pair that makes a redex, the complement lookup and the letters a
-relation step splices in.  The loop rewrites the leftmost redex at every
-step, so traces are deterministic and reproduce the usual reversing
-diagrams cell by cell.  A single step is a call with fuel=1.
+deleted.  One kernel serves both sides: the side fixes, once per call, the
+sign pair that makes a redex and the complement lookup.  The kernel always
+rewrites the leftmost redex, so traces are deterministic and reproduce the
+usual reversing diagrams cell by cell.  A single step is a call with fuel=1.
 
-A reversal ends in one of four ways: the word becomes empty, it reaches the
-sorted terminal shape, it gets stuck on a pair with no complement, or the
-step budget (fuel) runs out.
+The kernel is a zipper over two stacks: the redex-free prefix read so far,
+and the unread rest with its next letter on top.  The leftmost redex, when
+there is one, is always made of the two tops.  A step pops both and pushes
+the relation's replacement letters onto the unread stack; otherwise the
+unread top moves across.  Each step therefore reads only the two tops.
+
+A reversal ends in one of five ways: the word becomes empty, it reaches
+the sorted terminal shape, it gets stuck on a pair with no complement, it
+is proved to cycle, or the step budget (fuel) runs out first.
+
+The cycle proof.  The kernel saves both stacks after steps 1, 2, 4, 8 and
+so on.  From a checkpoint on it tracks how deep into each stack the run
+has read; the letters below those low-water marks have not influenced it.
+If the prefix stack was seen empty, its exact length mattered as well.
+Suppose that after a later step each stack holds at least as many letters
+as were read from it since the checkpoint, and that its top letters equal
+the letters read, translated by one shift k of the integer-family indices.
+Then the run repeats the same moves from there on, translated by k each
+time, and never ends: the kernel is deterministic, and the complements of
+translated pairs are the translated complements.  That second fact needs
+translation invariance, so a cycle with k != 0 is only accepted when every
+integer-family letter of every schema carries a parameter ranging over Z
+(Presentation.translation_invariant).  Detection does not depend on fuel;
+fuel only ends reversals the proof has not caught.
 
 Traces store one small step record per rewrite; intermediate words are
 replayed on demand by words().  Diverging reversals produce words that grow
@@ -32,7 +52,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .presentation import EQUAL, Presentation, RelationInstance, left_complement, right_complement
+from .presentation import (
+    EQUAL,
+    Presentation,
+    RelationInstance,
+    left_complement,
+    right_complement,
+    splice,
+)
 from .words import Generator, Letter, Word
 
 DEFAULT_FUEL = 10000
@@ -69,21 +96,24 @@ class Stuck:
 
 
 @dataclass(frozen=True, slots=True)
+class Cycles:
+    """The reversal runs forever, proved after `step` steps.
+
+    The last `period` steps repeat forever, each round translated by `shift`
+    on the integer-family indices.
+    """
+
+    step: int
+    period: int
+    shift: int
+
+
+@dataclass(frozen=True, slots=True)
 class Diverged:
     fuel: int
 
 
-Outcome = Union[Empty, Terminal, Stuck, Diverged]
-
-
-def _right_splice(rule: RelationInstance) -> list[Letter]:
-    """Letters a right step puts in place of x^-1 y: v' u'^-1, from x v' = y u'."""
-    return list(rule.lhs.letters[1:]) + [l.inverse() for l in reversed(rule.rhs.letters[1:])]
-
-
-def _left_splice(rule: RelationInstance) -> list[Letter]:
-    """Letters a left step puts in place of x y^-1: v'^-1 u', from v' x = u' y."""
-    return [l.inverse() for l in reversed(rule.lhs.letters[:-1])] + list(rule.rhs.letters[:-1])
+Outcome = Union[Empty, Terminal, Stuck, Cycles, Diverged]
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,14 +134,13 @@ class ReversalTrace:
 
     def words(self) -> Iterator[Word]:
         """Replay the trace, yielding the start and every intermediate."""
-        splice = _right_splice if self.side == "right" else _left_splice
         letters = list(self.start.letters)
         yield self.start
         for s in self.steps:
             if s.kind == "cancel":
                 del letters[s.position:s.position + 2]
             else:
-                letters[s.position:s.position + 2] = splice(s.rule)
+                letters[s.position:s.position + 2] = reversed(splice(s.rule, self.side))
             yield Word(tuple(letters))
 
     def touched_indices(self, family: str) -> tuple[int, int] | None:
@@ -153,50 +182,100 @@ def _classify(word: Word, side: str) -> Outcome:
     return Terminal(tail, head.inverse())
 
 
-def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace:
-    """The reversing loop for both sides: rewrite the leftmost redex until none is left.
+def _translation(now: list[Letter], then: list[Letter], families: frozenset[str]) -> int | None:
+    """The shift k of the integer-family indices that turns `then` into `now`, or None."""
+    k = None
+    for a, b in zip(now, then):
+        ga, gb = a.gen, b.gen
+        if a.sign != b.sign or ga.family != gb.family:
+            return None
+        d = ga.index - gb.index
+        if ga.family in families:
+            if k is None:
+                k = d
+            elif d != k:
+                return None
+        elif d:
+            return None
+    return k or 0
 
-    Complements are looked up through the module attributes right_complement
-    and left_complement, once per call, so a wrapper installed there sees
-    every lookup.
+
+def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace:
+    """The reversing kernel for both sides; see the module docstring.
+
+    `done` is the redex-free prefix, `todo` the unread rest with its first
+    letter on top.  Complements are looked up through the module attributes
+    right_complement and left_complement, once per call, so a wrapper
+    installed there sees every lookup.
     """
     if side == "right":
-        first, second, complement, splice = -1, 1, right_complement, _right_splice
+        first, second, complement = -1, 1, right_complement
     else:
-        first, second, complement, splice = 1, -1, left_complement, _left_splice
+        first, second, complement = 1, -1, left_complement
+    families = p.alphabet.integer_families
+    done: list[Letter] = []
+    todo = list(reversed(word.letters))
     steps: list[ReversalStep] = []
-    letters = list(word.letters)
-    hint = 0
+    n = 0
+    # The last checkpoint (step `since`, 0 before the first) and its stacks;
+    # below low_done and low_todo nothing has been read since.  exact records
+    # that `done` was seen empty.
+    since, mark = 0, 1
+    saved_done: list[Letter] = []
+    saved_todo: list[Letter] = []
+    low_done = low_todo = 0
+    exact = False
     while True:
-        pos = -1
-        for i in range(hint, len(letters) - 1):
-            if letters[i].sign == first and letters[i + 1].sign == second:
-                pos = i
+        while todo:
+            if todo[-1].sign == second and done and done[-1].sign == first:
                 break
-        if pos < 0:
-            final = Word(tuple(letters))
+            done.append(todo.pop())
+        else:
+            final = Word(tuple(done))
             return ReversalTrace(side, word, tuple(steps), _classify(final, side), final)
-        if len(steps) >= fuel:
+        if n >= fuel:
             outcome = Diverged(fuel)
             break
-        x, y = letters[pos].gen, letters[pos + 1].gen
+        pos = len(done) - 1
+        x, y = done[-1].gen, todo[-1].gen
         comp = complement(p, x, y)
         if comp is None:
             outcome = Stuck(pos, (x, y))
             break
+        done.pop()
+        todo.pop()
+        if len(todo) < low_todo:
+            low_todo = len(todo)
         if comp is EQUAL:
-            del letters[pos:pos + 2]
             steps.append(ReversalStep(pos, "cancel", None))
         else:
-            letters[pos:pos + 2] = splice(comp.rule)
+            todo.extend(comp.push)
             steps.append(ReversalStep(pos, "relation", comp.rule))
-        # the prefix before pos-1 was redex-free and is untouched
-        hint = max(0, pos - 1)
-    return ReversalTrace(side, word, tuple(steps), outcome, Word(tuple(letters)))
+        n += 1
+        # lengths first: the slices below are only worth building when the
+        # stacks have regrown over everything read since the checkpoint
+        if (since and len(todo) >= len(saved_todo) and len(done) >= len(saved_done)
+                and not (exact and len(done) != len(saved_done))):
+            a = len(saved_done) - low_done
+            k = _translation(done[len(done) - a:] + todo[len(todo) - len(saved_todo) + low_todo:],
+                             saved_done[low_done:] + saved_todo[low_todo:], families)
+            if k is not None and (k == 0 or p.translation_invariant()):
+                outcome = Cycles(n, n - since, k)
+                break
+        if n == mark:
+            since, mark = n, 2 * n
+            saved_done, saved_todo = done[:], todo[:]
+            low_done, low_todo, exact = max(len(done) - 1, 0), len(todo), not done
+        elif len(done) <= low_done:
+            # the next move reads the new top of done, or sees it empty
+            low_done = max(len(done) - 1, 0)
+            exact = exact or not done
+    final = Word(tuple(done) + tuple(reversed(todo)))
+    return ReversalTrace(side, word, tuple(steps), outcome, final)
 
 
 def right_reverse(p: Presentation, word: Word, fuel: int = DEFAULT_FUEL) -> ReversalTrace:
-    """Right-reverse until terminal shape, stuck pair, or fuel exhaustion.
+    """Right-reverse until terminal shape, stuck pair, proved cycle, or fuel exhaustion.
 
     fuel=1 performs a single step.  May raise AmbiguousComplementError when
     the leftmost redex pair is related by more than one relation.

@@ -2,6 +2,9 @@ import pytest
 from hypothesis import settings
 
 from monorev import catalog, load_presentation
+from monorev.presentation import EQUAL, left_complement, right_complement
+from monorev.reversing import Diverged, Empty, ReversalStep, Stuck, Terminal
+from monorev.words import Word
 
 settings.register_profile("monorev", deadline=None)
 settings.load_profile("monorev")
@@ -72,3 +75,40 @@ def skewed():
 @pytest.fixture(scope="session")
 def glue():
     return load_presentation(GLUE, name="glue")
+
+
+def reference_reverse(p, word, fuel, side):
+    """Plain list-splice reversing without cycle detection: (steps, outcome, final).
+
+    Rewrites the leftmost redex, resuming the search one letter before the
+    last rewrite, and splices the complement in place.
+    """
+    first, second = (-1, 1) if side == "right" else (1, -1)
+    complement = right_complement if side == "right" else left_complement
+    letters, steps, pos = list(word), [], 0
+    while True:
+        pos = next((i for i in range(max(0, pos - 1), len(letters) - 1)
+                    if letters[i].sign == first and letters[i + 1].sign == second), None)
+        if pos is None or len(steps) >= fuel:
+            break
+        x, y = letters[pos].gen, letters[pos + 1].gen
+        comp = complement(p, x, y)
+        if comp is None:
+            return steps, Stuck(pos, (x, y)), Word(tuple(letters))
+        if comp is EQUAL:
+            letters[pos:pos + 2] = []
+            steps.append(ReversalStep(pos, "cancel", None))
+        else:
+            vp, up = comp.v_prime, comp.u_prime
+            letters[pos:pos + 2] = (vp * up.inverse() if side == "right" else vp.inverse() * up)
+            steps.append(ReversalStep(pos, "relation", comp.rule))
+    final = Word(tuple(letters))
+    if pos is not None:
+        return steps, Diverged(fuel), final
+    if not letters:
+        return steps, Empty(), final
+    split = next((i for i, l in enumerate(letters) if l.sign == first), len(letters))
+    head, tail = final[:split], final[split:]
+    if side == "right":  # v' u'^-1
+        return steps, Terminal(head, tail.inverse()), final
+    return steps, Terminal(tail, head.inverse()), final  # u'^-1 v'

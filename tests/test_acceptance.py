@@ -28,6 +28,7 @@ from monorev.presentation import (
     right_complement,
 )
 from monorev.reversing import (
+    Cycles,
     Diverged,
     Empty,
     build_grid,
@@ -46,7 +47,7 @@ from monorev.words import (
     shift_word,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, reference_reverse
 
 NEW_KEYS = ("d4:new", "e6:new", "e7:new", "e8:new")
 YAMADA_KEYS = ("d4:yamada", "e6:yamada", "e7:yamada", "e8:yamada")
@@ -154,10 +155,9 @@ def test_classical_baseline():
             assert cert.claim == "cancellative-up-to"
         else:
             # the rank-3 cycle is the textbook non-terminating reversal;
-            # no cube fails, but twelve checks outrun any finite fuel
-            assert cert.claim in ("cancellative-up-to", "undetermined")
-            if cert.claim == "undetermined":
-                assert "ran out of fuel" in cert.refusal
+            # no cube fails, but twelve first reversals are proved to cycle
+            assert cert.claim == "undetermined"
+            assert "(12 proved to cycle, 0 ran out of fuel)" in cert.refusal
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -167,20 +167,24 @@ def test_reversal_oracle_agreement():
     gens = w2.alphabet.finite_generators()
     rng = random.Random(20260823)
     oracles = {2: w2}
-    terminated = 0
+    terminated = cycles = 0
     for _ in range(200):
         u = Word(tuple(Letter(rng.choice(gens)) for _ in range(rng.randint(1, 4))))
         v = Word(tuple(Letter(rng.choice(gens)) for _ in range(rng.randint(1, 4))))
         trace = reverse_quotient(D4, u, v)
-        if not trace.reached_terminal:
-            continue
-        terminated += 1
+        assert not isinstance(trace.outcome, Diverged), (str(u), str(v))
+        # a proved cycle never reaches epsilon, so the oracle must say not equal
+        if isinstance(trace.outcome, Cycles):
+            cycles += 1
+        else:
+            terminated += 1
         span = trace.touched_indices("t")
         need = 2 if span is None else max(2, abs(span[0]), abs(span[1]))
         oracle_p = oracles.setdefault(need, instantiate_window(D4, need))
         assert isinstance(trace.outcome, Empty) == monoid_equal(oracle_p, u, v), \
             (str(u), str(v))
     assert terminated >= 100  # the comparison must not be vacuous
+    assert cycles == 83
     report = cancellation_scan(w2, max_len=3)
     assert report.cancellative and report.words_checked == 7371
     assert time.perf_counter() - t0 < 120.0
@@ -193,6 +197,10 @@ GEN = st.sampled_from([Generator("s", i) for i in range(1, 5)]
 LETTER = st.builds(Letter, GEN, st.sampled_from((1, -1)))
 WORD = st.lists(LETTER, max_size=8).map(lambda ls: Word(tuple(ls)))
 SHIFT = st.integers(min_value=-4, max_value=4)
+C3 = catalog.load("affine-a:classical:3")
+C3_WORD = st.lists(st.builds(Letter, st.sampled_from(C3.alphabet.finite_generators()),
+                             st.sampled_from((1, -1))),
+                   max_size=8).map(lambda ls: Word(tuple(ls)))
 
 
 @SUITE
@@ -277,6 +285,24 @@ def check_fuel_monotonicity(w, fuel, extra):
         assert short.step_count == fuel
     else:
         assert short.outcome == long.outcome and short.steps == long.steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(d4_word=WORD, c3_word=C3_WORD)
+def test_cycle_proofs_sound(d4_word, c3_word):
+    """The kernel moves like plain list-splice reversing, and a proved cycle
+    is a reversal that plain reversing cannot finish in 2000 steps."""
+    for p, w in ((D4, d4_word), (C3, c3_word)):
+        for side, reverse in (("right", right_reverse), ("left", left_reverse)):
+            got = reverse(p, w, 2000)
+            steps, outcome, final = reference_reverse(p, w, 2000, side)
+            common = min(len(steps), got.step_count)
+            assert got.steps[:common] == tuple(steps[:common])
+            if isinstance(got.outcome, Cycles):
+                assert outcome == Diverged(2000)
+                assert [str(x) for x in got.words()][-1] == str(got.final)
+            else:
+                assert (got.steps, got.outcome, got.final) == (tuple(steps), outcome, final)
 
 
 def test_property_suites():

@@ -99,6 +99,25 @@ def test_quotient_stuck(capsys, tmp_path):
     assert code == 2 and "stuck @0 on (b1, c1)" in out
 
 
+def test_quotient_cycles(capsys):
+    # the reversal of u^-1 v is proved to run forever, drifting down by t(-2)
+    args = ("quotient", "d4:new", "s3 t(-2) s1 t(-2)", "t(-2) s3 t(0)")
+    code, out, _ = run(capsys, *args)
+    assert code == 2
+    assert out == ("no common multiple reachable by reversing: "
+                   "the reversal cycles (step 28, period 12, shift -2)\n")
+    assert "not equal" not in out
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 2
+    data = json.loads(out)
+    assert data["outcome"] == {"kind": "cycles", "step": 28, "period": 12, "shift": -2}
+    assert len(data["steps"]) == 28
+    code, out, _ = run(capsys, "reverse", "d4:new",
+                       "t(-2)^-1 s1^-1 t(-2)^-1 s3^-1 t(-2) s3 t(0)", "--limit", "0")
+    assert code == 2
+    assert out.endswith("outcome: cycles (step 28, period 12, shift -2)\n")
+
+
 def test_cube_pass(capsys):
     code, out, _ = run(capsys, "cube", "e8:new", "s7", "t(2)", "s8")
     assert code == 0 and out.strip() == "cube (s7; t(2); s8) right: pass"

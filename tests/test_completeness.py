@@ -11,8 +11,8 @@ from monorev.completeness import (
     enumerate_word_triples,
 )
 from monorev.presentation import load_presentation
-from monorev.reversing import Empty
-from conftest import NONHOM, ONE_SIDED, WIDE_OFFSET
+from monorev.reversing import Cycles, Diverged, Empty
+from conftest import NONHOM, ONE_SIDED, WIDE_OFFSET, reference_reverse
 
 D4_CERT_JSON = """\
 {
@@ -62,11 +62,34 @@ def test_cube_not_trivial(skewed):
 
 def test_cube_fuel_exhaustion():
     p = catalog.load("affine-a:classical:3")
-    ok = cube_condition(p, p.parse("r1"), p.parse("r2"), p.parse("r1"), fuel=2000)
+    r1, r2, r3 = p.parse("r1"), p.parse("r2"), p.parse("r3")
+    ok = cube_condition(p, r1, r2, r1, fuel=2000)
     assert ok.passed
-    res = cube_condition(p, p.parse("r1"), p.parse("r2"), p.parse("r3"), fuel=2000)
+    res = cube_condition(p, r1, r2, r3, fuel=8)
     assert res.status == "inconclusive"
     assert res.reason == "first reversal ran out of fuel"
+    assert res.first.outcome == Diverged(8) and res.first.step_count == 8
+    # with fuel to spare the same reversal is proved to run forever
+    res = cube_condition(p, r1, r2, r3, fuel=2000)
+    assert res.status == "inconclusive"
+    assert res.reason == "first reversal cycles"
+    assert res.first.outcome == Cycles(14, 6, 0) and res.first.step_count == 14
+    assert res.second is None
+
+
+def test_cube_second_reversal_cycles():
+    # the first reversal terminates, then (u v')^-1 (v u') runs forever:
+    # it can never reach epsilon, so the cube fails outright
+    p = load_presentation("generators: a1 b1 c1\n"
+                          "a1 b1 a1 b1 = b1 a1 b1 a1\n"
+                          "a1 a1 = c1 b1\n"
+                          "b1 c1 b1 c1 = c1 b1 c1 b1\n", name="square-chain")
+    res = cube_condition(p, p.parse("a1"), p.parse("b1"), p.parse("c1"))
+    assert res.first.reached_terminal
+    assert res.status == "fail" and res.reason == "second reversal cycles"
+    assert res.second.outcome == Cycles(12, 4, 0)
+    _, outcome, _ = reference_reverse(p, res.second.start, 2000, "right")
+    assert outcome == Diverged(2000)
 
 
 def test_cube_validation(d4):
@@ -166,4 +189,5 @@ def test_certify_undetermined_on_divergence():
     cert = certify(catalog.load("affine-a:classical:3"))
     assert cert.claim == "undetermined" and not cert.established
     assert not cert.failures
-    assert cert.refusal == "12 cube checks ran out of fuel"
+    assert cert.refusal == ("12 cube checks did not terminate "
+                            "(12 proved to cycle, 0 ran out of fuel)")

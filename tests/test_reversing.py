@@ -7,8 +7,10 @@ rendering are frozen here letter for letter.
 
 import pytest
 
+from monorev import load_presentation, save_presentation
 from monorev.presentation import AmbiguousComplementError
 from monorev.reversing import (
+    Cycles,
     Diverged,
     Empty,
     Stuck,
@@ -96,6 +98,32 @@ def test_fuel(d4):
     assert [str(w) for w in short.words()] == ANCHOR_WORDS[:3]
     assert right_reverse(d4, word, fuel=3).reached_terminal
     assert right_reverse(d4, word, fuel=0).outcome == Diverged(0)
+
+
+def test_cycle_proof(d4):
+    u, v = d4.parse("s3 t(-2) s1 t(-2)"), d4.parse("t(-2) s3 t(0)")
+    trace = reverse_quotient(d4, u, v)
+    assert trace.outcome == Cycles(28, 12, -2) and not trace.reached_terminal
+    assert trace.step_count == 28
+    assert [str(w) for w in trace.words()][-1] == str(trace.final)
+    # detection does not depend on fuel, only fuel below the proof cuts it short
+    assert reverse_quotient(d4, u, v, fuel=28).outcome == Cycles(28, 12, -2)
+    short = reverse_quotient(d4, u, v, fuel=27)
+    assert short.outcome == Diverged(27) and short.steps == trace.steps[:27]
+
+
+def test_shifted_cycle_needs_translation_invariance(d4):
+    # a relation at the fixed index t(100) breaks translation invariance, so
+    # the shift -2 repetition is no proof there and fuel has the last word
+    pinned = load_presentation(save_presentation(d4) + "t(100) s4 = s4 t(100)\n",
+                               name="pinned")
+    assert d4.translation_invariant() and not pinned.translation_invariant()
+    u, v = pinned.parse("s3 t(-2) s1 t(-2)"), pinned.parse("t(-2) s3 t(0)")
+    trace = reverse_quotient(pinned, u, v, fuel=2000)
+    assert trace.outcome == Diverged(2000)
+    proved = reverse_quotient(d4, d4.parse(str(u)), d4.parse(str(v)))
+    assert [str(w) for w, _ in zip(trace.words(), range(29))] == \
+        [str(w) for w in proved.words()]
 
 
 def test_left_anchor(d4):

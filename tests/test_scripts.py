@@ -22,5 +22,11 @@ def test_certify_catalog(capsys, tmp_path):
 
 
 def test_worked_examples(capsys):
-    assert load_script("worked_examples").main() == 0
-    assert "verified:" in capsys.readouterr().out
+    script = load_script("worked_examples")
+    assert script.main() == 0
+    first = capsys.readouterr().out
+    assert "verified:" in first
+    assert "$ monorev derive double_twist.script\n" in first
+    # nothing in the tour depends on where its temporary files live
+    assert script.main() == 0
+    assert capsys.readouterr().out == first
