@@ -1,9 +1,20 @@
 """Brute-force ground truth for finite presentations.
 
-Everything here works by exhaustive rewriting, so it is slow, bounded and
+Everything here works by exhaustive rewriting, so it is bounded and
 independent of the reversing machinery; the point is to have a second
-opinion that cannot share bugs with it.  Presentations with Z-indexed
-families must be windowed (see instantiate_window) before use.
+opinion that cannot share bugs with it.  Nothing here calls reversing or
+reads the complement cache: the only input is the list of relations.
+Presentations with Z-indexed families must be windowed (see
+instantiate_window) before use, and a word with a letter outside the window
+is refused with UnknownGeneratorError instead of being treated as a word no
+relation touches.
+
+The rewriting runs on small integers.  Each generator is coded as its
+position in the sorted list of finite generators, so coded words sort like
+the letter tuples they stand for.  A rewrite table maps every coded relation
+side to the sides it may be replaced by, so the neighbours of a word come
+from one dictionary lookup per position and side length.  Words are decoded
+back to Word and Letter values only in what the public functions return.
 """
 
 from __future__ import annotations
@@ -15,6 +26,8 @@ from dataclasses import dataclass
 
 from .presentation import Presentation, materialize_relations
 from .words import Generator, Letter, Word
+
+Coded = tuple[int, ...]
 
 
 class OracleCapError(RuntimeError):
@@ -28,34 +41,65 @@ def _require_finite(p: Presentation) -> None:
         )
 
 
-def _oriented(p: Presentation):
-    out = []
-    for inst in materialize_relations(p):
-        out.append((inst.lhs.letters, inst.rhs.letters))
-        out.append((inst.rhs.letters, inst.lhs.letters))
-    return out
+class _Rewriter:
+    """The relations of a finite presentation as a table over coded words.
+
+    Every relation is used in both orientations, numbered in the order of
+    materialize_relations: lhs -> rhs, then rhs -> lhs.  neighbours lists
+    the rewrites of a word by orientation number first and position second.
+    """
+
+    def __init__(self, p: Presentation) -> None:
+        self.alphabet = p.alphabet
+        gens = p.alphabet.finite_generators()
+        self.letters = [Letter(g) for g in gens]
+        self.codes = {g: i for i, g in enumerate(gens)}
+        self.table: dict[Coded, list[tuple[int, Coded]]] = {}
+        order = 0
+        for inst in materialize_relations(p):
+            lhs, rhs = self.encode(inst.lhs), self.encode(inst.rhs)
+            for a, b in ((lhs, rhs), (rhs, lhs)):
+                self.table.setdefault(a, []).append((order, b))
+                order += 1
+        self.lengths = sorted({len(side) for side in self.table})
+
+    def encode(self, word: Word) -> Coded:
+        codes = self.codes
+        out = []
+        for letter in word.letters:
+            code = codes.get(letter.gen)
+            if code is None:
+                self.alphabet.require(letter.gen)
+            out.append(code)
+        return tuple(out)
+
+    def decode(self, coded: Coded) -> Word:
+        letters = self.letters
+        return Word(tuple(letters[c] for c in coded))
+
+    def neighbours(self, w: Coded) -> list[Coded]:
+        table, size = self.table, len(w)
+        hits = []
+        for span in self.lengths:
+            for i in range(size - span + 1):
+                for order, rhs in table.get(w[i:i + span], ()):
+                    hits.append((order, i, span, rhs))
+        if len(hits) > 1:
+            hits.sort()
+        return [w[:i] + rhs + w[i + span:] for _, i, span, rhs in hits]
 
 
-def _rewrites(letters, oriented):
-    for lhs, rhs in oriented:
-        span = len(lhs)
-        for i in range(len(letters) - span + 1):
-            if letters[i:i + span] == lhs:
-                yield letters[:i] + rhs + letters[i + span:]
-
-
-def _closure(p: Presentation, word: Word, cap: int,
-             target: tuple[Letter, ...] | None = None) -> set[tuple[Letter, ...]]:
-    """Breadth-first closure of a word under the relations, as letter tuples.
+def _closure(rw: _Rewriter, word: Word, cap: int,
+             target: Coded | None = None) -> set[Coded]:
+    """Breadth-first closure of a word under the relations, as coded words.
 
     Stops as soon as target is reached, and then includes it.  Raises
     OracleCapError when a new word would push the closure past cap.
     """
-    oriented = _oriented(p)
-    seen = {word.letters}
+    seen = {rw.encode(word)}
     queue = deque(seen)
     while queue:
-        for nxt in _rewrites(queue.popleft(), oriented):
+        for nxt in rw.neighbours(queue.popleft()):
             if nxt == target:
                 seen.add(nxt)
                 return seen
@@ -72,7 +116,8 @@ def equivalence_class(p: Presentation, word: Word, cap: int = 1_000_000) -> froz
     _require_finite(p)
     if not word.is_positive():
         raise ValueError("oracle handles positive words only")
-    return frozenset(Word(l) for l in _closure(p, word, cap))
+    rw = _Rewriter(p)
+    return frozenset(rw.decode(w) for w in _closure(rw, word, cap))
 
 
 def monoid_equal(p: Presentation, u: Word, v: Word, cap: int = 1_000_000) -> bool:
@@ -80,11 +125,13 @@ def monoid_equal(p: Presentation, u: Word, v: Word, cap: int = 1_000_000) -> boo
     _require_finite(p)
     if not (u.is_positive() and v.is_positive()):
         raise ValueError("oracle handles positive words only")
-    if u == v:
+    rw = _Rewriter(p)
+    start, target = rw.encode(u), rw.encode(v)  # refuses letters outside the window
+    if start == target:
         return True
-    if p.homogeneous and len(u) != len(v):
+    if p.homogeneous and len(start) != len(target):
         return False
-    return v.letters in _closure(p, u, cap, v.letters)
+    return target in _closure(rw, u, cap, target)
 
 
 @dataclass(frozen=True)
@@ -137,14 +184,15 @@ def cancellation_scan(p: Presentation, max_len: int = 3, cap: int = 500_000) -> 
         raise ValueError("cancellation scan requires a homogeneous presentation")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    gens = p.alphabet.finite_generators()
-    total = sum(len(gens) ** L for L in range(1, max_len + 2))
+    n = len(p.alphabet.finite_generators())
+    total = sum(n ** L for L in range(1, max_len + 2))
     if total > cap:
         raise OracleCapError(f"{total} words exceed cap {cap}")
-    universe: list[tuple[Letter, ...]] = [
-        tuple(Letter(g) for g in combo)
+    rw = _Rewriter(p)
+    universe: list[Coded] = [
+        combo
         for L in range(1, max_len + 2)
-        for combo in itertools.product(gens, repeat=L)
+        for combo in itertools.product(range(n), repeat=L)
     ]
     parent = {w: w for w in universe}
 
@@ -154,36 +202,33 @@ def cancellation_scan(p: Presentation, max_len: int = 3, cap: int = 500_000) -> 
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    oriented = _oriented(p)
     for w in universe:
-        for nxt in _rewrites(w, oriented):
-            union(w, nxt)
-    by_class: dict[tuple[Letter, ...], list[tuple[Letter, ...]]] = {}
+        for nxt in rw.neighbours(w):
+            ra, rb = find(w), find(nxt)
+            if ra != rb:
+                parent[ra] = rb
+    by_class: dict[Coded, list[Coded]] = {}
     witnesses: list[ScanWitness] = []
     for w in universe:
         if len(w) >= 2:
             by_class.setdefault(find(w), []).append(w)
     for root in sorted(by_class, key=lambda r: (len(r), r)):
+        if len(by_class[root]) < 2:
+            continue  # one member has one remainder per edge letter
         members = sorted(by_class[root])
         for side in ("left", "right"):
-            groups: dict = {}
+            groups: dict[int, list[Coded]] = {}
             for w in members:
                 edge = w[0] if side == "left" else w[-1]
                 rest = w[1:] if side == "left" else w[:-1]
                 groups.setdefault(edge, []).append(rest)
-            for edge in sorted(groups, key=lambda l: l.gen):
-                rests = sorted(groups[edge])
-                roots_seen: dict[tuple, tuple] = {}
-                for rest in rests:
+            for edge in sorted(groups):
+                roots_seen: dict[Coded, Coded] = {}
+                for rest in sorted(groups[edge]):
                     roots_seen.setdefault(find(rest), rest)
                 if len(roots_seen) > 1:
                     reps = sorted(roots_seen.values())
-                    witnesses.append(ScanWitness(side, edge.gen,
-                                                 Word(reps[0]), Word(reps[1])))
-    words_checked = sum(len(gens) ** L for L in range(2, max_len + 2))
+                    witnesses.append(ScanWitness(side, rw.letters[edge].gen,
+                                                 rw.decode(reps[0]), rw.decode(reps[1])))
+    words_checked = sum(n ** L for L in range(2, max_len + 2))
     return ScanReport(p.name, p.window, max_len, words_checked, tuple(witnesses))

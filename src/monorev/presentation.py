@@ -596,8 +596,10 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
 def save_presentation(p: Presentation) -> str:
     """Render a presentation in the plain-text format.
 
-    Parameters over finite families are expanded into one schema per value,
-    because the format infers finite parameter domains from the whole family.
+    The format infers the domain of a parameter over a finite family to be
+    the whole family.  A parameter with that domain stays a parameter, so
+    loading the text gives back the same schemas; one with a smaller domain
+    is expanded into one schema per value.
     """
     gens = " ".join(str(g) for g in p.alphabet.finite_generators())
     header = f"generators: {gens}"
@@ -605,9 +607,12 @@ def save_presentation(p: Presentation) -> str:
         header += " ; families: " + " ".join(sorted(p.alphabet.integer_families))
     lines = [header]
     for s in p.schemas:
-        finite_params = [pp for pp in s.params if pp.values is not None]
+        expanded = [
+            pp for pp in s.params if pp.values is not None
+            and pp.values != tuple(sorted(p.alphabet.finite.get(s.param_family(pp.name), ())))
+        ]
         expansions: list[dict[str, int]] = [{}]
-        for pp in finite_params:
+        for pp in expanded:
             expansions = [dict(e, **{pp.name: v}) for e in expansions for v in pp.values]
         for partial in expansions:
             remaining = tuple(pp for pp in s.params if pp.name not in partial)
@@ -623,7 +628,7 @@ def save_presentation(p: Presentation) -> str:
             )
             name = s.name
             if partial:
-                bindings = tuple((pp.name, partial[pp.name]) for pp in finite_params)
+                bindings = tuple((pp.name, partial[pp.name]) for pp in expanded)
                 name = f"{s.name}_{_binding_suffix(bindings)}"
             try:
                 sub = Schema(name, remaining, lhs, rhs)

@@ -1,10 +1,14 @@
+import itertools
+from collections import deque
+
 import pytest
 from hypothesis import settings
 
 from monorev import catalog, load_presentation
-from monorev.presentation import EQUAL, left_complement, right_complement
+from monorev.oracle import OracleCapError, ScanReport, ScanWitness
+from monorev.presentation import EQUAL, left_complement, materialize_relations, right_complement
 from monorev.reversing import Diverged, Empty, ReversalStep, Stuck, Terminal
-from monorev.words import Word
+from monorev.words import Letter, Word
 
 settings.register_profile("monorev", deadline=None)
 settings.load_profile("monorev")
@@ -112,3 +116,82 @@ def reference_reverse(p, word, fuel, side):
     if side == "right":  # v' u'^-1
         return steps, Terminal(head, tail.inverse()), final
     return steps, Terminal(tail, head.inverse()), final  # u'^-1 v'
+
+
+def _reference_oriented(p):
+    """Each relation both ways round, as pairs of letter tuples."""
+    return [pair for inst in materialize_relations(p)
+            for pair in ((inst.lhs.letters, inst.rhs.letters),
+                         (inst.rhs.letters, inst.lhs.letters))]
+
+
+def _reference_rewrites(oriented, letters):
+    """Every one-step rewrite of a letter tuple: by oriented relation, then by position."""
+    for lhs, rhs in oriented:
+        for i in range(len(letters) - len(lhs) + 1):
+            if letters[i:i + len(lhs)] == lhs:
+                yield letters[:i] + rhs + letters[i + len(lhs):]
+
+
+def reference_closure(p, word, cap, target=None):
+    """Breadth-first closure over letter tuples, splicing relation sides in place.
+
+    Same contract as the oracle's closure: stops on reaching target (a letter
+    tuple) and raises OracleCapError when a new word would pass cap.
+    """
+    oriented = _reference_oriented(p)
+    seen = {word.letters}
+    queue = deque(seen)
+    while queue:
+        for nxt in _reference_rewrites(oriented, queue.popleft()):
+            if nxt == target:
+                seen.add(nxt)
+                return seen
+            if nxt not in seen:
+                if len(seen) >= cap:
+                    raise OracleCapError(f"class of {word} exceeded cap {cap}")
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def reference_scan(p, max_len):
+    """The cancellation scan over letter tuples, with a plain union-find."""
+    gens = p.alphabet.finite_generators()
+    universe = [tuple(Letter(g) for g in combo)
+                for length in range(1, max_len + 2)
+                for combo in itertools.product(gens, repeat=length)]
+    parent = {w: w for w in universe}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    oriented = _reference_oriented(p)
+    for w in universe:
+        for nxt in _reference_rewrites(oriented, w):
+            ra, rb = find(w), find(nxt)
+            if ra != rb:
+                parent[ra] = rb
+    by_class = {}
+    for w in universe:
+        if len(w) >= 2:
+            by_class.setdefault(find(w), []).append(w)
+    witnesses = []
+    for root in sorted(by_class, key=lambda r: (len(r), r)):
+        members = sorted(by_class[root])
+        for side in ("left", "right"):
+            groups = {}
+            for w in members:
+                edge, rest = (w[0], w[1:]) if side == "left" else (w[-1], w[:-1])
+                groups.setdefault(edge, []).append(rest)
+            for edge in sorted(groups):
+                roots_seen = {}
+                for rest in sorted(groups[edge]):
+                    roots_seen.setdefault(find(rest), rest)
+                if len(roots_seen) > 1:
+                    reps = sorted(roots_seen.values())
+                    witnesses.append(ScanWitness(side, edge.gen, Word(reps[0]), Word(reps[1])))
+    checked = sum(len(gens) ** length for length in range(2, max_len + 2))
+    return ScanReport(p.name, p.window, max_len, checked, tuple(witnesses))

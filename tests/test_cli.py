@@ -194,6 +194,21 @@ def test_derive_presentation_file(capsys, tmp_path):
     assert code == 0 and "verified: t(1) t(0) = t(2) t(1) in 1 steps" in out
 
 
+def test_derive_catalog_script_on_saved_copy(capsys, tmp_path):
+    # t_braid keeps its parameter j over s1..s4 when saved, so a script
+    # written for the catalog key (rel t_braid i=1,j=1) replays on the copy
+    pres = tmp_path / "d4.pres"
+    pres.write_text(save_presentation(catalog.load("d4:new")))
+    with open(os.path.join(FIXTURES, "double_twist_s1.script"), encoding="utf-8") as fh:
+        text = fh.read()
+    script = tmp_path / "double_twist_s1.script"
+    script.write_text(text.replace("presentation: d4:new", f"presentation: {pres}"))
+    code, out, _ = run(capsys, "derive", str(script))
+    assert code == 0
+    assert out.strip().endswith(
+        "verified: t(1) t(0) s1 t(1) t(0) s1 = s1 t(1) t(0) s1 t(1) t(0) in 7 steps")
+
+
 def test_derive_failure(capsys, tmp_path):
     path = tmp_path / "bad.script"
     path.write_text("presentation: d4:new\nstart: s1\nexpect: s2\n")

@@ -5,9 +5,14 @@ as a check that windowing instantiates the translation relations correctly.
 """
 
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import GLUE, ONE_SIDED, SKEWED, reference_closure, reference_scan
+from monorev import catalog, load_presentation
 from monorev.oracle import (
     OracleCapError,
     cancellation_scan,
@@ -15,7 +20,7 @@ from monorev.oracle import (
     monoid_equal,
 )
 from monorev.presentation import Presentation, instantiate_window
-from monorev.words import Alphabet
+from monorev.words import Alphabet, Letter, UnknownGeneratorError, Word
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +66,15 @@ def test_cap(w2):
         equivalence_class(w2, w2.parse("t(1) t(0)"), cap=2)
     with pytest.raises(OracleCapError):
         monoid_equal(w2, w2.parse("t(1) t(0)"), w2.parse("s1 s1"), cap=2)
+
+
+def test_cap_follows_rewrite_order(skewed):
+    # the search rewrites by relation first and position second; in that
+    # order the target turns up before the class passes five words
+    u, v = skewed.parse("a1 b1 c1 b1"), skewed.parse("c1 b1 b1 a1")
+    assert monoid_equal(skewed, u, v, cap=5)
+    with pytest.raises(OracleCapError):
+        monoid_equal(skewed, u, v, cap=2)
 
 
 def test_scan_clean(w2):
@@ -110,3 +124,83 @@ def test_scan_validations(w2, glue):
         cancellation_scan(w2, max_len=0)
     with pytest.raises(OracleCapError):
         cancellation_scan(glue, max_len=2, cap=10)
+
+
+def test_refuses_letters_outside_window(d4, w2):
+    # t(5) t(4) = t(4) t(3) holds in d4:new, but no relation of the window
+    # of radius 2 mentions t(5), so answering there would be wrong
+    u, v = d4.parse("t(5) t(4)"), d4.parse("t(4) t(3)")
+    assert monoid_equal(instantiate_window(d4, 5), u, v)
+    for call in (lambda: monoid_equal(w2, u, v), lambda: monoid_equal(w2, u, u),
+                 lambda: monoid_equal(w2, w2.parse("s1"), u),
+                 lambda: equivalence_class(w2, u)):
+        with pytest.raises(UnknownGeneratorError, match="outside the range"):
+            call()
+
+
+def _witnesses(report):
+    return [(w.side, str(w.letter), str(w.first), str(w.second)) for w in report.witnesses]
+
+
+def test_scan_witness_lists(skewed):
+    assert _witnesses(cancellation_scan(skewed, max_len=3)) == [
+        ("left", "a1", "b1 c1", "c1 b1"),
+        ("right", "a1", "b1 c1", "c1 b1"),
+        ("left", "a1", "b1 b1 c1", "b1 c1 b1"),
+        ("right", "a1", "b1 b1 c1", "b1 c1 b1"),
+        ("left", "a1", "b1 c1 c1", "c1 b1 c1"),
+        ("right", "a1", "b1 c1 c1", "c1 b1 c1"),
+    ]
+    one_sided = load_presentation(ONE_SIDED, name="one-sided")
+    assert _witnesses(cancellation_scan(one_sided, max_len=3)) == [
+        ("right", "a1", "a1 b1", "b1 a1"),
+        ("right", "a1", "a1 a1 b1", "a1 b1 a1"),
+        ("right", "a1", "b1 a1 b1", "b1 b1 a1"),
+    ]
+
+
+LAW_PRESENTATIONS = (
+    [load_presentation(text, name=name)
+     for text, name in ((GLUE, "glue"), (SKEWED, "skewed"), (ONE_SIDED, "one-sided"))]
+    + [instantiate_window(catalog.load(key), 1)
+       for key in ("d4:new", "d4:yamada", "affine-a:classical:3")]
+)
+
+
+@lru_cache(maxsize=None)
+def _reference_scan_json(index, max_len):
+    return reference_scan(LAW_PRESENTATIONS[index], max_len).to_json()
+
+
+def _outcome(call):
+    try:
+        return call()
+    except OracleCapError as e:
+        return "cap", str(e)
+
+
+def _reference_equal(p, u, v, cap):
+    if u == v:
+        return True
+    if p.homogeneous and len(u) != len(v):
+        return False
+    return v.letters in reference_closure(p, u, cap, v.letters)
+
+
+@settings(max_examples=100)
+@given(index=st.integers(0, len(LAW_PRESENTATIONS) - 1), data=st.data())
+def test_oracle_matches_reference(index, data):
+    p = LAW_PRESENTATIONS[index]
+    words = st.lists(st.sampled_from(p.alphabet.finite_generators()), min_size=1, max_size=5)
+    u = Word(tuple(Letter(g) for g in data.draw(words)))
+    klass = frozenset(Word(w) for w in reference_closure(p, u, 1_000_000))
+    # a cap below the class size stops the search part way, where its order shows
+    cap = data.draw(st.integers(1, len(klass)) | st.just(1_000_000))
+    assert _outcome(lambda: equivalence_class(p, u, cap)) == _outcome(
+        lambda: frozenset(Word(w) for w in reference_closure(p, u, cap)))
+    other = Word(tuple(Letter(g) for g in data.draw(words)))
+    for v in (other, data.draw(st.sampled_from(sorted(klass, key=str)))):
+        assert _outcome(lambda: monoid_equal(p, u, v, cap)) == \
+            _outcome(lambda: _reference_equal(p, u, v, cap))
+    max_len = data.draw(st.integers(1, 3))
+    assert cancellation_scan(p, max_len=max_len).to_json() == _reference_scan_json(index, max_len)

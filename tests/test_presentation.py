@@ -2,6 +2,7 @@
 
 import pytest
 
+from monorev import catalog
 from monorev.presentation import (
     EQUAL,
     AmbiguousComplementError,
@@ -179,6 +180,20 @@ def test_load_save_round_trip():
     assert [s.render() for s in again.schemas] == [s.render() for s in p.schemas]
     assert again.alphabet.finite == p.alphabet.finite
     assert again.alphabet.integer_families == p.alphabet.integer_families
+
+
+def test_save_keeps_whole_family_parameters(d4):
+    # j ranges over all of s1..s4, the domain the format infers for s(j)
+    text = save_presentation(d4)
+    assert "schema t_braid: t(i) s(j) t(i) = s(j) t(i) s(j)" in text.splitlines()
+    again = load_presentation(text, name=d4.name)
+    for name in ("t_braid", "translation"):
+        assert again.schema(name) == d4.schema(name)
+    assert save_presentation(again) == text
+    # e6 braids t only with s1..s3, a smaller domain, which is expanded
+    e6 = save_presentation(catalog.load("e6:new")).splitlines()
+    assert "schema t_braid_j1: t(i) s1 t(i) = s1 t(i) s1" in e6
+    assert not any(line.startswith("schema t_braid:") for line in e6)
 
 
 @pytest.mark.parametrize("text, error", [
