@@ -13,7 +13,6 @@ from .words import (
     free_reduce,
     parse_word,
     shift_word,
-    word_of,
 )
 from .presentation import (
     EQUAL,
@@ -26,7 +25,6 @@ from .presentation import (
     Schema,
     SchemaError,
     check_complemented,
-    check_homogeneous,
     fixed_schema,
     instances_for_pair,
     instantiate_window,

@@ -222,15 +222,5 @@ def describe(p: Presentation) -> str:
     for fam in sorted(p.alphabet.integer_families):
         lines.append(f"  family: {fam}(i) for i in Z")
     lines.append(f"  homogeneous: {'yes' if p.homogeneous else 'no'}")
-    for s in p.schemas:
-        if s.params:
-            doms = []
-            for pp in s.params:
-                if pp.values is None:
-                    doms.append(f"{pp.name} in Z")
-                else:
-                    doms.append(f"{pp.name} in {{{', '.join(map(str, pp.values))}}}")
-            lines.append(f"  {s.name} [{'; '.join(doms)}]: {s.render()}")
-        else:
-            lines.append(f"  {s.name}: {s.render()}")
+    lines.extend(f"  {s.line()}" for s in p.schemas)
     return "\n".join(lines)

@@ -157,13 +157,13 @@ def script_presentation(text: str) -> str:
     return _split_script(text)[0]["presentation"]
 
 
-def parse_script(text: str, p: Presentation | None = None) -> DerivationScript:
-    """Parse the line format; loads the named catalog entry unless one is given."""
-    header, body = _split_script(text)
-    if p is None:
-        from . import catalog
+def parse_script(text: str, p: Presentation) -> DerivationScript:
+    """Parse the line format, reading letters in the alphabet of p.
 
-        p = catalog.load(header["presentation"])
+    p is the presentation the script names; `script_presentation` gives
+    that name, a catalog key or a file path, before the script is parsed.
+    """
+    header, body = _split_script(text)
     steps: list[DerivationStep] = []
     for line in body:
         m = _REL_RE.match(line)

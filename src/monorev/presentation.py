@@ -14,6 +14,9 @@ word reversing over Z-indexed alphabets possible.
 Relations are unordered pairs of words; instances returned by queries are
 oriented so that the left side starts (or ends) with the first generator of
 the queried pair.
+
+A schema is written as one line, `Schema.line()`, by `monorev show` and by
+the text format alike, so saving and loading give back the same schemas.
 """
 
 from __future__ import annotations
@@ -110,6 +113,8 @@ class Schema:
         if not self.lhs or not self.rhs:
             raise SchemaError(f"schema {self.name}: relation sides must be non-empty")
         names = {p.name for p in self.params}
+        if len(names) < len(self.params):
+            raise SchemaError(f"schema {self.name}: a parameter is declared twice")
         used = {pl.param for pl in self.lhs + self.rhs if pl.param}
         if used != names:
             raise SchemaError(
@@ -256,13 +261,23 @@ class Schema:
                 out.append(inst)
         return out
 
-    def integer_params(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params if p.values is None)
-
     def render(self) -> str:
         left = " ".join(pl.render() for pl in self.lhs)
         right = " ".join(pl.render() for pl in self.rhs)
         return f"{left} = {right}"
+
+    def line(self) -> str:
+        """The schema as `monorev show` and the text format write it, domains included.
+
+        `t_braid [i in Z; j in {1, 2, 3}]: t(i) s(j) t(i) = s(j) t(i) s(j)`
+        """
+        if not self.params:
+            return f"{self.name}: {self.render()}"
+        doms = "; ".join(
+            f"{p.name} in Z" if p.values is None
+            else f"{p.name} in {{{', '.join(map(str, p.values))}}}"
+            for p in self.params)
+        return f"{self.name} [{doms}]: {self.render()}"
 
 
 def fixed_schema(name: str, lhs: Word, rhs: Word) -> Schema:
@@ -282,7 +297,6 @@ class Presentation:
     name: str
     alphabet: Alphabet
     schemas: tuple[Schema, ...]
-    homogeneous: bool = True
     window: int | None = None
     _complements: dict = field(default_factory=dict, repr=False, compare=False)
     _invariant: bool | None = field(default=None, repr=False, compare=False)
@@ -295,6 +309,11 @@ class Presentation:
 
     def parse(self, text: str) -> Word:
         return parse_word(text, self.alphabet)
+
+    @property
+    def homogeneous(self) -> bool:
+        """Every schema's sides have equal pattern length, so every instance's do too."""
+        return all(len(s.lhs) == len(s.rhs) for s in self.schemas)
 
     def translation_invariant(self) -> bool:
         """True when one shift k of every integer-family index maps relations onto relations.
@@ -448,21 +467,6 @@ def check_complemented(p: Presentation) -> tuple[ComplementReport, ComplementRep
     return reports[0], reports[1]
 
 
-def check_homogeneous(p: Presentation, span: int = 3) -> bool:
-    """True when every relation instance has sides of equal length.
-
-    Pattern sides have fixed length, so the symbolic check is exact; sampled
-    instances are compared as well as a guard on the instantiation code.
-    """
-    for s in p.schemas:
-        if len(s.lhs) != len(s.rhs):
-            return False
-        for inst in s.instances((-span, span), p.alphabet.integer_families):
-            if len(inst.lhs) != len(inst.rhs):
-                return False
-    return True
-
-
 def materialize_relations(p: Presentation) -> tuple[RelationInstance, ...]:
     """Every relation of a fully finite presentation, mirror-deduplicated."""
     if p.alphabet.integer_families:
@@ -502,15 +506,14 @@ def instantiate_window(p: Presentation, n: int) -> Presentation:
             if inst.bindings:
                 name = f"{s.name}_{_binding_suffix(inst.bindings)}"
             schemas.append(fixed_schema(name, inst.lhs, inst.rhs))
-    windowed = Presentation(f"{p.name}|window={n}", alphabet, tuple(schemas),
-                            homogeneous=p.homogeneous, window=n)
-    windowed.homogeneous = check_homogeneous(windowed)
-    return windowed
+    return Presentation(f"{p.name}|window={n}", alphabet, tuple(schemas), window=n)
 
 
 # -- text format ----------------------------------------------------------
 
 _PARAM_TOKEN = re.compile(r"([A-Za-z]+)\(([a-z])([+-]\d+)?\)\Z")
+_SCHEMA_HEAD = re.compile(r"([^\s\[\]]+)\s*(?:\[([^\]]*)\])?\Z")
+_DOMAIN = re.compile(r"([a-z])\s+in\s+(?:(Z)|\{\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\})\Z")
 
 
 def _parse_pattern_token(token: str, alphabet: Alphabet,
@@ -532,14 +535,53 @@ def _parse_pattern_token(token: str, alphabet: Alphabet,
     return PatternLetter(letter.gen.family, letter.gen.index)
 
 
+def _parse_schema(line: str, alphabet: Alphabet) -> Schema:
+    """One `schema <name> [<domains>]: <pattern> = <pattern>` line."""
+    head, _, body = line[len("schema "):].partition(":")
+    m = _SCHEMA_HEAD.match(head.strip())
+    if m is None or not body:
+        raise WordSyntaxError(f"malformed schema line {line!r}")
+    sname, clause = m.groups()
+    left_text, eq, right_text = body.partition("=")
+    if not eq:
+        raise WordSyntaxError(f"schema line {line!r} lacks '='")
+    inferred: dict[str, Param] = {}
+    lhs = tuple(_parse_pattern_token(t, alphabet, inferred) for t in left_text.split())
+    rhs = tuple(_parse_pattern_token(t, alphabet, inferred) for t in right_text.split())
+    if clause is None:
+        return Schema(sname, tuple(inferred.values()), lhs, rhs)
+    params: list[Param] = []
+    for part in clause.split(";"):
+        m = _DOMAIN.match(part.strip())
+        if m is None:
+            raise WordSyntaxError(f"malformed parameter domain {part.strip()!r} in {line!r}")
+        pname, z, values = m.groups()
+        params.append(Param(pname, None if z else tuple(int(v) for v in values.split(","))))
+    schema = Schema(sname, tuple(params), lhs, rhs)
+    for pp in schema.params:
+        family = schema.param_family(pp.name)
+        if family in alphabet.finite and (
+                pp.values is None or not set(pp.values) <= set(alphabet.finite[family])):
+            raise SchemaError(f"schema {sname}: the domain of {pp.name} must lie in "
+                              f"the finite family {family!r} {alphabet.finite[family]}")
+    return schema
+
+
 def load_presentation(text: str, name: str = "user") -> Presentation:
     """Parse the plain-text presentation format.
 
     Header line:   generators: s1 s2 ... ; families: t
-    Relations:     one `lhs = rhs` per line in the word grammar, or
-                   `schema <name>: <pattern> = <pattern>` with single-letter
-                   integer parameters and constant offsets.
+    Relations:     one `lhs = rhs` per line in the word grammar, named
+                   rel_1, rel_2, ... in order, or one
+                   `schema <name> [<domains>]: <pattern> = <pattern>` with
+                   single-letter parameters and constant offsets.  The
+                   optional clause `[i in Z; j in {1, 2, 3}]` declares the
+                   parameters in order with their domains; without it they
+                   are inferred from the families they index.
     Lines starting with # are comments.
+
+    Raises WordSyntaxError for malformed text and SchemaError for a domain
+    that does not fit its schema or its family.
     """
     lines = [l.strip() for l in text.splitlines()]
     lines = [l for l in lines if l and not l.startswith("#")]
@@ -548,7 +590,6 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
     header = lines[0]
     gen_part, _, fam_part = header.partition(";")
     finite: dict[str, list[int]] = {}
-    dummy = Alphabet({}, frozenset())
     for tok in gen_part[len("generators:"):].split():
         m = re.match(r"([A-Za-z]+)(?:\((-?\d+)\)|(\d))\Z", tok)
         if m is None:
@@ -567,17 +608,7 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
     count = 0
     for line in lines[1:]:
         if line.startswith("schema "):
-            head, _, body = line[len("schema "):].partition(":")
-            sname = head.strip()
-            if not sname or not body:
-                raise WordSyntaxError(f"malformed schema line {line!r}")
-            left_text, eq, right_text = body.partition("=")
-            if not eq:
-                raise WordSyntaxError(f"schema line {line!r} lacks '='")
-            params: dict[str, Param] = {}
-            lhs = tuple(_parse_pattern_token(t, alphabet, params) for t in left_text.split())
-            rhs = tuple(_parse_pattern_token(t, alphabet, params) for t in right_text.split())
-            schemas.append(Schema(sname, tuple(params.values()), lhs, rhs))
+            schemas.append(_parse_schema(line, alphabet))
         else:
             left_text, eq, right_text = line.partition("=")
             if not eq:
@@ -588,57 +619,18 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
             if not (lhs.is_positive() and rhs.is_positive()):
                 raise WordSyntaxError("relation sides must be positive words")
             schemas.append(fixed_schema(f"rel_{count}", lhs, rhs))
-    p = Presentation(name, alphabet, tuple(schemas))
-    p.homogeneous = check_homogeneous(p)
-    return p
+    return Presentation(name, alphabet, tuple(schemas))
 
 
 def save_presentation(p: Presentation) -> str:
     """Render a presentation in the plain-text format.
 
-    The format infers the domain of a parameter over a finite family to be
-    the whole family.  A parameter with that domain stays a parameter, so
-    loading the text gives back the same schemas; one with a smaller domain
-    is expanded into one schema per value.
+    After the header comes `schema <line>` for every schema, where the line
+    is `Schema.line()`, the one `monorev show` prints.  Names and parameter
+    domains are written out, so loading the text gives back the same schemas.
     """
     gens = " ".join(str(g) for g in p.alphabet.finite_generators())
     header = f"generators: {gens}"
     if p.alphabet.integer_families:
         header += " ; families: " + " ".join(sorted(p.alphabet.integer_families))
-    lines = [header]
-    for s in p.schemas:
-        expanded = [
-            pp for pp in s.params if pp.values is not None
-            and pp.values != tuple(sorted(p.alphabet.finite.get(s.param_family(pp.name), ())))
-        ]
-        expansions: list[dict[str, int]] = [{}]
-        for pp in expanded:
-            expansions = [dict(e, **{pp.name: v}) for e in expansions for v in pp.values]
-        for partial in expansions:
-            remaining = tuple(pp for pp in s.params if pp.name not in partial)
-            lhs = tuple(
-                PatternLetter(pl.family, pl.offset + partial[pl.param], None)
-                if pl.param in partial else pl
-                for pl in s.lhs
-            )
-            rhs = tuple(
-                PatternLetter(pl.family, pl.offset + partial[pl.param], None)
-                if pl.param in partial else pl
-                for pl in s.rhs
-            )
-            name = s.name
-            if partial:
-                bindings = tuple((pp.name, partial[pp.name]) for pp in expanded)
-                name = f"{s.name}_{_binding_suffix(bindings)}"
-            try:
-                sub = Schema(name, remaining, lhs, rhs)
-            except SchemaError:
-                continue
-            if not remaining and Word(tuple(Letter(pl.concretize({})) for pl in lhs)) == \
-                    Word(tuple(Letter(pl.concretize({})) for pl in rhs)):
-                continue
-            if remaining:
-                lines.append(f"schema {sub.name}: {sub.render()}")
-            else:
-                lines.append(sub.render())
-    return "\n".join(lines) + "\n"
+    return "\n".join([header] + [f"schema {s.line()}" for s in p.schemas]) + "\n"

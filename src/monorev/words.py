@@ -94,10 +94,6 @@ class Word:
 EPSILON = Word()
 
 
-def word_of(*letters: Letter) -> Word:
-    return Word(tuple(letters))
-
-
 @dataclass(slots=True)
 class Alphabet:
     """Generator inventory of a presentation.
@@ -113,9 +109,6 @@ class Alphabet:
         if gen.family in self.integer_families:
             return True
         return gen.index in self.finite.get(gen.family, ())
-
-    def families(self) -> list[str]:
-        return sorted(set(self.finite) | self.integer_families)
 
     def finite_generators(self) -> list[Generator]:
         return [

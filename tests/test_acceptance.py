@@ -128,7 +128,7 @@ def test_double_twist_derivations():
     for j in (1, 2, 3, 4):
         path = os.path.join(FIXTURES, f"double_twist_s{j}.script")
         with open(path, encoding="utf-8") as fh:
-            script = parse_script(fh.read())
+            script = parse_script(fh.read(), D4)
         assert len(script.steps) == 7
         result = verify_script(D4, script)
         assert result.ok, (j, result.error)

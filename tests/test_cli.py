@@ -209,6 +209,22 @@ def test_derive_catalog_script_on_saved_copy(capsys, tmp_path):
         "verified: t(1) t(0) s1 t(1) t(0) s1 = s1 t(1) t(0) s1 t(1) t(0) in 7 steps")
 
 
+@pytest.mark.parametrize("step, start, expect", [
+    ("rel t_braid i=0,j=1 lr @0", "t(0) s1 t(0)", "s1 t(0) s1"),
+    ("rel s_braid_1_4 lr @0", "s1 s4 s1", "s4 s1 s4"),
+], ids=["t_braid", "s_braid_1_4"])
+def test_derive_e6_script_on_saved_copy(capsys, tmp_path, step, start, expect):
+    # e6 braids t(i) only with s1..s3 and names its fixed schemas; the saved
+    # copy keeps both, so a script written for e6:new replays on it
+    pres = tmp_path / "e6.pres"
+    pres.write_text(save_presentation(catalog.load("e6:new")))
+    script = tmp_path / "e6.script"
+    script.write_text(f"presentation: {pres}\nstart: {start}\nexpect: {expect}\n{step}\n")
+    code, out, err = run(capsys, "derive", str(script))
+    assert code == 0, err
+    assert f"verified: {start} = {expect} in 1 steps" in out
+
+
 def test_derive_failure(capsys, tmp_path):
     path = tmp_path / "bad.script"
     path.write_text("presentation: d4:new\nstart: s1\nexpect: s2\n")

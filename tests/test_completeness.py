@@ -10,7 +10,8 @@ from monorev.completeness import (
     cube_condition,
     enumerate_word_triples,
 )
-from monorev.presentation import load_presentation
+from monorev.presentation import Presentation, fixed_schema, load_presentation
+from monorev.words import Alphabet, parse_word
 from monorev.reversing import Cycles, Diverged, Empty
 from conftest import NONHOM, ONE_SIDED, WIDE_OFFSET, reference_reverse
 
@@ -154,6 +155,16 @@ def test_certify_refuses_inhomogeneous():
     cert = certify(p)
     assert cert.claim == "refused"
     assert "rerun with a word length" in cert.refusal
+
+
+def test_hand_built_presentation_does_not_claim_homogeneity():
+    # homogeneity is computed from the schemas, not a flag that defaults to True
+    alphabet = Alphabet({"a": (1,), "b": (1,)})
+    rel = fixed_schema("r", parse_word("a1", alphabet), parse_word("b1 b1", alphabet))
+    p = Presentation("hand", alphabet, (rel,))
+    assert not p.homogeneous
+    cert = certify(p)
+    assert cert.claim == "refused" and "not homogeneous" in cert.refusal
 
 
 def test_certify_word_mode():

@@ -59,7 +59,7 @@ def test_apply_cancel_and_insert(d4):
 
 def test_verify_script_success(d4):
     with open(S1_SCRIPT, encoding="utf-8") as fh:
-        script = parse_script(fh.read())
+        script = parse_script(fh.read(), d4)
     assert script.presentation == "d4:new" and len(script.steps) == 7
     result = verify_script(d4, script)
     assert result.ok and result.failed_at is None and result.error is None
@@ -80,12 +80,12 @@ def test_verify_script_failures(d4):
     base = ("presentation: d4:new\n"
             "start: t(1) t(0)\n")
     wrong_end = parse_script(base + "expect: t(3) t(2)\n"
-                             "rel translation i=2,j=1 rl @0\n")
+                             "rel translation i=2,j=1 rl @0\n", d4)
     result = verify_script(d4, wrong_end)
     assert not result.ok and result.failed_at is None
     assert "differs from expected" in result.error
     bad_step = parse_script(base + "expect: t(2) t(1)\n"
-                            "rel translation i=3,j=2 rl @0\n")
+                            "rel translation i=3,j=2 rl @0\n", d4)
     result = verify_script(d4, bad_step)
     assert not result.ok and result.failed_at == 0
     assert len(result.intermediates) == 1
@@ -93,23 +93,23 @@ def test_verify_script_failures(d4):
 
 def test_parse_script_errors(d4):
     with pytest.raises(DerivationError, match="lacks a 'start'"):
-        parse_script("presentation: d4:new\nexpect: s1\n")
+        parse_script("presentation: d4:new\nexpect: s1\n", d4)
     with pytest.raises(DerivationError, match="duplicate"):
         parse_script("presentation: d4:new\npresentation: d4:new\n"
-                     "start: s1\nexpect: s1\n")
+                     "start: s1\nexpect: s1\n", d4)
     with pytest.raises(DerivationError, match="unrecognised"):
-        parse_script("presentation: d4:new\nstart: s1\nexpect: s1\nwiggle @0\n")
+        parse_script("presentation: d4:new\nstart: s1\nexpect: s1\nwiggle @0\n", d4)
 
 
 def test_format_parse_round_trip(d4):
     with open(S1_SCRIPT, encoding="utf-8") as fh:
-        script = parse_script(fh.read())
+        script = parse_script(fh.read(), d4)
     assert parse_script(format_script(script), d4) == script
 
 
 def test_shift_script_replays(d4):
     with open(S1_SCRIPT, encoding="utf-8") as fh:
-        script = parse_script(fh.read())
+        script = parse_script(fh.read(), d4)
     lifted = shift_script(d4, script, 3)
     assert lifted.start == shift_word(script.start, 3)
     assert verify_script(d4, lifted).ok

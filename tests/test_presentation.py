@@ -12,7 +12,6 @@ from monorev.presentation import (
     Schema,
     SchemaError,
     check_complemented,
-    check_homogeneous,
     fixed_schema,
     instances_for_pair,
     instantiate_window,
@@ -123,11 +122,10 @@ def test_check_complemented_split(d4, yamada):
     assert len(right.conflicts) == 8
 
 
-def test_check_homogeneous(d4, yamada):
-    assert check_homogeneous(d4) and check_homogeneous(yamada)
+def test_homogeneous_is_derived(d4, yamada):
+    assert d4.homogeneous and yamada.homogeneous
     p = load_presentation("generators: a1 b1\na1 = b1 b1\n")
-    assert not check_homogeneous(p)
-    assert not p.homogeneous  # the loader records it
+    assert not p.homogeneous  # computed from the schemas, nothing stored
 
 
 def test_instantiate_window(d4):
@@ -183,17 +181,35 @@ def test_load_save_round_trip():
 
 
 def test_save_keeps_whole_family_parameters(d4):
-    # j ranges over all of s1..s4, the domain the format infers for s(j)
     text = save_presentation(d4)
-    assert "schema t_braid: t(i) s(j) t(i) = s(j) t(i) s(j)" in text.splitlines()
+    assert ("schema t_braid [i in Z; j in {1, 2, 3, 4}]: t(i) s(j) t(i) = s(j) t(i) s(j)"
+            in text.splitlines())
     again = load_presentation(text, name=d4.name)
     for name in ("t_braid", "translation"):
         assert again.schema(name) == d4.schema(name)
     assert save_presentation(again) == text
-    # e6 braids t only with s1..s3, a smaller domain, which is expanded
+    # e6 braids t only with s1..s3, a smaller domain, which the clause keeps
     e6 = save_presentation(catalog.load("e6:new")).splitlines()
-    assert "schema t_braid_j1: t(i) s1 t(i) = s1 t(i) s1" in e6
-    assert not any(line.startswith("schema t_braid:") for line in e6)
+    assert "schema t_braid [i in Z; j in {1, 2, 3}]: t(i) s(j) t(i) = s(j) t(i) s(j)" in e6
+    assert "schema s_braid_1_4: s1 s4 s1 = s4 s1 s4" in e6
+
+
+ROUND_TRIP_KEYS = list(catalog.FIXED_NAMES) + [
+    f"affine-a:{family}:{n}" for family in ("classical", "shi", "cll") for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("key", ROUND_TRIP_KEYS)
+def test_save_load_is_lossless(key):
+    p = catalog.load(key)
+    snapshots = [p] + ([instantiate_window(p, 1)] if p.alphabet.integer_families else [])
+    for q in snapshots:
+        text = save_presentation(q)
+        again = load_presentation(text, name=q.name)
+        assert again.schemas == q.schemas
+        assert again.alphabet == q.alphabet
+        assert save_presentation(again) == text
+        # each schema line is the one `monorev show` prints
+        assert catalog.describe(again) == catalog.describe(q)
 
 
 @pytest.mark.parametrize("text, error", [
@@ -204,6 +220,21 @@ def test_save_keeps_whole_family_parameters(d4):
     ("generators: a1\na1 = a1^-1\n", WordSyntaxError),
     ("generators: a1\nschema x a1 = a1\n", WordSyntaxError),
     ("generators: a1\na1 = b1\n", UnknownGeneratorError),
+    # domain clauses: malformed, empty, not the pattern variables, not in the family
+    ("generators: s1 s2 ; families: t\nschema x [i in Q]: t(i) s1 = s1 t(i)\n",
+     WordSyntaxError),
+    ("generators: s1 s2\nschema x [j in {1, x}]: s(j) s1 = s1 s(j)\n", WordSyntaxError),
+    ("generators: s1 s2\nschema x [j in {1, 2}: s(j) s1 = s1 s(j)\n", WordSyntaxError),
+    ("generators: s1 s2\nschema x [j in {}]: s(j) s1 = s1 s(j)\n", WordSyntaxError),
+    ("generators: s1 s2\nschema x []: s1 s2 = s2 s1\n", WordSyntaxError),
+    ("generators: s1 s2 ; families: t\nschema x [i in Z]: t(i) s(j) = s(j) t(i)\n",
+     SchemaError),
+    ("generators: s1 s2 ; families: t\nschema x [i in Z; k in Z]: t(i) s1 = s1 t(i)\n",
+     SchemaError),
+    ("generators: s1 s2 ; families: t\nschema x [i in Z; i in Z]: t(i) s1 = s1 t(i)\n",
+     SchemaError),
+    ("generators: s1 s2\nschema x [j in Z]: s(j) s1 = s1 s(j)\n", SchemaError),
+    ("generators: s1 s2\nschema x [j in {1, 3}]: s(j) s1 = s1 s(j)\n", SchemaError),
 ])
 def test_load_presentation_errors(text, error):
     with pytest.raises(error):
