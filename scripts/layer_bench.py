@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Time the letter and lookup layers that bounded certificates lean on.
+
+    python3 scripts/layer_bench.py --out BENCH.json
+
+Measures, on the monorev in this checkout's src/:
+
+- hashing, comparing and sorting 100,000 letters;
+- right_complement on e8:new, cold (empty cache) and warm, per call, over
+  every pair of pair_scan_generators(e8:new);
+- check_complemented(e8:new) on a fresh presentation;
+- certify(e8:new, t_bound=3) on a fresh presentation.
+
+Each figure is the median of REPEATS runs.  Each run is scaled by the
+reference kernel of bench/reference.py, timed just before and just after
+it, so the figure reads as it would on a machine where that kernel takes
+REFERENCE_S; the raw medians are written beside the scaled ones.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import itertools
+import json
+import operator
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from monorev import catalog  # noqa: E402
+from monorev.completeness import certify  # noqa: E402
+from monorev.presentation import (  # noqa: E402
+    check_complemented,
+    pair_scan_generators,
+    right_complement,
+)
+from monorev.words import Generator, Letter  # noqa: E402
+
+_spec = importlib.util.spec_from_file_location("bench_reference", ROOT / "bench" / "reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+REPEATS = 5
+LETTERS = 100_000
+KEY = "e8:new"
+
+
+def fresh():
+    """e8:new as a new monorev process sees it: built anew, caches empty."""
+    catalog.load.cache_clear()
+    return catalog.load(KEY)
+
+
+def letters_bench():
+    p = fresh()
+    rng = random.Random(6)
+    gens = p.alphabet.finite_generators() + [Generator("t", i) for i in range(-3, 4)]
+    letters = [Letter(rng.choice(gens), rng.choice((1, -1))) for _ in range(LETTERS)]
+    # equal values in distinct objects, so equality compares fields
+    copies = [Letter(Generator(l.gen.family, l.gen.index), l.sign) for l in letters]
+    return {
+        "letter_hash_ms_per_100k": lambda: sum(map(hash, letters)),
+        "letter_eq_ms_per_100k": lambda: sum(map(operator.eq, letters, copies)),
+        "letter_sort_ms_per_100k": lambda: sorted(letters),
+    }
+
+
+def complement_runs():
+    """A cold pass and a warm pass of right_complement over the scan pairs, per call."""
+    p = fresh()
+    pairs = list(itertools.product(pair_scan_generators(p), repeat=2))
+    timings = {}
+    for phase in ("cold", "warm"):
+        t0 = time.perf_counter()
+        for x, y in pairs:
+            right_complement(p, x, y)
+        timings[phase] = (time.perf_counter() - t0) / len(pairs)
+    return timings
+
+
+def measure(fn) -> tuple[float, float]:
+    """One run of fn: (seconds, seconds scaled by the reference kernel)."""
+    before = reference.time_reference()
+    t0 = time.perf_counter()
+    fn()
+    seconds = time.perf_counter() - t0
+    return seconds, reference.scaled(seconds, before, reference.time_reference())
+
+
+def run() -> dict:
+    factor: dict[str, float] = {}  # seconds to the unit the figure's name ends in
+    raw: dict[str, list[float]] = {}
+    scaled: dict[str, list[float]] = {}
+
+    def record(name: str, to_unit: float, seconds: float, scaled_s: float) -> None:
+        factor[name] = to_unit
+        raw.setdefault(name, []).append(seconds)
+        scaled.setdefault(name, []).append(scaled_s)
+
+    for _ in range(REPEATS):
+        for name, fn in letters_bench().items():
+            record(name, 1e3, *measure(fn))
+        before = reference.time_reference()
+        per_call = complement_runs()
+        after = reference.time_reference()
+        for phase, seconds in per_call.items():
+            record(f"right_complement_{phase}_us", 1e6, seconds,
+                   reference.scaled(seconds, before, after))
+        p = fresh()
+        record("check_complemented_ms", 1e3, *measure(lambda: check_complemented(p)))
+        p = fresh()
+        record("certify_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=3)))
+    return {
+        "script": "scripts/layer_bench.py",
+        "presentation": KEY,
+        "python": platform.python_version(),
+        "repeats": REPEATS,
+        "reference_s": reference.REFERENCE_S,
+        "figures": {name: round(statistics.median(v) * factor[name], 3)
+                    for name, v in scaled.items()},
+        "unscaled": {name: round(statistics.median(v) * factor[name], 3)
+                     for name, v in raw.items()},
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    args = ap.parse_args(argv)
+    result = run()
+    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    for name, value in result["figures"].items():
+        print(f"{name:28} {value:10.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -9,9 +9,9 @@ For a homogeneous presentation that is complemented on a side, the cube
 condition on all generator triples makes reversing on that side a complete
 equality test and yields cancellativity on the matching side.  With a
 Z-indexed family the triple set is infinite, so certificates are bounded:
-relations are translation-invariant in the family index, which lets every
-triple be normalised to smallest family index 0, and a bound B covers all
-normalised triples with indices up to 2B.
+when the relations are translation-invariant in the family index (checked,
+and refused otherwise), every triple can be normalised to smallest family
+index 0, and a bound B covers all normalised triples with indices up to 2B.
 
 A triple that gets stuck in the first reversal counts as a failure (the
 hypothesis word itself has no common multiple witness).  A second reversal
@@ -174,8 +174,10 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     side-qualified right-/left-complete-up-to either way.  Any cube failure
     falsifies, a check that does not terminate (a first reversal proved to
     cycle, or fuel exhaustion) without failure is undetermined, and a
-    missing precondition (inhomogeneity or a complement conflict on both
-    sides) refuses the check outright.
+    missing precondition refuses the check outright: an integer-family
+    letter whose index is pinned (the sweep normalises indices, which needs
+    translation invariance), inhomogeneity, or a complement conflict on
+    both sides.
 
     word_len switches from generator triples to all word triples up to
     that length.  That is the only mode accepted for non-homogeneous
@@ -189,6 +191,12 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     def refused(reason: str) -> Certificate:
         return Certificate(p.name, "refused", t_bound, fuel, 0, (), reason, _tool_version())
 
+    pinned = p.pinned_letter()
+    if pinned is not None:
+        schema, letter = pinned
+        return refused(f"schema {schema.name} pins the index of {letter.render()}, so the "
+                       "relations are not translation-invariant and the index-normalised "
+                       "sweep does not cover them")
     if not p.homogeneous and word_len is None:
         return refused("presentation is not homogeneous, the generator-triple "
                        "reduction does not apply; rerun with a word length")

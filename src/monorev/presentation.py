@@ -102,6 +102,10 @@ class Param:
     values: tuple[int, ...] | None = None
 
 
+# what a schema line's head reads as a name
+_SCHEMA_NAME = re.compile(r"[^\s:\[\]]+")
+
+
 @dataclass(frozen=True, slots=True)
 class Schema:
     name: str
@@ -110,6 +114,9 @@ class Schema:
     rhs: tuple[PatternLetter, ...]
 
     def __post_init__(self) -> None:
+        if not _SCHEMA_NAME.fullmatch(self.name):
+            raise SchemaError(f"schema name {self.name!r} must be non-empty, without "
+                              "whitespace, ':', '[' or ']', so a schema line can name it")
         if not self.lhs or not self.rhs:
             raise SchemaError(f"schema {self.name}: relation sides must be non-empty")
         names = {p.name for p in self.params}
@@ -300,6 +307,7 @@ class Presentation:
     window: int | None = None
     _complements: dict = field(default_factory=dict, repr=False, compare=False)
     _invariant: bool | None = field(default=None, repr=False, compare=False)
+    _pair_index: dict | None = field(default=None, repr=False, compare=False)
 
     def schema(self, name: str) -> Schema:
         for s in self.schemas:
@@ -323,11 +331,43 @@ class Presentation:
         fixed index such as t(100) breaks it.  Computed once per presentation.
         """
         if self._invariant is None:
-            fams = self.alphabet.integer_families
-            self._invariant = all(
-                pl.param is not None and s._param(pl.param).values is None
-                for s in self.schemas for pl in s.lhs + s.rhs if pl.family in fams)
+            self._invariant = self.pinned_letter() is None
         return self._invariant
+
+    def pinned_letter(self) -> tuple[Schema, PatternLetter] | None:
+        """The first integer-family pattern letter whose index a shift cannot move.
+
+        That is a fixed index such as t(100), or a parameter with a finite
+        domain.  None when there is none, that is, when the presentation is
+        translation-invariant.
+        """
+        fams = self.alphabet.integer_families
+        return next(((s, pl) for s in self.schemas for pl in s.lhs + s.rhs
+                     if pl.family in fams
+                     and (pl.param is None or s._param(pl.param).values is not None)), None)
+
+    def pair_index(self) -> dict:
+        """Schema positions by boundary pattern, for pair lookup.
+
+        Maps (end, key of x, key of y) to the positions, in schema order, of
+        the schemas whose sides can carry x and y at that end, either side
+        first.  A pattern letter's key is (family, index) when its index is
+        fixed and (family, None) when a parameter sets it.  Computed once
+        per presentation.
+        """
+        if self._pair_index is None:
+            index: dict = {}
+            for pos, s in enumerate(self.schemas):
+                for end in (0, -1):
+                    a, b = _boundary_key(s.lhs[end]), _boundary_key(s.rhs[end])
+                    for key in {(end, a, b), (end, b, a)}:
+                        index.setdefault(key, []).append(pos)
+            self._pair_index = index
+        return self._pair_index
+
+
+def _boundary_key(pl: PatternLetter) -> tuple[str, int | None]:
+    return (pl.family, None if pl.param else pl.offset)
 
 
 # -- complements ----------------------------------------------------------
@@ -368,13 +408,21 @@ def splice(rule: RelationInstance, side: str) -> tuple[Letter, ...]:
 
 def instances_for_pair(p: Presentation, x: Generator, y: Generator,
                        side: str = "right") -> list[RelationInstance]:
-    """All relation instances whose sides lead (right) or trail (left) with (x, y)."""
+    """All relation instances whose sides lead (right) or trail (left) with (x, y).
+
+    Only the schemas that p.pair_index() files under the pair are solved;
+    their hits come in schema order.
+    """
     p.alphabet.require(x)
     p.alphabet.require(y)
     end = 0 if side == "right" else -1
+    index = p.pair_index()
+    keys = [(end, a, b) for a in ((x.family, x.index), (x.family, None))
+            for b in ((y.family, y.index), (y.family, None))]
+    hits = sorted({pos for key in keys for pos in index.get(key, ())})
     out: list[RelationInstance] = []
-    for s in p.schemas:
-        out.extend(s.pair_query(x, y, end))
+    for pos in hits:
+        out.extend(p.schemas[pos].pair_query(x, y, end))
     return out
 
 
@@ -512,7 +560,7 @@ def instantiate_window(p: Presentation, n: int) -> Presentation:
 # -- text format ----------------------------------------------------------
 
 _PARAM_TOKEN = re.compile(r"([A-Za-z]+)\(([a-z])([+-]\d+)?\)\Z")
-_SCHEMA_HEAD = re.compile(r"([^\s\[\]]+)\s*(?:\[([^\]]*)\])?\Z")
+_SCHEMA_HEAD = re.compile(rf"({_SCHEMA_NAME.pattern})\s*(?:\[([^\]]*)\])?\Z")
 _DOMAIN = re.compile(r"([a-z])\s+in\s+(?:(Z)|\{\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\})\Z")
 
 
@@ -549,21 +597,30 @@ def _parse_schema(line: str, alphabet: Alphabet) -> Schema:
     lhs = tuple(_parse_pattern_token(t, alphabet, inferred) for t in left_text.split())
     rhs = tuple(_parse_pattern_token(t, alphabet, inferred) for t in right_text.split())
     if clause is None:
-        return Schema(sname, tuple(inferred.values()), lhs, rhs)
-    params: list[Param] = []
-    for part in clause.split(";"):
-        m = _DOMAIN.match(part.strip())
-        if m is None:
-            raise WordSyntaxError(f"malformed parameter domain {part.strip()!r} in {line!r}")
-        pname, z, values = m.groups()
-        params.append(Param(pname, None if z else tuple(int(v) for v in values.split(","))))
+        params = list(inferred.values())
+    else:
+        params = []
+        for part in clause.split(";"):
+            m = _DOMAIN.match(part.strip())
+            if m is None:
+                raise WordSyntaxError(f"malformed parameter domain {part.strip()!r} in {line!r}")
+            pname, z, values = m.groups()
+            params.append(Param(pname, None if z else tuple(int(v) for v in values.split(","))))
     schema = Schema(sname, tuple(params), lhs, rhs)
+    # every letter a finite parameter indexes, offset included, must be a generator
     for pp in schema.params:
         family = schema.param_family(pp.name)
-        if family in alphabet.finite and (
-                pp.values is None or not set(pp.values) <= set(alphabet.finite[family])):
+        if family not in alphabet.finite:
+            continue
+        if pp.values is None:
             raise SchemaError(f"schema {sname}: the domain of {pp.name} must lie in "
                               f"the finite family {family!r} {alphabet.finite[family]}")
+        for pl, v in itertools.product(lhs + rhs, pp.values):
+            if pl.param == pp.name and v + pl.offset not in alphabet.finite[family]:
+                raise SchemaError(
+                    f"schema {sname}: {pl.render()} at {pp.name}={v} is "
+                    f"{Generator(family, v + pl.offset)}, outside the finite family "
+                    f"{family!r} {alphabet.finite[family]}")
     return schema
 
 
@@ -580,8 +637,9 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
                    are inferred from the families they index.
     Lines starting with # are comments.
 
-    Raises WordSyntaxError for malformed text and SchemaError for a domain
-    that does not fit its schema or its family.
+    Raises WordSyntaxError for malformed text, and SchemaError for a domain
+    that does not fit its schema or that takes a letter, offset included,
+    outside its finite family.
     """
     lines = [l.strip() for l in text.splitlines()]
     lines = [l for l in lines if l and not l.startswith("#")]

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .presentation import (
     EQUAL,
@@ -65,8 +65,7 @@ from .words import Generator, Letter, Word
 DEFAULT_FUEL = 10000
 
 
-@dataclass(frozen=True, slots=True)
-class ReversalStep:
+class ReversalStep(NamedTuple):
     position: int
     kind: str  # "cancel" | "relation"
     rule: RelationInstance | None

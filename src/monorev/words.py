@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Families that conventionally range over all integers are always written in
 # the parenthesized form, even for single-digit indices.
@@ -29,8 +30,7 @@ class UnknownGeneratorError(ValueError):
     """Raised for letters whose generator is not in the alphabet."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Generator:
+class Generator(NamedTuple):
     family: str
     index: int
 
@@ -40,17 +40,32 @@ class Generator:
         return f"{self.family}({self.index})"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Letter:
+class _LetterFields(NamedTuple):
     gen: Generator
     sign: int = 1
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign!r}")
+
+class Letter(_LetterFields):
+    """A generator with a sign, +1 or -1.
+
+    Generators and letters are named tuples: reversing hashes and compares
+    them at every step, and for tuples that runs in C.  Each hashes as its
+    field tuple and orders field by field.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, gen: Generator, sign: int = 1) -> "Letter":
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
+        return tuple.__new__(cls, (gen, sign))
+
+    @classmethod
+    def _make(cls, iterable) -> "Letter":  # _replace goes through here too
+        return cls(*iterable)
 
     def inverse(self) -> Letter:
-        return Letter(self.gen, -self.sign)
+        return tuple.__new__(Letter, (self.gen, -self.sign))
 
     def __str__(self) -> str:
         return str(self.gen) + ("^-1" if self.sign < 0 else "")

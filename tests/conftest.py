@@ -50,6 +50,15 @@ schema x: t(i) t(i+5) = t(i+5) t(i)
 schema y: t(i) a1 t(i+5) = t(i+5) a1 t(i)
 """
 
+# the fixed index t(10) breaks translation invariance, so an index-normalised
+# sweep would test shifted copies of relations the presentation lacks
+PINNED_T = """\
+generators: a1 b1 ; families: t
+a1 b1 = b1 a1
+a1 t(10) = t(10) a1
+b1 a1 t(10) = t(10) b1 a1
+"""
+
 
 @pytest.fixture(scope="session")
 def d4():
@@ -79,6 +88,12 @@ def skewed():
 @pytest.fixture(scope="session")
 def glue():
     return load_presentation(GLUE, name="glue")
+
+
+def reference_instances_for_pair(p, x, y, side):
+    """The pair lookup without an index: every schema's pair query, in schema order."""
+    end = 0 if side == "right" else -1
+    return [inst for s in p.schemas for inst in s.pair_query(x, y, end)]
 
 
 def reference_reverse(p, word, fuel, side):

@@ -12,7 +12,7 @@ import pytest
 from monorev import catalog, save_presentation
 from monorev.cli import main
 
-from conftest import FIXTURES, GLUE, NONHOM, SKEWED, TWO_COMMUTES
+from conftest import FIXTURES, GLUE, NONHOM, PINNED_T, SKEWED, TWO_COMMUTES
 
 
 def run(capsys, *argv):
@@ -148,6 +148,23 @@ def test_certify_refused_exit(capsys):
     code, out, _ = run(capsys, "certify", "d4:yamada")
     assert code == 1
     assert json.loads(out)["claim"] == "refused"
+
+
+def test_certify_pinned_index_refused(capsys, tmp_path):
+    path = tmp_path / "pinned.pres"
+    path.write_text(PINNED_T)
+    for bound in ("3", "5"):
+        code, out, err = run(capsys, "certify", str(path), "--t-bound", bound)
+        assert code == 1 and err == ""
+        assert json.loads(out)["claim"] == "refused"
+
+
+def test_offset_outside_finite_family_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "up.pres"
+    path.write_text("generators: s1 s2 s3\nschema up: s(j) s(j+1) = s(j+1) s(j)\n")
+    code, out, err = run(capsys, "show", str(path))
+    assert code == 3 and out == ""
+    assert "s(j+1) at j=3 is s4, outside the finite family" in err
 
 
 def test_certify_undetermined_exit(capsys):

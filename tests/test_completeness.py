@@ -13,7 +13,7 @@ from monorev.completeness import (
 from monorev.presentation import Presentation, fixed_schema, load_presentation
 from monorev.words import Alphabet, parse_word
 from monorev.reversing import Cycles, Diverged, Empty
-from conftest import NONHOM, ONE_SIDED, WIDE_OFFSET, reference_reverse
+from conftest import NONHOM, ONE_SIDED, PINNED_T, WIDE_OFFSET, reference_reverse
 
 D4_CERT_JSON = """\
 {
@@ -148,6 +148,27 @@ def test_certify_refuses_wide_offset_conflict():
     cert = certify(p)
     assert cert.claim == "refused"
     assert "(t(0), t(5))" in cert.refusal
+
+
+@pytest.mark.parametrize("t_bound", [3, 5])
+def test_certify_refuses_a_pinned_index(t_bound):
+    # the normalised sweep would move t(10) and claim falsified at t_bound 3;
+    # at t_bound 5 its triples reach (a1, t(10)) and hit two relations
+    p = load_presentation(PINNED_T, name="pinned-t")
+    assert not p.translation_invariant()
+    for word_len in (None, 1):
+        cert = certify(p, t_bound=t_bound, word_len=word_len)
+        assert cert.claim == "refused" and cert.triples_checked == 0
+        assert cert.refusal.startswith("schema rel_2 pins the index of t(10)")
+
+
+def test_catalog_families_are_translation_invariant():
+    # so the pinned-index refusal leaves every catalog verdict alone
+    keys = list(catalog.FIXED_NAMES) + [
+        f"affine-a:{family}:{n}" for family in ("classical", "shi", "cll") for n in (3, 4, 5)]
+    for key in keys:
+        p = catalog.load(key)
+        assert p.pinned_letter() is None and p.translation_invariant(), key
 
 
 def test_certify_refuses_inhomogeneous():

@@ -1,6 +1,7 @@
 """Schemas, pair-indexed complement lookup, windowing, and the text format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monorev import catalog
 from monorev.presentation import (
@@ -23,6 +24,8 @@ from monorev.presentation import (
     save_presentation,
 )
 from monorev.words import Generator, Letter, UnknownGeneratorError, Word, WordSyntaxError
+
+from conftest import GLUE, PINNED_T, SKEWED, WIDE_OFFSET, reference_instances_for_pair
 
 T2 = Generator("t", 2)
 S3 = Generator("s", 3)
@@ -109,6 +112,41 @@ def test_ambiguous_complement_is_lazy_and_cached(yamada):
 def test_instances_for_pair_validates_generators(d4):
     with pytest.raises(UnknownGeneratorError):
         instances_for_pair(d4, Generator("s", 9), S3)
+
+
+LAW_PRESENTATIONS = [catalog.load(key) for key in catalog.FIXED_NAMES] + [
+    catalog.load(f"affine-a:{family}:3") for family in ("classical", "shi", "cll")] + [
+    load_presentation(text, name=name) for name, text in (
+        ("wide-offset", WIDE_OFFSET), ("glue", GLUE), ("skewed", SKEWED),
+        ("pinned-t", PINNED_T))]
+
+
+@st.composite
+def presentation_and_pair(draw):
+    p = draw(st.sampled_from(LAW_PRESENTATIONS))
+    gens = st.sampled_from(p.alphabet.finite_generators())
+    if p.alphabet.integer_families:
+        gens = gens | st.builds(Generator, st.sampled_from(sorted(p.alphabet.integer_families)),
+                                st.integers(-12, 12))
+    return p, draw(gens), draw(gens)
+
+
+@settings(max_examples=400)
+@given(presentation_and_pair())
+def test_indexed_lookup_equals_full_scan(case):
+    p, x, y = case
+    for side in ("right", "left"):
+        assert instances_for_pair(p, x, y, side) == reference_instances_for_pair(p, x, y, side)
+
+
+def test_pair_index_files_both_orientations(d4):
+    index = d4.pair_index()
+    positions = {s.name: i for i, s in enumerate(d4.schemas)}
+    # t_braid leads with t(i) on one side and s(j) on the other, either way round
+    for key in ((0, ("t", None), ("s", None)), (0, ("s", None), ("t", None))):
+        assert positions["t_braid"] in index[key]
+    assert index[(-1, ("s", 1), ("s", 2))] == index[(-1, ("s", 2), ("s", 1))]
+    assert d4.pair_index() is index
 
 
 def test_check_complemented_split(d4, yamada):
@@ -235,6 +273,11 @@ def test_save_load_is_lossless(key):
      SchemaError),
     ("generators: s1 s2\nschema x [j in Z]: s(j) s1 = s1 s(j)\n", SchemaError),
     ("generators: s1 s2\nschema x [j in {1, 3}]: s(j) s1 = s1 s(j)\n", SchemaError),
+    # an offset that leaves the finite family, with an inferred or a declared domain
+    ("generators: s1 s2 s3\nschema up: s(j) s(j+1) = s(j+1) s(j)\n", SchemaError),
+    ("generators: s1 s2 s3\nschema up [j in {1, 2, 3}]: s(j) s(j+1) = s(j+1) s(j)\n",
+     SchemaError),
+    ("generators: s1 s2 s3\nschema dn [j in {1, 2}]: s(j-1) s3 = s3 s(j-1)\n", SchemaError),
 ])
 def test_load_presentation_errors(text, error):
     with pytest.raises(error):
@@ -245,3 +288,23 @@ def test_presentation_lookup(d4):
     with pytest.raises(KeyError):
         d4.schema("no_such")
     assert d4.schema("translation").name == "translation"
+
+
+def test_offsets_inside_the_finite_family_load():
+    text = "generators: s1 s2 s3\nschema up [j in {1, 2}]: s(j) s(j+1) = s(j+1) s(j)\n"
+    p = load_presentation(text)
+    assert [str(i) for i in p.schema("up").instances()] == ["s1 s2 = s2 s1", "s2 s3 = s3 s2"]
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a\tb", "a:b", "a[1]", "b]"])
+def test_schema_names_must_read_back(name):
+    with pytest.raises(SchemaError, match="schema name"):
+        Schema(name, (), (PatternLetter("a", 1),), (PatternLetter("b", 1),))
+
+
+def test_unusual_schema_names_round_trip():
+    alphabet = load_presentation("generators: a1 b1\n").alphabet
+    rel = fixed_schema("a.b-1/x", Word((Letter(Generator("a", 1)),)),
+                       Word((Letter(Generator("b", 1)),)))
+    text = save_presentation(Presentation("odd", alphabet, (rel,)))
+    assert load_presentation(text).schemas == (rel,)

@@ -30,3 +30,17 @@ def test_worked_examples(capsys):
     # nothing in the tour depends on where its temporary files live
     assert script.main() == 0
     assert capsys.readouterr().out == first
+
+
+def test_layer_bench(capsys, tmp_path):
+    script = load_script("layer_bench")
+    script.REPEATS = 1  # one run of each figure keeps this test near a second
+    out = tmp_path / "bench.json"
+    assert script.main(["--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert set(data["figures"]) == set(data["unscaled"]) == {
+        "letter_hash_ms_per_100k", "letter_eq_ms_per_100k", "letter_sort_ms_per_100k",
+        "right_complement_cold_us", "right_complement_warm_us",
+        "check_complemented_ms", "certify_cold_ms"}
+    assert all(value > 0 for value in data["figures"].values())
+    assert "certify_cold_ms" in capsys.readouterr().out

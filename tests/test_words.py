@@ -2,6 +2,7 @@
 
 import pytest
 
+from monorev.reversing import ReversalStep
 from monorev.words import (
     EPSILON,
     Alphabet,
@@ -53,6 +54,32 @@ def test_unknown_generators():
 def test_letter_sign_validation():
     with pytest.raises(ValueError):
         Letter(Generator("s", 1), 0)
+
+
+def test_value_types_are_named_tuples():
+    s3, t = Generator("s", 3), Generator("t", -1)
+    letter = Letter(s3, -1)
+    step = ReversalStep(2, "cancel", None)
+    for value, fields in ((s3, ("s", 3)), (letter, (s3, -1)), (step, (2, "cancel", None))):
+        assert isinstance(value, tuple) and tuple(value) == fields
+        # hashing the field tuple keeps set and dict orders, hence every output
+        assert hash(value) == hash(fields)
+    assert s3 == Generator("s", 3) and s3 != Generator("s", 4)
+    assert letter == Letter(Generator("s", 3), -1) != Letter(s3)
+    assert step == ReversalStep(2, "cancel", None) != ReversalStep(3, "cancel", None)
+    # field by field: family, then index; generator, then sign
+    assert sorted([Letter(t), Letter(s3), letter, Letter(Generator("s", 1))]) == [
+        Letter(Generator("s", 1)), letter, Letter(s3), Letter(t)]
+    assert repr(s3) == "Generator(family='s', index=3)"
+    assert repr(letter) == "Letter(gen=Generator(family='s', index=3), sign=-1)"
+    assert repr(step) == "ReversalStep(position=2, kind='cancel', rule=None)"
+    assert (str(s3), str(t), str(letter)) == ("s3", "t(-1)", "s3^-1")
+    assert letter.inverse() == Letter(s3) and type(letter.inverse()) is Letter
+    assert Letter(s3).sign == 1
+    with pytest.raises(ValueError):
+        Letter(s3, 0)
+    with pytest.raises(ValueError):
+        letter._replace(sign=0)
 
 
 def test_word_algebra():
