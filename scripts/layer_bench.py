@@ -9,7 +9,10 @@ Measures, on the monorev in this checkout's src/:
 - right_complement on e8:new, cold (empty cache) and warm, per call, over
   every pair of pair_scan_generators(e8:new);
 - check_complemented(e8:new) on a fresh presentation;
-- certify(e8:new, t_bound=3) on a fresh presentation.
+- certify(e8:new, t_bound=3) on a fresh presentation;
+- cube_condition on e8:new's t_bound 6 triples, both sides, per check, and
+  right_reverse with its full trace on the same triples' right first words
+  u^-1 w w^-1 v, per call, both with a warm complement cache.
 
 Each figure is the median of REPEATS runs.  Each run is scaled by the
 reference kernel of bench/reference.py, timed just before and just after
@@ -35,12 +38,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from monorev import catalog  # noqa: E402
-from monorev.completeness import certify  # noqa: E402
+from monorev.completeness import certify, cube_condition, enumerate_word_triples  # noqa: E402
 from monorev.presentation import (  # noqa: E402
     check_complemented,
     pair_scan_generators,
     right_complement,
 )
+from monorev.reversing import right_reverse  # noqa: E402
 from monorev.words import Generator, Letter  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("bench_reference", ROOT / "bench" / "reference.py")
@@ -85,6 +89,29 @@ def complement_runs():
     return timings
 
 
+def cube_runs():
+    """Cube checks per check and traced right reversals per call, on a warm cache."""
+    p = fresh()
+    triples = enumerate_word_triples(p, 1, t_bound=6)
+    firsts = [u.inverse() * w * w.inverse() * v for u, v, w in triples]
+
+    def cubes():
+        for side in ("right", "left"):
+            for u, v, w in triples:
+                cube_condition(p, u, v, w, side=side)
+
+    cubes()  # fills the complement cache
+    timings = {}
+    t0 = time.perf_counter()
+    cubes()
+    timings["cube_warm_us"] = (time.perf_counter() - t0) / (2 * len(triples))
+    t0 = time.perf_counter()
+    for word in firsts:
+        right_reverse(p, word)
+    timings["reverse_warm_us"] = (time.perf_counter() - t0) / len(firsts)
+    return timings
+
+
 def measure(fn) -> tuple[float, float]:
     """One run of fn: (seconds, seconds scaled by the reference kernel)."""
     before = reference.time_reference()
@@ -113,6 +140,11 @@ def run() -> dict:
         for phase, seconds in per_call.items():
             record(f"right_complement_{phase}_us", 1e6, seconds,
                    reference.scaled(seconds, before, after))
+        before = reference.time_reference()
+        per_call = cube_runs()
+        after = reference.time_reference()
+        for name, seconds in per_call.items():
+            record(name, 1e6, seconds, reference.scaled(seconds, before, after))
         p = fresh()
         record("check_complemented_ms", 1e3, *measure(lambda: check_complemented(p)))
         p = fresh()

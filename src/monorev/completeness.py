@@ -17,7 +17,8 @@ A triple that gets stuck in the first reversal counts as a failure (the
 hypothesis word itself has no common multiple witness).  A second reversal
 that is proved to cycle fails too, since it can never reach the empty word.
 A first reversal that cycles, and fuel exhaustion anywhere, make the
-certificate undetermined rather than falsified.
+certificate undetermined rather than falsified.  The check keeps only its
+verdict; a CubeResult replays its reversal traces when they are read.
 """
 
 from __future__ import annotations
@@ -31,66 +32,91 @@ from .reversing import (
     DEFAULT_FUEL,
     Cycles,
     Diverged,
-    Empty,
     ReversalTrace,
     Stuck,
-    Terminal,
+    _run,
     left_reverse,
     right_reverse,
 )
-from .words import EPSILON, Generator, Letter, Word
+from .words import Generator, Letter, Word
 
 
-@dataclass(frozen=True)
+def _inverse(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    return tuple(l.inverse() for l in reversed(letters))
+
+
+def _first_word(u: Word, v: Word, w: Word, side: str) -> tuple[Letter, ...]:
+    """u^-1 w w^-1 v (right) or v w^-1 w u^-1 (left)."""
+    if side == "right":
+        return _inverse(u.letters) + w.letters + _inverse(w.letters) + v.letters
+    return v.letters + _inverse(w.letters) + w.letters + _inverse(u.letters)
+
+
+def _second_word(u: Word, v: Word, done: tuple[Letter, ...], side: str) -> tuple[Letter, ...]:
+    """(u v')^-1 (v u') (right) or (u' v)(v' u)^-1 (left), where the first
+    reversal ended on done = v' u'^-1 (right) or u'^-1 v' (left)."""
+    lead = 1 if side == "right" else -1
+    split = next((i for i, l in enumerate(done) if l.sign != lead), len(done))
+    head, tail = done[:split], done[split:]
+    if side == "right":
+        return _inverse(u.letters + head) + v.letters + _inverse(tail)
+    return _inverse(head) + v.letters + _inverse(tail + u.letters)
+
+
+# (status, reason) of a first or second reversal that ends with a redex left;
+# a second reversal that ends without one passes when it is empty
+_FIRST = {Cycles: ("inconclusive", "first reversal cycles"),
+          Diverged: ("inconclusive", "first reversal ran out of fuel"),
+          Stuck: ("fail", "stuck-hypothesis")}
+_SECOND = {Cycles: ("fail", "second reversal cycles"),
+           Diverged: ("inconclusive", "second reversal ran out of fuel"),
+           Stuck: ("fail", "stuck")}
+
+
 class CubeResult:
-    triple: tuple[Word, Word, Word]
-    side: str
-    status: str  # "pass" | "fail" | "inconclusive"
-    reason: str
-    first: ReversalTrace
-    second: ReversalTrace | None
+    """The verdict of one cube check; `first` and `second` replay its traces when read."""
+
+    __slots__ = ("triple", "side", "status", "reason", "_p", "_fuel")
+
+    def __init__(self, triple: tuple[Word, Word, Word], side: str, status: str, reason: str,
+                 p: Presentation, fuel: int) -> None:
+        self.triple, self.side, self.status, self.reason = triple, side, status, reason
+        self._p, self._fuel = p, fuel
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
+    @property
+    def first(self) -> ReversalTrace:
+        return self._replay(_first_word(*self.triple, self.side))
+
+    @property
+    def second(self) -> ReversalTrace | None:
+        """None when the first reversal did not reach the terminal shape."""
+        first = self.first
+        return (self._replay(_second_word(*self.triple[:2], first.final.letters, self.side))
+                if first.reached_terminal else None)
+
+    def _replay(self, letters: tuple[Letter, ...]) -> ReversalTrace:
+        reverse = right_reverse if self.side == "right" else left_reverse
+        return reverse(self._p, Word(letters), self._fuel)
+
 
 def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
                    side: str = "right", fuel: int = DEFAULT_FUEL) -> CubeResult:
+    """Check the cube condition for (u, v, w) on one side, without step records."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    for word in (u, v, w):
-        if not word.is_positive():
-            raise ValueError("cube condition expects positive words")
-    triple = (u, v, w)
-    if side == "right":
-        first = right_reverse(p, u.inverse() * w * w.inverse() * v, fuel)
+    if not all(word.is_positive() for word in (u, v, w)):
+        raise ValueError("cube condition expects positive words")
+    out, done, _ = _run(p, _first_word(u, v, w, side), fuel, side, None)
+    if out is None:
+        out, done, _ = _run(p, _second_word(u, v, tuple(done), side), fuel, side, None)
+        status, reason = _SECOND.get(type(out), ("fail", "not-trivial") if done else ("pass", "ok"))
     else:
-        first = left_reverse(p, v * w.inverse() * w * u.inverse(), fuel)
-    out = first.outcome
-    if isinstance(out, Cycles):
-        return CubeResult(triple, side, "inconclusive", "first reversal cycles", first, None)
-    if isinstance(out, Diverged):
-        return CubeResult(triple, side, "inconclusive", "first reversal ran out of fuel",
-                          first, None)
-    if isinstance(out, Stuck):
-        return CubeResult(triple, side, "fail", "stuck-hypothesis", first, None)
-    vp, up = (out.v_prime, out.u_prime) if isinstance(out, Terminal) else (EPSILON, EPSILON)
-    if side == "right":
-        second = right_reverse(p, (u * vp).inverse() * (v * up), fuel)
-    else:
-        second = left_reverse(p, (up * v) * (vp * u).inverse(), fuel)
-    out2 = second.outcome
-    if isinstance(out2, Empty):
-        return CubeResult(triple, side, "pass", "ok", first, second)
-    if isinstance(out2, Cycles):
-        return CubeResult(triple, side, "fail", "second reversal cycles", first, second)
-    if isinstance(out2, Diverged):
-        return CubeResult(triple, side, "inconclusive", "second reversal ran out of fuel",
-                          first, second)
-    if isinstance(out2, Stuck):
-        return CubeResult(triple, side, "fail", "stuck", first, second)
-    return CubeResult(triple, side, "fail", "not-trivial", first, second)
+        status, reason = _FIRST[type(out)]
+    return CubeResult((u, v, w), side, status, reason, p, fuel)
 
 
 def enumerate_word_triples(p: Presentation, max_len: int,
@@ -218,7 +244,7 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
             if res.status == "fail":
                 failures.append((side, (str(u), str(v), str(w)), res.reason))
             elif res.status == "inconclusive":
-                if isinstance(res.first.outcome, Cycles):
+                if res.reason == "first reversal cycles":
                     cycling += 1
                 else:
                     fuel_outs += 1

@@ -430,7 +430,8 @@ def _complement(p: Presentation, x: Generator, y: Generator, side: str):
     """Both complements, cached per presentation under (side, x, y).
 
     Ambiguity is detected lazily, per queried pair, so reversing still works
-    on presentations whose conflicts live elsewhere in the alphabet.
+    on presentations whose conflicts live elsewhere in the alphabet.  An
+    ambiguous pair caches its instances and raises a fresh error each time.
     """
     if x == y:
         return EQUAL
@@ -438,7 +439,7 @@ def _complement(p: Presentation, x: Generator, y: Generator, side: str):
     if key not in p._complements:
         insts = instances_for_pair(p, x, y, side)
         if len(insts) > 1:
-            p._complements[key] = AmbiguousComplementError((x, y), insts)
+            p._complements[key] = insts
         elif not insts:
             p._complements[key] = None
         else:
@@ -447,8 +448,8 @@ def _complement(p: Presentation, x: Generator, y: Generator, side: str):
             p._complements[key] = ComplementPair(inst.lhs[rest], inst.rhs[rest], inst,
                                                  splice(inst, side))
     result = p._complements[key]
-    if isinstance(result, AmbiguousComplementError):
-        raise result
+    if isinstance(result, list):
+        raise AmbiguousComplementError((x, y), result)
     return result
 
 
@@ -484,16 +485,21 @@ def pair_scan_generators(p: Presentation) -> list[Generator]:
     whose letters carry different parameters, and every index difference up
     to 4.  A boundary pair whose two letters carry the same parameter fixes
     the difference d of their indices, so t(d) joins the scan: the pairs
-    (t(0), t(d)) and (t(d), t(0)) stand for that difference.
+    (t(0), t(d)) and (t(d), t(0)) stand for that difference.  Each index a
+    schema pins (a fixed offset, or a finite-domain value plus its offset)
+    gets the neighbourhood that index 0 gets.
     """
     gens = p.alphabet.finite_generators()
     for fam in sorted(p.alphabet.integer_families):
-        indices = set(range(-2, 3))
+        near = set(range(-2, 3))
+        pins = {0}
         for s in p.schemas:
             for a, b in ((s.lhs[0], s.rhs[0]), (s.lhs[-1], s.rhs[-1])):
                 if a.family == fam and a.param is not None and a.param == b.param:
-                    indices.add(abs(a.offset - b.offset))
-        gens.extend(Generator(fam, i) for i in sorted(indices))
+                    near.add(abs(a.offset - b.offset))
+            pins.update(pl.offset + v for pl in s.lhs + s.rhs if pl.family == fam
+                        for v in ((0,) if pl.param is None else s._param(pl.param).values or ()))
+        gens.extend(Generator(fam, i) for i in sorted({c + d for c in pins for d in near}))
     return sorted(gens)
 
 

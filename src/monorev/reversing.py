@@ -33,10 +33,11 @@ integer-family letter of every schema carries a parameter ranging over Z
 (Presentation.translation_invariant).  Detection does not depend on fuel;
 fuel only ends reversals the proof has not caught.
 
-Traces store one small step record per rewrite; intermediate words are
-replayed on demand by words().  Diverging reversals produce words that grow
-without bound, so materializing every intermediate up front would cost
-quadratic memory for no benefit.
+The zipper loop is `_run`, which returns only the outcome and both stacks;
+the cube condition runs it so.  `_reverse` has it record a small step
+record per rewrite and builds the trace.  Intermediate words are replayed
+on demand by words(): diverging reversals produce words that grow without
+bound, so materializing every intermediate would cost quadratic memory.
 
 The grid view replays a trace geometrically: positive letters run right,
 negative letters are climbed against down-pointing edges, relation steps
@@ -199,13 +200,15 @@ def _translation(now: list[Letter], then: list[Letter], families: frozenset[str]
     return k or 0
 
 
-def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace:
+def _run(p: Presentation, letters: tuple[Letter, ...], fuel: int, side: str,
+         steps: list[ReversalStep] | None) -> tuple[Outcome | None, list[Letter], list[Letter]]:
     """The reversing kernel for both sides; see the module docstring.
 
-    `done` is the redex-free prefix, `todo` the unread rest with its first
-    letter on top.  Complements are looked up through the module attributes
-    right_complement and left_complement, once per call, so a wrapper
-    installed there sees every lookup.
+    Returns the outcome (None when no redex is left), the redex-free prefix
+    `done` and the unread rest `todo`, first letter on top.  Appends to
+    `steps` unless it is None.  Complements are looked up through the module
+    attributes right_complement and left_complement, once per call, so a
+    wrapper installed there sees every lookup.
     """
     if side == "right":
         first, second, complement = -1, 1, right_complement
@@ -213,8 +216,7 @@ def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace
         first, second, complement = 1, -1, left_complement
     families = p.alphabet.integer_families
     done: list[Letter] = []
-    todo = list(reversed(word.letters))
-    steps: list[ReversalStep] = []
+    todo = list(reversed(letters))
     n = 0
     # The last checkpoint (step `since`, 0 before the first) and its stacks;
     # below low_done and low_todo nothing has been read since.  exact records
@@ -230,26 +232,25 @@ def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace
                 break
             done.append(todo.pop())
         else:
-            final = Word(tuple(done))
-            return ReversalTrace(side, word, tuple(steps), _classify(final, side), final)
+            return None, done, todo
         if n >= fuel:
-            outcome = Diverged(fuel)
-            break
+            return Diverged(fuel), done, todo
         pos = len(done) - 1
         x, y = done[-1].gen, todo[-1].gen
         comp = complement(p, x, y)
         if comp is None:
-            outcome = Stuck(pos, (x, y))
-            break
+            return Stuck(pos, (x, y)), done, todo
         done.pop()
         todo.pop()
         if len(todo) < low_todo:
             low_todo = len(todo)
         if comp is EQUAL:
-            steps.append(ReversalStep(pos, "cancel", None))
+            if steps is not None:
+                steps.append(ReversalStep(pos, "cancel", None))
         else:
             todo.extend(comp.push)
-            steps.append(ReversalStep(pos, "relation", comp.rule))
+            if steps is not None:
+                steps.append(ReversalStep(pos, "relation", comp.rule))
         n += 1
         # lengths first: the slices below are only worth building when the
         # stacks have regrown over everything read since the checkpoint
@@ -259,8 +260,7 @@ def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace
             k = _translation(done[len(done) - a:] + todo[len(todo) - len(saved_todo) + low_todo:],
                              saved_done[low_done:] + saved_todo[low_todo:], families)
             if k is not None and (k == 0 or p.translation_invariant()):
-                outcome = Cycles(n, n - since, k)
-                break
+                return Cycles(n, n - since, k), done, todo
         if n == mark:
             since, mark = n, 2 * n
             saved_done, saved_todo = done[:], todo[:]
@@ -269,8 +269,14 @@ def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace
             # the next move reads the new top of done, or sees it empty
             low_done = max(len(done) - 1, 0)
             exact = exact or not done
+
+
+def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace:
+    """A full trace of the kernel's run: step records, outcome and final word."""
+    steps: list[ReversalStep] = []
+    outcome, done, todo = _run(p, word.letters, fuel, side, steps)
     final = Word(tuple(done) + tuple(reversed(todo)))
-    return ReversalTrace(side, word, tuple(steps), outcome, final)
+    return ReversalTrace(side, word, tuple(steps), outcome or _classify(final, side), final)
 
 
 def right_reverse(p: Presentation, word: Word, fuel: int = DEFAULT_FUEL) -> ReversalTrace:

@@ -1,19 +1,42 @@
 """Cube conditions and the certificate state machine."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monorev import catalog
+from monorev import catalog, reversing
 from monorev.completeness import (
     certify,
     cube_condition,
     enumerate_word_triples,
 )
-from monorev.presentation import Presentation, fixed_schema, load_presentation
-from monorev.words import Alphabet, parse_word
-from monorev.reversing import Cycles, Diverged, Empty
-from conftest import NONHOM, ONE_SIDED, PINNED_T, WIDE_OFFSET, reference_reverse
+from monorev.presentation import (
+    AmbiguousComplementError,
+    Presentation,
+    fixed_schema,
+    load_presentation,
+)
+from monorev.words import EPSILON, Alphabet, Generator, Letter, Word, parse_word
+from monorev.reversing import Cycles, Diverged, Empty, Stuck, left_reverse, right_reverse
+from conftest import (
+    NONHOM,
+    ONE_SIDED,
+    PINNED_T,
+    SKEWED,
+    TWO_COMMUTES,
+    WIDE_OFFSET,
+    reference_reverse,
+)
+
+# its first reversal terminates, then (u v')^-1 (v u') cycles
+SQUARE_CHAIN = """\
+generators: a1 b1 c1
+a1 b1 a1 b1 = b1 a1 b1 a1
+a1 a1 = c1 b1
+b1 c1 b1 c1 = c1 b1 c1 b1
+"""
 
 D4_CERT_JSON = """\
 {
@@ -81,16 +104,121 @@ def test_cube_fuel_exhaustion():
 def test_cube_second_reversal_cycles():
     # the first reversal terminates, then (u v')^-1 (v u') runs forever:
     # it can never reach epsilon, so the cube fails outright
-    p = load_presentation("generators: a1 b1 c1\n"
-                          "a1 b1 a1 b1 = b1 a1 b1 a1\n"
-                          "a1 a1 = c1 b1\n"
-                          "b1 c1 b1 c1 = c1 b1 c1 b1\n", name="square-chain")
+    p = load_presentation(SQUARE_CHAIN, name="square-chain")
     res = cube_condition(p, p.parse("a1"), p.parse("b1"), p.parse("c1"))
     assert res.first.reached_terminal
     assert res.status == "fail" and res.reason == "second reversal cycles"
     assert res.second.outcome == Cycles(12, 4, 0)
     _, outcome, _ = reference_reverse(p, res.second.start, 2000, "right")
     assert outcome == Diverged(2000)
+
+
+# a cycling affine key, a not-trivial and a stuck-hypothesis presentation, and
+# one whose second reversal cycles; the replay law adds the catalog keys
+C3 = catalog.load("affine-a:classical:3")
+SMALL = [C3, load_presentation(SKEWED, name="skewed"),
+         load_presentation(TWO_COMMUTES, name="two-commutes"),
+         load_presentation(SQUARE_CHAIN, name="square-chain")]
+REPLAY_PRESENTATIONS = [catalog.load(k) for k in catalog.FIXED_NAMES] + SMALL
+
+
+def _letters(p):
+    gens = p.alphabet.finite_generators()
+    gens += [Generator(fam, i) for fam in sorted(p.alphabet.integer_families) for i in range(4)]
+    return [Letter(g) for g in gens]
+
+
+def _verdict(first, second):
+    """(status, reason) as the cube condition defines them, from full traces."""
+    out = first.outcome
+    if isinstance(out, Cycles):
+        return "inconclusive", "first reversal cycles"
+    if isinstance(out, Diverged):
+        return "inconclusive", "first reversal ran out of fuel"
+    if isinstance(out, Stuck):
+        return "fail", "stuck-hypothesis"
+    out = second.outcome
+    if isinstance(out, Empty):
+        return "pass", "ok"
+    if isinstance(out, Cycles):
+        return "fail", "second reversal cycles"
+    if isinstance(out, Diverged):
+        return "inconclusive", "second reversal ran out of fuel"
+    if isinstance(out, Stuck):
+        return "fail", "stuck"
+    return "fail", "not-trivial"
+
+
+def _second_start(u, v, first, side):
+    """(u v')^-1 (v u') or (u' v)(v' u)^-1, from the first reversal's outcome."""
+    out = first.outcome
+    vp, up = (EPSILON, EPSILON) if isinstance(out, Empty) else (out.v_prime, out.u_prime)
+    if side == "right":
+        return (u * vp).inverse() * (v * up)
+    return (up * v) * (vp * u).inverse()
+
+
+def _check_replay(p, u, v, w, side, fuel=2000):
+    reverse = right_reverse if side == "right" else left_reverse
+    start = u.inverse() * w * w.inverse() * v if side == "right" else v * w.inverse() * w * u.inverse()
+    try:
+        res = cube_condition(p, u, v, w, side=side, fuel=fuel)
+    except AmbiguousComplementError:
+        # the traced kernel meets the same ambiguous pair
+        with pytest.raises(AmbiguousComplementError):
+            first = reverse(p, start, fuel)
+            if first.reached_terminal:
+                reverse(p, _second_start(u, v, first, side), fuel)
+        return "ambiguous"
+    first, second = res.first, res.second
+    assert (res.triple, res.side) == ((u, v, w), side)
+    assert first.side == side and first.start == start
+    if first.reached_terminal:
+        assert second.start == _second_start(u, v, first, side)
+    else:
+        assert second is None
+    assert (res.status, res.reason) == _verdict(first, second)
+    assert res.passed == (res.status == "pass")
+    return res.reason
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), side=st.sampled_from(("right", "left")))
+def test_cube_verdict_matches_replayed_traces(data, side):
+    """The verdict, found without step records, is the one the replayed traces give."""
+    p = data.draw(st.sampled_from(REPLAY_PRESENTATIONS))
+    word = st.lists(st.sampled_from(_letters(p)), min_size=1, max_size=2).map(
+        lambda ls: Word(tuple(ls)))
+    _check_replay(p, data.draw(word), data.draw(word), data.draw(word), side)
+
+
+def test_cube_replay_covers_every_reason():
+    seen = set()
+    for p in SMALL:
+        words = [Word((l,)) for l in _letters(p)]
+        for (u, v, w), side in itertools.product(itertools.product(words, repeat=3),
+                                                 ("right", "left")):
+            seen.add(_check_replay(p, u, v, w, side))
+    r1, r2, r3 = C3.parse("r1"), C3.parse("r2"), C3.parse("r3")
+    seen.add(_check_replay(C3, r1, r2, r3, "right", fuel=8))
+    yamada = catalog.load("d4:yamada")
+    s1, t1 = yamada.parse("s1"), yamada.parse("t(1)")
+    seen.add(_check_replay(yamada, s1, t1, t1, "right"))
+    assert seen == {"ok", "not-trivial", "stuck-hypothesis", "first reversal cycles",
+                    "second reversal cycles", "first reversal ran out of fuel", "ambiguous"}
+
+
+def test_certify_builds_no_trace(d4, monkeypatch):
+    """The sweep reads outcomes only: with trace building broken, the certificate holds."""
+    expected = certify(d4, t_bound=2).to_json()
+
+    def no_trace(*args):
+        raise AssertionError("certify built a reversal trace")
+
+    monkeypatch.setattr(reversing, "_reverse", no_trace)
+    assert certify(d4, t_bound=2).to_json() == expected
+    with pytest.raises(AssertionError, match="built a reversal trace"):
+        cube_condition(d4, d4.parse("s1"), d4.parse("s2"), d4.parse("s3")).first
 
 
 def test_cube_validation(d4):

@@ -1,5 +1,7 @@
 """Schemas, pair-indexed complement lookup, windowing, and the text format."""
 
+import traceback
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -109,6 +111,19 @@ def test_ambiguous_complement_is_lazy_and_cached(yamada):
     assert str(comp.v_prime) == "s2" and str(comp.u_prime) == "s1"
 
 
+def test_ambiguous_complement_raises_a_fresh_error(yamada):
+    # re-raising one cached instance would grow its traceback by every raise
+    s1, t1 = Generator("s", 1), Generator("t", 1)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(AmbiguousComplementError) as exc:
+            right_complement(yamada, s1, t1)
+        raised.append(exc.value)
+    depths = {len(traceback.extract_tb(e.__traceback__)) for e in raised}
+    assert len(depths) == 1
+    assert raised[0] is not raised[1] and len({str(e) for e in raised}) == 1
+
+
 def test_instances_for_pair_validates_generators(d4):
     with pytest.raises(UnknownGeneratorError):
         instances_for_pair(d4, Generator("s", 9), S3)
@@ -203,6 +218,22 @@ def test_pair_scan_generators(d4):
     assert [str(g) for g in gens] == [
         "s1", "s2", "s3", "s4", "t(-2)", "t(-1)", "t(0)", "t(1)", "t(2)",
     ]
+
+
+@pytest.mark.parametrize("text", [
+    PINNED_T,
+    # the pinned index as a finite-domain value plus its offset
+    PINNED_T.replace("a1 t(10) = t(10) a1", "schema pin [j in {4}]: a1 t(j+6) = t(j+6) a1"),
+])
+def test_pair_scan_covers_pinned_indices(text):
+    p = load_presentation(text, name="pinned-t")
+    t10, a1 = Generator("t", 10), Generator("a", 1)
+    assert [str(g) for g in pair_scan_generators(p)][-5:] == [
+        "t(8)", "t(9)", "t(10)", "t(11)", "t(12)"]
+    assert len(instances_for_pair(p, t10, a1, "left")) == 2
+    right, left = check_complemented(p)
+    assert right.verdict == "complemented" and left.verdict == "conflict"
+    assert [(str(x), str(y)) for (x, y), _ in left.conflicts] == [("a1", "t(10)"), ("t(10)", "a1")]
 
 
 def test_load_save_round_trip():
