@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from monorev import catalog
+from monorev import DEFAULT_FUEL, catalog
 from monorev.completeness import certify
 
 FIXED = list(catalog.FIXED_NAMES)
@@ -29,7 +29,7 @@ def default_keys() -> list[str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--t-bound", type=int, default=3, dest="t_bound")
-    ap.add_argument("--fuel", type=int, default=10000)
+    ap.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     ap.add_argument("--out", type=Path, default=Path("certificates"))
     ap.add_argument("keys", nargs="*", help="catalog keys (default: the whole catalog)")
     args = ap.parse_args(argv)

@@ -5,16 +5,21 @@ Fixed keys cover the elliptic types with a doubled central vertex:
     d4:yamada   d4:new   e6:yamada   e6:new
     e7:yamada   e7:new   e8:yamada   e8:new
 
-The :yamada entries use two central generators t(0), t(1) and a commutation
-relation for the product of twists; the :new entries replace them with a
-Z-indexed family t(i) and the two-letter translation relations
-t(i) t(i-1) = t(j) t(j-1), which is what makes them right-complemented.
+Both presentations of a diagram share its braid and commute relations and
+differ only in the central letter.  The :yamada entries use two central
+generators t(0), t(1) and a commutation relation for the product of twists;
+the :new entries replace them with a Z-indexed family t(i) and the
+two-letter translation relations t(i) t(i-1) = t(j) t(j-1), which is what
+makes them right-complemented.
 
 Parametric keys take a rank suffix, e.g. affine-a:cll:5:
 
     affine-a:classical:<n>   cycle of n braid generators
     affine-a:shi:<n>         t(0), t(1) and r3..rn, with a double twist
     affine-a:cll:<n>         Z-family t(i) and r3..rn
+
+`_diagram` writes the braid and commute relations of a diagram;
+`_elliptic` and `_affine` add the central letter in either form.
 """
 
 from __future__ import annotations
@@ -22,15 +27,20 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .presentation import Param, PatternLetter, Presentation, Schema, fixed_schema
-from .words import Alphabet, Generator, Letter, Word
+from .presentation import Param, PatternLetter, Presentation, Schema
+from .words import Alphabet
 
-FIXED_NAMES = (
-    "d4:yamada", "d4:new",
-    "e6:yamada", "e6:new",
-    "e7:yamada", "e7:new",
-    "e8:yamada", "e8:new",
-)
+# Star-shaped diagrams as (rank, core, edges): the doubled vertex t sits at
+# the center, joined to the s-vertices in `core`; `edges` are the
+# adjacencies among the s-vertices themselves.
+_ELLIPTIC = {
+    "d4": (4, (1, 2, 3, 4), ()),
+    "e6": (6, (1, 2, 3), ((1, 4), (2, 5), (3, 6))),
+    "e7": (7, (1, 2, 3), ((2, 4), (4, 5), (3, 6), (6, 7))),
+    "e8": (8, (1, 2, 3), ((2, 4), (3, 5), (5, 6), (6, 7), (7, 8))),
+}
+
+FIXED_NAMES = tuple(f"{key}:{form}" for key in _ELLIPTIC for form in ("yamada", "new"))
 
 PARAMETRIC_NAMES = (
     "affine-a:classical:<n>",
@@ -38,152 +48,80 @@ PARAMETRIC_NAMES = (
     "affine-a:cll:<n>",
 )
 
-# Star-shaped diagrams: the doubled vertex t sits at the center, s-vertices
-# listed in `core` are adjacent to it, `edges` are the adjacencies among the
-# s-vertices themselves.
-_ELLIPTIC = {
-    "d4": {"rank": 4, "core": (1, 2, 3, 4), "edges": ()},
-    "e6": {"rank": 6, "core": (1, 2, 3), "edges": ((1, 4), (2, 5), (3, 6))},
-    "e7": {"rank": 7, "core": (1, 2, 3), "edges": ((2, 4), (4, 5), (3, 6), (6, 7))},
-    "e8": {"rank": 8, "core": (1, 2, 3), "edges": ((2, 4), (3, 5), (5, 6), (6, 7), (7, 8))},
-}
+# The central letter in each form, as (parameter, letter, finite alphabet
+# entry, integer families): t(i) over Z, or t(k) over {0, 1}.
+_Z_FORM = (Param("i"), PatternLetter("t", 0, "i"), {}, frozenset({"t"}))
+_FINITE_FORM = (Param("k", (0, 1)), PatternLetter("t", 0, "k"), {"t": (0, 1)}, frozenset())
+
+# What closes the Z form: t(i) t(i-1) = t(j) t(j-1).
+_TRANSLATION = Schema("translation", (Param("i"), Param("j")),
+                      (PatternLetter("t", 0, "i"), PatternLetter("t", -1, "i")),
+                      (PatternLetter("t", 0, "j"), PatternLetter("t", -1, "j")))
 
 
-def _w(*gens: Generator) -> Word:
-    return Word(tuple(Letter(g) for g in gens))
+def _double_twist(name: str, x: PatternLetter) -> Schema:
+    """What closes the finite form: x t(1) t(0) x t(1) t(0) = t(1) t(0) x t(1) t(0) x."""
+    t1, t0 = PatternLetter("t", 1), PatternLetter("t", 0)
+    return Schema(name, (), (x, t1, t0, x, t1, t0), (t1, t0, x, t1, t0, x))
 
 
-def _braid(name: str, a: Generator, b: Generator) -> Schema:
-    return fixed_schema(name, _w(a, b, a), _w(b, a, b))
-
-
-def _commute(name: str, a: Generator, b: Generator) -> Schema:
-    return fixed_schema(name, _w(a, b), _w(b, a))
-
-
-def _s_schemas(rank: int, edges: tuple[tuple[int, int], ...]) -> list[Schema]:
-    edge_set = {frozenset(e) for e in edges}
-    out = []
-    for i, j in itertools.combinations(range(1, rank + 1), 2):
-        a, b = Generator("s", i), Generator("s", j)
-        if frozenset((i, j)) in edge_set:
-            out.append(_braid(f"s_braid_{i}_{j}", a, b))
+def _diagram(family: str, vertices: tuple[int, ...],
+             edges: tuple[tuple[int, int], ...]) -> list[Schema]:
+    """x y x = y x y on each edge (x, y) in that orientation, x y = y x on every other pair."""
+    schemas = []
+    for pair in itertools.combinations(vertices, 2):
+        edge = next((e for e in (pair, pair[::-1]) if e in edges), None)
+        i, j = edge or pair
+        x, y = PatternLetter(family, i), PatternLetter(family, j)
+        if edge:
+            schemas.append(Schema(f"{family}_braid_{i}_{j}", (), (x, y, x), (y, x, y)))
         else:
-            out.append(_commute(f"s_commute_{i}_{j}", a, b))
-    return out
+            schemas.append(Schema(f"{family}_commute_{i}_{j}", (), (x, y), (y, x)))
+    return schemas
 
 
-def _elliptic_new(key: str) -> Presentation:
-    data = _ELLIPTIC[key]
-    rank, core = data["rank"], data["core"]
-    tail = tuple(j for j in range(1, rank + 1) if j not in core)
-    alphabet = Alphabet({"s": tuple(range(1, rank + 1))}, frozenset({"t"}))
-    t_i = PatternLetter("t", 0, "i")
+def _t_commute(k: Param, t: PatternLetter, family: str, tail: tuple[int, ...]) -> list[Schema]:
+    """t x(j) = x(j) t for the vertices in `tail`, which are not joined to t."""
+    x = PatternLetter(family, 0, "j")
+    return [Schema("t_commute", (k, Param("j", tail)), (t, x), (x, t))] if tail else []
+
+
+def _elliptic(key: str, form: str) -> Presentation:
+    rank, core, edges = _ELLIPTIC[key]
+    k, t, t_finite, families = _Z_FORM if form == "new" else _FINITE_FORM
+    vertices = tuple(range(1, rank + 1))
     s_j = PatternLetter("s", 0, "j")
     schemas = [
-        Schema("t_braid", (Param("i"), Param("j", core)),
-               (t_i, s_j, t_i), (s_j, t_i, s_j)),
+        Schema("t_braid", (k, Param("j", core)), (t, s_j, t), (s_j, t, s_j)),
+        *_t_commute(k, t, "s", tuple(j for j in vertices if j not in core)),
+        *_diagram("s", vertices, edges),
+        *([_TRANSLATION] if form == "new" else
+          [_double_twist(f"double_twist_{j}", PatternLetter("s", j)) for j in core]),
     ]
-    if tail:
-        schemas.append(Schema("t_commute", (Param("i"), Param("j", tail)),
-                              (t_i, s_j), (s_j, t_i)))
-    schemas.extend(_s_schemas(rank, data["edges"]))
-    schemas.append(Schema("translation", (Param("i"), Param("j")),
-                          (t_i, PatternLetter("t", -1, "i")),
-                          (PatternLetter("t", 0, "j"), PatternLetter("t", -1, "j"))))
-    return Presentation(f"{key}:new", alphabet, tuple(schemas))
-
-
-def _elliptic_yamada(key: str) -> Presentation:
-    data = _ELLIPTIC[key]
-    rank, core = data["rank"], data["core"]
-    tail = tuple(j for j in range(1, rank + 1) if j not in core)
-    alphabet = Alphabet({"s": tuple(range(1, rank + 1)), "t": (0, 1)}, frozenset())
-    t0, t1 = Generator("t", 0), Generator("t", 1)
-    t_k = PatternLetter("t", 0, "k")
-    s_j = PatternLetter("s", 0, "j")
-    schemas = [
-        Schema("t_braid", (Param("k", (0, 1)), Param("j", core)),
-               (t_k, s_j, t_k), (s_j, t_k, s_j)),
-    ]
-    if tail:
-        schemas.append(Schema("t_commute", (Param("k", (0, 1)), Param("j", tail)),
-                              (t_k, s_j), (s_j, t_k)))
-    schemas.extend(_s_schemas(rank, data["edges"]))
-    for j in core:
-        s = Generator("s", j)
-        schemas.append(fixed_schema(f"double_twist_{j}",
-                                    _w(s, t1, t0, s, t1, t0),
-                                    _w(t1, t0, s, t1, t0, s)))
-    return Presentation(f"{key}:yamada", alphabet, tuple(schemas))
-
-
-def _chain_schemas(indices: tuple[int, ...]) -> list[Schema]:
-    """Linear braid chain on family r: neighbors braid, the rest commute."""
-    out = []
-    for a, b in itertools.combinations(indices, 2):
-        ra, rb = Generator("r", a), Generator("r", b)
-        if b - a == 1:
-            out.append(_braid(f"r_braid_{a}_{b}", ra, rb))
-        else:
-            out.append(_commute(f"r_commute_{a}_{b}", ra, rb))
-    return out
+    return Presentation(f"{key}:{form}", Alphabet({"s": vertices, **t_finite}, families),
+                        tuple(schemas))
 
 
 def _classical(n: int) -> Presentation:
-    alphabet = Alphabet({"r": tuple(range(1, n + 1))}, frozenset())
-    schemas = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        ri, rj = Generator("r", i), Generator("r", j)
-        if j - i == 1:
-            schemas.append(_braid(f"r_braid_{i}_{j}", ri, rj))
-        elif (i, j) == (1, n):
-            schemas.append(_braid(f"r_braid_{j}_{i}", rj, ri))
-        else:
-            schemas.append(_commute(f"r_commute_{i}_{j}", ri, rj))
-    return Presentation(f"affine-a:classical:{n}", alphabet, tuple(schemas))
+    vertices = tuple(range(1, n + 1))
+    edges = tuple(zip(vertices, vertices[1:])) + ((n, 1),)
+    return Presentation(f"affine-a:classical:{n}", Alphabet({"r": vertices}, frozenset()),
+                        tuple(_diagram("r", vertices, edges)))
 
 
-def _shi(n: int) -> Presentation:
-    indices = tuple(range(3, n + 1))
-    alphabet = Alphabet({"t": (0, 1), "r": indices}, frozenset())
+def _affine(form: str, n: int) -> Presentation:
+    """The chain r3..rn with the central letter braided with r3 and commuting with the rest."""
+    k, t, t_finite, families = _Z_FORM if form == "cll" else _FINITE_FORM
+    vertices = tuple(range(3, n + 1))
     r3 = PatternLetter("r", 3)
-    t_k = PatternLetter("t", 0, "k")
-    t0, t1 = Generator("t", 0), Generator("t", 1)
     schemas = [
-        Schema("t_braid", (Param("k", (0, 1)),),
-               (r3, t_k, r3), (t_k, r3, t_k)),
+        Schema("t_braid", (k,), (r3, t, r3), (t, r3, t)),
+        *_t_commute(k, t, "r", vertices[1:]),
+        *_diagram("r", vertices, tuple(zip(vertices, vertices[1:]))),
+        _TRANSLATION if form == "cll" else _double_twist("double_twist", r3),
     ]
-    if n >= 4:
-        schemas.append(Schema("t_commute", (Param("k", (0, 1)), Param("j", tuple(range(4, n + 1)))),
-                              (t_k, PatternLetter("r", 0, "j")),
-                              (PatternLetter("r", 0, "j"), t_k)))
-    schemas.extend(_chain_schemas(indices))
-    g3 = Generator("r", 3)
-    schemas.append(fixed_schema("double_twist",
-                                _w(g3, t1, t0, g3, t1, t0),
-                                _w(t1, t0, g3, t1, t0, g3)))
-    return Presentation(f"affine-a:shi:{n}", alphabet, tuple(schemas))
-
-
-def _cll(n: int) -> Presentation:
-    indices = tuple(range(3, n + 1))
-    alphabet = Alphabet({"r": indices}, frozenset({"t"}))
-    r3 = PatternLetter("r", 3)
-    t_i = PatternLetter("t", 0, "i")
-    schemas = [
-        Schema("t_braid", (Param("i"),),
-               (r3, t_i, r3), (t_i, r3, t_i)),
-    ]
-    if n >= 4:
-        schemas.append(Schema("t_commute", (Param("i"), Param("j", tuple(range(4, n + 1)))),
-                              (t_i, PatternLetter("r", 0, "j")),
-                              (PatternLetter("r", 0, "j"), t_i)))
-    schemas.extend(_chain_schemas(indices))
-    schemas.append(Schema("translation", (Param("i"), Param("j")),
-                          (t_i, PatternLetter("t", -1, "i")),
-                          (PatternLetter("t", 0, "j"), PatternLetter("t", -1, "j"))))
-    return Presentation(f"affine-a:cll:{n}", alphabet, tuple(schemas))
+    return Presentation(f"affine-a:{form}:{n}", Alphabet({**t_finite, "r": vertices}, families),
+                        tuple(schemas))
 
 
 @lru_cache(maxsize=None)
@@ -193,9 +131,8 @@ def load(name: str) -> Presentation:
     Raises KeyError for unknown keys and ValueError for a bad rank suffix.
     """
     parts = name.split(":")
-    if len(parts) == 2 and parts[0] in _ELLIPTIC and parts[1] in ("yamada", "new"):
-        builder = _elliptic_yamada if parts[1] == "yamada" else _elliptic_new
-        return builder(parts[0])
+    if name in FIXED_NAMES:
+        return _elliptic(*parts)
     if len(parts) == 3 and parts[0] == "affine-a":
         try:
             n = int(parts[2])
@@ -203,9 +140,10 @@ def load(name: str) -> Presentation:
             raise ValueError(f"rank suffix in {name!r} must be an integer") from None
         if n < 3:
             raise ValueError(f"family {parts[1]!r} needs rank n >= 3, got {n}")
-        builders = {"classical": _classical, "shi": _shi, "cll": _cll}
-        if parts[1] in builders:
-            return builders[parts[1]](n)
+        if parts[1] == "classical":
+            return _classical(n)
+        if parts[1] in ("shi", "cll"):
+            return _affine(parts[1], n)
     raise KeyError(f"unknown catalog key {name!r}")
 
 

@@ -192,13 +192,14 @@ def _cmd_cube(args) -> int:
     side = "left" if args.left else "right"
     res = cube_condition(p, u, v, w, side=side, fuel=args.fuel)
     if args.format == "json":
+        first, second = res.first, res.second  # each read replays a reversal
         data = {
             "triple": [str(u), str(v), str(w)],
             "side": side,
             "status": res.status,
             "reason": res.reason,
-            "first": _trace_json(res.first),
-            "second": _trace_json(res.second) if res.second else None,
+            "first": _trace_json(first),
+            "second": _trace_json(second) if second else None,
         }
         print(json.dumps(data, indent=2))
     else:

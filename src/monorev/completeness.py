@@ -93,10 +93,15 @@ class CubeResult:
 
     @property
     def second(self) -> ReversalTrace | None:
-        """None when the first reversal did not reach the terminal shape."""
-        first = self.first
-        return (self._replay(_second_word(*self.triple[:2], first.final.letters, self.side))
-                if first.reached_terminal else None)
+        """None when the first reversal did not reach the terminal shape.
+
+        Only the second reversal is replayed with its steps; the first runs bare.
+        """
+        out, done, _ = _run(self._p, _first_word(*self.triple, self.side), self._fuel,
+                            self.side, None)
+        if out is not None:
+            return None
+        return self._replay(_second_word(*self.triple[:2], tuple(done), self.side))
 
     def _replay(self, letters: tuple[Letter, ...]) -> ReversalTrace:
         reverse = right_reverse if self.side == "right" else left_reverse

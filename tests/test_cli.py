@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from monorev import catalog, save_presentation
+from monorev import catalog, completeness, save_presentation
 from monorev.cli import main
 
 from conftest import FIXTURES, GLUE, NONHOM, PINNED_T, SKEWED, TWO_COMMUTES
@@ -134,6 +134,22 @@ def test_cube_fail_and_json(capsys, skewed_file):
     data = json.loads(out)
     assert data["status"] == "fail" and data["reason"] == "not-trivial"
     assert data["second"]["outcome"]["kind"] == "terminal"
+
+
+def test_cube_json_replays_each_reversal_once(capsys, monkeypatch):
+    starts = []
+    reverse = completeness.right_reverse
+
+    def counting(p, word, fuel):
+        starts.append(str(word))
+        return reverse(p, word, fuel)
+
+    monkeypatch.setattr(completeness, "right_reverse", counting)
+    code, out, _ = run(capsys, "cube", "e8:new", "s7", "t(2)", "s8", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert starts == [data["first"]["start"], data["second"]["start"]]
+    assert data["second"]["outcome"]["kind"] == "empty"
 
 
 def test_certify_pass(capsys):

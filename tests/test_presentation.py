@@ -1,5 +1,6 @@
 """Schemas, pair-indexed complement lookup, windowing, and the text format."""
 
+import json
 import traceback
 
 import pytest
@@ -27,7 +28,7 @@ from monorev.presentation import (
 )
 from monorev.words import Generator, Letter, UnknownGeneratorError, Word, WordSyntaxError
 
-from conftest import GLUE, PINNED_T, SKEWED, WIDE_OFFSET, reference_instances_for_pair
+from conftest import FIXTURES, GLUE, PINNED_T, SKEWED, WIDE_OFFSET, reference_instances_for_pair
 
 T2 = Generator("t", 2)
 S3 = Generator("s", 3)
@@ -279,6 +280,26 @@ def test_save_load_is_lossless(key):
         assert save_presentation(again) == text
         # each schema line is the one `monorev show` prints
         assert catalog.describe(again) == catalog.describe(q)
+
+
+with open(f"{FIXTURES}/catalog_saved.json", encoding="utf-8") as fh:
+    SAVED_CATALOG = json.load(fh)
+
+
+@pytest.mark.parametrize("key", ROUND_TRIP_KEYS)
+def test_catalog_saves_as_pinned(key):
+    # a drift in a schema's name, orientation, domain or position shows here
+    assert save_presentation(catalog.load(key)) == SAVED_CATALOG[key]
+
+
+@pytest.mark.parametrize("key, error", [
+    ("d4", KeyError), ("d5:new", KeyError), ("d4:old", KeyError), ("affine-a:cll", KeyError),
+    ("affine-a:b:3", KeyError), ("affine-a:cll:3:4", KeyError),
+    ("affine-a:cll:x", ValueError), ("affine-a:shi:2", ValueError),
+])
+def test_catalog_bad_keys(key, error):
+    with pytest.raises(error):
+        catalog.load(key)
 
 
 @pytest.mark.parametrize("text, error", [
