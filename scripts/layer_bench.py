@@ -9,10 +9,11 @@ Measures, on the monorev in this checkout's src/:
 - right_complement on e8:new, cold (empty cache) and warm, per call, over
   every pair of pair_scan_generators(e8:new);
 - check_complemented(e8:new) on a fresh presentation;
-- certify(e8:new, t_bound=3) on a fresh presentation;
+- certify(e8:new) at t_bound 3 and at t_bound 6, each on a fresh presentation;
 - cube_condition on e8:new's t_bound 6 triples, both sides, per check, and
   right_reverse with its full trace on the same triples' right first words
-  u^-1 w w^-1 v, per call, both with a warm complement cache.
+  u^-1 w w^-1 v, per call, both with a warm complement cache and, for the
+  cube checks, an empty verdict cache.
 
 Each figure is the median of REPEATS runs.  Each run is scaled by the
 reference kernel of bench/reference.py, timed just before and just after
@@ -90,7 +91,10 @@ def complement_runs():
 
 
 def cube_runs():
-    """Cube checks per check and traced right reversals per call, on a warm cache."""
+    """Cube checks per check and traced right reversals per call, on warm complements.
+
+    The cube checks find no cached verdicts: those of the warm-up sweep are dropped.
+    """
     p = fresh()
     triples = enumerate_word_triples(p, 1, t_bound=6)
     firsts = [u.inverse() * w * w.inverse() * v for u, v, w in triples]
@@ -101,6 +105,7 @@ def cube_runs():
                 cube_condition(p, u, v, w, side=side)
 
     cubes()  # fills the complement cache
+    getattr(p, "_cubes", {}).clear()  # a checkout without a verdict cache has none to drop
     timings = {}
     t0 = time.perf_counter()
     cubes()
@@ -149,6 +154,8 @@ def run() -> dict:
         record("check_complemented_ms", 1e3, *measure(lambda: check_complemented(p)))
         p = fresh()
         record("certify_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=3)))
+        p = fresh()
+        record("certify6_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=6)))
     return {
         "script": "scripts/layer_bench.py",
         "presentation": KEY,

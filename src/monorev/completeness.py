@@ -19,6 +19,20 @@ that is proved to cycle fails too, since it can never reach the empty word.
 A first reversal that cycles, and fuel exhaustion anywhere, make the
 certificate undetermined rather than falsified.  The check keeps only its
 verdict; a CubeResult replays its reversal traces when they are read.
+
+The mirror lemma.  The first word of (v, u, w) is the formal inverse of
+the first word of (u, v, w) on either side, and once both first
+reversals end, the same holds for the second words.  A reversal that
+ends empty or terminal on W ends so on W^-1 too, in as many steps and on
+the inverse final word: it follows the transposed reversing diagram,
+because the pair (y, x) is related by the swapped instances of (x, y).
+So a pass of (u, v, w) is a pass of (v, u, w) at the same fuel.
+cube_condition caches every verdict on the presentation under (side,
+fuel, u, v, w), and a pass under (side, fuel, v, u, w) as well.  Only a
+pass is mirrored: a reversal of W that sticks or cycles can end otherwise
+on W^-1, whose leftmost redex is another one.  (On the square-chain
+example (c1, a1, b1) is proved to cycle within 8 steps and (a1, c1, b1)
+only later.)
 """
 
 from __future__ import annotations
@@ -110,18 +124,28 @@ class CubeResult:
 
 def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
                    side: str = "right", fuel: int = DEFAULT_FUEL) -> CubeResult:
-    """Check the cube condition for (u, v, w) on one side, without step records."""
+    """Check the cube condition for (u, v, w) on one side, without step records.
+
+    The verdict is cached on p, and a pass settles (v, u, w) as well; see
+    the module docstring.
+    """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if not all(word.is_positive() for word in (u, v, w)):
         raise ValueError("cube condition expects positive words")
-    out, done, _ = _run(p, _first_word(u, v, w, side), fuel, side, None)
-    if out is None:
-        out, done, _ = _run(p, _second_word(u, v, tuple(done), side), fuel, side, None)
-        status, reason = _SECOND.get(type(out), ("fail", "not-trivial") if done else ("pass", "ok"))
-    else:
-        status, reason = _FIRST[type(out)]
-    return CubeResult((u, v, w), side, status, reason, p, fuel)
+    key = (side, fuel, u.letters, v.letters, w.letters)
+    verdict = p._cubes.get(key)
+    if verdict is None:
+        out, done, _ = _run(p, _first_word(u, v, w, side), fuel, side, None)
+        if out is None:
+            out, done, _ = _run(p, _second_word(u, v, tuple(done), side), fuel, side, None)
+            verdict = _SECOND.get(type(out), ("fail", "not-trivial") if done else ("pass", "ok"))
+        else:
+            verdict = _FIRST[type(out)]
+        p._cubes[key] = verdict
+        if verdict[0] == "pass":
+            p._cubes[(side, fuel, v.letters, u.letters, w.letters)] = verdict
+    return CubeResult((u, v, w), side, *verdict, p, fuel)
 
 
 def enumerate_word_triples(p: Presentation, max_len: int,
@@ -147,13 +171,13 @@ def enumerate_word_triples(p: Presentation, max_len: int,
     words = [Word(tuple(Letter(g) for g in combo))
              for length in range(1, max_len + 1)
              for combo in itertools.product(gens, repeat=length)]
-    out = []
-    for triple in itertools.product(words, repeat=3):
-        indices = [l.gen.index for w in triple for l in w if l.gen.family in fams]
-        if indices and min(indices) != 0:
-            continue
-        out.append(triple)
-    return out
+    # each word's smallest family index, or `free`, above every index, for a
+    # word without one: a triple's smallest is then 0, or `free` when it has none
+    free = 2 * t_bound + 1
+    lows = [min((l.gen.index for l in w if l.gen.family in fams), default=free) for w in words]
+    return [(u, v, w)
+            for (u, a), (v, b), (w, c) in itertools.product(zip(words, lows), repeat=3)
+            if min(a, b, c) in (0, free)]
 
 
 @dataclass(frozen=True)
@@ -218,6 +242,8 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     """
     if goal not in ("cancellative", "complete"):
         raise ValueError(f"goal must be 'cancellative' or 'complete', got {goal!r}")
+    if fuel < 0:
+        raise ValueError("fuel must be >= 0")
 
     def refused(reason: str) -> Certificate:
         return Certificate(p.name, "refused", t_bound, fuel, 0, (), reason, _tool_version())

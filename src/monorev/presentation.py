@@ -17,6 +17,16 @@ the queried pair.
 
 A schema is written as one line, `Schema.line()`, by `monorev show` and by
 the text format alike, so saving and loading give back the same schemas.
+
+Complements are cached per presentation.  An instance that leads (or
+trails) with (x, y) is, swapped, one that leads with (y, x), so a lookup
+that finds exactly one instance, or none, files the transposed pair as
+well.  This is half of the mirror lemma of the cube sweep (see
+completeness).  An ambiguous pair is not filed both ways: its instances
+come in schema order, and its error text lists them in that order.  Nor
+is a parametrised instance on two letters of one family.  A schema can
+hit such a pair both ways round, with other bindings: translation relates
+(t(0), t(1)) with i=0, j=1 and (t(1), t(0)) with i=1, j=0.
 """
 
 from __future__ import annotations
@@ -305,9 +315,11 @@ class Presentation:
     alphabet: Alphabet
     schemas: tuple[Schema, ...]
     window: int | None = None
-    _complements: dict = field(default_factory=dict, repr=False, compare=False)
-    _invariant: bool | None = field(default=None, repr=False, compare=False)
-    _pair_index: dict | None = field(default=None, repr=False, compare=False)
+    # caches, not arguments: dataclasses.replace starts them afresh
+    _complements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _invariant: bool | None = field(default=None, init=False, repr=False, compare=False)
+    _pair_index: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _cubes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def schema(self, name: str) -> Schema:
         for s in self.schemas:
@@ -426,12 +438,20 @@ def instances_for_pair(p: Presentation, x: Generator, y: Generator,
     return out
 
 
+def _complement_pair(inst: RelationInstance, side: str) -> ComplementPair:
+    rest = slice(1, None) if side == "right" else slice(None, -1)
+    return ComplementPair(inst.lhs[rest], inst.rhs[rest], inst, splice(inst, side))
+
+
 def _complement(p: Presentation, x: Generator, y: Generator, side: str):
     """Both complements, cached per presentation under (side, x, y).
 
     Ambiguity is detected lazily, per queried pair, so reversing still works
     on presentations whose conflicts live elsewhere in the alphabet.  An
     ambiguous pair caches its instances and raises a fresh error each time.
+
+    A cold lookup that finds no instance, or one, files (y, x) as well,
+    with the swapped instance; the module docstring says which are left out.
     """
     if x == y:
         return EQUAL
@@ -441,12 +461,12 @@ def _complement(p: Presentation, x: Generator, y: Generator, side: str):
         if len(insts) > 1:
             p._complements[key] = insts
         elif not insts:
-            p._complements[key] = None
+            p._complements[key] = p._complements[(side, y, x)] = None
         else:
             inst = insts[0]
-            rest = slice(1, None) if side == "right" else slice(None, -1)
-            p._complements[key] = ComplementPair(inst.lhs[rest], inst.rhs[rest], inst,
-                                                 splice(inst, side))
+            p._complements[key] = _complement_pair(inst, side)
+            if x.family != y.family or not inst.bindings:
+                p._complements[(side, y, x)] = _complement_pair(inst.swapped(), side)
     result = p._complements[key]
     if isinstance(result, list):
         raise AmbiguousComplementError((x, y), result)

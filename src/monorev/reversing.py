@@ -210,6 +210,8 @@ def _run(p: Presentation, letters: tuple[Letter, ...], fuel: int, side: str,
     attributes right_complement and left_complement, once per call, so a
     wrapper installed there sees every lookup.
     """
+    if fuel < 0:
+        raise ValueError("fuel must be >= 0")
     if side == "right":
         first, second, complement = -1, 1, right_complement
     else:

@@ -8,7 +8,7 @@ from monorev import catalog, load_presentation
 from monorev.oracle import OracleCapError, ScanReport, ScanWitness
 from monorev.presentation import EQUAL, left_complement, materialize_relations, right_complement
 from monorev.reversing import Diverged, Empty, ReversalStep, Stuck, Terminal
-from monorev.words import Letter, Word
+from monorev.words import Generator, Letter, Word
 
 settings.register_profile("monorev", deadline=None)
 settings.load_profile("monorev")
@@ -88,6 +88,23 @@ def skewed():
 @pytest.fixture(scope="session")
 def glue():
     return load_presentation(GLUE, name="glue")
+
+
+def reference_word_triples(p, max_len, t_bound):
+    """The triple enumeration as a plain filter: collect each triple's family
+    indices and keep it when there are none or the smallest is 0."""
+    gens = list(p.alphabet.finite_generators())
+    for fam in sorted(p.alphabet.integer_families):
+        gens.extend(Generator(fam, d) for d in range(0, 2 * t_bound + 1))
+    gens.sort()
+    fams = p.alphabet.integer_families
+    words = [Word(tuple(Letter(g) for g in combo))
+             for length in range(1, max_len + 1)
+             for combo in itertools.product(gens, repeat=length)]
+    for triple in itertools.product(words, repeat=3):
+        indices = [l.gen.index for w in triple for l in w if l.gen.family in fams]
+        if not indices or min(indices) == 0:
+            yield triple
 
 
 def reference_instances_for_pair(p, x, y, side):

@@ -332,6 +332,20 @@ def test_ambiguous_exit(capsys):
     assert code == 2 and "ambiguous complement" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("reverse", "d4:new", "s1^-1 s2"),
+    ("quotient", "d4:new", "s1", "s2"),
+    ("cube", "e8:new", "s1", "s2", "s3"),
+    ("certify", "e8:new"),
+    ("certify", "d4:yamada"),
+    ("render", "d4:new", "t(2)^-1 s3 s3"),
+])
+def test_negative_fuel_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--fuel", "-1")
+    assert code == 3 and out == ""
+    assert err == "monorev: fuel must be >= 0\n"
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "show", "no:such:key")
     assert code == 3 and "neither a catalog key" in err

@@ -1,5 +1,6 @@
 """Cube conditions and the certificate state machine."""
 
+import hashlib
 import itertools
 import json
 
@@ -19,8 +20,18 @@ from monorev.presentation import (
     load_presentation,
 )
 from monorev.words import EPSILON, Alphabet, Generator, Letter, Word, parse_word
-from monorev.reversing import Cycles, Diverged, Empty, Stuck, left_reverse, right_reverse
+from monorev.reversing import (
+    DEFAULT_FUEL,
+    Cycles,
+    Diverged,
+    Empty,
+    Stuck,
+    left_reverse,
+    right_reverse,
+)
 from conftest import (
+    FIXTURES,
+    GLUE,
     NONHOM,
     ONE_SIDED,
     PINNED_T,
@@ -28,6 +39,7 @@ from conftest import (
     TWO_COMMUTES,
     WIDE_OFFSET,
     reference_reverse,
+    reference_word_triples,
 )
 
 # its first reversal terminates, then (u v')^-1 (v u') cycles
@@ -208,6 +220,68 @@ def test_cube_replay_covers_every_reason():
                     "second reversal cycles", "first reversal ran out of fuel", "ambiguous"}
 
 
+def _fresh(p):
+    """A copy of p with empty caches."""
+    return Presentation(p.name, p.alphabet, p.schemas, p.window)
+
+
+def _check_mirror(p, u, v, w, side):
+    """Checking (u, v, w) first leaves the verdict on (v, u, w) as a fresh presentation has it.
+
+    At the default fuel, at the step count of the probe's longer reversal,
+    where a pass just passes, and at one step less.
+    """
+    try:
+        probe = cube_condition(_fresh(p), u, v, w, side=side)
+    except AmbiguousComplementError:
+        return
+    longest = max(t.step_count for t in (probe.first, probe.second) if t is not None)
+    for fuel in {DEFAULT_FUEL, longest, max(longest - 1, 0)}:
+        shared = _fresh(p)
+        cube_condition(shared, u, v, w, side=side, fuel=fuel)
+        try:
+            want = cube_condition(_fresh(p), v, u, w, side=side, fuel=fuel)
+        except AmbiguousComplementError:
+            with pytest.raises(AmbiguousComplementError):
+                cube_condition(shared, v, u, w, side=side, fuel=fuel)
+            continue
+        got = cube_condition(shared, v, u, w, side=side, fuel=fuel)
+        assert (got.triple, got.side) == ((v, u, w), side)
+        assert (got.status, got.reason) == (want.status, want.reason), (u, v, w, side, fuel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), side=st.sampled_from(("right", "left")))
+def test_mirror_verdict_is_the_fresh_one(data, side):
+    p = data.draw(st.sampled_from(REPLAY_PRESENTATIONS))
+    word = st.lists(st.sampled_from(_letters(p)), min_size=1, max_size=2).map(
+        lambda ls: Word(tuple(ls)))
+    _check_mirror(p, data.draw(word), data.draw(word), data.draw(word), side)
+
+
+def test_mirror_verdict_on_a_one_sided_cycle_proof():
+    # the first reversal of (c1, a1, b1) is proved to cycle within 8 steps,
+    # that of (a1, c1, b1) only later: cached verdicts other than a pass
+    # would carry the one over to the other
+    p = load_presentation(SQUARE_CHAIN, name="square-chain")
+    a1, b1, c1 = p.parse("a1"), p.parse("b1"), p.parse("c1")
+    assert cube_condition(_fresh(p), c1, a1, b1, fuel=8).reason == "first reversal cycles"
+    assert cube_condition(_fresh(p), a1, c1, b1, fuel=8).reason == "first reversal ran out of fuel"
+    _check_mirror(p, a1, c1, b1, "right")
+    _check_mirror(p, c1, a1, b1, "right")
+
+
+def test_pass_settles_its_mirror(d4, monkeypatch):
+    p = _fresh(d4)
+    s1, s2, t0 = p.parse("s1"), p.parse("s2"), p.parse("t(0)")
+    assert cube_condition(p, s1, t0, s2).passed
+    monkeypatch.setattr(reversing, "right_complement", None)  # no lookup is left to make
+    res = cube_condition(p, t0, s1, s2)
+    assert res.passed and res.triple == (t0, s1, s2)
+    with pytest.raises(TypeError):
+        cube_condition(p, t0, s1, s2, fuel=9)  # another fuel is another check
+
+
 def test_certify_builds_no_trace(d4, monkeypatch):
     """The sweep reads outcomes only: with trace building broken, the certificate holds."""
     expected = certify(d4, t_bound=2).to_json()
@@ -228,6 +302,18 @@ def test_cube_validation(d4):
         cube_condition(d4, d4.parse("s1^-1"), d4.parse("s2"), d4.parse("s3"))
 
 
+def test_negative_fuel_is_refused(d4, yamada):
+    s1, s2, s3 = d4.parse("s1"), d4.parse("s2"), d4.parse("s3")
+    with pytest.raises(ValueError, match="fuel must be >= 0"):
+        cube_condition(d4, s1, s2, s3, fuel=-5)
+    for p in (d4, yamada, load_presentation(PINNED_T, name="pinned-t")):
+        with pytest.raises(ValueError, match="fuel must be >= 0"):
+            certify(p, fuel=-5)
+    # fuel 0 is a budget of no steps: the first reversal has a redex left
+    assert cube_condition(d4, s1, s2, s3, fuel=0).reason == "first reversal ran out of fuel"
+    assert certify(d4, t_bound=0, fuel=0).claim == "undetermined"
+
+
 def test_enumerate_generator_triples(d4):
     assert len(enumerate_word_triples(d4, 1, 0)) == 125
     triples = enumerate_word_triples(d4, 1, 3)
@@ -239,6 +325,22 @@ def test_enumerate_generator_triples(d4):
     assert len(enumerate_word_triples(c3, 1)) == 27
     with pytest.raises(ValueError):
         enumerate_word_triples(d4, 1, -1)
+
+
+@pytest.mark.parametrize("key,max_len,t_bound", [
+    ("d4:new", 1, 0), ("d4:new", 1, 3), ("d4:new", 2, 1),
+    ("e8:new", 1, 6), ("e8:new", 2, 0),
+    ("affine-a:classical:3", 1, 3), ("affine-a:classical:3", 2, 3),
+])
+def test_enumeration_order_matches_reference(key, max_len, t_bound):
+    p = catalog.load(key)
+    got = iter(enumerate_word_triples(p, max_len, t_bound))
+    want = reference_word_triples(p, max_len, t_bound)
+    while True:  # in slices: e8:new at max_len 2 has 729,000 triples
+        chunk = list(itertools.islice(got, 10_000))
+        assert chunk == list(itertools.islice(want, 10_000))
+        if not chunk:
+            break
 
 
 def test_enumerate_word_triples():
@@ -351,3 +453,33 @@ def test_certify_undetermined_on_divergence():
     assert not cert.failures
     assert cert.refusal == ("12 cube checks did not terminate "
                             "(12 proved to cycle, 0 ran out of fuel)")
+
+
+# the small presentations whose certificates are pinned, under their certificate names
+PINNED_SMALL = {"two-commutes": TWO_COMMUTES, "skewed": SKEWED, "glue": GLUE,
+                "one-sided": ONE_SIDED, "wide-offset": WIDE_OFFSET, "pinned-t": PINNED_T,
+                "square-chain": SQUARE_CHAIN}
+
+
+def pinned_certificates():
+    """(label, certificate JSON) for every certificate the sha256 fixture pins."""
+    keys = list(catalog.FIXED_NAMES) + [
+        f"affine-a:{family}:{n}" for family in ("classical", "shi", "cll") for n in (3, 4, 5)]
+    for key in keys:
+        for t_bound, fuel in itertools.product((0, 1, 3), (8, DEFAULT_FUEL)):
+            cert = certify(catalog.load(key), t_bound=t_bound, fuel=fuel)
+            yield f"{key} t_bound={t_bound} fuel={fuel}", cert.to_json()
+    for name, text in PINNED_SMALL.items():
+        for word_len in (None, 1, 2):
+            cert = certify(load_presentation(text, name=name), word_len=word_len)
+            yield f"{name} word_len={word_len}", cert.to_json()
+
+
+def test_certificates_match_the_pinned_hashes():
+    """Certificates, falsified and undetermined ones included, as they were
+    before cube verdicts and transposed complements were cached."""
+    with open(f"{FIXTURES}/certificates_sha256.json", encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    got = {label: hashlib.sha256(text.encode()).hexdigest()
+           for label, text in pinned_certificates()}
+    assert got == pinned

@@ -1,5 +1,6 @@
 """Schemas, pair-indexed complement lookup, windowing, and the text format."""
 
+import dataclasses
 import json
 import traceback
 
@@ -163,6 +164,14 @@ def test_pair_index_files_both_orientations(d4):
         assert positions["t_braid"] in index[key]
     assert index[(-1, ("s", 1), ("s", 2))] == index[(-1, ("s", 2), ("s", 1))]
     assert d4.pair_index() is index
+
+
+def test_replace_starts_with_empty_caches(d4):
+    s1, s2 = Generator("s", 1), Generator("s", 2)
+    assert right_complement(d4, s1, s2) is not None and d4.translation_invariant()
+    bare = dataclasses.replace(d4, schemas=d4.schemas[:1])
+    assert bare._complements == {} and bare._cubes == {} and bare._pair_index is None
+    assert right_complement(bare, s1, s2) is None
 
 
 def test_check_complemented_split(d4, yamada):

@@ -6,9 +6,16 @@ rendering are frozen here letter for letter.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monorev import load_presentation, save_presentation
-from monorev.presentation import AmbiguousComplementError
+from monorev import catalog, load_presentation, save_presentation
+from monorev.presentation import (
+    AmbiguousComplementError,
+    Presentation,
+    left_complement,
+    pair_scan_generators,
+    right_complement,
+)
 from monorev.reversing import (
     Cycles,
     Diverged,
@@ -21,7 +28,9 @@ from monorev.reversing import (
     reverse_quotient,
     right_reverse,
 )
-from monorev.words import Generator
+from monorev.words import Generator, Letter, Word
+
+from conftest import GLUE, SKEWED, TWO_COMMUTES
 
 ANCHOR = "t(2)^-1 s3 s3"
 ANCHOR_WORDS = [
@@ -98,6 +107,17 @@ def test_fuel(d4):
     assert [str(w) for w in short.words()] == ANCHOR_WORDS[:3]
     assert right_reverse(d4, word, fuel=3).reached_terminal
     assert right_reverse(d4, word, fuel=0).outcome == Diverged(0)
+    assert right_reverse(d4, d4.parse("s3 t(2)^-1"), fuel=0).reached_terminal
+
+
+def test_negative_fuel_is_refused(d4):
+    word = d4.parse(ANCHOR)
+    right_reverse(d4, word)  # its complements are cached now
+    for reverse in (right_reverse, left_reverse):
+        with pytest.raises(ValueError, match="fuel must be >= 0"):
+            reverse(d4, word, fuel=-1)
+    with pytest.raises(ValueError, match="fuel must be >= 0"):
+        reverse_quotient(d4, d4.parse("s3"), d4.parse("s3"), fuel=-1)
 
 
 def test_cycle_proof(d4):
@@ -164,6 +184,68 @@ def test_one_step_terminal_and_stuck(d4, two_commutes):
 def test_ambiguity_propagates(yamada):
     with pytest.raises(AmbiguousComplementError):
         right_reverse(yamada, yamada.parse("s1^-1 t(1)"))
+
+
+# -- transposition: W^-1 reverses along the transposed diagram of W -----------
+
+MIRROR_PRESENTATIONS = [catalog.load(k) for k in
+                        ("d4:new", "e8:new", "d4:yamada", "affine-a:classical:3")] + [
+    load_presentation(text, name=name) for name, text in
+    (("skewed", SKEWED), ("glue", GLUE), ("two-commutes", TWO_COMMUTES))]
+
+
+def _signed_letters(p):
+    return [Letter(g, sign) for g in pair_scan_generators(p) for sign in (1, -1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), side=st.sampled_from(("right", "left")))
+def test_inverse_word_reverses_alike(data, side):
+    """If W ends Empty or Terminal, W^-1 ends the same way, in as many steps,
+    on the inverse final word."""
+    p = data.draw(st.sampled_from(MIRROR_PRESENTATIONS))
+    word = Word(tuple(data.draw(st.lists(st.sampled_from(_signed_letters(p)),
+                                         min_size=1, max_size=8))))
+    reverse = right_reverse if side == "right" else left_reverse
+    try:
+        trace = reverse(p, word, 2000)
+        if not trace.reached_terminal:
+            return
+        mirror = reverse(p, word.inverse(), 2000)
+    except AmbiguousComplementError:
+        return
+    assert type(mirror.outcome) is type(trace.outcome)
+    assert mirror.step_count == trace.step_count
+    assert mirror.final == trace.final.inverse()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), side=st.sampled_from(("right", "left")))
+def test_transposed_complement_is_the_fresh_one(data, side):
+    """After a lookup of (x, y), the (y, x) entry is what a fresh lookup finds."""
+    p = data.draw(st.sampled_from(MIRROR_PRESENTATIONS))
+    gens = pair_scan_generators(p)
+    x, y = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
+    complement = right_complement if side == "right" else left_complement
+
+    def lookup(q, a, b):
+        try:
+            return complement(q, a, b)
+        except AmbiguousComplementError as exc:
+            return str(exc)
+
+    shared = Presentation(p.name, p.alphabet, p.schemas)
+    lookup(shared, x, y)
+    assert lookup(shared, y, x) == lookup(Presentation(p.name, p.alphabet, p.schemas), y, x)
+
+
+def test_translation_pairs_keep_their_own_bindings(d4):
+    # the translation schema hits (t(0), t(1)) and (t(1), t(0)) with i and j
+    # exchanged, so the swapped instance of the one is not the other's
+    p = Presentation(d4.name, d4.alphabet, d4.schemas)
+    t0, t1 = Generator("t", 0), Generator("t", 1)
+    assert right_complement(p, t0, t1).rule.bindings == (("i", 0), ("j", 1))
+    assert right_complement(p, t1, t0).rule.bindings == (("i", 1), ("j", 0))
 
 
 def test_reverse_quotient_equal(d4):
