@@ -93,7 +93,11 @@ def complement_runs():
 def cube_runs():
     """Cube checks per check and traced right reversals per call, on warm complements.
 
-    The cube checks find no cached verdicts: those of the warm-up sweep are dropped.
+    The cube checks start from no cached verdicts: those of the warm-up sweep
+    are dropped.  The timed sweep still settles some of its own checks: a
+    pass settles its u<->v mirror, and, e8:new being mirror-symmetric, the
+    left check of its side mirror.  So the sweep's left checks hit verdicts
+    that its own right checks settled.
     """
     p = fresh()
     triples = enumerate_word_triples(p, 1, t_bound=6)

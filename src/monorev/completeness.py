@@ -33,6 +33,28 @@ pass is mirrored: a reversal of W that sticks or cycles can end otherwise
 on W^-1, whose leftmost redex is another one.  (On the square-chain
 example (c1, a1, b1) is proved to cycle within 8 steps and (a1, c1, b1)
 only later.)
+
+The side mirror.  On a mirror-symmetric presentation
+(Presentation.mirror_symmetric) the flip that reads a word backwards,
+signs kept, and sends each integer-family index i to c - i takes
+relations onto relations.  It takes the left first word of (u, v, w) to
+the right first word of its image (u~, v~, w~), each word flipped with c
+the triple's largest family index, and a left redex x y^-1 to the right
+redex that the flipped relation resolves.  The image of an
+index-normalised triple is one again, so it lies in the same sweep.  The
+kernel rewrites the leftmost redex, and the flip makes that the
+rightmost.  But redexes never overlap, and a pair is rewritten only when
+one relation resolves it, so rewrites commute: when one order of
+rewriting ends on a word without redexes, every order does, on the same
+word and in as many steps (a complemented presentation has one reversing
+diagram per word).  So a left reversal ends exactly when the right
+reversal of its flip does, on the flipped final word (the left second
+word flips to the image's right second word), and a pass on one side is
+a pass of the image on the other at the same fuel.  cube_condition files
+such a pass under (other side, fuel, u~, v~, w~) and, by the mirror
+lemma, under (other side, fuel, v~, u~, w~).  Again only a pass crosses:
+a reversal that sticks or cycles stops at its leftmost blocked redex,
+and the flipped run can meet another one first.
 """
 
 from __future__ import annotations
@@ -75,6 +97,16 @@ def _second_word(u: Word, v: Word, done: tuple[Letter, ...], side: str) -> tuple
     if side == "right":
         return _inverse(u.letters + head) + v.letters + _inverse(tail)
     return _inverse(head) + v.letters + _inverse(tail + u.letters)
+
+
+def _side_mirror(p: Presentation, u: Word, v: Word, w: Word) -> tuple[tuple[Letter, ...], ...]:
+    """(u, v, w) read backwards, each integer-family index i sent to c - i,
+    where c is the largest such index of the triple."""
+    fams = p.alphabet.integer_families
+    c = max((l.gen.index for word in (u, v, w) for l in word if l.gen.family in fams), default=0)
+    return tuple(tuple(Letter(Generator(l.gen.family, c - l.gen.index), l.sign)
+                       if l.gen.family in fams else l for l in reversed(word.letters))
+                 for word in (u, v, w))
 
 
 # (status, reason) of a first or second reversal that ends with a redex left;
@@ -126,16 +158,18 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
                    side: str = "right", fuel: int = DEFAULT_FUEL) -> CubeResult:
     """Check the cube condition for (u, v, w) on one side, without step records.
 
-    The verdict is cached on p, and a pass settles (v, u, w) as well; see
-    the module docstring.
+    The verdict is cached on p.  A pass settles (v, u, w) as well, and on
+    a mirror-symmetric presentation the other side's check of the side
+    mirror of either; see the module docstring.  Every cached key holds
+    positive words, so only a miss checks that the words are positive.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    if not all(word.is_positive() for word in (u, v, w)):
-        raise ValueError("cube condition expects positive words")
     key = (side, fuel, u.letters, v.letters, w.letters)
     verdict = p._cubes.get(key)
     if verdict is None:
+        if not all(word.is_positive() for word in (u, v, w)):
+            raise ValueError("cube condition expects positive words")
         out, done, _ = _run(p, _first_word(u, v, w, side), fuel, side, None)
         if out is None:
             out, done, _ = _run(p, _second_word(u, v, tuple(done), side), fuel, side, None)
@@ -145,6 +179,10 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
         p._cubes[key] = verdict
         if verdict[0] == "pass":
             p._cubes[(side, fuel, v.letters, u.letters, w.letters)] = verdict
+            if p.mirror_symmetric():
+                other = "left" if side == "right" else "right"
+                mu, mv, mw = _side_mirror(p, u, v, w)
+                p._cubes[(other, fuel, mu, mv, mw)] = p._cubes[(other, fuel, mv, mu, mw)] = verdict
     return CubeResult((u, v, w), side, *verdict, p, fuel)
 
 
@@ -244,6 +282,8 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
         raise ValueError(f"goal must be 'cancellative' or 'complete', got {goal!r}")
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
+    if t_bound < 0 or (word_len is not None and word_len < 1):
+        raise ValueError("t_bound must be >= 0" if t_bound < 0 else "max_len must be >= 1")
 
     def refused(reason: str) -> Certificate:
         return Certificate(p.name, "refused", t_bound, fuel, 0, (), reason, _tool_version())

@@ -27,6 +27,16 @@ come in schema order, and its error text lists them in that order.  Nor
 is a parametrised instance on two letters of one family.  A schema can
 hit such a pair both ways round, with other bindings: translation relates
 (t(0), t(1)) with i=0, j=1 and (t(1), t(0)) with i=1, j=0.
+
+A presentation is mirror-symmetric (`Presentation.mirror_symmetric`) when
+it is translation-invariant and reflecting its schemas gives them back:
+each side read backwards, each integer-family offset negated.
+Translation reads backwards as itself under i -> 1-i, braid relations are
+palindromes and commutations come back with their sides exchanged, so
+every :new key and affine-a:{classical,cll} is; the finite t(0), t(1) of
+:yamada and affine-a:shi are not negated, and their double twist reads
+backwards as another relation.  The cube sweep lets a pass on one side
+settle a check on the other there (see completeness).
 """
 
 from __future__ import annotations
@@ -320,6 +330,7 @@ class Presentation:
     _invariant: bool | None = field(default=None, init=False, repr=False, compare=False)
     _pair_index: dict | None = field(default=None, init=False, repr=False, compare=False)
     _cubes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _mirror: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def schema(self, name: str) -> Schema:
         for s in self.schemas:
@@ -345,6 +356,25 @@ class Presentation:
         if self._invariant is None:
             self._invariant = self.pinned_letter() is None
         return self._invariant
+
+    def mirror_symmetric(self) -> bool:
+        """True when every relation read backwards, family indices negated, is a relation.
+
+        The presentation must be translation-invariant, and reflecting its
+        schemas must give back the same schemas: each side read backwards,
+        each integer-family offset negated, compared as canonical forms
+        (see _canonical_form).  Then, for every c, the map that reverses a
+        word and sends each family index i to c - i takes relations onto
+        relations.  Computed once per presentation.
+        """
+        if self._mirror is None:
+            fams = self.alphabet.integer_families
+            forms = sorted(_canonical_form(s.params, s.lhs, s.rhs) for s in self.schemas)
+            mirrored = sorted(_canonical_form(s.params, *(
+                tuple(PatternLetter(pl.family, -pl.offset, pl.param) if pl.family in fams else pl
+                      for pl in reversed(side)) for side in (s.lhs, s.rhs))) for s in self.schemas)
+            self._mirror = self.translation_invariant() and forms == mirrored
+        return self._mirror
 
     def pinned_letter(self) -> tuple[Schema, PatternLetter] | None:
         """The first integer-family pattern letter whose index a shift cannot move.
@@ -376,6 +406,27 @@ class Presentation:
                         index.setdefault(key, []).append(pos)
             self._pair_index = index
         return self._pair_index
+
+
+def _canonical_form(params: tuple[Param, ...], lhs: tuple[PatternLetter, ...],
+                    rhs: tuple[PatternLetter, ...]) -> tuple:
+    """A schema's patterns up to parameter names, Z-offset shifts and the order of its sides.
+
+    Parameters are numbered in order of first appearance, each Z-parameter's
+    offsets are shifted so that the smallest is 0, finite domains are kept,
+    and of the two side orders the smaller form is taken.
+    """
+    domains = {p.name: p.values for p in params}
+    forms = []
+    for first, second in ((lhs, rhs), (rhs, lhs)):
+        names = list(dict.fromkeys(pl.param for pl in first + second if pl.param is not None))
+        low = {n: 0 if domains[n] is not None else
+               min(pl.offset for pl in first + second if pl.param == n) for n in names}
+        sides = tuple(tuple((pl.family, pl.offset - low.get(pl.param, 0),
+                             names.index(pl.param) if pl.param in low else -1) for pl in side)
+                      for side in (first, second))
+        forms.append(sides + (tuple((domains[n] is None, domains[n] or ()) for n in names),))
+    return min(forms)
 
 
 def _boundary_key(pl: PatternLetter) -> tuple[str, int | None]:

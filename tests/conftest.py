@@ -59,6 +59,14 @@ a1 t(10) = t(10) a1
 b1 a1 t(10) = t(10) b1 a1
 """
 
+# its first reversal terminates, then (u v')^-1 (v u') cycles
+SQUARE_CHAIN = """\
+generators: a1 b1 c1
+a1 b1 a1 b1 = b1 a1 b1 a1
+a1 a1 = c1 b1
+b1 c1 b1 c1 = c1 b1 c1 b1
+"""
+
 
 @pytest.fixture(scope="session")
 def d4():

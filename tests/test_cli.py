@@ -183,6 +183,18 @@ def test_offset_outside_finite_family_is_a_usage_error(capsys, tmp_path):
     assert "s(j+1) at j=3 is s4, outside the finite family" in err
 
 
+@pytest.mark.parametrize("key", ["d4:yamada", "d4:new"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--t-bound", "-1", "t_bound must be >= 0"),
+    ("--word-len", "0", "max_len must be >= 1"),
+])
+def test_certify_bad_bound_is_a_usage_error(capsys, key, flag, value, message):
+    # a refusing key too: it must not write a certificate carrying the bad bound
+    code, out, err = run(capsys, "certify", key, flag, value)
+    assert code == 3 and out == ""
+    assert err == f"monorev: {message}\n"
+
+
 def test_certify_undetermined_exit(capsys):
     code, out, _ = run(capsys, "certify", "affine-a:classical:3")
     assert code == 2

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monorev import catalog, reversing
+from monorev import catalog, completeness, reversing
 from monorev.completeness import (
     certify,
     cube_condition,
@@ -18,6 +18,7 @@ from monorev.presentation import (
     Presentation,
     fixed_schema,
     load_presentation,
+    pair_scan_generators,
 )
 from monorev.words import EPSILON, Alphabet, Generator, Letter, Word, parse_word
 from monorev.reversing import (
@@ -36,19 +37,12 @@ from conftest import (
     ONE_SIDED,
     PINNED_T,
     SKEWED,
+    SQUARE_CHAIN,
     TWO_COMMUTES,
     WIDE_OFFSET,
     reference_reverse,
     reference_word_triples,
 )
-
-# its first reversal terminates, then (u v')^-1 (v u') cycles
-SQUARE_CHAIN = """\
-generators: a1 b1 c1
-a1 b1 a1 b1 = b1 a1 b1 a1
-a1 a1 = c1 b1
-b1 c1 b1 c1 = c1 b1 c1 b1
-"""
 
 D4_CERT_JSON = """\
 {
@@ -225,29 +219,38 @@ def _fresh(p):
     return Presentation(p.name, p.alphabet, p.schemas, p.window)
 
 
-def _check_mirror(p, u, v, w, side):
-    """Checking (u, v, w) first leaves the verdict on (v, u, w) as a fresh presentation has it.
+def _check_settled(p, checked, side, target, target_side):
+    """Checking `checked` on `side` first leaves the verdict on `target` on
+    `target_side` as a fresh presentation has it, and files no other verdict
+    that a fresh presentation would not give.
 
-    At the default fuel, at the step count of the probe's longer reversal,
-    where a pass just passes, and at one step less.
+    At the default fuel, at the step count of the first check's longer
+    reversal, where a pass just passes, and at one step less.
     """
     try:
-        probe = cube_condition(_fresh(p), u, v, w, side=side)
+        probe = cube_condition(_fresh(p), *checked, side=side)
     except AmbiguousComplementError:
         return
     longest = max(t.step_count for t in (probe.first, probe.second) if t is not None)
     for fuel in {DEFAULT_FUEL, longest, max(longest - 1, 0)}:
         shared = _fresh(p)
-        cube_condition(shared, u, v, w, side=side, fuel=fuel)
+        cube_condition(shared, *checked, side=side, fuel=fuel)
         try:
-            want = cube_condition(_fresh(p), v, u, w, side=side, fuel=fuel)
+            want = cube_condition(_fresh(p), *target, side=target_side, fuel=fuel)
         except AmbiguousComplementError:
             with pytest.raises(AmbiguousComplementError):
-                cube_condition(shared, v, u, w, side=side, fuel=fuel)
+                cube_condition(shared, *target, side=target_side, fuel=fuel)
             continue
-        got = cube_condition(shared, v, u, w, side=side, fuel=fuel)
-        assert (got.triple, got.side) == ((v, u, w), side)
-        assert (got.status, got.reason) == (want.status, want.reason), (u, v, w, side, fuel)
+        got = cube_condition(shared, *target, side=target_side, fuel=fuel)
+        assert (got.triple, got.side) == (target, target_side)
+        assert (got.status, got.reason) == (want.status, want.reason), (checked, side, fuel)
+        for (k_side, k_fuel, *words), verdict in shared._cubes.items():
+            fresh = cube_condition(_fresh(p), *map(Word, words), side=k_side, fuel=k_fuel)
+            assert (fresh.status, fresh.reason) == verdict, (words, k_side, k_fuel)
+
+
+def _check_mirror(p, u, v, w, side):
+    _check_settled(p, (u, v, w), side, (v, u, w), side)
 
 
 @settings(max_examples=150, deadline=None)
@@ -282,6 +285,102 @@ def test_pass_settles_its_mirror(d4, monkeypatch):
         cube_condition(p, t0, s1, s2, fuel=9)  # another fuel is another check
 
 
+# mirror-symmetric presentations: two cycling or complemented catalog keys,
+# one without a family, and one with ambiguous pairs
+SIDE_MIRROR = [catalog.load(k) for k in ("d4:new", "e8:new", "affine-a:classical:3",
+                                         "affine-a:cll:4")] + [
+    load_presentation(TWO_COMMUTES, name="two-commutes"),
+    load_presentation(WIDE_OFFSET, name="wide-offset")]
+
+
+def _flip(p, word, c):
+    """The side mirror of a word: read backwards, each family index i sent to c - i."""
+    fams = p.alphabet.integer_families
+    return Word(tuple(Letter(Generator(l.gen.family, c - l.gen.index), l.sign)
+                      if l.gen.family in fams else l for l in reversed(word.letters)))
+
+
+def _top_index(p, *words):
+    fams = p.alphabet.integer_families
+    return max((l.gen.index for w in words for l in w if l.gen.family in fams), default=0)
+
+
+def _ends(reverse, p, word, fuel):
+    """The trace when the reversal ends empty or terminal, else None."""
+    try:
+        trace = reverse(p, word, fuel)
+    except AmbiguousComplementError:
+        return None
+    return trace if trace.reached_terminal else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_side_mirror_kernel_law(data):
+    """Left-reversing W ends iff right-reversing its flip does: same steps, flipped final word."""
+    p = data.draw(st.sampled_from(SIDE_MIRROR))
+    assert p.mirror_symmetric()
+    letter = st.builds(Letter, st.sampled_from(pair_scan_generators(p)), st.sampled_from((1, -1)))
+    word = data.draw(st.lists(letter, max_size=8).map(lambda ls: Word(tuple(ls))))
+    c = _top_index(p, word)
+    left = _ends(left_reverse, p, word, 500)
+    right = _ends(right_reverse, p, _flip(p, word, c), 500)
+    assert (left is None) == (right is None), word
+    if left is not None:
+        assert left.step_count == right.step_count
+        assert _flip(p, left.final, c) == right.final
+
+
+def _check_side_mirror(p, u, v, w, side):
+    """The flipped triple checked on one side settles (u, v, w) on the other."""
+    c = _top_index(p, u, v, w)
+    image = tuple(_flip(p, x, c) for x in (u, v, w))
+    _check_settled(p, image, side, (u, v, w), "left" if side == "right" else "right")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), side=st.sampled_from(("right", "left")))
+def test_side_mirror_verdict_is_the_fresh_one(data, side):
+    p = data.draw(st.sampled_from(SIDE_MIRROR))
+    word = st.lists(st.sampled_from(_letters(p)), min_size=1, max_size=2).map(
+        lambda ls: Word(tuple(ls)))
+    _check_side_mirror(p, data.draw(word), data.draw(word), data.draw(word), side)
+
+
+def test_side_mirror_verdict_on_cycling_triples():
+    # classical:3 has first reversals proved to cycle, on either side
+    for u, v, w in itertools.permutations(C3.parse(x) for x in ("r1", "r2", "r3")):
+        for side in ("right", "left"):
+            _check_side_mirror(C3, u, v, w, side)
+
+
+def test_pass_settles_its_side_mirror(d4, monkeypatch):
+    p = _fresh(d4)
+    s1, t0, t2 = p.parse("s1"), p.parse("t(0)"), p.parse("t(2)")
+    assert cube_condition(p, s1, t2, t0).passed
+    monkeypatch.setattr(reversing, "left_complement", None)  # no lookup is left to make
+    # with indices i -> 2 - i, (s1, t(2), t(0)) reads backwards as (s1, t(0), t(2))
+    for u, v in ((s1, t0), (t0, s1)):
+        res = cube_condition(p, u, v, t2, side="left")
+        assert res.passed and res.triple == (u, v, t2) and res.side == "left"
+    with pytest.raises(TypeError):
+        cube_condition(p, s1, t2, t0, side="left")  # not the side mirror: a fresh check
+
+
+def test_left_sweep_makes_no_reversal(d4, monkeypatch):
+    """Every right check of d4:new passes, so the left sweep finds each verdict cached."""
+    sides = []
+    run = completeness._run
+
+    def counted(p, letters, fuel, side, steps):
+        sides.append(side)
+        return run(p, letters, fuel, side, steps)
+
+    monkeypatch.setattr(completeness, "_run", counted)
+    cert = certify(_fresh(d4), t_bound=2)
+    assert cert.claim == "cancellative-up-to" and "right" in sides and "left" not in sides
+
+
 def test_certify_builds_no_trace(d4, monkeypatch):
     """The sweep reads outcomes only: with trace building broken, the certificate holds."""
     expected = certify(d4, t_bound=2).to_json()
@@ -300,6 +399,31 @@ def test_cube_validation(d4):
         cube_condition(d4, d4.parse("s1"), d4.parse("s2"), d4.parse("s3"), side="up")
     with pytest.raises(ValueError):
         cube_condition(d4, d4.parse("s1^-1"), d4.parse("s2"), d4.parse("s3"))
+
+
+def test_positivity_is_checked_on_a_warm_cache(d4):
+    p = _fresh(d4)
+    s1, s2, s3 = p.parse("s1"), p.parse("s2"), p.parse("s3")
+    assert cube_condition(p, s1, s2, s3).passed
+    for u in (p.parse("s1^-1"), p.parse("s1 s1^-1")):
+        with pytest.raises(ValueError, match="expects positive words"):
+            cube_condition(p, u, s2, s3)
+        with pytest.raises(ValueError, match="expects positive words"):
+            cube_condition(p, s2, u, s3, side="left")
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"t_bound": -1}, "t_bound must be >= 0"),
+    ({"word_len": 0}, "max_len must be >= 1"),
+    ({"word_len": -2, "t_bound": 1}, "max_len must be >= 1"),
+])
+def test_certify_validates_its_bounds(kwargs, message):
+    # refusing presentations too: a refused certificate would carry the bad bound
+    for p in (catalog.load("d4:yamada"), catalog.load("d4:new"),
+              load_presentation(PINNED_T, name="pinned-t"),
+              load_presentation(NONHOM, name="nonhom")):
+        with pytest.raises(ValueError, match=message):
+            certify(p, **kwargs)
 
 
 def test_negative_fuel_is_refused(d4, yamada):

@@ -29,7 +29,18 @@ from monorev.presentation import (
 )
 from monorev.words import Generator, Letter, UnknownGeneratorError, Word, WordSyntaxError
 
-from conftest import FIXTURES, GLUE, PINNED_T, SKEWED, WIDE_OFFSET, reference_instances_for_pair
+from conftest import (
+    FIXTURES,
+    GLUE,
+    NONHOM,
+    ONE_SIDED,
+    PINNED_T,
+    SKEWED,
+    SQUARE_CHAIN,
+    TWO_COMMUTES,
+    WIDE_OFFSET,
+    reference_instances_for_pair,
+)
 
 T2 = Generator("t", 2)
 S3 = Generator("s", 3)
@@ -171,7 +182,49 @@ def test_replace_starts_with_empty_caches(d4):
     assert right_complement(d4, s1, s2) is not None and d4.translation_invariant()
     bare = dataclasses.replace(d4, schemas=d4.schemas[:1])
     assert bare._complements == {} and bare._cubes == {} and bare._pair_index is None
+    assert d4.mirror_symmetric() and bare._mirror is None
     assert right_complement(bare, s1, s2) is None
+
+
+MIRROR_SYMMETRIC = [f"{key}:new" for key in ("d4", "e6", "e7", "e8")] + [
+    f"affine-a:{family}:{n}" for family in ("classical", "cll") for n in (3, 4, 5)]
+NOT_MIRROR_SYMMETRIC = [f"{key}:yamada" for key in ("d4", "e6", "e7", "e8")] + [
+    f"affine-a:shi:{n}" for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("key,text,symmetric", [
+    *((key, None, True) for key in MIRROR_SYMMETRIC),
+    *((key, None, False) for key in NOT_MIRROR_SYMMETRIC),
+    *(("hand", text, True) for text in (TWO_COMMUTES, NONHOM, WIDE_OFFSET)),
+    *(("hand", text, False) for text in (SKEWED, GLUE, ONE_SIDED, PINNED_T, SQUARE_CHAIN)),
+])
+def test_mirror_symmetric(key, text, symmetric):
+    # translation t(i) t(i-1) = t(j) t(j-1) reads backwards as itself under
+    # i -> 1-i, braids are palindromes and commutations swap their sides; the
+    # finite t(0), t(1) of :yamada and :shi are not negated, so their double
+    # twist reads backwards as another relation
+    p = catalog.load(key) if text is None else load_presentation(text)
+    assert p.mirror_symmetric() is symmetric
+    assert p._mirror is symmetric
+
+
+@pytest.mark.parametrize("text,symmetric", [
+    # the reflection negates offsets: without that, t(i-1) t(i) would not
+    # come back as t(i) t(i-1)
+    ("generators: a1 ; families: t\nschema x: t(i) t(i-1) a1 = a1 t(i) t(i-1)\n", True),
+    ("generators: a1 ; families: t\nschema x: t(i) t(i-1) a1 = a1 t(i-1) t(i)\n", False),
+    # parameters are matched by first appearance, not by name
+    ("generators: a1 ; families: t\nschema x: t(i) a1 t(j) = t(j) a1 t(i)\n", True),
+    # schemas may reflect onto each other, but not onto nothing
+    ("generators: a1 ; families: t\n"
+     "schema x: t(i) a1 a1 = a1 t(i) t(i)\nschema y: a1 a1 t(i) = t(i) t(i) a1\n", True),
+    ("generators: a1 ; families: t\nschema x: t(i) a1 a1 = a1 t(i) t(i)\n", False),
+    # finite domains are kept, so s(j) with j in {1, 2} is not s(j) with j in {2, 3}
+    ("generators: s1 s2 s3 ; families: t\n"
+     "schema x [i in Z; j in {1, 2}]: t(i) s(j) = s(j+1) t(i)\n", False),
+])
+def test_mirror_symmetric_hand_schemas(text, symmetric):
+    assert load_presentation(text).mirror_symmetric() is symmetric
 
 
 def test_check_complemented_split(d4, yamada):
