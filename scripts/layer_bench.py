@@ -12,8 +12,7 @@ Measures, on the monorev in this checkout's src/:
 - certify(e8:new) at t_bound 3 and at t_bound 6, each on a fresh presentation;
 - cube_condition on e8:new's t_bound 6 triples, both sides, per check, and
   right_reverse with its full trace on the same triples' right first words
-  u^-1 w w^-1 v, per call, both with a warm complement cache and, for the
-  cube checks, an empty verdict cache.
+  u^-1 w w^-1 v, per call, both with a warm complement cache.
 
 Each figure is the median of REPEATS runs.  Each run is scaled by the
 reference kernel of bench/reference.py, timed just before and just after
@@ -93,11 +92,8 @@ def complement_runs():
 def cube_runs():
     """Cube checks per check and traced right reversals per call, on warm complements.
 
-    The cube checks start from no cached verdicts: those of the warm-up sweep
-    are dropped.  The timed sweep still settles some of its own checks: a
-    pass settles its u<->v mirror, and, e8:new being mirror-symmetric, the
-    left check of its side mirror.  So the sweep's left checks hit verdicts
-    that its own right checks settled.
+    Every cube check computes its verdict afresh, on both sides: the
+    mirror lemmas settle checks within a certify sweep only.
     """
     p = fresh()
     triples = enumerate_word_triples(p, 1, t_bound=6)
@@ -109,7 +105,6 @@ def cube_runs():
                 cube_condition(p, u, v, w, side=side)
 
     cubes()  # fills the complement cache
-    getattr(p, "_cubes", {}).clear()  # a checkout without a verdict cache has none to drop
     timings = {}
     t0 = time.perf_counter()
     cubes()

@@ -210,6 +210,8 @@ def _cmd_cube(args) -> int:
 
 def _cmd_certify(args) -> int:
     p = _load(args.presentation)
+    if args.word_len is not None and args.word_len < 1:
+        raise ValueError("--word-len must be >= 1")
     cert = certify(p, t_bound=args.t_bound, fuel=args.fuel,
                    word_len=args.word_len)
     _emit(cert.to_json(), args.output)

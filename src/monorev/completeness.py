@@ -19,6 +19,9 @@ that is proved to cycle fails too, since it can never reach the empty word.
 A first reversal that cycles, and fuel exhaustion anywhere, make the
 certificate undetermined rather than falsified.  The check keeps only its
 verdict; a CubeResult replays its reversal traces when they are read.
+cube_condition computes each verdict afresh and keeps none; the two
+lemmas below let certify's sweep settle checks by others within one call,
+and its verdicts are dropped when it returns.
 
 The mirror lemma.  The first word of (v, u, w) is the formal inverse of
 the first word of (u, v, w) on either side, and once both first
@@ -26,42 +29,41 @@ reversals end, the same holds for the second words.  A reversal that
 ends empty or terminal on W ends so on W^-1 too, in as many steps and on
 the inverse final word: it follows the transposed reversing diagram,
 because the pair (y, x) is related by the swapped instances of (x, y).
-So a pass of (u, v, w) is a pass of (v, u, w) at the same fuel.
-cube_condition caches every verdict on the presentation under (side,
-fuel, u, v, w), and a pass under (side, fuel, v, u, w) as well.  Only a
-pass is mirrored: a reversal of W that sticks or cycles can end otherwise
-on W^-1, whose leftmost redex is another one.  (On the square-chain
-example (c1, a1, b1) is proved to cycle within 8 steps and (a1, c1, b1)
-only later.)
+So a pass of (u, v, w) is a pass of (v, u, w) at the same fuel, and the
+sweep checks no mirror of a pass.  Only a pass is mirrored: a reversal
+of W that sticks or cycles can end otherwise on W^-1, whose leftmost
+redex is another one.  (On the square-chain example (c1, a1, b1) is
+proved to cycle within 8 steps and (a1, c1, b1) only later.)
 
-The side mirror.  On a mirror-symmetric presentation
+The side-mirror lemma.  On a mirror-symmetric presentation
 (Presentation.mirror_symmetric) the flip that reads a word backwards,
 signs kept, and sends each integer-family index i to c - i takes
 relations onto relations.  It takes the left first word of (u, v, w) to
 the right first word of its image (u~, v~, w~), each word flipped with c
 the triple's largest family index, and a left redex x y^-1 to the right
 redex that the flipped relation resolves.  The image of an
-index-normalised triple is one again, so it lies in the same sweep.  The
-kernel rewrites the leftmost redex, and the flip makes that the
-rightmost.  But redexes never overlap, and a pair is rewritten only when
-one relation resolves it, so rewrites commute: when one order of
-rewriting ends on a word without redexes, every order does, on the same
-word and in as many steps (a complemented presentation has one reversing
-diagram per word).  So a left reversal ends exactly when the right
-reversal of its flip does, on the flipped final word (the left second
-word flips to the image's right second word), and a pass on one side is
-a pass of the image on the other at the same fuel.  cube_condition files
-such a pass under (other side, fuel, u~, v~, w~) and, by the mirror
-lemma, under (other side, fuel, v~, u~, w~).  Again only a pass crosses:
-a reversal that sticks or cycles stops at its leftmost blocked redex,
-and the flipped run can meet another one first.
+index-normalised triple is one again, so the flip maps the sweep's
+triples onto themselves.  The kernel rewrites the leftmost redex, and
+the flip makes that the rightmost.  But redexes never overlap, and a
+pair is rewritten only when one relation resolves it, so rewrites
+commute: when one order of rewriting ends on a word without redexes,
+every order does, on the same word and in as many steps (a complemented
+presentation has one reversing diagram per word).  So a left reversal
+ends exactly when the right reversal of its flip does, on the flipped
+final word (the left second word flips to the image's right second
+word), and a pass on one side is a pass of the image on the other at the
+same fuel.  certify therefore runs the right sweep first and checks on
+the left only the images of the right checks that did not pass; when
+every right check passed, it checks no left one.  Again only a pass
+crosses: a reversal that sticks or cycles stops at its leftmost blocked
+redex, and the flipped run can meet another one first.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .presentation import Presentation, check_complemented
 from .reversing import (
@@ -77,35 +79,39 @@ from .reversing import (
 from .words import Generator, Letter, Word
 
 
-def _inverse(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+Letters = tuple[Letter, ...]
+
+
+def _inverse(letters: Letters) -> Letters:
     return tuple(l.inverse() for l in reversed(letters))
 
 
-def _first_word(u: Word, v: Word, w: Word, side: str) -> tuple[Letter, ...]:
-    """u^-1 w w^-1 v (right) or v w^-1 w u^-1 (left)."""
+def _first_word(u: Letters, v: Letters, w: Letters, side: str, inverse=_inverse) -> Letters:
+    """u^-1 w w^-1 v (right) or v w^-1 w u^-1 (left); inverse(x) is x^-1."""
     if side == "right":
-        return _inverse(u.letters) + w.letters + _inverse(w.letters) + v.letters
-    return v.letters + _inverse(w.letters) + w.letters + _inverse(u.letters)
+        return inverse(u) + w + inverse(w) + v
+    return v + inverse(w) + w + inverse(u)
 
 
-def _second_word(u: Word, v: Word, done: tuple[Letter, ...], side: str) -> tuple[Letter, ...]:
+def _second_word(u: Letters, v: Letters, done: list[Letter], side: str,
+                 inverse=_inverse) -> Letters:
     """(u v')^-1 (v u') (right) or (u' v)(v' u)^-1 (left), where the first
     reversal ended on done = v' u'^-1 (right) or u'^-1 v' (left)."""
     lead = 1 if side == "right" else -1
     split = next((i for i, l in enumerate(done) if l.sign != lead), len(done))
-    head, tail = done[:split], done[split:]
+    head, tail = _inverse(done[:split]), _inverse(done[split:])
     if side == "right":
-        return _inverse(u.letters + head) + v.letters + _inverse(tail)
-    return _inverse(head) + v.letters + _inverse(tail + u.letters)
+        return head + inverse(u) + v + tail
+    return head + v + inverse(u) + tail
 
 
-def _side_mirror(p: Presentation, u: Word, v: Word, w: Word) -> tuple[tuple[Letter, ...], ...]:
+def _side_mirror(p: Presentation, u: Letters, v: Letters, w: Letters) -> tuple[Letters, ...]:
     """(u, v, w) read backwards, each integer-family index i sent to c - i,
     where c is the largest such index of the triple."""
     fams = p.alphabet.integer_families
     c = max((l.gen.index for word in (u, v, w) for l in word if l.gen.family in fams), default=0)
     return tuple(tuple(Letter(Generator(l.gen.family, c - l.gen.index), l.sign)
-                       if l.gen.family in fams else l for l in reversed(word.letters))
+                       if l.gen.family in fams else l for l in reversed(word))
                  for word in (u, v, w))
 
 
@@ -117,6 +123,16 @@ _FIRST = {Cycles: ("inconclusive", "first reversal cycles"),
 _SECOND = {Cycles: ("fail", "second reversal cycles"),
            Diverged: ("inconclusive", "second reversal ran out of fuel"),
            Stuck: ("fail", "stuck")}
+
+
+def _verdict(p: Presentation, u: Letters, v: Letters, w: Letters, side: str, fuel: int,
+             inverse=_inverse) -> tuple[str, str]:
+    """(status, reason) of the cube check of positive (u, v, w) on one side, from bare runs."""
+    out, done, _ = _run(p, _first_word(u, v, w, side, inverse), fuel, side, None)
+    if out is not None:
+        return _FIRST[type(out)]
+    out, done, _ = _run(p, _second_word(u, v, done, side, inverse), fuel, side, None)
+    return _SECOND.get(type(out), ("fail", "not-trivial") if done else ("pass", "ok"))
 
 
 class CubeResult:
@@ -135,7 +151,7 @@ class CubeResult:
 
     @property
     def first(self) -> ReversalTrace:
-        return self._replay(_first_word(*self.triple, self.side))
+        return self._replay(_first_word(*(x.letters for x in self.triple), self.side))
 
     @property
     def second(self) -> ReversalTrace | None:
@@ -143,13 +159,13 @@ class CubeResult:
 
         Only the second reversal is replayed with its steps; the first runs bare.
         """
-        out, done, _ = _run(self._p, _first_word(*self.triple, self.side), self._fuel,
-                            self.side, None)
+        u, v, w = (x.letters for x in self.triple)
+        out, done, _ = _run(self._p, _first_word(u, v, w, self.side), self._fuel, self.side, None)
         if out is not None:
             return None
-        return self._replay(_second_word(*self.triple[:2], tuple(done), self.side))
+        return self._replay(_second_word(u, v, done, self.side))
 
-    def _replay(self, letters: tuple[Letter, ...]) -> ReversalTrace:
+    def _replay(self, letters: Letters) -> ReversalTrace:
         reverse = right_reverse if self.side == "right" else left_reverse
         return reverse(self._p, Word(letters), self._fuel)
 
@@ -158,32 +174,15 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
                    side: str = "right", fuel: int = DEFAULT_FUEL) -> CubeResult:
     """Check the cube condition for (u, v, w) on one side, without step records.
 
-    The verdict is cached on p.  A pass settles (v, u, w) as well, and on
-    a mirror-symmetric presentation the other side's check of the side
-    mirror of either; see the module docstring.  Every cached key holds
-    positive words, so only a miss checks that the words are positive.
+    Each call computes its verdict afresh and keeps none: the mirror lemmas
+    that settle one check by another serve certify's sweep only.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    key = (side, fuel, u.letters, v.letters, w.letters)
-    verdict = p._cubes.get(key)
-    if verdict is None:
-        if not all(word.is_positive() for word in (u, v, w)):
-            raise ValueError("cube condition expects positive words")
-        out, done, _ = _run(p, _first_word(u, v, w, side), fuel, side, None)
-        if out is None:
-            out, done, _ = _run(p, _second_word(u, v, tuple(done), side), fuel, side, None)
-            verdict = _SECOND.get(type(out), ("fail", "not-trivial") if done else ("pass", "ok"))
-        else:
-            verdict = _FIRST[type(out)]
-        p._cubes[key] = verdict
-        if verdict[0] == "pass":
-            p._cubes[(side, fuel, v.letters, u.letters, w.letters)] = verdict
-            if p.mirror_symmetric():
-                other = "left" if side == "right" else "right"
-                mu, mv, mw = _side_mirror(p, u, v, w)
-                p._cubes[(other, fuel, mu, mv, mw)] = p._cubes[(other, fuel, mv, mu, mw)] = verdict
-    return CubeResult((u, v, w), side, *verdict, p, fuel)
+    if not all(word.is_positive() for word in (u, v, w)):
+        raise ValueError("cube condition expects positive words")
+    return CubeResult((u, v, w), side, *_verdict(p, u.letters, v.letters, w.letters, side, fuel),
+                      p, fuel)
 
 
 def enumerate_word_triples(p: Presentation, max_len: int,
@@ -235,19 +234,9 @@ class Certificate:
                               "right-complete-up-to", "left-complete-up-to")
 
     def to_json(self) -> str:
-        data = {
-            "presentation": self.presentation,
-            "claim": self.claim,
-            "t_bound": self.t_bound,
-            "fuel": self.fuel,
-            "triples_checked": self.triples_checked,
-            "failures": [
-                {"side": side, "triple": list(triple), "reason": reason}
-                for side, triple, reason in self.failures
-            ],
-            "refusal": self.refusal,
-            "tool_version": self.tool_version,
-        }
+        data = asdict(self)  # keys in field order
+        data["failures"] = [{"side": side, "triple": list(triple), "reason": reason}
+                            for side, triple, reason in self.failures]
         return json.dumps(data, indent=2)
 
 
@@ -277,13 +266,17 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     presentations (the generator reduction needs homogeneity), and there
     the claim tops out at complete-up-to: without homogeneity,
     completeness alone does not buy cancellation.
+
+    The sweep settles checks by the mirror and side-mirror lemmas of the
+    module docstring; its verdicts live in local tables and are dropped
+    when the call returns.
     """
     if goal not in ("cancellative", "complete"):
         raise ValueError(f"goal must be 'cancellative' or 'complete', got {goal!r}")
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
     if t_bound < 0 or (word_len is not None and word_len < 1):
-        raise ValueError("t_bound must be >= 0" if t_bound < 0 else "max_len must be >= 1")
+        raise ValueError("t_bound must be >= 0" if t_bound < 0 else "word_len must be >= 1")
 
     def refused(reason: str) -> Certificate:
         return Certificate(p.name, "refused", t_bound, fuel, 0, (), reason, _tool_version())
@@ -307,18 +300,33 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
             "head more than one relation"
         )
     triples = enumerate_word_triples(p, 1 if word_len is None else word_len, t_bound)
-    failures = []
-    cycling = fuel_outs = 0
+    # each word's inverse, worked out once
+    inverse = {x: _inverse(x) for x in {word.letters for t in triples for word in t}}.__getitem__
+    failures, stalls = [], []  # stalls: the reasons of the inconclusive checks
+    unsettled = None  # the right checks other than a pass, as letter triples
     for side in sides:
+        # by the side-mirror lemma a left check passes when its side mirror
+        # passed on the right, so only the side mirrors of the rest are checked
+        only = ({_side_mirror(p, *key) for key in unsettled}
+                if unsettled is not None and p.mirror_symmetric() else None)
+        if only == set():
+            continue  # every right check passed, so every left one does
+        settled, unsettled = set(), set()
         for u, v, w in triples:
-            res = cube_condition(p, u, v, w, side=side, fuel=fuel)
-            if res.status == "fail":
-                failures.append((side, (str(u), str(v), str(w)), res.reason))
-            elif res.status == "inconclusive":
-                if res.reason == "first reversal cycles":
-                    cycling += 1
-                else:
-                    fuel_outs += 1
+            key = (u.letters, v.letters, w.letters)
+            if key in settled or (only is not None and key not in only):
+                continue
+            status, reason = _verdict(p, *key, side, fuel, inverse)
+            if status == "pass":
+                settled.add((key[1], key[0], key[2]))  # the mirror lemma
+                continue
+            unsettled.add(key)
+            if status == "fail":
+                failures.append((side, (str(u), str(v), str(w)), reason))
+            else:
+                stalls.append(reason)
+    cycling = stalls.count("first reversal cycles")
+    fuel_outs = len(stalls) - cycling
     refusal = None
     if failures:
         claim = "falsified"

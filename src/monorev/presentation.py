@@ -329,7 +329,6 @@ class Presentation:
     _complements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _invariant: bool | None = field(default=None, init=False, repr=False, compare=False)
     _pair_index: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _cubes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mirror: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def schema(self, name: str) -> Schema:

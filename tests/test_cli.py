@@ -186,7 +186,7 @@ def test_offset_outside_finite_family_is_a_usage_error(capsys, tmp_path):
 @pytest.mark.parametrize("key", ["d4:yamada", "d4:new"])
 @pytest.mark.parametrize("flag,value,message", [
     ("--t-bound", "-1", "t_bound must be >= 0"),
-    ("--word-len", "0", "max_len must be >= 1"),
+    ("--word-len", "0", "--word-len must be >= 1"),
 ])
 def test_certify_bad_bound_is_a_usage_error(capsys, key, flag, value, message):
     # a refusing key too: it must not write a certificate carrying the bad bound

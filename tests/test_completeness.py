@@ -1,5 +1,6 @@
 """Cube conditions and the certificate state machine."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -16,6 +17,7 @@ from monorev.completeness import (
 from monorev.presentation import (
     AmbiguousComplementError,
     Presentation,
+    check_complemented,
     fixed_schema,
     load_presentation,
     pair_scan_generators,
@@ -219,43 +221,31 @@ def _fresh(p):
     return Presentation(p.name, p.alphabet, p.schemas, p.window)
 
 
-def _check_settled(p, checked, side, target, target_side):
-    """Checking `checked` on `side` first leaves the verdict on `target` on
-    `target_side` as a fresh presentation has it, and files no other verdict
-    that a fresh presentation would not give.
+def _check_lemma(p, checked, side, target, target_side):
+    """A pass of `checked` on `side` is a pass of `target` on `target_side`,
+    each verdict computed by a fresh cube_condition.
 
     At the default fuel, at the step count of the first check's longer
     reversal, where a pass just passes, and at one step less.
     """
     try:
-        probe = cube_condition(_fresh(p), *checked, side=side)
+        probe = cube_condition(p, *checked, side=side)
     except AmbiguousComplementError:
         return
     longest = max(t.step_count for t in (probe.first, probe.second) if t is not None)
     for fuel in {DEFAULT_FUEL, longest, max(longest - 1, 0)}:
-        shared = _fresh(p)
-        cube_condition(shared, *checked, side=side, fuel=fuel)
-        try:
-            want = cube_condition(_fresh(p), *target, side=target_side, fuel=fuel)
-        except AmbiguousComplementError:
-            with pytest.raises(AmbiguousComplementError):
-                cube_condition(shared, *target, side=target_side, fuel=fuel)
-            continue
-        got = cube_condition(shared, *target, side=target_side, fuel=fuel)
-        assert (got.triple, got.side) == (target, target_side)
-        assert (got.status, got.reason) == (want.status, want.reason), (checked, side, fuel)
-        for (k_side, k_fuel, *words), verdict in shared._cubes.items():
-            fresh = cube_condition(_fresh(p), *map(Word, words), side=k_side, fuel=k_fuel)
-            assert (fresh.status, fresh.reason) == verdict, (words, k_side, k_fuel)
+        if cube_condition(p, *checked, side=side, fuel=fuel).passed:
+            res = cube_condition(p, *target, side=target_side, fuel=fuel)
+            assert res.passed, (checked, side, target, target_side, fuel)
 
 
 def _check_mirror(p, u, v, w, side):
-    _check_settled(p, (u, v, w), side, (v, u, w), side)
+    _check_lemma(p, (u, v, w), side, (v, u, w), side)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), side=st.sampled_from(("right", "left")))
-def test_mirror_verdict_is_the_fresh_one(data, side):
+def test_mirror_lemma_on_fresh_checks(data, side):
     p = data.draw(st.sampled_from(REPLAY_PRESENTATIONS))
     word = st.lists(st.sampled_from(_letters(p)), min_size=1, max_size=2).map(
         lambda ls: Word(tuple(ls)))
@@ -264,33 +254,33 @@ def test_mirror_verdict_is_the_fresh_one(data, side):
 
 def test_mirror_verdict_on_a_one_sided_cycle_proof():
     # the first reversal of (c1, a1, b1) is proved to cycle within 8 steps,
-    # that of (a1, c1, b1) only later: cached verdicts other than a pass
-    # would carry the one over to the other
+    # that of (a1, c1, b1) only later: a verdict other than a pass carried
+    # over to the mirror would count the one as the other
     p = load_presentation(SQUARE_CHAIN, name="square-chain")
     a1, b1, c1 = p.parse("a1"), p.parse("b1"), p.parse("c1")
-    assert cube_condition(_fresh(p), c1, a1, b1, fuel=8).reason == "first reversal cycles"
-    assert cube_condition(_fresh(p), a1, c1, b1, fuel=8).reason == "first reversal ran out of fuel"
+    assert cube_condition(p, c1, a1, b1, fuel=8).reason == "first reversal cycles"
+    assert cube_condition(p, a1, c1, b1, fuel=8).reason == "first reversal ran out of fuel"
     _check_mirror(p, a1, c1, b1, "right")
     _check_mirror(p, c1, a1, b1, "right")
+    assert certify(p, fuel=8) == _unmirrored_certificate(p, fuel=8)
 
 
-def test_pass_settles_its_mirror(d4, monkeypatch):
-    p = _fresh(d4)
-    s1, s2, t0 = p.parse("s1"), p.parse("s2"), p.parse("t(0)")
-    assert cube_condition(p, s1, t0, s2).passed
-    monkeypatch.setattr(reversing, "right_complement", None)  # no lookup is left to make
-    res = cube_condition(p, t0, s1, s2)
-    assert res.passed and res.triple == (t0, s1, s2)
-    with pytest.raises(TypeError):
-        cube_condition(p, t0, s1, s2, fuel=9)  # another fuel is another check
-
+# classical:3 and a letter in no relation.  A first word of two-letter
+# words can stick at one end and cycle at the other, so a left check can
+# stop otherwise than the right check of its side mirror.
+LOOSE = load_presentation("""\
+generators: d1 r1 r2 r3
+r1 r2 r1 = r2 r1 r2
+r3 r1 r3 = r1 r3 r1
+r2 r3 r2 = r3 r2 r3
+""", name="loose")
 
 # mirror-symmetric presentations: two cycling or complemented catalog keys,
-# one without a family, and one with ambiguous pairs
+# one without a family, one with ambiguous pairs, and one with a free letter
 SIDE_MIRROR = [catalog.load(k) for k in ("d4:new", "e8:new", "affine-a:classical:3",
                                          "affine-a:cll:4")] + [
     load_presentation(TWO_COMMUTES, name="two-commutes"),
-    load_presentation(WIDE_OFFSET, name="wide-offset")]
+    load_presentation(WIDE_OFFSET, name="wide-offset"), LOOSE]
 
 
 def _flip(p, word, c):
@@ -332,43 +322,83 @@ def test_side_mirror_kernel_law(data):
 
 
 def _check_side_mirror(p, u, v, w, side):
-    """The flipped triple checked on one side settles (u, v, w) on the other."""
+    """A pass of the flipped triple on one side is a pass of (u, v, w) on the other."""
     c = _top_index(p, u, v, w)
     image = tuple(_flip(p, x, c) for x in (u, v, w))
-    _check_settled(p, image, side, (u, v, w), "left" if side == "right" else "right")
+    _check_lemma(p, image, side, (u, v, w), "left" if side == "right" else "right")
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), side=st.sampled_from(("right", "left")))
-def test_side_mirror_verdict_is_the_fresh_one(data, side):
+def test_side_mirror_lemma_on_fresh_checks(data, side):
     p = data.draw(st.sampled_from(SIDE_MIRROR))
     word = st.lists(st.sampled_from(_letters(p)), min_size=1, max_size=2).map(
         lambda ls: Word(tuple(ls)))
     _check_side_mirror(p, data.draw(word), data.draw(word), data.draw(word), side)
 
 
-def test_side_mirror_verdict_on_cycling_triples():
+def test_side_mirror_lemma_on_cycling_triples():
     # classical:3 has first reversals proved to cycle, on either side
     for u, v, w in itertools.permutations(C3.parse(x) for x in ("r1", "r2", "r3")):
         for side in ("right", "left"):
             _check_side_mirror(C3, u, v, w, side)
 
 
-def test_pass_settles_its_side_mirror(d4, monkeypatch):
-    p = _fresh(d4)
-    s1, t0, t2 = p.parse("s1"), p.parse("t(0)"), p.parse("t(2)")
-    assert cube_condition(p, s1, t2, t0).passed
-    monkeypatch.setattr(reversing, "left_complement", None)  # no lookup is left to make
-    # with indices i -> 2 - i, (s1, t(2), t(0)) reads backwards as (s1, t(0), t(2))
-    for u, v in ((s1, t0), (t0, s1)):
-        res = cube_condition(p, u, v, t2, side="left")
-        assert res.passed and res.triple == (u, v, t2) and res.side == "left"
-    with pytest.raises(TypeError):
-        cube_condition(p, s1, t2, t0, side="left")  # not the side mirror: a fresh check
+def _unmirrored_certificate(p, t_bound=3, fuel=DEFAULT_FUEL, word_len=None):
+    """certify's certificate rebuilt from a fresh cube_condition on every
+    (side, triple): no verdict settles another check.
+
+    An established claim is taken from certify, whose goal and side rules
+    this does not restate; it must then find no failure and no open check.
+    """
+    cert = certify(p, t_bound=t_bound, fuel=fuel, word_len=word_len)
+    if cert.claim == "refused":
+        return cert
+    failures, stalls = [], []
+    for side in [rep.side for rep in check_complemented(p) if rep.verdict == "complemented"]:
+        for triple in enumerate_word_triples(p, word_len or 1, t_bound):
+            res = cube_condition(p, *triple, side=side, fuel=fuel)
+            if res.status == "fail":
+                failures.append((side, tuple(map(str, triple)), res.reason))
+            elif res.status == "inconclusive":
+                stalls.append(res.reason)
+    if failures:
+        return dataclasses.replace(cert, claim="falsified", failures=tuple(failures),
+                                   refusal=None)
+    if stalls:
+        cycling = stalls.count("first reversal cycles")
+        return dataclasses.replace(
+            cert, claim="undetermined", failures=(),
+            refusal=(f"{len(stalls)} cube checks did not terminate ({cycling} proved to "
+                     f"cycle, {len(stalls) - cycling} ran out of fuel)"))
+    assert cert.established
+    return cert
 
 
-def test_left_sweep_makes_no_reversal(d4, monkeypatch):
-    """Every right check of d4:new passes, so the left sweep finds each verdict cached."""
+# every presentation of the mirror laws, once
+MIRROR_LAW = list({p.name: p for p in SIDE_MIRROR + REPLAY_PRESENTATIONS}.values())
+
+
+@pytest.mark.parametrize("fuel", [8, DEFAULT_FUEL])
+@pytest.mark.parametrize("p", MIRROR_LAW, ids=lambda p: p.name)
+def test_certify_matches_the_unmirrored_certificate(p, fuel):
+    """The sweep's u<->v and side mirrors settle checks without changing the certificate."""
+    for t_bound in range(3):
+        assert certify(p, t_bound=t_bound, fuel=fuel) == _unmirrored_certificate(p, t_bound, fuel)
+
+
+@pytest.mark.parametrize("fuel", [8, DEFAULT_FUEL])
+@pytest.mark.parametrize("p", [C3, LOOSE], ids=lambda p: p.name)
+def test_word_sweep_matches_the_unmirrored_certificate(p, fuel):
+    # on LOOSE a verdict other than a pass carried to the mirror, or to
+    # the other side, changes the failure list
+    cert = certify(p, t_bound=0, fuel=fuel, word_len=2)
+    assert cert.triples_checked == len(enumerate_word_triples(p, 2, 0))
+    assert cert == _unmirrored_certificate(p, 0, fuel, word_len=2)
+
+
+def _count_runs(monkeypatch):
+    """The side of every kernel run that completeness makes from now on."""
     sides = []
     run = completeness._run
 
@@ -377,8 +407,26 @@ def test_left_sweep_makes_no_reversal(d4, monkeypatch):
         return run(p, letters, fuel, side, steps)
 
     monkeypatch.setattr(completeness, "_run", counted)
+    return sides
+
+
+def test_left_sweep_makes_no_reversal(d4, monkeypatch):
+    """Every right check of d4:new passes, so the left sweep is skipped."""
+    sides = _count_runs(monkeypatch)
     cert = certify(_fresh(d4), t_bound=2)
     assert cert.claim == "cancellative-up-to" and "right" in sides and "left" not in sides
+
+
+@pytest.mark.parametrize("key", ["d4:new", "affine-a:classical:3"])
+def test_no_verdict_outlives_a_certify_call(key, monkeypatch):
+    """A second certify call on the same presentation runs every reversal again."""
+    sides = _count_runs(monkeypatch)
+    p = _fresh(catalog.load(key))
+    first = certify(p, t_bound=2, fuel=8)
+    runs = len(sides)
+    assert certify(p, t_bound=2, fuel=8) == first
+    assert len(sides) == 2 * runs > 0
+    assert not hasattr(p, "_cubes")
 
 
 def test_certify_builds_no_trace(d4, monkeypatch):
@@ -401,7 +449,7 @@ def test_cube_validation(d4):
         cube_condition(d4, d4.parse("s1^-1"), d4.parse("s2"), d4.parse("s3"))
 
 
-def test_positivity_is_checked_on_a_warm_cache(d4):
+def test_positivity_is_checked_on_every_call(d4):
     p = _fresh(d4)
     s1, s2, s3 = p.parse("s1"), p.parse("s2"), p.parse("s3")
     assert cube_condition(p, s1, s2, s3).passed
@@ -414,8 +462,8 @@ def test_positivity_is_checked_on_a_warm_cache(d4):
 
 @pytest.mark.parametrize("kwargs,message", [
     ({"t_bound": -1}, "t_bound must be >= 0"),
-    ({"word_len": 0}, "max_len must be >= 1"),
-    ({"word_len": -2, "t_bound": 1}, "max_len must be >= 1"),
+    ({"word_len": 0}, "word_len must be >= 1"),
+    ({"word_len": -2, "t_bound": 1}, "word_len must be >= 1"),
 ])
 def test_certify_validates_its_bounds(kwargs, message):
     # refusing presentations too: a refused certificate would carry the bad bound

@@ -181,7 +181,7 @@ def test_replace_starts_with_empty_caches(d4):
     s1, s2 = Generator("s", 1), Generator("s", 2)
     assert right_complement(d4, s1, s2) is not None and d4.translation_invariant()
     bare = dataclasses.replace(d4, schemas=d4.schemas[:1])
-    assert bare._complements == {} and bare._cubes == {} and bare._pair_index is None
+    assert bare._complements == {} and bare._pair_index is None
     assert d4.mirror_symmetric() and bare._mirror is None
     assert right_complement(bare, s1, s2) is None
 
