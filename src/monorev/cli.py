@@ -210,8 +210,6 @@ def _cmd_cube(args) -> int:
 
 def _cmd_certify(args) -> int:
     p = _load(args.presentation)
-    if args.word_len is not None and args.word_len < 1:
-        raise ValueError("--word-len must be >= 1")
     cert = certify(p, t_bound=args.t_bound, fuel=args.fuel,
                    word_len=args.word_len)
     _emit(cert.to_json(), args.output)
@@ -315,6 +313,18 @@ def _add_fuel(sub) -> None:
                      help=f"reversal step budget (default {DEFAULT_FUEL})")
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    parse.__name__ = "int"  # a non-integer still reads "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="monorev",
                      description="word reversing for positive monoid presentations")
@@ -358,9 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("certify", help="bounded cancellativity certificate")
     s.add_argument("presentation")
-    s.add_argument("--t-bound", type=int, default=3, dest="t_bound",
+    s.add_argument("--t-bound", type=_at_least(0), default=3, dest="t_bound",
                    help="integer-family spread bound (default 3)")
-    s.add_argument("--word-len", type=int, default=None, dest="word_len",
+    s.add_argument("--word-len", type=_at_least(1), default=None, dest="word_len",
                    help="check word triples up to this length instead of "
                         "generator triples (required when not homogeneous)")
     s.add_argument("-o", "--output", default=None,

@@ -19,9 +19,10 @@ that is proved to cycle fails too, since it can never reach the empty word.
 A first reversal that cycles, and fuel exhaustion anywhere, make the
 certificate undetermined rather than falsified.  The check keeps only its
 verdict; a CubeResult replays its reversal traces when they are read.
-cube_condition computes each verdict afresh and keeps none; the two
-lemmas below let certify's sweep settle checks by others within one call,
-and its verdicts are dropped when it returns.
+A plain cube_condition call computes its verdict afresh and keeps none.
+certify's sweep applies the two lemmas below within one call: it hands
+cube_condition a verdict table of its own for each side, and drops the
+tables when it returns, so no verdict outlives the call.
 
 The mirror lemma.  The first word of (v, u, w) is the formal inverse of
 the first word of (u, v, w) on either side, and once both first
@@ -29,11 +30,12 @@ reversals end, the same holds for the second words.  A reversal that
 ends empty or terminal on W ends so on W^-1 too, in as many steps and on
 the inverse final word: it follows the transposed reversing diagram,
 because the pair (y, x) is related by the swapped instances of (x, y).
-So a pass of (u, v, w) is a pass of (v, u, w) at the same fuel, and the
-sweep checks no mirror of a pass.  Only a pass is mirrored: a reversal
-of W that sticks or cycles can end otherwise on W^-1, whose leftmost
-redex is another one.  (On the square-chain example (c1, a1, b1) is
-proved to cycle within 8 steps and (a1, c1, b1) only later.)
+So a pass of (u, v, w) is a pass of (v, u, w) at the same fuel, and
+cube_condition files a pass in the sweep's table under (v, u, w) as
+well, so the sweep checks no mirror of a pass.  Only a pass is mirrored:
+a reversal of W that sticks or cycles can end otherwise on W^-1, whose
+leftmost redex is another one.  (On the square-chain example (c1, a1,
+b1) is proved to cycle within 8 steps and (a1, c1, b1) only later.)
 
 The side-mirror lemma.  On a mirror-symmetric presentation
 (Presentation.mirror_symmetric) the flip that reads a word backwards,
@@ -52,18 +54,21 @@ presentation has one reversing diagram per word).  So a left reversal
 ends exactly when the right reversal of its flip does, on the flipped
 final word (the left second word flips to the image's right second
 word), and a pass on one side is a pass of the image on the other at the
-same fuel.  certify therefore runs the right sweep first and checks on
-the left only the images of the right checks that did not pass; when
-every right check passed, it checks no left one.  Again only a pass
-crosses: a reversal that sticks or cycles stops at its leftmost blocked
-redex, and the flipped run can meet another one first.
+same fuel.  certify therefore runs the right sweep first; its table,
+which then holds every triple's right verdict, turns into the left
+table: every verdict a pass but for the images of the right checks that
+did not pass, which the left sweep computes.  When every right check
+passed, the left sweep computes none.  Again only a pass crosses: a
+reversal that sticks or cycles stops at its leftmost blocked redex, and
+the flipped run can meet another one first.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .presentation import Presentation, check_complemented
 from .reversing import (
@@ -83,26 +88,29 @@ Letters = tuple[Letter, ...]
 
 
 def _inverse(letters: Letters) -> Letters:
-    return tuple(l.inverse() for l in reversed(letters))
+    return tuple(map(Letter.inverse, reversed(letters)))
 
 
-def _first_word(u: Letters, v: Letters, w: Letters, side: str, inverse=_inverse) -> Letters:
-    """u^-1 w w^-1 v (right) or v w^-1 w u^-1 (left); inverse(x) is x^-1."""
+# the inverses of the few words a sweep draws its triples from
+_word_inverse = functools.lru_cache(maxsize=1024)(_inverse)
+
+
+def _first_word(u: Letters, v: Letters, w: Letters, side: str) -> Letters:
+    """u^-1 w w^-1 v (right) or v w^-1 w u^-1 (left)."""
     if side == "right":
-        return inverse(u) + w + inverse(w) + v
-    return v + inverse(w) + w + inverse(u)
+        return _word_inverse(u) + w + _word_inverse(w) + v
+    return v + _word_inverse(w) + w + _word_inverse(u)
 
 
-def _second_word(u: Letters, v: Letters, done: list[Letter], side: str,
-                 inverse=_inverse) -> Letters:
+def _second_word(u: Letters, v: Letters, done: list[Letter], side: str) -> Letters:
     """(u v')^-1 (v u') (right) or (u' v)(v' u)^-1 (left), where the first
     reversal ended on done = v' u'^-1 (right) or u'^-1 v' (left)."""
     lead = 1 if side == "right" else -1
     split = next((i for i, l in enumerate(done) if l.sign != lead), len(done))
     head, tail = _inverse(done[:split]), _inverse(done[split:])
     if side == "right":
-        return head + inverse(u) + v + tail
-    return head + v + inverse(u) + tail
+        return head + _word_inverse(u) + v + tail
+    return head + v + _word_inverse(u) + tail
 
 
 def _side_mirror(p: Presentation, u: Letters, v: Letters, w: Letters) -> tuple[Letters, ...]:
@@ -123,16 +131,17 @@ _FIRST = {Cycles: ("inconclusive", "first reversal cycles"),
 _SECOND = {Cycles: ("fail", "second reversal cycles"),
            Diverged: ("inconclusive", "second reversal ran out of fuel"),
            Stuck: ("fail", "stuck")}
+_PASS = ("pass", "ok")
 
 
-def _verdict(p: Presentation, u: Letters, v: Letters, w: Letters, side: str, fuel: int,
-             inverse=_inverse) -> tuple[str, str]:
+def _verdict(p: Presentation, u: Letters, v: Letters, w: Letters, side: str,
+             fuel: int) -> tuple[str, str]:
     """(status, reason) of the cube check of positive (u, v, w) on one side, from bare runs."""
-    out, done, _ = _run(p, _first_word(u, v, w, side, inverse), fuel, side, None)
+    out, done, _ = _run(p, _first_word(u, v, w, side), fuel, side, None)
     if out is not None:
         return _FIRST[type(out)]
-    out, done, _ = _run(p, _second_word(u, v, done, side, inverse), fuel, side, None)
-    return _SECOND.get(type(out), ("fail", "not-trivial") if done else ("pass", "ok"))
+    out, done, _ = _run(p, _second_word(u, v, done, side), fuel, side, None)
+    return _SECOND.get(type(out), ("fail", "not-trivial") if done else _PASS)
 
 
 class CubeResult:
@@ -171,18 +180,30 @@ class CubeResult:
 
 
 def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
-                   side: str = "right", fuel: int = DEFAULT_FUEL) -> CubeResult:
+                   side: str = "right", fuel: int = DEFAULT_FUEL,
+                   verdicts: dict | None = None) -> CubeResult:
     """Check the cube condition for (u, v, w) on one side, without step records.
 
-    Each call computes its verdict afresh and keeps none: the mirror lemmas
-    that settle one check by another serve certify's sweep only.
+    Without `verdicts` each call computes its verdict afresh and keeps
+    none.  `verdicts` is a sweep's table of (status, reason) by letter
+    triple, for this side and fuel: a verdict found there is returned, and
+    one computed is filed there, a pass under (v, u, w) as well (the mirror
+    lemma of the module docstring).  Every filed key holds positive words,
+    so only a computed check checks that the words are positive.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    if not all(word.is_positive() for word in (u, v, w)):
-        raise ValueError("cube condition expects positive words")
-    return CubeResult((u, v, w), side, *_verdict(p, u.letters, v.letters, w.letters, side, fuel),
-                      p, fuel)
+    key = (u.letters, v.letters, w.letters)
+    verdict = None if verdicts is None else verdicts.get(key)
+    if verdict is None:
+        if any(l.sign < 0 for word in key for l in word):
+            raise ValueError("cube condition expects positive words")
+        verdict = _verdict(p, *key, side, fuel)
+        if verdicts is not None:
+            verdicts[key] = verdict
+            if verdict[0] == "pass":
+                verdicts[key[1], key[0], key[2]] = verdict
+    return CubeResult((u, v, w), side, *verdict, p, fuel)
 
 
 def enumerate_word_triples(p: Presentation, max_len: int,
@@ -234,9 +255,19 @@ class Certificate:
                               "right-complete-up-to", "left-complete-up-to")
 
     def to_json(self) -> str:
-        data = asdict(self)  # keys in field order
-        data["failures"] = [{"side": side, "triple": list(triple), "reason": reason}
-                            for side, triple, reason in self.failures]
+        data = {
+            "presentation": self.presentation,
+            "claim": self.claim,
+            "t_bound": self.t_bound,
+            "fuel": self.fuel,
+            "triples_checked": self.triples_checked,
+            "failures": [
+                {"side": side, "triple": list(triple), "reason": reason}
+                for side, triple, reason in self.failures
+            ],
+            "refusal": self.refusal,
+            "tool_version": self.tool_version,
+        }
         return json.dumps(data, indent=2)
 
 
@@ -267,9 +298,9 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     the claim tops out at complete-up-to: without homogeneity,
     completeness alone does not buy cancellation.
 
-    The sweep settles checks by the mirror and side-mirror lemmas of the
-    module docstring; its verdicts live in local tables and are dropped
-    when the call returns.
+    The sweep calls cube_condition once per side and triple, with a
+    verdict table per side that the mirror and side-mirror lemmas of the
+    module docstring fill; the tables are dropped when the call returns.
     """
     if goal not in ("cancellative", "complete"):
         raise ValueError(f"goal must be 'cancellative' or 'complete', got {goal!r}")
@@ -300,33 +331,32 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
             "head more than one relation"
         )
     triples = enumerate_word_triples(p, 1 if word_len is None else word_len, t_bound)
-    # each word's inverse, worked out once
-    inverse = {x: _inverse(x) for x in {word.letters for t in triples for word in t}}.__getitem__
-    failures, stalls = [], []  # stalls: the reasons of the inconclusive checks
-    unsettled = None  # the right checks other than a pass, as letter triples
+    failures = []
+    cycling = fuel_outs = 0
+    verdicts: dict = {}  # the sweep's verdicts on one side, dropped when certify returns
     for side in sides:
-        # by the side-mirror lemma a left check passes when its side mirror
-        # passed on the right, so only the side mirrors of the rest are checked
-        only = ({_side_mirror(p, *key) for key in unsettled}
-                if unsettled is not None and p.mirror_symmetric() else None)
-        if only == set():
-            continue  # every right check passed, so every left one does
-        settled, unsettled = set(), set()
+        if side == "left" and verdicts and p.mirror_symmetric():
+            # by the side-mirror lemma the left check of a triple passes when
+            # the right check of its side mirror passed.  Every triple's right
+            # verdict is filed, and the flip maps the triples onto themselves,
+            # so the table turns into the left one: every verdict a pass, but
+            # for the side mirrors of the right checks that did not pass.
+            rest = [key for key, verdict in verdicts.items() if verdict[0] != "pass"]
+            for key in rest:
+                verdicts[key] = _PASS
+            for key in rest:
+                del verdicts[_side_mirror(p, *key)]
+        else:
+            verdicts = {}
         for u, v, w in triples:
-            key = (u.letters, v.letters, w.letters)
-            if key in settled or (only is not None and key not in only):
-                continue
-            status, reason = _verdict(p, *key, side, fuel, inverse)
-            if status == "pass":
-                settled.add((key[1], key[0], key[2]))  # the mirror lemma
-                continue
-            unsettled.add(key)
-            if status == "fail":
-                failures.append((side, (str(u), str(v), str(w)), reason))
-            else:
-                stalls.append(reason)
-    cycling = stalls.count("first reversal cycles")
-    fuel_outs = len(stalls) - cycling
+            res = cube_condition(p, u, v, w, side=side, fuel=fuel, verdicts=verdicts)
+            if res.status == "fail":
+                failures.append((side, (str(u), str(v), str(w)), res.reason))
+            elif res.status == "inconclusive":
+                if res.reason == "first reversal cycles":
+                    cycling += 1
+                else:
+                    fuel_outs += 1
     refusal = None
     if failures:
         claim = "falsified"

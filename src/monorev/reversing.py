@@ -149,10 +149,25 @@ class ReversalTrace:
         Every intermediate letter comes from the start word or from a side
         of an applied relation, so scanning those is enough.
         """
-        words = [self.start] + [side for s in self.steps if s.rule is not None
-                                for side in (s.rule.lhs, s.rule.rhs)]
-        indices = [l.gen.index for word in words for l in word.letters if l.gen.family == family]
-        return (min(indices), max(indices)) if indices else None
+        lo: int | None = None
+        hi: int | None = None
+
+        def visit(letters) -> None:
+            nonlocal lo, hi
+            for letter in letters:
+                if letter.gen.family == family:
+                    i = letter.gen.index
+                    lo = i if lo is None else min(lo, i)
+                    hi = i if hi is None else max(hi, i)
+
+        visit(self.start)
+        for s in self.steps:
+            if s.rule is not None:
+                visit(s.rule.lhs)
+                visit(s.rule.rhs)
+        if lo is None or hi is None:
+            return None
+        return lo, hi
 
 
 def _classify(word: Word, side: str) -> Outcome:

@@ -185,14 +185,15 @@ def test_offset_outside_finite_family_is_a_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("key", ["d4:yamada", "d4:new"])
 @pytest.mark.parametrize("flag,value,message", [
-    ("--t-bound", "-1", "t_bound must be >= 0"),
-    ("--word-len", "0", "--word-len must be >= 1"),
+    ("--t-bound", "-1", "argument --t-bound: must be >= 0"),
+    ("--word-len", "0", "argument --word-len: must be >= 1"),
+    ("--word-len", "two", "argument --word-len: invalid int value: 'two'"),
 ])
 def test_certify_bad_bound_is_a_usage_error(capsys, key, flag, value, message):
     # a refusing key too: it must not write a certificate carrying the bad bound
     code, out, err = run(capsys, "certify", key, flag, value)
     assert code == 3 and out == ""
-    assert err == f"monorev: {message}\n"
+    assert err.endswith(f"monorev certify: error: {message}\n")
 
 
 def test_certify_undetermined_exit(capsys):

@@ -411,10 +411,50 @@ def _count_runs(monkeypatch):
 
 
 def test_left_sweep_makes_no_reversal(d4, monkeypatch):
-    """Every right check of d4:new passes, so the left sweep is skipped."""
+    """Every right check of d4:new passes, so the left sweep reads every verdict."""
     sides = _count_runs(monkeypatch)
     cert = certify(_fresh(d4), t_bound=2)
     assert cert.claim == "cancellative-up-to" and "right" in sides and "left" not in sides
+
+
+@pytest.mark.parametrize("key", ["d4:new", "affine-a:classical:3", "d4:yamada"])
+def test_certify_checks_each_triple_once_a_side(key, monkeypatch):
+    """One cube_condition call per (side, triple), settled or not; none when refused."""
+    calls = []
+    check = completeness.cube_condition
+
+    def counted(p, u, v, w, side="right", **kwargs):
+        calls.append((side, (u, v, w)))
+        return check(p, u, v, w, side=side, **kwargs)
+
+    monkeypatch.setattr(completeness, "cube_condition", counted)
+    p = _fresh(catalog.load(key))
+    cert = certify(p, t_bound=1)
+    triples = enumerate_word_triples(p, 1, 1) if cert.claim != "refused" else []
+    assert calls == [(side, t) for side in ("right", "left") for t in triples]
+
+
+def test_verdict_table_files_a_pass_and_its_mirror(d4, monkeypatch):
+    p = _fresh(d4)
+    s1, s2, t0 = p.parse("s1"), p.parse("s2"), p.parse("t(0)")
+    verdicts = {}
+    assert cube_condition(p, s1, t0, s2, verdicts=verdicts).passed
+    assert verdicts == {(s1.letters, t0.letters, s2.letters): ("pass", "ok"),
+                        (t0.letters, s1.letters, s2.letters): ("pass", "ok")}
+    sides = _count_runs(monkeypatch)
+    res = cube_condition(p, t0, s1, s2, verdicts=verdicts)
+    assert res.passed and res.triple == (t0, s1, s2) and sides == []
+    assert cube_condition(p, t0, s1, s2).passed and sides == ["right", "right"]
+
+
+def test_verdict_table_mirrors_no_other_verdict():
+    p = load_presentation(SQUARE_CHAIN, name="square-chain")
+    a1, b1, c1 = p.parse("a1"), p.parse("b1"), p.parse("c1")
+    verdicts = {}
+    assert cube_condition(p, c1, a1, b1, fuel=8, verdicts=verdicts).reason == "first reversal cycles"
+    assert list(verdicts) == [(c1.letters, a1.letters, b1.letters)]
+    res = cube_condition(p, a1, c1, b1, fuel=8, verdicts=verdicts)
+    assert res.reason == "first reversal ran out of fuel"
 
 
 @pytest.mark.parametrize("key", ["d4:new", "affine-a:classical:3"])
@@ -449,13 +489,14 @@ def test_cube_validation(d4):
         cube_condition(d4, d4.parse("s1^-1"), d4.parse("s2"), d4.parse("s3"))
 
 
-def test_positivity_is_checked_on_every_call(d4):
+def test_positivity_is_checked_on_a_warm_cache(d4):
     p = _fresh(d4)
     s1, s2, s3 = p.parse("s1"), p.parse("s2"), p.parse("s3")
-    assert cube_condition(p, s1, s2, s3).passed
+    verdicts = {}
+    assert cube_condition(p, s1, s2, s3, verdicts=verdicts).passed
     for u in (p.parse("s1^-1"), p.parse("s1 s1^-1")):
         with pytest.raises(ValueError, match="expects positive words"):
-            cube_condition(p, u, s2, s3)
+            cube_condition(p, u, s2, s3, verdicts=verdicts)
         with pytest.raises(ValueError, match="expects positive words"):
             cube_condition(p, s2, u, s3, side="left")
 
