@@ -12,8 +12,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from monorev import DEFAULT_FUEL, catalog
-from monorev.completeness import certify
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from monorev import DEFAULT_FUEL, catalog  # noqa: E402
+from monorev.completeness import certify  # noqa: E402
 
 FIXED = list(catalog.FIXED_NAMES)
 PARAMETRIC_RANKS = (3, 4)

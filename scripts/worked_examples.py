@@ -10,9 +10,13 @@ translation product identities.
 import os
 import sys
 import tempfile
+from pathlib import Path
 
-from monorev.cli import main as monorev
-from monorev.derivation import t_expression, verify_translation_product
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from monorev.cli import main as monorev  # noqa: E402
+from monorev.derivation import t_expression, verify_translation_product  # noqa: E402
 
 DOUBLE_TWIST = """\
 presentation: d4:new

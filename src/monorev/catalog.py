@@ -25,7 +25,6 @@ Parametric keys take a rank suffix, e.g. affine-a:cll:5:
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .presentation import Param, PatternLetter, Presentation, Schema
 from .words import Alphabet
@@ -124,9 +123,8 @@ def _affine(form: str, n: int) -> Presentation:
                         tuple(schemas))
 
 
-@lru_cache(maxsize=None)
 def load(name: str) -> Presentation:
-    """Load a catalog presentation by key.
+    """Build a catalog presentation by key, anew on each call, with empty caches.
 
     Raises KeyError for unknown keys and ValueError for a bad rank suffix.
     """

@@ -341,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("presentation")
     s.add_argument("word")
     s.add_argument("--left", action="store_true", help="left reversing")
-    s.add_argument("--limit", type=int, default=1000,
+    s.add_argument("--limit", type=_at_least(0), default=1000,
                    help="print at most this many steps (default 1000)")
     _add_fuel(s)
     _add_format(s)
@@ -389,25 +389,25 @@ def _build_parser() -> argparse.ArgumentParser:
     oc = osub.add_parser("class", help="equivalence class of a positive word")
     oc.add_argument("presentation")
     oc.add_argument("word")
-    oc.add_argument("--window", type=int, default=2,
+    oc.add_argument("--window", type=_at_least(1), default=2,
                     help="index window for integer families (default 2)")
-    oc.add_argument("--cap", type=int, default=1_000_000)
+    oc.add_argument("--cap", type=_at_least(1), default=1_000_000)
     oc.set_defaults(func=_cmd_oracle_class)
 
     oc = osub.add_parser("equal", help="test equality of two positive words")
     oc.add_argument("presentation")
     oc.add_argument("u")
     oc.add_argument("v")
-    oc.add_argument("--window", type=int, default=2)
-    oc.add_argument("--cap", type=int, default=1_000_000)
+    oc.add_argument("--window", type=_at_least(1), default=2)
+    oc.add_argument("--cap", type=_at_least(1), default=1_000_000)
     oc.set_defaults(func=_cmd_oracle_equal)
 
     oc = osub.add_parser("scan", help="search for cancellativity violations")
     oc.add_argument("presentation")
-    oc.add_argument("--window", type=int, default=2)
-    oc.add_argument("--max-len", type=int, default=3, dest="max_len",
+    oc.add_argument("--window", type=_at_least(1), default=2)
+    oc.add_argument("--max-len", type=_at_least(1), default=3, dest="max_len",
                     help="remainder length bound (default 3)")
-    oc.add_argument("--cap", type=int, default=500_000)
+    oc.add_argument("--cap", type=_at_least(1), default=500_000)
     oc.add_argument("-o", "--output", default=None)
     oc.set_defaults(func=_cmd_oracle_scan)
 

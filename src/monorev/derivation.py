@@ -211,32 +211,31 @@ def format_script(script: DerivationScript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def shift_script(p: Presentation, script: DerivationScript, k: int,
-                 family: str = "t") -> DerivationScript:
-    """Translate every family index in the script by k.
+def shift_script(p: Presentation, script: DerivationScript, k: int) -> DerivationScript:
+    """Translate every t index in the script by k.
 
-    Relation steps shift only bindings of Z-ranged parameters over the
-    family, so the result replays the same derivation k levels up.
+    Relation steps shift only bindings of Z-ranged parameters over t, so
+    the result replays the same derivation k levels up.
     """
     steps: list[DerivationStep] = []
     for step in script.steps:
         if isinstance(step, RelationStep):
             schema = p.schema(step.schema)
             shiftable = {pp.name for pp in schema.params
-                         if pp.values is None and schema.param_family(pp.name) == family}
+                         if pp.values is None and schema.param_family(pp.name) == "t"}
             bindings = tuple((name, value + k if name in shiftable else value)
                              for name, value in step.bindings)
             steps.append(RelationStep(step.schema, bindings, step.direction, step.position))
         elif isinstance(step, InsertStep):
             letter = step.letter
-            if letter.gen.family == family:
-                letter = Letter(Generator(family, letter.gen.index + k), letter.sign)
+            if letter.gen.family == "t":
+                letter = Letter(Generator("t", letter.gen.index + k), letter.sign)
             steps.append(InsertStep(letter, step.position))
         else:
             steps.append(step)
     return DerivationScript(script.presentation,
-                            shift_word(script.start, k, family),
-                            shift_word(script.expect, k, family),
+                            shift_word(script.start, k),
+                            shift_word(script.expect, k),
                             tuple(steps))
 
 
@@ -265,11 +264,11 @@ def t_expression(i: int) -> Word:
     return free_reduce(t_expression(i + 1).inverse() * _T1 * _T0)
 
 
-def substitute_t(word: Word, family: str = "t") -> Word:
+def substitute_t(word: Word) -> Word:
     """Replace each t(i) letter by its expression and freely reduce."""
     out: list[Letter] = []
     for letter in word:
-        if letter.gen.family != family:
+        if letter.gen.family != "t":
             out.append(letter)
             continue
         expr = t_expression(letter.gen.index)

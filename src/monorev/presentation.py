@@ -22,11 +22,10 @@ Complements are cached per presentation.  An instance that leads (or
 trails) with (x, y) is, swapped, one that leads with (y, x), so a lookup
 that finds exactly one instance, or none, files the transposed pair as
 well.  This is half of the mirror lemma of the cube sweep (see
-completeness).  An ambiguous pair is not filed both ways: its instances
-come in schema order, and its error text lists them in that order.  Nor
-is a parametrised instance on two letters of one family.  A schema can
-hit such a pair both ways round, with other bindings: translation relates
-(t(0), t(1)) with i=0, j=1 and (t(1), t(0)) with i=1, j=0.
+completeness).  A parametrised instance on two letters of one family is
+not filed both ways: a schema can hit such a pair both ways round, with
+other bindings.  Translation relates (t(0), t(1)) with i=0, j=1 and
+(t(1), t(0)) with i=1, j=0.
 
 A presentation is mirror-symmetric (`Presentation.mirror_symmetric`) when
 it is translation-invariant and reflecting its schemas gives them back:
@@ -329,7 +328,6 @@ class Presentation:
     _complements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _invariant: bool | None = field(default=None, init=False, repr=False, compare=False)
     _pair_index: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _mirror: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def schema(self, name: str) -> Schema:
         for s in self.schemas:
@@ -364,16 +362,16 @@ class Presentation:
         each integer-family offset negated, compared as canonical forms
         (see _canonical_form).  Then, for every c, the map that reverses a
         word and sends each family index i to c - i takes relations onto
-        relations.  Computed once per presentation.
+        relations.
         """
-        if self._mirror is None:
-            fams = self.alphabet.integer_families
-            forms = sorted(_canonical_form(s.params, s.lhs, s.rhs) for s in self.schemas)
-            mirrored = sorted(_canonical_form(s.params, *(
-                tuple(PatternLetter(pl.family, -pl.offset, pl.param) if pl.family in fams else pl
-                      for pl in reversed(side)) for side in (s.lhs, s.rhs))) for s in self.schemas)
-            self._mirror = self.translation_invariant() and forms == mirrored
-        return self._mirror
+        if not self.translation_invariant():
+            return False
+        fams = self.alphabet.integer_families
+        forms = sorted(_canonical_form(s.params, s.lhs, s.rhs) for s in self.schemas)
+        mirrored = sorted(_canonical_form(s.params, *(
+            tuple(PatternLetter(pl.family, -pl.offset, pl.param) if pl.family in fams else pl
+                  for pl in reversed(side)) for side in (s.lhs, s.rhs))) for s in self.schemas)
+        return forms == mirrored
 
     def pinned_letter(self) -> tuple[Schema, PatternLetter] | None:
         """The first integer-family pattern letter whose index a shift cannot move.
@@ -498,7 +496,7 @@ def _complement(p: Presentation, x: Generator, y: Generator, side: str):
 
     Ambiguity is detected lazily, per queried pair, so reversing still works
     on presentations whose conflicts live elsewhere in the alphabet.  An
-    ambiguous pair caches its instances and raises a fresh error each time.
+    ambiguous pair is solved again on each lookup and caches nothing.
 
     A cold lookup that finds no instance, or one, files (y, x) as well,
     with the swapped instance; the module docstring says which are left out.
@@ -506,20 +504,20 @@ def _complement(p: Presentation, x: Generator, y: Generator, side: str):
     if x == y:
         return EQUAL
     key = (side, x, y)
-    if key not in p._complements:
-        insts = instances_for_pair(p, x, y, side)
-        if len(insts) > 1:
-            p._complements[key] = insts
-        elif not insts:
-            p._complements[key] = p._complements[(side, y, x)] = None
-        else:
-            inst = insts[0]
-            p._complements[key] = _complement_pair(inst, side)
-            if x.family != y.family or not inst.bindings:
-                p._complements[(side, y, x)] = _complement_pair(inst.swapped(), side)
-    result = p._complements[key]
-    if isinstance(result, list):
-        raise AmbiguousComplementError((x, y), result)
+    try:
+        return p._complements[key]
+    except KeyError:
+        pass
+    insts = instances_for_pair(p, x, y, side)
+    if len(insts) > 1:
+        raise AmbiguousComplementError((x, y), insts)
+    if not insts:
+        p._complements[key] = p._complements[(side, y, x)] = None
+        return None
+    inst = insts[0]
+    result = p._complements[key] = _complement_pair(inst, side)
+    if x.family != y.family or not inst.bindings:
+        p._complements[(side, y, x)] = _complement_pair(inst.swapped(), side)
     return result
 
 

@@ -78,6 +78,15 @@ def test_reverse_limit_and_fuel(capsys):
     assert code == 2 and "diverged (fuel 1)" in out
 
 
+def test_reverse_empty_and_stuck_text(capsys, tmp_path):
+    code, out, _ = run(capsys, "reverse", "d4:new", "s1^-1 s1")
+    assert code == 0 and out.endswith("outcome: empty\n")
+    path = tmp_path / "two.pres"
+    path.write_text(TWO_COMMUTES)
+    code, out, _ = run(capsys, "reverse", str(path), "b1^-1 c1")
+    assert code == 2 and out.endswith("outcome: stuck @0 on (b1, c1)\n")
+
+
 def test_quotient_equal(capsys):
     code, out, _ = run(capsys, "quotient", "d4:new",
                        "t(1) t(0) s1 t(1) t(0) s1", "s1 t(1) t(0) s1 t(1) t(0)")
@@ -90,6 +99,18 @@ def test_quotient_common_multiple(capsys):
     code, out, _ = run(capsys, "quotient", "d4:new", "s3", "t(2)")
     assert code == 0
     assert "common multiple: s3 t(2) s3 = t(2) s3 t(2)" in out
+
+
+def test_quotient_left_common_multiple(capsys):
+    code, out, _ = run(capsys, "quotient", "--left", "d4:new", "s3", "t(2)")
+    assert code == 0
+    assert "common multiple: t(2) s3 s3 = s3 t(2) t(2)" in out
+
+
+def test_quotient_diverged(capsys):
+    code, out, _ = run(capsys, "quotient", "d4:new", "t(1) t(0) s1 t(1) t(0) s1",
+                       "s1 t(1) t(0) s1 t(1) t(0)", "--fuel", "1")
+    assert code == 2 and out == "diverged (fuel 1)\n"
 
 
 def test_quotient_stuck(capsys, tmp_path):
@@ -298,6 +319,13 @@ def test_oracle_class(capsys):
     assert "t(-1) t(-2)" in lines[1:]
 
 
+def test_oracle_class_cap_is_inconclusive(capsys):
+    code, out, err = run(capsys, "oracle", "class", "d4:new", "t(1) t(0) s1 t(1) t(0) s1",
+                         "--cap", "10")
+    assert code == 2 and out == ""
+    assert err == "monorev: class of t(1) t(0) s1 t(1) t(0) s1 exceeded cap 10\n"
+
+
 def test_oracle_scan(capsys, tmp_path):
     code, out, _ = run(capsys, "oracle", "scan", "d4:new", "--max-len", "2")
     assert code == 0
@@ -357,6 +385,26 @@ def test_negative_fuel_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--fuel", "-1")
     assert code == 3 and out == ""
     assert err == "monorev: fuel must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    # below zero, the step limit would print "... 4 more steps" for a 3-step trace
+    (("reverse", "d4:new", "t(2)^-1 s3 s3", "--limit", "-1"),
+     "monorev reverse: error: argument --limit: must be >= 0"),
+    # no class fits a cap of 0, and exit 2 is kept for inconclusive outcomes
+    (("oracle", "class", "d4:new", "s1 s2", "--cap", "0"),
+     "monorev oracle class: error: argument --cap: must be >= 1"),
+    (("oracle", "equal", "d4:new", "s1", "s1", "--window", "0"),
+     "monorev oracle equal: error: argument --window: must be >= 1"),
+    (("oracle", "scan", "d4:new", "--max-len", "0"),
+     "monorev oracle scan: error: argument --max-len: must be >= 1"),
+    (("oracle", "scan", "d4:new", "--cap", "0"),
+     "monorev oracle scan: error: argument --cap: must be >= 1"),
+])
+def test_bad_numeric_flag_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.endswith(f"{message}\n")
 
 
 def test_usage_errors(capsys):

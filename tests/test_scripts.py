@@ -4,6 +4,8 @@ the benchmark's tracer still finds every attribute it hooks."""
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -20,6 +22,16 @@ def test_certify_catalog(capsys, tmp_path):
     assert script.main(["--out", str(tmp_path), "d4:new", "d4:yamada"]) == 0
     assert json.loads((tmp_path / "d4_new.json").read_text())["claim"] == "cancellative-up-to"
     assert json.loads((tmp_path / "d4_yamada.json").read_text())["claim"] == "refused"
+
+
+def test_certify_catalog_runs_from_a_bare_checkout(tmp_path):
+    # the script finds src/ itself: no PYTHONPATH, no installed package
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "certify_catalog.py"),
+                           "--out", str(tmp_path), "d4:new"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "d4:new                   cancellative-up-to\n"
 
 
 def test_worked_examples(capsys):
