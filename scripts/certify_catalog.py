@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from monorev import DEFAULT_FUEL, catalog  # noqa: E402
+from monorev.cli import _at_least  # noqa: E402
 from monorev.completeness import certify  # noqa: E402
 
 FIXED = list(catalog.FIXED_NAMES)
@@ -31,8 +32,8 @@ def default_keys() -> list[str]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--t-bound", type=int, default=3, dest="t_bound")
-    ap.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    ap.add_argument("--t-bound", type=_at_least(0), default=3, dest="t_bound")
+    ap.add_argument("--fuel", type=_at_least(0), default=DEFAULT_FUEL)
     ap.add_argument("--out", type=Path, default=Path("certificates"))
     ap.add_argument("keys", nargs="*", help="catalog keys (default: the whole catalog)")
     args = ap.parse_args(argv)
@@ -40,8 +41,7 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     worst = 0
     for key in args.keys or default_keys():
-        cert = certify(catalog.load(key), t_bound=args.t_bound, fuel=args.fuel,
-                       goal="cancellative")
+        cert = certify(catalog.load(key), t_bound=args.t_bound, fuel=args.fuel)
         path = args.out / (key.replace(":", "_") + ".json")
         path.write_text(cert.to_json() + "\n", encoding="utf-8")
         note = f" ({cert.refusal})" if cert.refusal else ""

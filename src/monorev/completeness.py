@@ -21,8 +21,8 @@ certificate undetermined rather than falsified.  The check keeps only its
 verdict; a CubeResult replays its reversal traces when they are read.
 A plain cube_condition call computes its verdict afresh and keeps none.
 certify's sweep applies the two lemmas below within one call: it hands
-cube_condition a verdict table of its own for each side, and drops the
-tables when it returns, so no verdict outlives the call.
+cube_condition a set of the triples that passed on the side, and drops
+the set when it returns, so no verdict outlives the call.
 
 The mirror lemma.  The first word of (v, u, w) is the formal inverse of
 the first word of (u, v, w) on either side, and once both first
@@ -31,36 +31,29 @@ ends empty or terminal on W ends so on W^-1 too, in as many steps and on
 the inverse final word: it follows the transposed reversing diagram,
 because the pair (y, x) is related by the swapped instances of (x, y).
 So a pass of (u, v, w) is a pass of (v, u, w) at the same fuel, and
-cube_condition files a pass in the sweep's table under (v, u, w) as
-well, so the sweep checks no mirror of a pass.  Only a pass is mirrored:
-a reversal of W that sticks or cycles can end otherwise on W^-1, whose
-leftmost redex is another one.  (On the square-chain example (c1, a1,
-b1) is proved to cycle within 8 steps and (a1, c1, b1) only later.)
+cube_condition adds (v, u, w) to the sweep's set with a pass, so the
+sweep checks no mirror of a pass.  Only a pass is mirrored: a reversal
+of W that sticks or cycles can end otherwise on W^-1, whose leftmost
+redex is another one.  (On the square-chain example (c1, a1, b1) is
+proved to cycle within 8 steps and (a1, c1, b1) only later.)
 
 The side-mirror lemma.  On a mirror-symmetric presentation
 (Presentation.mirror_symmetric) the flip that reads a word backwards,
-signs kept, and sends each integer-family index i to c - i takes
-relations onto relations.  It takes the left first word of (u, v, w) to
-the right first word of its image (u~, v~, w~), each word flipped with c
-the triple's largest family index, and a left redex x y^-1 to the right
-redex that the flipped relation resolves.  The image of an
-index-normalised triple is one again, so the flip maps the sweep's
-triples onto themselves.  The kernel rewrites the leftmost redex, and
-the flip makes that the rightmost.  But redexes never overlap, and a
-pair is rewritten only when one relation resolves it, so rewrites
-commute: when one order of rewriting ends on a word without redexes,
-every order does, on the same word and in as many steps (a complemented
-presentation has one reversing diagram per word).  So a left reversal
-ends exactly when the right reversal of its flip does, on the flipped
-final word (the left second word flips to the image's right second
-word), and a pass on one side is a pass of the image on the other at the
-same fuel.  certify therefore runs the right sweep first; its table,
-which then holds every triple's right verdict, turns into the left
-table: every verdict a pass but for the images of the right checks that
-did not pass, which the left sweep computes.  When every right check
-passed, the left sweep computes none.  Again only a pass crosses: a
-reversal that sticks or cycles stops at its leftmost blocked redex, and
-the flipped run can meet another one first.
+signs kept, and sends each integer-family index i to c - i, with c the
+triple's largest family index, takes relations onto relations, and a
+left check of (u, v, w) passes exactly when the right check of its
+flipped image passes at the same fuel.  (The kernel rewrites the
+leftmost redex and the flip makes that the rightmost, but redexes never
+overlap and a complemented presentation has one reversing diagram per
+word, so a reversal that ends does so in any order of rewriting.)  The
+image of an index-normalised triple is one again, so when every right
+check of the sweep passed, every left check passes.  certify therefore
+runs the right sweep first and keeps its set for the left sweep only
+when the presentation is mirror-symmetric and the right sweep found no
+failure and no open check; otherwise the left sweep starts from an
+empty set.  Only a sweep that passed everywhere crosses: a reversal that
+sticks or cycles stops at its leftmost blocked redex, and the flipped
+run can meet another one first.
 """
 
 from __future__ import annotations
@@ -111,16 +104,6 @@ def _second_word(u: Letters, v: Letters, done: list[Letter], side: str) -> Lette
     if side == "right":
         return head + _word_inverse(u) + v + tail
     return head + v + _word_inverse(u) + tail
-
-
-def _side_mirror(p: Presentation, u: Letters, v: Letters, w: Letters) -> tuple[Letters, ...]:
-    """(u, v, w) read backwards, each integer-family index i sent to c - i,
-    where c is the largest such index of the triple."""
-    fams = p.alphabet.integer_families
-    c = max((l.gen.index for word in (u, v, w) for l in word if l.gen.family in fams), default=0)
-    return tuple(tuple(Letter(Generator(l.gen.family, c - l.gen.index), l.sign)
-                       if l.gen.family in fams else l for l in reversed(word))
-                 for word in (u, v, w))
 
 
 # (status, reason) of a first or second reversal that ends with a redex left;
@@ -181,28 +164,26 @@ class CubeResult:
 
 def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
                    side: str = "right", fuel: int = DEFAULT_FUEL,
-                   verdicts: dict | None = None) -> CubeResult:
+                   passed: set | None = None) -> CubeResult:
     """Check the cube condition for (u, v, w) on one side, without step records.
 
-    Without `verdicts` each call computes its verdict afresh and keeps
-    none.  `verdicts` is a sweep's table of (status, reason) by letter
-    triple, for this side and fuel: a verdict found there is returned, and
-    one computed is filed there, a pass under (v, u, w) as well (the mirror
-    lemma of the module docstring).  Every filed key holds positive words,
+    Without `passed` each call computes its verdict afresh and keeps
+    none.  `passed` is a sweep's set of letter triples that pass on this
+    side at this fuel: a triple found there passes, and a computed pass
+    adds the triple and (v, u, w) (the mirror lemma of the module
+    docstring).  Nothing else is kept.  The set holds positive words only,
     so only a computed check checks that the words are positive.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     key = (u.letters, v.letters, w.letters)
-    verdict = None if verdicts is None else verdicts.get(key)
-    if verdict is None:
-        if any(l.sign < 0 for word in key for l in word):
-            raise ValueError("cube condition expects positive words")
-        verdict = _verdict(p, *key, side, fuel)
-        if verdicts is not None:
-            verdicts[key] = verdict
-            if verdict[0] == "pass":
-                verdicts[key[1], key[0], key[2]] = verdict
+    if passed is not None and key in passed:
+        return CubeResult((u, v, w), side, *_PASS, p, fuel)
+    if any(l.sign < 0 for word in key for l in word):
+        raise ValueError("cube condition expects positive words")
+    verdict = _verdict(p, *key, side, fuel)
+    if passed is not None and verdict == _PASS:
+        passed.update((key, (key[1], key[0], key[2])))
     return CubeResult((u, v, w), side, *verdict, p, fuel)
 
 
@@ -298,9 +279,10 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     the claim tops out at complete-up-to: without homogeneity,
     completeness alone does not buy cancellation.
 
-    The sweep calls cube_condition once per side and triple, with a
-    verdict table per side that the mirror and side-mirror lemmas of the
-    module docstring fill; the tables are dropped when the call returns.
+    The sweep calls cube_condition once per side and triple, with the set
+    of the side's passed triples; the left sweep keeps the right sweep's
+    set only when the side-mirror lemma of the module docstring makes every
+    left check a pass.  The set is dropped when the call returns.
     """
     if goal not in ("cancellative", "complete"):
         raise ValueError(f"goal must be 'cancellative' or 'complete', got {goal!r}")
@@ -333,23 +315,12 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     triples = enumerate_word_triples(p, 1 if word_len is None else word_len, t_bound)
     failures = []
     cycling = fuel_outs = 0
-    verdicts: dict = {}  # the sweep's verdicts on one side, dropped when certify returns
+    passed: set = set()  # the sweep's passed triples on one side, dropped when certify returns
     for side in sides:
-        if side == "left" and verdicts and p.mirror_symmetric():
-            # by the side-mirror lemma the left check of a triple passes when
-            # the right check of its side mirror passed.  Every triple's right
-            # verdict is filed, and the flip maps the triples onto themselves,
-            # so the table turns into the left one: every verdict a pass, but
-            # for the side mirrors of the right checks that did not pass.
-            rest = [key for key, verdict in verdicts.items() if verdict[0] != "pass"]
-            for key in rest:
-                verdicts[key] = _PASS
-            for key in rest:
-                del verdicts[_side_mirror(p, *key)]
-        else:
-            verdicts = {}
+        if side == "left" and (failures or cycling or fuel_outs or not p.mirror_symmetric()):
+            passed = set()
         for u, v, w in triples:
-            res = cube_condition(p, u, v, w, side=side, fuel=fuel, verdicts=verdicts)
+            res = cube_condition(p, u, v, w, side=side, fuel=fuel, passed=passed)
             if res.status == "fail":
                 failures.append((side, (str(u), str(v), str(w)), res.reason))
             elif res.status == "inconclusive":

@@ -97,8 +97,10 @@ def apply_step(p: Presentation, word: Word, step: DerivationStep) -> Word:
         if i < 0 or i > len(letters):
             raise DerivationError(f"insert @{i}: position out of range")
         return Word(tuple(letters[:i] + [step.letter, step.letter.inverse()] + letters[i:]))
-    schema = p.schema(step.schema)
-    inst = schema.instantiate(dict(step.bindings))
+    try:  # an unknown schema, a missing binding or a value outside the domain
+        inst = p.schema(step.schema).instantiate(dict(step.bindings))
+    except (KeyError, ValueError) as exc:
+        raise DerivationError(f"rel {step.schema}: {exc.args[0]}") from None
     if inst is None:
         raise DerivationError(f"rel {step.schema}: bindings give a degenerate instance")
     pattern, replacement = (inst.lhs, inst.rhs) if step.direction == "lr" else (inst.rhs, inst.lhs)

@@ -711,9 +711,10 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
                    are inferred from the families they index.
     Lines starting with # are comments.
 
-    Raises WordSyntaxError for malformed text, and SchemaError for a domain
-    that does not fit its schema or that takes a letter, offset included,
-    outside its finite family.
+    Raises WordSyntaxError for malformed text, a family named both among
+    the generators and under `families:` included, and SchemaError for a
+    domain that does not fit its schema or that takes a letter, offset
+    included, outside its finite family.
     """
     lines = [l.strip() for l in text.splitlines()]
     lines = [l for l in lines if l and not l.startswith("#")]
@@ -734,6 +735,9 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
         if not fam_part.startswith("families:"):
             raise WordSyntaxError("expected 'families:' after ';' in header")
         integer_families = frozenset(fam_part[len("families:"):].split())
+    both = sorted(integer_families & finite.keys())
+    if both:  # t1 and t(i) in one alphabet would put t(1) in it twice
+        raise WordSyntaxError(f"family {both[0]!r} is named both in 'generators:' and in 'families:'")
     alphabet = Alphabet({f: tuple(sorted(set(v))) for f, v in finite.items()},
                         integer_families)
     schemas: list[Schema] = []

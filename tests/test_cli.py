@@ -87,6 +87,16 @@ def test_reverse_empty_and_stuck_text(capsys, tmp_path):
     assert code == 2 and out.endswith("outcome: stuck @0 on (b1, c1)\n")
 
 
+def test_reverse_json_stuck(capsys, tmp_path):
+    path = tmp_path / "two.pres"
+    path.write_text(TWO_COMMUTES)
+    code, out, _ = run(capsys, "reverse", str(path), "b1^-1 c1", "--format", "json")
+    assert code == 2
+    data = json.loads(out)
+    assert data["steps"] == []
+    assert data["outcome"] == {"kind": "stuck", "position": 0, "pair": ["b1", "c1"]}
+
+
 def test_quotient_equal(capsys):
     code, out, _ = run(capsys, "quotient", "d4:new",
                        "t(1) t(0) s1 t(1) t(0) s1", "s1 t(1) t(0) s1 t(1) t(0)")
@@ -204,6 +214,14 @@ def test_offset_outside_finite_family_is_a_usage_error(capsys, tmp_path):
     assert "s(j+1) at j=3 is s4, outside the finite family" in err
 
 
+def test_family_declared_twice_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "twice.pres"
+    path.write_text("generators: t1 a1 b1 ; families: t\na1 b1 = b1 a1\n")
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 3 and out == ""
+    assert err == "monorev: family 't' is named both in 'generators:' and in 'families:'\n"
+
+
 @pytest.mark.parametrize("key", ["d4:yamada", "d4:new"])
 @pytest.mark.parametrize("flag,value,message", [
     ("--t-bound", "-1", "argument --t-bound: must be >= 0"),
@@ -297,6 +315,15 @@ def test_derive_failure(capsys, tmp_path):
     path.write_text("presentation: d4:new\nstart: s1\nexpect: s2\n")
     code, out, _ = run(capsys, "derive", str(path))
     assert code == 1 and "failed at final word" in out
+
+
+def test_derive_unknown_schema_is_a_failed_step(capsys, tmp_path):
+    path = tmp_path / "nosuch.script"
+    path.write_text("presentation: d4:new\nstart: s1\nexpect: s1\nrel nosuch lr @0\n")
+    code, out, err = run(capsys, "derive", str(path), "--format", "json")
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert data["failed_at"] == 0 and data["error"].startswith("rel nosuch: ")
 
 
 def test_derive_missing_file(capsys):

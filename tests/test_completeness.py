@@ -437,12 +437,11 @@ def test_certify_checks_each_triple_once_a_side(key, monkeypatch):
 def test_verdict_table_files_a_pass_and_its_mirror(d4, monkeypatch):
     p = _fresh(d4)
     s1, s2, t0 = p.parse("s1"), p.parse("s2"), p.parse("t(0)")
-    verdicts = {}
-    assert cube_condition(p, s1, t0, s2, verdicts=verdicts).passed
-    assert verdicts == {(s1.letters, t0.letters, s2.letters): ("pass", "ok"),
-                        (t0.letters, s1.letters, s2.letters): ("pass", "ok")}
+    passed = set()
+    assert cube_condition(p, s1, t0, s2, passed=passed).passed
+    assert passed == {(s1.letters, t0.letters, s2.letters), (t0.letters, s1.letters, s2.letters)}
     sides = _count_runs(monkeypatch)
-    res = cube_condition(p, t0, s1, s2, verdicts=verdicts)
+    res = cube_condition(p, t0, s1, s2, passed=passed)
     assert res.passed and res.triple == (t0, s1, s2) and sides == []
     assert cube_condition(p, t0, s1, s2).passed and sides == ["right", "right"]
 
@@ -450,11 +449,22 @@ def test_verdict_table_files_a_pass_and_its_mirror(d4, monkeypatch):
 def test_verdict_table_mirrors_no_other_verdict():
     p = load_presentation(SQUARE_CHAIN, name="square-chain")
     a1, b1, c1 = p.parse("a1"), p.parse("b1"), p.parse("c1")
-    verdicts = {}
-    assert cube_condition(p, c1, a1, b1, fuel=8, verdicts=verdicts).reason == "first reversal cycles"
-    assert list(verdicts) == [(c1.letters, a1.letters, b1.letters)]
-    res = cube_condition(p, a1, c1, b1, fuel=8, verdicts=verdicts)
+    passed = set()
+    assert cube_condition(p, c1, a1, b1, fuel=8, passed=passed).reason == "first reversal cycles"
+    assert passed == set()
+    res = cube_condition(p, a1, c1, b1, fuel=8, passed=passed)
     assert res.reason == "first reversal ran out of fuel"
+
+
+def test_left_sweep_computes_its_checks_after_a_right_non_pass(monkeypatch):
+    """classical:3 is mirror-symmetric, but some right checks do not pass:
+    the left sweep then starts afresh and runs the kernel on the left."""
+    sides = _count_runs(monkeypatch)
+    p = _fresh(C3)
+    assert p.mirror_symmetric()
+    cert = certify(p)
+    assert cert.claim == "undetermined" and "left" in sides
+    assert cert == _unmirrored_certificate(p)
 
 
 @pytest.mark.parametrize("key", ["d4:new", "affine-a:classical:3"])
@@ -492,11 +502,11 @@ def test_cube_validation(d4):
 def test_positivity_is_checked_on_a_warm_cache(d4):
     p = _fresh(d4)
     s1, s2, s3 = p.parse("s1"), p.parse("s2"), p.parse("s3")
-    verdicts = {}
-    assert cube_condition(p, s1, s2, s3, verdicts=verdicts).passed
+    passed = set()
+    assert cube_condition(p, s1, s2, s3, passed=passed).passed
     for u in (p.parse("s1^-1"), p.parse("s1 s1^-1")):
         with pytest.raises(ValueError, match="expects positive words"):
-            cube_condition(p, u, s2, s3, verdicts=verdicts)
+            cube_condition(p, u, s2, s3, passed=passed)
         with pytest.raises(ValueError, match="expects positive words"):
             cube_condition(p, s2, u, s3, side="left")
 

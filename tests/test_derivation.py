@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from monorev import catalog
 from monorev.derivation import (
     CancelStep,
     DerivationError,
@@ -24,6 +25,7 @@ from monorev.words import Letter, Generator, free_reduce, shift_word
 from conftest import FIXTURES
 
 S1_SCRIPT = os.path.join(FIXTURES, "double_twist_s1.script")
+TAU_SCRIPT = os.path.join(FIXTURES, "tau_t_braid_s1.script")
 
 
 def test_apply_relation_step(d4):
@@ -42,6 +44,14 @@ def test_apply_relation_step_errors(d4):
         apply_step(d4, word, RelationStep("translation", (("i", 1), ("j", 0)), "lr", 1))
     with pytest.raises(DerivationError, match="expected t\\(2\\) t\\(1\\)"):
         apply_step(d4, word, RelationStep("translation", (("i", 2), ("j", 0)), "lr", 0))
+    # a step that names no schema, leaves a parameter unbound or binds it
+    # outside its domain does not apply either
+    with pytest.raises(DerivationError, match="rel nosuch: .* no schema named 'nosuch'"):
+        apply_step(d4, word, RelationStep("nosuch", (), "lr", 0))
+    with pytest.raises(DerivationError, match="rel translation: .* expects bindings"):
+        apply_step(d4, word, RelationStep("translation", (("i", 1),), "lr", 0))
+    with pytest.raises(DerivationError, match="rel t_braid: .* j=9 outside domain"):
+        apply_step(d4, word, RelationStep("t_braid", (("i", 0), ("j", 9)), "lr", 0))
 
 
 def test_apply_cancel_and_insert(d4):
@@ -105,6 +115,29 @@ def test_format_parse_round_trip(d4):
     with open(S1_SCRIPT, encoding="utf-8") as fh:
         script = parse_script(fh.read(), d4)
     assert parse_script(format_script(script), d4) == script
+
+
+@pytest.mark.parametrize("key", ["d4:yamada", "e8:yamada"])
+def test_tau_t_braid_script(key):
+    """The 13-step group derivation of tau(t_braid(1, 1)), with inserts and cancels."""
+    with open(TAU_SCRIPT, encoding="utf-8") as fh:
+        text = fh.read().replace("d4:yamada", key)
+    p = catalog.load(key)
+    script = parse_script(text, p)
+    assert {type(step) for step in script.steps} == {RelationStep, InsertStep, CancelStep}
+    assert format_script(script) == text
+    result = verify_script(p, script)
+    assert result.ok and len(result.intermediates) == 14
+
+
+def test_shift_script_moves_inserted_letters(d4):
+    script = parse_script("presentation: d4:new\nstart: t(1) t(0)\nexpect: t(2) t(1)\n"
+                          "insert t(2) @0\nrel translation i=2,j=1 rl @2\ncancel @1\n", d4)
+    assert verify_script(d4, script).ok
+    lifted = shift_script(d4, script, 3)
+    assert lifted.steps[0] == InsertStep(Letter(Generator("t", 5)), 0)
+    assert lifted.steps[2] == CancelStep(1)
+    assert str(lifted.expect) == "t(5) t(4)" and verify_script(d4, lifted).ok
 
 
 def test_shift_script_replays(d4):

@@ -398,6 +398,8 @@ def test_catalog_bad_keys(key, error):
     ("generators: a1\na1 = a1^-1\n", WordSyntaxError),
     ("generators: a1\nschema x a1 = a1\n", WordSyntaxError),
     ("generators: a1\na1 = b1\n", UnknownGeneratorError),
+    # a family both finite and indexed over Z
+    ("generators: t1 a1 b1 ; families: t\na1 b1 = b1 a1\n", WordSyntaxError),
     # domain clauses: malformed, empty, not the pattern variables, not in the family
     ("generators: s1 s2 ; families: t\nschema x [i in Q]: t(i) s1 = s1 t(i)\n",
      WordSyntaxError),

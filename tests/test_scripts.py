@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -32,6 +34,17 @@ def test_certify_catalog_runs_from_a_bare_checkout(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "d4:new                   cancellative-up-to\n"
+
+
+@pytest.mark.parametrize("flag,value", [("--t-bound", "-1"), ("--fuel", "-5")])
+def test_certify_catalog_bad_bound_is_a_usage_error(capsys, tmp_path, flag, value):
+    script = load_script("certify_catalog")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--out", str(tmp_path), flag, value, "d4:new"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage: ")
+    assert f"error: argument {flag}: must be >= 0" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_worked_examples(capsys):
