@@ -8,6 +8,7 @@ Measures, on the monorev in this checkout's src/:
 - hashing, comparing and sorting 100,000 letters;
 - right_complement on e8:new, cold (empty cache) and warm, per call, over
   every pair of pair_scan_generators(e8:new);
+- instances_for_pair on e8:new, per call, over the same pairs, both sides;
 - check_complemented(e8:new) on a fresh presentation;
 - certify(e8:new) at t_bound 3 and at t_bound 6, each on a fresh presentation;
 - cube_condition on e8:new's t_bound 6 triples, both sides, per check, and
@@ -41,6 +42,7 @@ from monorev import catalog  # noqa: E402
 from monorev.completeness import certify, cube_condition, enumerate_word_triples  # noqa: E402
 from monorev.presentation import (  # noqa: E402
     check_complemented,
+    instances_for_pair,
     pair_scan_generators,
     right_complement,
 )
@@ -81,6 +83,22 @@ def complement_runs():
             right_complement(p, x, y)
         timings[phase] = (time.perf_counter() - t0) / len(pairs)
     return timings
+
+
+def pair_lookup_run() -> float:
+    """instances_for_pair over the scan pairs, both sides, per call.
+
+    The lookup files nothing, so every call solves its pair; the pair
+    index is built before the clock starts.
+    """
+    p = catalog.load(KEY)
+    pairs = list(itertools.product(pair_scan_generators(p), repeat=2))
+    p.pair_index()
+    t0 = time.perf_counter()
+    for side in ("right", "left"):
+        for x, y in pairs:
+            instances_for_pair(p, x, y, side)
+    return (time.perf_counter() - t0) / (2 * len(pairs))
 
 
 def cube_runs():
@@ -138,6 +156,10 @@ def run() -> dict:
         for phase, seconds in per_call.items():
             record(f"right_complement_{phase}_us", 1e6, seconds,
                    reference.scaled(seconds, before, after))
+        before = reference.time_reference()
+        seconds = pair_lookup_run()
+        after = reference.time_reference()
+        record("pair_lookup_us", 1e6, seconds, reference.scaled(seconds, before, after))
         before = reference.time_reference()
         per_call = cube_runs()
         after = reference.time_reference()

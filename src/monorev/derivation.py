@@ -175,6 +175,8 @@ def parse_script(text: str, p: Presentation) -> DerivationScript:
             if raw_bindings:
                 for part in raw_bindings.split(","):
                     pname, _, pval = part.partition("=")
+                    if any(pname == bound for bound, _ in bindings):
+                        raise DerivationError(f"script line {line!r} binds {pname} twice")
                     bindings.append((pname, int(pval)))
             steps.append(RelationStep(name, tuple(bindings), direction, int(pos)))
             continue

@@ -25,7 +25,9 @@ well.  This is half of the mirror lemma of the cube sweep (see
 completeness).  A parametrised instance on two letters of one family is
 not filed both ways: a schema can hit such a pair both ways round, with
 other bindings.  Translation relates (t(0), t(1)) with i=0, j=1 and
-(t(1), t(0)) with i=1, j=0.
+(t(1), t(0)) with i=1, j=0.  The complementedness scan
+(`check_complemented`) looks its pairs up through this cache, so it files
+what it solves, and the reversals that follow it find those pairs warm.
 
 A presentation is mirror-symmetric (`Presentation.mirror_symmetric`) when
 it is translation-invariant and reflecting its schemas gives them back:
@@ -179,7 +181,9 @@ class Schema:
         """Concrete instance for the given parameter values.
 
         Returns None for degenerate instances whose two sides are the same
-        word (these never count as relations).
+        word (these never count as relations).  The bindings must name
+        every parameter, each within its domain; pair lookup builds from
+        bindings its solve has already checked, without these checks.
         """
         if set(bindings) != {p.name for p in self.params}:
             raise ValueError(f"schema {self.name} expects bindings for "
@@ -189,12 +193,17 @@ class Schema:
                 raise ValueError(
                     f"schema {self.name}: {p.name}={bindings[p.name]} outside domain"
                 )
-        lhs = Word(tuple(Letter(pl.concretize(bindings)) for pl in self.lhs))
-        rhs = Word(tuple(Letter(pl.concretize(bindings)) for pl in self.rhs))
+        return self._build(bindings)
+
+    def _build(self, bindings: dict[str, int]) -> RelationInstance | None:
+        # list comprehensions, which run faster than generator expressions:
+        # every cold complement lookup builds its instances here
+        lhs = tuple([Letter(pl.concretize(bindings)) for pl in self.lhs])
+        rhs = tuple([Letter(pl.concretize(bindings)) for pl in self.rhs])
         if lhs == rhs:
             return None
-        ordered = tuple((p.name, bindings[p.name]) for p in self.params)
-        return RelationInstance(lhs, rhs, self.name, ordered)
+        ordered = tuple([(p.name, bindings[p.name]) for p in self.params])
+        return RelationInstance(Word(lhs), Word(rhs), self.name, ordered)
 
     # -- pair-indexed lookup ---------------------------------------------
 
@@ -219,29 +228,29 @@ class Schema:
             return None
         return bindings
 
+    def _oriented(self, x: Generator, y: Generator, end: int,
+                  swap: bool) -> RelationInstance | None:
+        """The instance whose lhs has x and rhs has y at the given end, or None.
+
+        The schema's lhs pattern is solved against x when swap is False,
+        its rhs pattern when swap is True (the instance then comes back
+        swapped).  None when the patterns do not fit or the instance is
+        degenerate.
+        """
+        left, right = (self.rhs, self.lhs) if swap else (self.lhs, self.rhs)
+        bindings = self._solve((left[end], right[end]), (x, y))
+        if bindings is None:
+            return None
+        inst = self._build(bindings)
+        return inst.swapped() if swap and inst is not None else inst
+
     def pair_query(self, x: Generator, y: Generator, end: int) -> list[RelationInstance]:
         """Instances oriented so that lhs has x and rhs has y at the given end.
 
         end is 0 for the leading pair (right reversing) and -1 for the
         trailing pair (left reversing).
         """
-        found: list[RelationInstance] = []
-        seen = set()
-        for swap in (False, True):
-            left, right = (self.rhs, self.lhs) if swap else (self.lhs, self.rhs)
-            bindings = self._solve((left[end], right[end]), (x, y))
-            if bindings is None:
-                continue
-            inst = self.instantiate(bindings)
-            if inst is None:
-                continue
-            if swap:
-                inst = inst.swapped()
-            key = (inst.lhs.letters, inst.rhs.letters)
-            if key not in seen:
-                seen.add(key)
-                found.append(inst)
-        return found
+        return _oriented_hits((self,), ((0, False), (0, True)), x, y, end)
 
     # -- enumeration ------------------------------------------------------
 
@@ -386,21 +395,22 @@ class Presentation:
                      and (pl.param is None or s._param(pl.param).values is not None)), None)
 
     def pair_index(self) -> dict:
-        """Schema positions by boundary pattern, for pair lookup.
+        """Schema positions and orientations by boundary pattern, for pair lookup.
 
-        Maps (end, key of x, key of y) to the positions, in schema order, of
-        the schemas whose sides can carry x and y at that end, either side
-        first.  A pattern letter's key is (family, index) when its index is
-        fixed and (family, None) when a parameter sets it.  Computed once
-        per presentation.
+        Maps (end, key of x, key of y) to the (position, swap) entries, in
+        schema order, of the schemas whose sides can carry x and y at that
+        end: swap is False when the lhs can carry x and the rhs y, True when
+        the rhs can carry x and the lhs y.  A pattern letter's key is
+        (family, index) when its index is fixed and (family, None) when a
+        parameter sets it.  Computed once per presentation.
         """
         if self._pair_index is None:
             index: dict = {}
             for pos, s in enumerate(self.schemas):
                 for end in (0, -1):
                     a, b = _boundary_key(s.lhs[end]), _boundary_key(s.rhs[end])
-                    for key in {(end, a, b), (end, b, a)}:
-                        index.setdefault(key, []).append(pos)
+                    index.setdefault((end, a, b), []).append((pos, False))
+                    index.setdefault((end, b, a), []).append((pos, True))
             self._pair_index = index
         return self._pair_index
 
@@ -466,12 +476,32 @@ def splice(rule: RelationInstance, side: str) -> tuple[Letter, ...]:
             + tuple(l.inverse() for l in rule.lhs.letters[:-1]))
 
 
+def _oriented_hits(schemas, hits, x: Generator, y: Generator,
+                   end: int) -> list[RelationInstance]:
+    """The instances that the (position, swap) hits, sorted, give for (x, y).
+
+    A schema's swapped solve that repeats its unswapped one is left out:
+    translation gives t(2) t(1) = t(1) t(0) both ways round.
+    """
+    out: list[RelationInstance] = []
+    last = None  # position of out[-1]
+    for pos, swap in hits:
+        inst = schemas[pos]._oriented(x, y, end, swap)
+        if inst is None or (pos == last and inst.lhs == out[-1].lhs
+                            and inst.rhs == out[-1].rhs):
+            continue
+        out.append(inst)
+        last = pos
+    return out
+
+
 def instances_for_pair(p: Presentation, x: Generator, y: Generator,
                        side: str = "right") -> list[RelationInstance]:
     """All relation instances whose sides lead (right) or trail (left) with (x, y).
 
-    Only the schemas that p.pair_index() files under the pair are solved;
-    their hits come in schema order.
+    Only the orientations that p.pair_index() files under the pair are
+    solved; their hits come in schema order, each schema's unswapped one
+    first.
     """
     p.alphabet.require(x)
     p.alphabet.require(y)
@@ -479,11 +509,8 @@ def instances_for_pair(p: Presentation, x: Generator, y: Generator,
     index = p.pair_index()
     keys = [(end, a, b) for a in ((x.family, x.index), (x.family, None))
             for b in ((y.family, y.index), (y.family, None))]
-    hits = sorted({pos for key in keys for pos in index.get(key, ())})
-    out: list[RelationInstance] = []
-    for pos in hits:
-        out.extend(p.schemas[pos].pair_query(x, y, end))
-    return out
+    hits = sorted({hit for key in keys for hit in index.get(key, ())})
+    return _oriented_hits(p.schemas, hits, x, y, end)
 
 
 def _complement_pair(inst: RelationInstance, side: str) -> ComplementPair:
@@ -575,15 +602,25 @@ def check_complemented(p: Presentation) -> tuple[ComplementReport, ComplementRep
     """Scan all generator pairs for complement conflicts, right and left.
 
     A pair conflicts when more than one relation leads (or trails) with it,
-    or when a relation relates x... to x... with distinct sides.
+    or when a relation relates x... to x... with distinct sides.  Each pair
+    of distinct generators is looked up through the complement cache, so
+    the scan files what it solves for the reversals that follow, and a
+    pair whose transpose it has filed is not solved again.
     """
     reports = []
     gens = pair_scan_generators(p)
     for side in ("right", "left"):
         conflicts = []
         for x, y in itertools.product(gens, repeat=2):
-            insts = instances_for_pair(p, x, y, side)
-            if (x == y and insts) or len(insts) > 1:
+            if x == y:  # _complement answers EQUAL without solving
+                insts = instances_for_pair(p, x, y, side)
+            else:
+                try:
+                    _complement(p, x, y, side)
+                    continue
+                except AmbiguousComplementError as exc:
+                    insts = exc.instances
+            if insts:
                 conflicts.append(((x, y), tuple(insts[:2])))
         reports.append(ComplementReport(side, tuple(conflicts)))
     return reports[0], reports[1]

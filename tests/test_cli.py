@@ -326,6 +326,15 @@ def test_derive_unknown_schema_is_a_failed_step(capsys, tmp_path):
     assert data["failed_at"] == 0 and data["error"].startswith("rel nosuch: ")
 
 
+def test_derive_parameter_bound_twice_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "twice.script"
+    path.write_text("presentation: d4:new\nstart: t(1) t(0)\nexpect: t(2) t(1)\n"
+                    "rel translation i=1,i=2,j=1 rl @0\n")
+    code, out, err = run(capsys, "derive", str(path))
+    assert code == 3 and out == ""
+    assert "binds i twice" in err and "Traceback" not in err
+
+
 def test_derive_missing_file(capsys):
     code, _, err = run(capsys, "derive", "/no/such/file.script")
     assert code == 3 and "No such file" in err

@@ -111,6 +111,13 @@ def test_parse_script_errors(d4):
         parse_script("presentation: d4:new\nstart: s1\nexpect: s1\nwiggle @0\n", d4)
 
 
+def test_parse_script_refuses_a_parameter_bound_twice(d4):
+    # a dict of the bindings would keep i=2 and verify the step
+    with pytest.raises(DerivationError, match="binds i twice"):
+        parse_script("presentation: d4:new\nstart: t(1) t(0)\nexpect: t(2) t(1)\n"
+                     "rel translation i=1,i=2,j=1 rl @0\n", d4)
+
+
 def test_format_parse_round_trip(d4):
     with open(S1_SCRIPT, encoding="utf-8") as fh:
         script = parse_script(fh.read(), d4)

@@ -1,6 +1,7 @@
 """Schemas, pair-indexed complement lookup, windowing, and the text format."""
 
 import dataclasses
+import itertools
 import json
 import traceback
 
@@ -11,6 +12,7 @@ from monorev import catalog
 from monorev.presentation import (
     EQUAL,
     AmbiguousComplementError,
+    ComplementReport,
     Param,
     PatternLetter,
     Presentation,
@@ -26,6 +28,7 @@ from monorev.presentation import (
     pair_scan_generators,
     right_complement,
     save_presentation,
+    _complement,
 )
 from monorev.words import Generator, Letter, UnknownGeneratorError, Word, WordSyntaxError
 
@@ -169,13 +172,69 @@ def test_indexed_lookup_equals_full_scan(case):
         assert instances_for_pair(p, x, y, side) == reference_instances_for_pair(p, x, y, side)
 
 
+def checked_reference(p, x, y, side):
+    """Per schema, in schema order, the oriented sides of every instance leading
+    (right) or trailing (left) with (x, y), built by the checked
+    Schema.instantiate from each binding that could place x and y there."""
+    end = 0 if side == "right" else -1
+    found = []
+    for s in p.schemas:
+        boundary = (s.lhs[end], s.rhs[end])
+        choices = []
+        for param in s.params:
+            values = {g.index - pl.offset for pl in boundary if pl.param == param.name
+                      for g in (x, y)}
+            choices.append(sorted(values if param.values is None
+                                  else values & set(param.values)))
+        sides = set()
+        for combo in itertools.product(*choices):
+            inst = s.instantiate({param.name: v for param, v in zip(s.params, combo)})
+            if inst is None:
+                continue
+            for lhs, rhs in ((inst.lhs, inst.rhs), (inst.rhs, inst.lhs)):
+                if (lhs[end].gen, rhs[end].gen) == (x, y):
+                    sides.add((lhs.letters, rhs.letters))
+        found.append(sides)
+    return found
+
+
+@settings(max_examples=300)
+@given(presentation_and_pair())
+def test_lookup_equals_checked_brute_force(case):
+    # the lookup builds instances without instantiate's checks; this law
+    # compares it with instances that instantiate built and checked
+    p, x, y = case
+    positions = {s.name: pos for pos, s in enumerate(p.schemas)}
+    for side in ("right", "left"):
+        got = [set() for _ in p.schemas]
+        order = []
+        for inst in instances_for_pair(p, x, y, side):
+            pos = positions[inst.schema]
+            order.append(pos)
+            sides = (inst.lhs.letters, inst.rhs.letters)
+            assert sides not in got[pos]
+            got[pos].add(sides)
+            built = p.schemas[pos].instantiate(dict(inst.bindings))
+            assert inst in (built, built.swapped())
+        assert order == sorted(order)
+        assert got == checked_reference(p, x, y, side)
+
+
 def test_pair_index_files_both_orientations(d4):
     index = d4.pair_index()
     positions = {s.name: i for i, s in enumerate(d4.schemas)}
-    # t_braid leads with t(i) on one side and s(j) on the other, either way round
-    for key in ((0, ("t", None), ("s", None)), (0, ("s", None), ("t", None))):
-        assert positions["t_braid"] in index[key]
-    assert index[(-1, ("s", 1), ("s", 2))] == index[(-1, ("s", 2), ("s", 1))]
+    # t_braid leads with t(i) on its lhs and s(j) on its rhs: unswapped under
+    # (t, s), swapped under (s, t)
+    tb = positions["t_braid"]
+    assert (tb, False) in index[(0, ("t", None), ("s", None))]
+    assert (tb, True) in index[(0, ("s", None), ("t", None))]
+    assert (tb, True) not in index[(0, ("t", None), ("s", None))]
+    forward, backward = index[(-1, ("s", 1), ("s", 2))], index[(-1, ("s", 2), ("s", 1))]
+    assert backward == [(pos, not swap) for pos, swap in forward]
+    # translation carries t(.) at both ends of both sides, so one key files both ways
+    tr = positions["translation"]
+    assert [(tr, False), (tr, True)] == [hit for hit in index[(0, ("t", None), ("t", None))]
+                                         if hit[0] == tr]
     assert d4.pair_index() is index
 
 
@@ -251,6 +310,37 @@ def test_check_complemented_split(d4, yamada):
     assert (str(pair[0]), str(pair[1])) == ("s1", "t(1)")
     assert [i.schema for i in insts] == ["t_braid", "double_twist_1"]
     assert len(right.conflicts) == 8
+
+
+def reference_check_complemented(p):
+    """The scan as a plain loop over instances_for_pair, which files nothing."""
+    reports = []
+    gens = pair_scan_generators(p)
+    for side in ("right", "left"):
+        conflicts = []
+        for x, y in itertools.product(gens, repeat=2):
+            insts = instances_for_pair(p, x, y, side)
+            if (x == y and insts) or len(insts) > 1:
+                conflicts.append(((x, y), tuple(insts[:2])))
+        reports.append(ComplementReport(side, tuple(conflicts)))
+    return tuple(reports)
+
+
+SCAN_CASES = [*((key, None) for key in catalog.FIXED_NAMES),
+              *((f"affine-a:{family}:{n}", None)
+                for family in ("classical", "shi", "cll") for n in (3, 4, 5)),
+              *(("hand", text) for text in (TWO_COMMUTES, SKEWED, GLUE, ONE_SIDED, NONHOM,
+                                            WIDE_OFFSET, PINNED_T, SQUARE_CHAIN))]
+
+
+@pytest.mark.parametrize("key,text", SCAN_CASES)
+def test_scan_files_cold_complements(key, text):
+    p = catalog.load(key) if text is None else load_presentation(text)
+    reference = reference_check_complemented(dataclasses.replace(p))
+    assert check_complemented(p) == reference
+    assert p._complements
+    for (side, x, y), filed in p._complements.items():
+        assert filed == _complement(dataclasses.replace(p), x, y, side)
 
 
 def test_homogeneous_is_derived(d4, yamada):
