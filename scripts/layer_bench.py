@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the letter and lookup layers that bounded certificates lean on.
+"""Time the letter, lookup and oracle layers that bounded certificates lean on.
 
     python3 scripts/layer_bench.py --out BENCH.json
 
@@ -13,7 +13,9 @@ Measures, on the monorev in this checkout's src/:
 - certify(e8:new) at t_bound 3 and at t_bound 6, each on a fresh presentation;
 - cube_condition on e8:new's t_bound 6 triples, both sides, per check, and
   right_reverse with its full trace on the same triples' right first words
-  u^-1 w w^-1 v, per call, both with a warm complement cache.
+  u^-1 w w^-1 v, per call, both with a warm complement cache;
+- cancellation_scan on the d4:new window of radius 2 at max_len 3, a fresh
+  call each repeat on a window built before the clock starts.
 
 Each figure is the median of REPEATS runs.  Each run is scaled by the
 reference kernel of bench/reference.py, timed just before and just after
@@ -40,9 +42,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from monorev import catalog  # noqa: E402
 from monorev.completeness import certify, cube_condition, enumerate_word_triples  # noqa: E402
+from monorev.oracle import cancellation_scan  # noqa: E402
 from monorev.presentation import (  # noqa: E402
     check_complemented,
     instances_for_pair,
+    instantiate_window,
     pair_scan_generators,
     right_complement,
 )
@@ -171,6 +175,8 @@ def run() -> dict:
         record("certify_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=3)))
         p = catalog.load(KEY)
         record("certify6_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=6)))
+        w = instantiate_window(catalog.load("d4:new"), 2)
+        record("cancellation_scan_ms", 1e3, *measure(lambda: cancellation_scan(w, max_len=3)))
     return {
         "script": "scripts/layer_bench.py",
         "presentation": KEY,

@@ -15,11 +15,18 @@ the letter tuples they stand for.  A rewrite table maps every coded relation
 side to the sides it may be replaced by, so the neighbours of a word come
 from one dictionary lookup per position and side length.  Words are decoded
 back to Word and Letter values only in what the public functions return.
+
+The cancellation scan goes one step further and numbers its words: a word
+of length L is the base-n number of its codes, and each length has its own
+union-find list, since a homogeneous relation never joins two lengths.  Its
+unions are generated from the relations, in the order a scan over the
+words in turn would meet them, so every class gets the root that scan
+gives it.  Witnesses are found by set sizes: only a side and edge letter
+whose (class, class of the rest) pairs outnumber its classes is walked.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -177,7 +184,23 @@ def cancellation_scan(p: Presentation, max_len: int = 3, cap: int = 500_000) -> 
     classes, then looks inside each class for two members with the same
     first (resp. last) letter whose remainders are inequivalent; such a pair
     witnesses a x = a y with x != y.  One witness is reported per class and
-    letter.  Homogeneity is required so classes stay within one length.
+    letter, classes in the order of their union-find roots.  Homogeneity is
+    required so classes stay within one length.
+
+    The scan runs one length at a time on numbered words: a word of length
+    L is the base-n number of its letter codes, so numbers sort like the
+    words.  Its unions are generated rather than searched for.  A relation
+    orientation whose target side numbers above its source joins every word
+    holding the source to the word with the target in its place; the reverse
+    orientation's union would always find the two joined already.  Each
+    union is packed into one integer (word, orientation, position) and the
+    integers are sorted, so the unions run in the order a scan over the
+    words in turn meets them, and every class gets the root that scan gives
+    it.  A class has a witness at a side and edge letter only where the
+    distinct (class, class of the rest) pairs outnumber the distinct
+    classes, and only there are the rests walked in increasing order: the
+    first rest seen is the witness's first word, the first rest seen in
+    another class its second.
     """
     _require_finite(p)
     if not p.homogeneous:
@@ -185,50 +208,101 @@ def cancellation_scan(p: Presentation, max_len: int = 3, cap: int = 500_000) -> 
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     n = len(p.alphabet.finite_generators())
-    total = sum(n ** L for L in range(1, max_len + 2))
-    if total > cap:
-        raise OracleCapError(f"{total} words exceed cap {cap}")
+    total = 0  # words of length 1 to max_len + 1; the scan checks all but the n letters
+    for L in range(1, max_len + 2):
+        total += n ** L
+        if total > cap:  # stops before the powers grow past what a cap could be
+            raise OracleCapError(f"words of length up to {L} exceed cap {cap}")
     rw = _Rewriter(p)
-    universe: list[Coded] = [
-        combo
-        for L in range(1, max_len + 2)
-        for combo in itertools.product(range(n), repeat=L)
-    ]
-    parent = {w: w for w in universe}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for w in universe:
-        for nxt in rw.neighbours(w):
-            ra, rb = find(w), find(nxt)
-            if ra != rb:
-                parent[ra] = rb
-    by_class: dict[Coded, list[Coded]] = {}
+    joins = sorted((order, _number(src, n), _number(tgt, n), len(src))
+                   for src, targets in rw.table.items()
+                   for order, tgt in targets if tgt > src)
     witnesses: list[ScanWitness] = []
-    for w in universe:
-        if len(w) >= 2:
-            by_class.setdefault(find(w), []).append(w)
-    for root in sorted(by_class, key=lambda r: (len(r), r)):
-        if len(by_class[root]) < 2:
-            continue  # one member has one remainder per edge letter
-        members = sorted(by_class[root])
-        for side in ("left", "right"):
-            groups: dict[int, list[Coded]] = {}
-            for w in members:
-                edge = w[0] if side == "left" else w[-1]
-                rest = w[1:] if side == "left" else w[:-1]
-                groups.setdefault(edge, []).append(rest)
-            for edge in sorted(groups):
-                roots_seen: dict[Coded, Coded] = {}
-                for rest in sorted(groups[edge]):
-                    roots_seen.setdefault(find(rest), rest)
-                if len(roots_seen) > 1:
-                    reps = sorted(roots_seen.values())
-                    witnesses.append(ScanWitness(side, rw.letters[edge].gen,
-                                                 rw.decode(reps[0]), rw.decode(reps[1])))
-    words_checked = sum(n ** L for L in range(2, max_len + 2))
-    return ScanReport(p.name, p.window, max_len, words_checked, tuple(witnesses))
+    rests: list[int] = []  # class roots of the words one letter shorter
+    for L in range(1, max_len + 2):
+        roots = _class_roots(joins, n, L)
+        if L >= 2:
+            witnesses.extend(_scan_witnesses(rw, roots, rests, n, L))
+        rests = roots
+    return ScanReport(p.name, p.window, max_len, total - n, tuple(witnesses))
+
+
+def _number(coded: Coded, n: int) -> int:
+    value = 0
+    for c in coded:
+        value = value * n + c
+    return value
+
+
+def _digits(number: int, n: int, length: int) -> Coded:
+    out = [0] * length
+    for i in range(length - 1, -1, -1):
+        number, out[i] = divmod(number, n)
+    return tuple(out)
+
+
+def _class_roots(joins: list[tuple[int, int, int, int]], n: int, L: int) -> list[int]:
+    """The union-find root of every word of length L, by word number.
+
+    joins lists (orientation number, source number, target number, span)
+    for the orientations whose target numbers above their source.  A union
+    is packed as (word * orientations + orientation) * L + position, so the
+    sorted keys run word by word, and within a word by orientation, then by
+    position.
+    """
+    radix = len(joins) * L  # (orientation, position) pairs per word
+    shift = [0] * radix  # what a union adds to its word's number
+    keys: list[int] = []
+    for k, (_, src, tgt, span) in enumerate(joins):
+        for i in range(L - span + 1):
+            place = n ** (L - i - span)  # place value of the side's last letter
+            j = k * L + i
+            shift[j] = (tgt - src) * place
+            step = n ** (L - i) * radix  # one more in the prefix
+            start = src * place * radix + j
+            suffixes = range(0, place * radix, radix)
+            keys.extend([head + tail for head in range(start, start + n ** i * step, step)
+                         for tail in suffixes])
+    keys.sort()
+    parent = list(range(n ** L))
+    for key in keys:
+        a, j = divmod(key, radix)
+        b = a + shift[j]
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]  # path halving
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
+        if a != b:
+            parent[a] = b
+    del keys
+    for w in range(len(parent)):
+        a = w
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]
+        parent[w] = a
+    return parent
+
+
+def _scan_witnesses(rw: _Rewriter, roots: list[int], rests: list[int],
+                    n: int, L: int) -> list[ScanWitness]:
+    """The witnesses among words of length L, by class root, side and edge letter."""
+    width = len(rests)
+    found = []
+    for side in (0, 1):
+        for edge in range(n):
+            classes = roots[edge * width:(edge + 1) * width] if side == 0 else roots[edge::n]
+            if len(set(zip(classes, rests))) == len(set(classes)):
+                continue  # every class has one class of rests at this edge
+            first: dict[int, tuple[int, int]] = {}
+            second: dict[int, int] = {}
+            for rest, (c, rc) in enumerate(zip(classes, rests)):
+                seen = first.get(c)
+                if seen is None:
+                    first[c] = (rest, rc)
+                elif seen[1] != rc and c not in second:
+                    second[c] = rest
+            found.extend((c, side, edge, first[c][0], other) for c, other in second.items())
+    found.sort()
+    return [ScanWitness(("left", "right")[side], rw.letters[edge].gen,
+                        rw.decode(_digits(a, n, L - 1)), rw.decode(_digits(b, n, L - 1)))
+            for _, side, edge, a, b in found]

@@ -6,6 +6,7 @@ in-process through main(argv).
 
 import json
 import os
+import time
 
 import pytest
 
@@ -370,6 +371,14 @@ def test_oracle_scan(capsys, tmp_path):
     path.write_text(GLUE)
     code, out, _ = run(capsys, "oracle", "scan", str(path), "--max-len", "2")
     assert code == 1 and json.loads(out)["verdict"] == "violation"
+
+
+def test_oracle_scan_huge_max_len_is_inconclusive(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "scan", "d4:new", "--max-len", "1000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "monorev: words of length up to 6 exceed cap 500000\n"
 
 
 def test_render_summary(capsys):

@@ -5,10 +5,11 @@ as a check that windowing instantiates the translation relations correctly.
 """
 
 import json
+import time
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GLUE, ONE_SIDED, SKEWED, reference_closure, reference_scan
@@ -126,6 +127,16 @@ def test_scan_validations(w2, glue):
         cancellation_scan(glue, max_len=2, cap=10)
 
 
+def test_scan_cap_counts_only_up_to_the_cap(w2):
+    # the words are counted length by length and the count stops once it
+    # passes the cap, so a huge max_len is refused at once: the full count
+    # has a million digits, too many to sum quickly or to print
+    start = time.perf_counter()
+    with pytest.raises(OracleCapError, match=r"^words of length up to 6 exceed cap 500000$"):
+        cancellation_scan(w2, max_len=1_000_000)
+    assert time.perf_counter() - start < 1
+
+
 def test_refuses_letters_outside_window(d4, w2):
     # t(5) t(4) = t(4) t(3) holds in d4:new, but no relation of the window
     # of radius 2 mentions t(5), so answering there would be wrong
@@ -157,6 +168,23 @@ def test_scan_witness_lists(skewed):
         ("right", "a1", "a1 a1 b1", "a1 b1 a1"),
         ("right", "a1", "b1 a1 b1", "b1 b1 a1"),
     ]
+
+
+def test_scan_lists_classes_in_root_order():
+    # the union-find root of {c1 a1 b1, c1 c1 b1} comes before the root of
+    # the class of c1 a1 a1, though c1 a1 a1 is the smaller word: a scan that
+    # ordered its classes by their smallest member would swap the last two
+    p = load_presentation("generators: a1 b1 c1\nc1 a1 = c1 c1\n", name="root-order")
+    report = cancellation_scan(p, max_len=2)
+    assert _witnesses(report) == [
+        ("left", "c1", "a1", "c1"),
+        ("left", "c1", "a1 b1", "c1 b1"),
+        ("left", "c1", "a1 a1", "a1 c1"),
+    ]
+    smallest = [min(w.letters for w in equivalence_class(p, Word((Letter(x.letter),)) * x.first))
+                for x in report.witnesses]
+    assert [str(Word(w)) for w in smallest] == ["c1 a1", "c1 a1 b1", "c1 a1 a1"]
+    assert smallest != sorted(smallest, key=lambda w: (len(w), w))
 
 
 LAW_PRESENTATIONS = (
@@ -204,3 +232,27 @@ def test_oracle_matches_reference(index, data):
             _outcome(lambda: _reference_equal(p, u, v, cap))
     max_len = data.draw(st.integers(1, 3))
     assert cancellation_scan(p, max_len=max_len).to_json() == _reference_scan_json(index, max_len)
+
+
+@st.composite
+def _homogeneous_text(draw):
+    """Presentation text: 2-4 generators, 1-5 relations with sides of equal length 1-3."""
+    gens = ["a1", "b1", "c1", "d1"][:draw(st.integers(2, 4))]
+    lines = [f"generators: {' '.join(gens)}"]
+    for _ in range(draw(st.integers(1, 5))):
+        span = draw(st.integers(1, 3))
+        lhs, rhs = (draw(st.lists(st.sampled_from(gens), min_size=span, max_size=span))
+                    for _ in range(2))
+        lines.append(f"{' '.join(lhs)} = {' '.join(rhs)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100)
+@example(text=GLUE, max_len=3)
+@example(text="generators: a1 b1 c1\na1 = b1\nc1 a1 = c1 c1\n", max_len=3)
+@given(text=_homogeneous_text(), max_len=st.integers(1, 3))
+def test_scan_matches_reference_on_random_presentations(text, max_len):
+    # the classes come out in root order, so a union run out of the
+    # reference's order shows as witnesses listed in another order
+    p = load_presentation(text, name="random")
+    assert cancellation_scan(p, max_len=max_len).to_json() == reference_scan(p, max_len).to_json()
