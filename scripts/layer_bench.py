@@ -15,7 +15,11 @@ Measures, on the monorev in this checkout's src/:
   right_reverse with its full trace on the same triples' right first words
   u^-1 w w^-1 v, per call, both with a warm complement cache;
 - cancellation_scan on the d4:new window of radius 2 at max_len 3, a fresh
-  call each repeat on a window built before the clock starts.
+  call each repeat on a window built before the clock starts, so each call
+  builds the window's rewrite table;
+- monoid_equal on the two sides of the double_twist_s1 fixture, on the
+  same window, per call: cold, each call on a fresh window built before
+  the clock starts, and warm, each call on one window after a first call.
 
 Each figure is the median of REPEATS runs.  Each run is scaled by the
 reference kernel of bench/reference.py, timed just before and just after
@@ -42,7 +46,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from monorev import catalog  # noqa: E402
 from monorev.completeness import certify, cube_condition, enumerate_word_triples  # noqa: E402
-from monorev.oracle import cancellation_scan  # noqa: E402
+from monorev.derivation import parse_script  # noqa: E402
+from monorev.oracle import cancellation_scan, monoid_equal  # noqa: E402
 from monorev.presentation import (  # noqa: E402
     check_complemented,
     instances_for_pair,
@@ -60,6 +65,7 @@ _spec.loader.exec_module(reference)
 REPEATS = 5
 LETTERS = 100_000
 KEY = "e8:new"
+EQUAL_CALLS = 20  # monoid_equal calls per run, cold and warm
 
 
 def letters_bench():
@@ -132,6 +138,30 @@ def cube_runs():
     return timings
 
 
+def monoid_equal_runs():
+    """monoid_equal on the double_twist_s1 sides, per call, cold and warm.
+
+    A cold call is the first on its window, so it builds the rewrite
+    table; a warm call finds the table built.
+    """
+    d4 = catalog.load("d4:new")
+    text = (ROOT / "tests" / "fixtures" / "double_twist_s1.script").read_text(encoding="utf-8")
+    script = parse_script(text, d4)
+    u, v = script.start, script.expect
+    windows = [instantiate_window(d4, 2) for _ in range(EQUAL_CALLS)]
+    timings = {}
+    t0 = time.perf_counter()
+    for w in windows:
+        monoid_equal(w, u, v)
+    timings["monoid_equal_cold_ms"] = (time.perf_counter() - t0) / EQUAL_CALLS
+    w = windows[0]
+    t0 = time.perf_counter()
+    for _ in range(EQUAL_CALLS):
+        monoid_equal(w, u, v)
+    timings["monoid_equal_warm_ms"] = (time.perf_counter() - t0) / EQUAL_CALLS
+    return timings
+
+
 def measure(fn) -> tuple[float, float]:
     """One run of fn: (seconds, seconds scaled by the reference kernel)."""
     before = reference.time_reference()
@@ -177,6 +207,11 @@ def run() -> dict:
         record("certify6_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=6)))
         w = instantiate_window(catalog.load("d4:new"), 2)
         record("cancellation_scan_ms", 1e3, *measure(lambda: cancellation_scan(w, max_len=3)))
+        before = reference.time_reference()
+        per_call = monoid_equal_runs()
+        after = reference.time_reference()
+        for name, seconds in per_call.items():
+            record(name, 1e3, seconds, reference.scaled(seconds, before, after))
     return {
         "script": "scripts/layer_bench.py",
         "presentation": KEY,

@@ -53,6 +53,7 @@ from .reversing import (
 from .completeness import (
     Certificate,
     CubeResult,
+    SweepCapError,
     certify,
     cube_condition,
     enumerate_word_triples,

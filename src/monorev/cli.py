@@ -3,7 +3,8 @@
 Exit codes are uniform across subcommands: 0 for success or a passing
 check, 1 for a definite failure or counterexample, 2 for inconclusive
 outcomes (reversals proved to cycle, fuel exhaustion, stuck reversals,
-ambiguous preconditions, oracle caps), 3 for usage and input errors.
+ambiguous preconditions, oracle and sweep caps), 3 for usage and input
+errors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 
 from . import catalog
-from .completeness import certify, cube_condition
+from .completeness import SweepCapError, certify, cube_condition
 from .derivation import DerivationError, parse_script, script_presentation, verify_script
 from .oracle import (
     OracleCapError,
@@ -433,7 +434,7 @@ def main(argv=None) -> int:
     except AmbiguousComplementError as exc:
         print(f"monorev: ambiguous complement: {exc}", file=sys.stderr)
         return INCONCLUSIVE
-    except OracleCapError as exc:
+    except (OracleCapError, SweepCapError) as exc:
         print(f"monorev: {exc}", file=sys.stderr)
         return INCONCLUSIVE
     except FileNotFoundError as exc:

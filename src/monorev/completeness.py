@@ -79,6 +79,14 @@ from .words import Generator, Letter, Word
 
 Letters = tuple[Letter, ...]
 
+# the largest triple set a sweep enumerates; e8:new's word triples up to
+# length 2 at t_bound 0 are 729,000
+MAX_TRIPLES = 1_000_000
+
+
+class SweepCapError(RuntimeError):
+    """The index-normalised triples of a sweep number more than MAX_TRIPLES."""
+
 
 def _inverse(letters: Letters) -> Letters:
     return tuple(map(Letter.inverse, reversed(letters)))
@@ -196,12 +204,14 @@ def enumerate_word_triples(p: Presentation, max_len: int,
     the exhaustive fallback.  Integer-family indices run over
     [0, 2*t_bound] and any triple that mentions the family must attain
     index 0, so each class of triples under index translation is
-    enumerated exactly once.
+    enumerated exactly once.  The triples are counted before any word is
+    built, and more than MAX_TRIPLES raise SweepCapError.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if t_bound < 0:
         raise ValueError("t_bound must be >= 0")
+    _require_sweep_size(p, max_len, t_bound)
     gens = list(p.alphabet.finite_generators())
     for fam in sorted(p.alphabet.integer_families):
         gens.extend(Generator(fam, d) for d in range(0, 2 * t_bound + 1))
@@ -217,6 +227,27 @@ def enumerate_word_triples(p: Presentation, max_len: int,
     return [(u, v, w)
             for (u, a), (v, b), (w, c) in itertools.product(zip(words, lows), repeat=3)
             if min(a, b, c) in (0, free)]
+
+
+def _require_sweep_size(p: Presentation, max_len: int, t_bound: int) -> None:
+    """Raise SweepCapError when enumerate_word_triples would pass MAX_TRIPLES.
+
+    A kept triple has no family letter or smallest index 0: all triples,
+    less those whose every letter is finite or has an index above 0, plus
+    the family-free ones.  The count grows with the length and stops once
+    it passes the cap, before the powers grow past what a cap could be.
+    """
+    finite = len(p.alphabet.finite_generators())
+    above = finite + 2 * t_bound * len(p.alphabet.integer_families)  # letters not of index 0
+    letters = above + len(p.alphabet.integer_families)
+    words = no_zero = free = 0
+    for length in range(1, max_len + 1):
+        words += letters ** length
+        no_zero += above ** length
+        free += finite ** length
+        if words ** 3 - no_zero ** 3 + free ** 3 > MAX_TRIPLES:
+            raise SweepCapError(f"word triples up to length {length} at t_bound {t_bound} "
+                                f"exceed the sweep cap of {MAX_TRIPLES} triples")
 
 
 @dataclass(frozen=True)
@@ -278,6 +309,7 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     presentations (the generator reduction needs homogeneity), and there
     the claim tops out at complete-up-to: without homogeneity,
     completeness alone does not buy cancellation.
+    A sweep of more than MAX_TRIPLES triples raises SweepCapError.
 
     The sweep calls cube_condition once per side and triple, with the set
     of the side's passed triples; the left sweep keeps the right sweep's

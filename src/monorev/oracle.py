@@ -13,16 +13,22 @@ The rewriting runs on small integers.  Each generator is coded as its
 position in the sorted list of finite generators, so coded words sort like
 the letter tuples they stand for.  A rewrite table maps every coded relation
 side to the sides it may be replaced by, so the neighbours of a word come
-from one dictionary lookup per position and side length.  Words are decoded
-back to Word and Letter values only in what the public functions return.
+from one dictionary lookup per position and side length.  The table is
+built once per presentation, on the first oracle call, and kept on it.
+Words are decoded back to Word and Letter values only in what the public
+functions return.
 
 The cancellation scan goes one step further and numbers its words: a word
 of length L is the base-n number of its codes, and each length has its own
 union-find list, since a homogeneous relation never joins two lengths.  Its
 unions are generated from the relations, in the order a scan over the
 words in turn would meet them, so every class gets the root that scan
-gives it.  Witnesses are found by set sizes: only a side and edge letter
-whose (class, class of the rest) pairs outnumber its classes is walked.
+gives it.  Witnesses are found by comparing distinct classes with distinct
+rest classes: x ~ y gives a x ~ a y and x a ~ y a by the same rewrites
+shifted one position, so the class of a word is a function of the class of
+its rest, and every side and edge letter has as many (class, class of the
+rest) pairs as the words one letter shorter have classes.  Only a side and
+edge letter with fewer classes than that is walked.
 """
 
 from __future__ import annotations
@@ -118,12 +124,19 @@ def _closure(rw: _Rewriter, word: Word, cap: int,
     return seen
 
 
+def _table(p: Presentation) -> _Rewriter:
+    """The presentation's rewrite table, built on first use and kept on p."""
+    if p._rewriter is None:
+        p._rewriter = _Rewriter(p)
+    return p._rewriter
+
+
 def equivalence_class(p: Presentation, word: Word, cap: int = 1_000_000) -> frozenset[Word]:
     """All positive words equal to the given one, by closure under rewriting."""
     _require_finite(p)
     if not word.is_positive():
         raise ValueError("oracle handles positive words only")
-    rw = _Rewriter(p)
+    rw = _table(p)
     return frozenset(rw.decode(w) for w in _closure(rw, word, cap))
 
 
@@ -132,7 +145,7 @@ def monoid_equal(p: Presentation, u: Word, v: Word, cap: int = 1_000_000) -> boo
     _require_finite(p)
     if not (u.is_positive() and v.is_positive()):
         raise ValueError("oracle handles positive words only")
-    rw = _Rewriter(p)
+    rw = _table(p)
     start, target = rw.encode(u), rw.encode(v)  # refuses letters outside the window
     if start == target:
         return True
@@ -196,11 +209,12 @@ def cancellation_scan(p: Presentation, max_len: int = 3, cap: int = 500_000) -> 
     union is packed into one integer (word, orientation, position) and the
     integers are sorted, so the unions run in the order a scan over the
     words in turn meets them, and every class gets the root that scan gives
-    it.  A class has a witness at a side and edge letter only where the
-    distinct (class, class of the rest) pairs outnumber the distinct
-    classes, and only there are the rests walked in increasing order: the
-    first rest seen is the witness's first word, the first rest seen in
-    another class its second.
+    it.  The class of a word is a function of the class of its rest, so a
+    side and edge letter has as many distinct (class, class of the rest)
+    pairs as the shorter words have classes.  A class has a witness there
+    only where the distinct classes are fewer, and only there are the rests
+    walked in increasing order: the first rest seen is the witness's first
+    word, the first rest seen in another class its second.
     """
     _require_finite(p)
     if not p.homogeneous:
@@ -213,7 +227,7 @@ def cancellation_scan(p: Presentation, max_len: int = 3, cap: int = 500_000) -> 
         total += n ** L
         if total > cap:  # stops before the powers grow past what a cap could be
             raise OracleCapError(f"words of length up to {L} exceed cap {cap}")
-    rw = _Rewriter(p)
+    rw = _table(p)
     joins = sorted((order, _number(src, n), _number(tgt, n), len(src))
                    for src, targets in rw.table.items()
                    for order, tgt in targets if tgt > src)
@@ -287,11 +301,12 @@ def _scan_witnesses(rw: _Rewriter, roots: list[int], rests: list[int],
                     n: int, L: int) -> list[ScanWitness]:
     """The witnesses among words of length L, by class root, side and edge letter."""
     width = len(rests)
+    distinct = len(set(rests))  # (class, class of the rest) pairs at every side and edge
     found = []
     for side in (0, 1):
         for edge in range(n):
             classes = roots[edge * width:(edge + 1) * width] if side == 0 else roots[edge::n]
-            if len(set(zip(classes, rests))) == len(set(classes)):
+            if len(set(classes)) == distinct:
                 continue  # every class has one class of rests at this edge
             first: dict[int, tuple[int, int]] = {}
             second: dict[int, int] = {}

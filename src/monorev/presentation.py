@@ -244,14 +244,6 @@ class Schema:
         inst = self._build(bindings)
         return inst.swapped() if swap and inst is not None else inst
 
-    def pair_query(self, x: Generator, y: Generator, end: int) -> list[RelationInstance]:
-        """Instances oriented so that lhs has x and rhs has y at the given end.
-
-        end is 0 for the leading pair (right reversing) and -1 for the
-        trailing pair (left reversing).
-        """
-        return _oriented_hits((self,), ((0, False), (0, True)), x, y, end)
-
     # -- enumeration ------------------------------------------------------
 
     def instances(self, window: tuple[int, int] | None = None,
@@ -333,10 +325,12 @@ class Presentation:
     alphabet: Alphabet
     schemas: tuple[Schema, ...]
     window: int | None = None
-    # caches, not arguments: dataclasses.replace starts them afresh
+    # caches, not arguments: dataclasses.replace starts them afresh.  _rewriter
+    # is the oracle's rewrite table, built from the relations on first use
     _complements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _invariant: bool | None = field(default=None, init=False, repr=False, compare=False)
     _pair_index: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _rewriter: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def schema(self, name: str) -> Schema:
         for s in self.schemas:
@@ -772,6 +766,8 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
         if not fam_part.startswith("families:"):
             raise WordSyntaxError("expected 'families:' after ';' in header")
         integer_families = frozenset(fam_part[len("families:"):].split())
+    if not finite and not integer_families:  # no word to reverse, sweep or scan
+        raise WordSyntaxError("the 'generators:' header names no generator")
     both = sorted(integer_families & finite.keys())
     if both:  # t1 and t(i) in one alphabet would put t(1) in it twice
         raise WordSyntaxError(f"family {both[0]!r} is named both in 'generators:' and in 'families:'")

@@ -348,11 +348,6 @@ class ReversingGrid:
     cells: tuple[GridCell, ...]
     final_path: tuple[tuple[GridEdge, int], ...]
 
-    def boundary_word(self) -> Word:
-        """The final path read as a word; equals the trace's final word."""
-        w = Word(tuple(Letter(e.label, sign) for e, sign in self.final_path))
-        return w.reversed() if self.side == "left" else w
-
 
 def _mirror_trace(trace: ReversalTrace) -> ReversalTrace:
     """Reverse letter order (signs kept): turns a left trace into a right one."""

@@ -6,7 +6,13 @@ from hypothesis import settings
 
 from monorev import catalog, load_presentation
 from monorev.oracle import OracleCapError, ScanReport, ScanWitness
-from monorev.presentation import EQUAL, left_complement, materialize_relations, right_complement
+from monorev.presentation import (
+    EQUAL,
+    _oriented_hits,
+    left_complement,
+    materialize_relations,
+    right_complement,
+)
 from monorev.reversing import Diverged, Empty, ReversalStep, Stuck, Terminal
 from monorev.words import Generator, Letter, Word
 
@@ -115,10 +121,19 @@ def reference_word_triples(p, max_len, t_bound):
             yield triple
 
 
+def pair_query(schema, x, y, end):
+    """One schema's instances oriented so that lhs has x and rhs has y at the end.
+
+    end is 0 for the leading pair (right reversing) and -1 for the trailing
+    pair (left reversing).  Both orientations are solved, unswapped first.
+    """
+    return _oriented_hits((schema,), ((0, False), (0, True)), x, y, end)
+
+
 def reference_instances_for_pair(p, x, y, side):
     """The pair lookup without an index: every schema's pair query, in schema order."""
     end = 0 if side == "right" else -1
-    return [inst for s in p.schemas for inst in s.pair_query(x, y, end)]
+    return [inst for s in p.schemas for inst in pair_query(s, x, y, end)]
 
 
 def reference_reverse(p, word, fuel, side):

@@ -223,6 +223,17 @@ def test_family_declared_twice_is_a_usage_error(capsys, tmp_path):
     assert err == "monorev: family 't' is named both in 'generators:' and in 'families:'\n"
 
 
+def test_header_without_generators_is_a_usage_error(capsys, tmp_path):
+    # with no letter there is no word, so a sweep or scan would count
+    # nothing up to any length: a huge --word-len would loop instead of
+    # meeting the cap
+    path = tmp_path / "empty.pres"
+    path.write_text("generators: ; families:\n")
+    code, out, err = run(capsys, "certify", str(path), "--word-len", "1000000000")
+    assert code == 3 and out == ""
+    assert err == "monorev: the 'generators:' header names no generator\n"
+
+
 @pytest.mark.parametrize("key", ["d4:yamada", "d4:new"])
 @pytest.mark.parametrize("flag,value,message", [
     ("--t-bound", "-1", "argument --t-bound: must be >= 0"),
@@ -256,6 +267,22 @@ def test_certify_word_len(capsys, tmp_path):
     assert code == 1 and "rerun with a word length" in out
     code, out, _ = run(capsys, "certify", str(path), "--word-len", "2")
     assert code == 0 and json.loads(out)["claim"] == "complete-up-to"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--t-bound", "100000", "word triples up to length 1 at t_bound 100000"),
+    ("--word-len", "1000000000", "word triples up to length 3 at t_bound 3"),
+])
+def test_certify_huge_sweep_is_inconclusive(capsys, tmp_path, flag, value, message):
+    # the triples are counted before any word is built, so a sweep of
+    # 200,002 generators is refused at once instead of walking their cube
+    path = tmp_path / "tb.pres"
+    path.write_text("generators: s1 ; families: t\nschema tb: t(i) s1 t(i) = s1 t(i) s1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify", str(path), flag, value)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"monorev: {message} exceed the sweep cap of 1000000 triples\n"
 
 
 def test_derive(capsys):

@@ -4,12 +4,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monorev import catalog, completeness, reversing
 from monorev.completeness import (
+    SweepCapError,
     certify,
     cube_condition,
     enumerate_word_triples,
@@ -571,6 +573,35 @@ def test_enumerate_word_triples():
     assert len(enumerate_word_triples(p, 2)) == 216  # (2 + 4)^3
     with pytest.raises(ValueError):
         enumerate_word_triples(p, 0)
+
+
+@pytest.mark.parametrize("key,max_len,t_bound", [
+    ("d4:new", 1, 0), ("d4:new", 2, 1), ("e8:new", 1, 6),
+    ("d4:yamada", 2, 2), ("affine-a:classical:3", 2, 3),
+])
+def test_sweep_cap_is_the_exact_triple_count(monkeypatch, key, max_len, t_bound):
+    # the guard counts the kept triples arithmetically: a cap at the count
+    # enumerates them all, a cap one below refuses
+    p = catalog.load(key)
+    count = len(enumerate_word_triples(p, max_len, t_bound))
+    monkeypatch.setattr(completeness, "MAX_TRIPLES", count)
+    assert len(enumerate_word_triples(p, max_len, t_bound)) == count
+    monkeypatch.setattr(completeness, "MAX_TRIPLES", count - 1)
+    with pytest.raises(SweepCapError):
+        enumerate_word_triples(p, max_len, t_bound)
+
+
+def test_sweep_cap_refuses_before_building():
+    # 200,002 generators: the cube product alone has about 8e15 entries
+    p = load_presentation("generators: s1 ; families: t\n"
+                          "schema tb: t(i) s1 t(i) = s1 t(i) s1\n", name="tb")
+    start = time.perf_counter()
+    with pytest.raises(SweepCapError, match=r"^word triples up to length 1 at t_bound 100000 "):
+        certify(p, t_bound=100_000)
+    with pytest.raises(SweepCapError, match=r"^word triples up to length 3 at t_bound 3 "):
+        certify(p, word_len=10 ** 9)
+    assert time.perf_counter() - start < 1
+    assert certify(p, t_bound=1).triples_checked == len(enumerate_word_triples(p, 1, 1))
 
 
 def test_certify_elliptic(d4):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GLUE, ONE_SIDED, SKEWED, reference_closure, reference_scan
-from monorev import catalog, load_presentation
+from monorev import catalog, load_presentation, oracle
 from monorev.oracle import (
     OracleCapError,
     cancellation_scan,
@@ -256,3 +256,43 @@ def test_scan_matches_reference_on_random_presentations(text, max_len):
     # reference's order shows as witnesses listed in another order
     p = load_presentation(text, name="random")
     assert cancellation_scan(p, max_len=max_len).to_json() == reference_scan(p, max_len).to_json()
+
+
+@settings(max_examples=100)
+@example(text=GLUE, max_len=3)
+@given(text=_homogeneous_text(), max_len=st.integers(1, 3))
+def test_edge_pairs_number_the_rest_classes(text, max_len):
+    # x ~ y gives a x ~ a y and x a ~ y a, so the class of a word is a
+    # function of the class of its rest: at every side and edge letter the
+    # distinct (class, class of the rest) pairs are as many as the classes
+    # one letter shorter, the number the scan compares each edge with
+    p = load_presentation(text, name="random")
+    rw = oracle._Rewriter(p)
+    n = len(rw.letters)
+    joins = sorted((order, oracle._number(src, n), oracle._number(tgt, n), len(src))
+                   for src, targets in rw.table.items() for order, tgt in targets if tgt > src)
+    rests = oracle._class_roots(joins, n, 1)
+    for L in range(2, max_len + 2):
+        roots = oracle._class_roots(joins, n, L)
+        width = len(rests)
+        for edge in range(n):
+            for word in (lambda rest: edge * width + rest, lambda rest: rest * n + edge):
+                pairs = {(roots[word(rest)], rests[rest]) for rest in range(width)}
+                assert len(pairs) == len(set(rests))
+        rests = roots
+
+
+def test_rewrite_table_built_once_per_presentation(monkeypatch, d4):
+    built = []
+    materialize = oracle.materialize_relations
+    monkeypatch.setattr(oracle, "materialize_relations",
+                        lambda p: built.append(p.name) or materialize(p))
+    w = instantiate_window(d4, 2)
+    cancellation_scan(w, max_len=2)
+    assert monoid_equal(w, w.parse("t(1) t(0)"), w.parse("t(2) t(1)"))
+    assert not monoid_equal(w, w.parse("s1 s2"), w.parse("s2 s3"))
+    assert len(equivalence_class(w, w.parse("t(1) t(0)"))) == 4
+    assert built == ["d4:new|window=2"]
+    again = instantiate_window(d4, 2)
+    assert monoid_equal(again, again.parse("t(1) t(0)"), again.parse("t(0) t(-1)"))
+    assert built == ["d4:new|window=2"] * 2
