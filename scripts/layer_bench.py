@@ -2,8 +2,10 @@
 """Time the letter, lookup and oracle layers that bounded certificates lean on.
 
     python3 scripts/layer_bench.py --out BENCH.json
+    python3 scripts/layer_bench.py --cold-start 11 --out BENCH.json \
+        [--tree parent=OTHER_CHECKOUT --tree change=.]
 
-Measures, on the monorev in this checkout's src/:
+Without --cold-start it measures, on the monorev in this checkout's src/:
 
 - hashing, comparing and sorting 100,000 letters;
 - right_complement on e8:new, cold (empty cache) and warm, per call, over
@@ -25,6 +27,19 @@ Each figure is the median of REPEATS runs.  Each run is scaled by the
 reference kernel of bench/reference.py, timed just before and just after
 it, so the figure reads as it would on a machine where that kernel takes
 REFERENCE_S; the raw medians are written beside the scaled ones.
+
+With --cold-start N it measures instead the commands of COLD_COMMANDS from a
+cold start, in N fresh interpreters per command: each times `import
+monorev.cli` and then `monorev.cli.main(argv)`, output discarded, with the
+reference kernel timed before and after in the same process; the parent
+process also times the whole child, interpreter start-up included
+(`process_ms`, unscaled).  Each tree named by --tree (a checkout; by default
+this one) is copied without bytecode and measured in two modes: "compile",
+with PYTHONDONTWRITEBYTECODE=1, so that every run compiles monorev's
+sources, and "cached", with bytecode written once under a
+PYTHONPYCACHEPREFIX in a temporary directory and read back.  The runs go round the commands, trees
+and modes in turn, so that a drift in the machine's speed reaches each
+alike.  Every figure is a median over the N runs.
 """
 
 from __future__ import annotations
@@ -35,9 +50,13 @@ import itertools
 import json
 import operator
 import platform
+import os
 import random
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -63,6 +82,29 @@ reference = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reference)
 
 REPEATS = 5
+COLD_COMMANDS = {
+    "list": ["list"],
+    "show": ["show", "d4:new"],
+    "reverse": ["reverse", "d4:new", "t(2)^-1 s3 s3"],
+    "certify": ["certify", "e8:new"],
+    "oracle_scan": ["oracle", "scan", "d4:new"],
+    "render": ["render", "d4:new", "t(2)^-1 s3 s3"],
+}
+# A cold-start child: argv[1] is the src directory, argv[2] the command as JSON.
+COLD_CHILD = """\
+import contextlib, io, json, sys, time
+sys.path[:0] = [sys.argv[1], %r]
+from reference import time_reference
+argv = json.loads(sys.argv[2])
+before = time_reference()
+t0 = time.perf_counter()
+import monorev.cli
+t1 = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = monorev.cli.main(argv)
+t2 = time.perf_counter()
+print(json.dumps([code, t1 - t0, t2 - t1, before, time_reference()]))
+""" % str(ROOT / "bench")
 LETTERS = 100_000
 KEY = "e8:new"
 EQUAL_CALLS = 20  # monoid_equal calls per run, cold and warm
@@ -225,14 +267,95 @@ def run() -> dict:
     }
 
 
+def cold_start(trees: dict[str, Path], runs: int, scratch: Path) -> dict:
+    """Each command of COLD_COMMANDS from a cold start, per tree and bytecode mode."""
+    srcs = {}
+    for name, tree in trees.items():
+        srcs[name] = scratch / "trees" / name / "src"
+        shutil.copytree(tree / "src", srcs[name],
+                        ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX", "PYTHONPATH")}
+    envs = {(name, mode): {**base, "PYTHONDONTWRITEBYTECODE": "1"} if mode == "compile"
+            else {**base, "PYTHONPYCACHEPREFIX": str(scratch / "pycache" / name)}
+            for name in trees for mode in ("compile", "cached")}
+
+    def child(name: str, mode: str, argv: list[str]) -> tuple[float, ...]:
+        t0 = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", COLD_CHILD, str(srcs[name]),
+                               json.dumps(argv)], env=envs[name, mode], capture_output=True,
+                              text=True, check=True, timeout=120)
+        process = time.perf_counter() - t0
+        code, load, work, before, after = json.loads(done.stdout.splitlines()[-1])
+        if code != 0:
+            raise RuntimeError(f"{name}: monorev {' '.join(argv)} exited {code}")
+        return load, work, before, after, process
+
+    for name in trees:  # writes the cached mode's bytecode, untimed
+        for argv in COLD_COMMANDS.values():
+            child(name, "cached", argv)
+    samples: dict[tuple[str, str, str], list[tuple[float, ...]]] = {}
+    order = list(trees)
+    for i in range(runs):
+        for command, argv in COLD_COMMANDS.items():
+            for name in order[i % len(order):] + order[:i % len(order)]:
+                for mode in ("compile", "cached"):
+                    samples.setdefault((name, mode, command), []).append(child(name, mode, argv))
+    result: dict = {name: {"compile": {}, "cached": {}} for name in trees}
+    for (name, mode, command), rows in samples.items():
+        seconds = {
+            "import_ms": [reference.scaled(load, before, after)
+                          for load, _, before, after, _ in rows],
+            "main_ms": [reference.scaled(work, before, after)
+                        for _, work, before, after, _ in rows],
+            "total_ms": [reference.scaled(load + work, before, after)
+                         for load, work, before, after, _ in rows],
+            "process_ms": [process for *_, process in rows],  # unscaled
+        }
+        result[name][mode][command] = {figure: round(statistics.median(values) * 1e3, 2)
+                                       for figure, values in seconds.items()}
+    return {
+        "script": "scripts/layer_bench.py --cold-start",
+        "python": platform.python_version(),
+        "runs": runs,
+        "reference_s": reference.REFERENCE_S,
+        "commands": {command: "monorev " + " ".join(argv)
+                     for command, argv in COLD_COMMANDS.items()},
+        "trees": result,
+    }
+
+
+def _tree(text: str) -> tuple[str, Path]:
+    name, sep, path = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=PATH, got {text!r}")
+    return name, Path(path).resolve()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    ap.add_argument("--cold-start", type=int, default=0, metavar="N", dest="cold_start",
+                    help="time the CLI from a cold start in N fresh interpreters per "
+                         "command instead of the layers")
+    ap.add_argument("--tree", type=_tree, action="append", default=[], metavar="NAME=PATH",
+                    help="a checkout to time from a cold start (repeatable; "
+                         "default this one)")
     args = ap.parse_args(argv)
-    result = run()
+    if args.cold_start < 1:
+        result = run()
+        for name, value in result["figures"].items():
+            print(f"{name:28} {value:10.3f}")
+    else:
+        trees = dict(args.tree) or {"this": ROOT}
+        with tempfile.TemporaryDirectory() as scratch:
+            result = cold_start(trees, args.cold_start, Path(scratch))
+        for name, modes in result["trees"].items():
+            for mode, commands in modes.items():
+                for command, figures in commands.items():
+                    print(f"{name:8} {mode:8} {command:12} " + "  ".join(
+                        f"{k} {v:8.2f}" for k, v in figures.items()))
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    for name, value in result["figures"].items():
-        print(f"{name:28} {value:10.3f}")
     return 0
 
 

@@ -5,6 +5,15 @@ check, 1 for a definite failure or counterexample, 2 for inconclusive
 outcomes (reversals proved to cycle, fuel exhaustion, stuck reversals,
 ambiguous preconditions, oracle and sweep caps), 3 for usage and input
 errors.
+
+A command imports what it runs.  At module level this file loads only
+`catalog` and the `presentation` and `words` modules under it, which
+`list` and `show` need and every other command loads anyway; each
+`_cmd_*` function, and each helper that reads reversal outcomes, imports
+the rest itself.  So `monorev list` never loads the reversing kernel, and
+`monorev certify` never loads the oracle, the derivation checker or the
+grid view.  `main` catches the errors of modules it has not loaded by
+their bases: `CapError` from `presentation`, `ValueError` and `OSError`.
 """
 
 from __future__ import annotations
@@ -13,37 +22,20 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import catalog
-from .completeness import SweepCapError, certify, cube_condition
-from .derivation import DerivationError, parse_script, script_presentation, verify_script
-from .oracle import (
-    OracleCapError,
-    cancellation_scan,
-    equivalence_class,
-    monoid_equal,
-)
 from .presentation import (
+    DEFAULT_FUEL,
     AmbiguousComplementError,
+    CapError,
     Presentation,
-    SchemaError,
     instantiate_window,
     load_presentation,
 )
-from .reversing import (
-    DEFAULT_FUEL,
-    Cycles,
-    Empty,
-    ReversalTrace,
-    Stuck,
-    Terminal,
-    build_grid,
-    grid_to_dot,
-    left_reverse,
-    reverse_quotient,
-    right_reverse,
-)
-from .words import Word, WordSyntaxError
+
+if TYPE_CHECKING:
+    from .reversing import Cycles, ReversalTrace
 
 OK, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 3
 
@@ -54,13 +46,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _read(path: str) -> str:
+    """A file's text; bytes that are not UTF-8 are an input error naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()  # decodes the whole file at once, so offsets are absolute
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not valid UTF-8 at byte {exc.start} "
+                             f"({exc.reason})") from None
+
+
 def _load(source: str) -> Presentation:
     try:
         return catalog.load(source)
     except KeyError:
         if os.path.exists(source):
-            with open(source, encoding="utf-8") as fh:
-                return load_presentation(fh.read(), name=os.path.basename(source))
+            return load_presentation(_read(source), name=os.path.basename(source))
         raise KeyError(
             f"{source!r} is neither a catalog key nor a presentation file; "
             "see 'monorev list'"
@@ -76,6 +77,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _outcome_json(outcome) -> dict:
+    from .reversing import Cycles, Empty, Stuck, Terminal
+
     if isinstance(outcome, Empty):
         return {"kind": "empty"}
     if isinstance(outcome, Terminal):
@@ -110,6 +113,8 @@ def _trace_json(trace: ReversalTrace) -> dict:
 
 
 def _print_trace(trace: ReversalTrace, limit: int) -> None:
+    from .reversing import Cycles, Empty, Stuck, Terminal
+
     print(f"start: {trace.start}")
     intermediates = trace.words()
     next(intermediates)
@@ -150,6 +155,8 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_reverse(args) -> int:
+    from .reversing import left_reverse, right_reverse
+
     p = _load(args.presentation)
     word = p.parse(args.word)
     trace = (left_reverse if args.left else right_reverse)(p, word, args.fuel)
@@ -161,6 +168,8 @@ def _cmd_reverse(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    from .reversing import Cycles, Empty, Stuck, Terminal, reverse_quotient
+
     p = _load(args.presentation)
     u, v = p.parse(args.u), p.parse(args.v)
     side = "left" if args.left else "right"
@@ -188,6 +197,8 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_cube(args) -> int:
+    from .completeness import cube_condition
+
     p = _load(args.presentation)
     u, v, w = p.parse(args.u), p.parse(args.v), p.parse(args.w)
     side = "left" if args.left else "right"
@@ -210,6 +221,8 @@ def _cmd_cube(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .completeness import certify
+
     p = _load(args.presentation)
     cert = certify(p, t_bound=args.t_bound, fuel=args.fuel,
                    word_len=args.word_len)
@@ -221,8 +234,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    with open(args.script, encoding="utf-8") as fh:
-        text = fh.read()
+    from .derivation import parse_script, script_presentation, verify_script
+
+    text = _read(args.script)
     p = _load(script_presentation(text))
     script = parse_script(text, p)
     result = verify_script(p, script)
@@ -253,6 +267,8 @@ def _windowed(p: Presentation, window: int) -> Presentation:
 
 
 def _cmd_oracle_class(args) -> int:
+    from .oracle import equivalence_class
+
     p = _windowed(_load(args.presentation), args.window)
     word = p.parse(args.word)
     cls = equivalence_class(p, word, cap=args.cap)
@@ -263,6 +279,8 @@ def _cmd_oracle_class(args) -> int:
 
 
 def _cmd_oracle_equal(args) -> int:
+    from .oracle import monoid_equal
+
     p = _windowed(_load(args.presentation), args.window)
     u, v = p.parse(args.u), p.parse(args.v)
     if monoid_equal(p, u, v, cap=args.cap):
@@ -273,6 +291,8 @@ def _cmd_oracle_equal(args) -> int:
 
 
 def _cmd_oracle_scan(args) -> int:
+    from .oracle import cancellation_scan
+
     p = _windowed(_load(args.presentation), args.window)
     report = cancellation_scan(p, max_len=args.max_len, cap=args.cap)
     _emit(report.to_json(), args.output)
@@ -280,6 +300,9 @@ def _cmd_oracle_scan(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .grid import build_grid, grid_to_dot
+    from .reversing import left_reverse, right_reverse
+
     p = _load(args.presentation)
     word = p.parse(args.word)
     trace = (left_reverse if args.left else right_reverse)(p, word, args.fuel)
@@ -434,13 +457,13 @@ def main(argv=None) -> int:
     except AmbiguousComplementError as exc:
         print(f"monorev: ambiguous complement: {exc}", file=sys.stderr)
         return INCONCLUSIVE
-    except (OracleCapError, SweepCapError) as exc:
+    except CapError as exc:
         print(f"monorev: {exc}", file=sys.stderr)
         return INCONCLUSIVE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, an unreadable path
         print(f"monorev: {exc}", file=sys.stderr)
         return USAGE
-    except (WordSyntaxError, SchemaError, DerivationError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"monorev: {message}", file=sys.stderr)
         return USAGE

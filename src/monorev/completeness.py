@@ -63,9 +63,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .presentation import Presentation, check_complemented
+from .presentation import DEFAULT_FUEL, CapError, Presentation, check_complemented
 from .reversing import (
-    DEFAULT_FUEL,
     Cycles,
     Diverged,
     ReversalTrace,
@@ -84,7 +83,7 @@ Letters = tuple[Letter, ...]
 MAX_TRIPLES = 1_000_000
 
 
-class SweepCapError(RuntimeError):
+class SweepCapError(CapError):
     """The index-normalised triples of a sweep number more than MAX_TRIPLES."""
 
 

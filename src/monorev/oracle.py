@@ -37,13 +37,13 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .presentation import Presentation, materialize_relations
+from .presentation import CapError, Presentation, materialize_relations
 from .words import Generator, Letter, Word
 
 Coded = tuple[int, ...]
 
 
-class OracleCapError(RuntimeError):
+class OracleCapError(CapError):
     """The exploration budget ran out before an answer was reached."""
 
 

@@ -56,6 +56,19 @@ from .words import (
     parse_word,
 )
 
+# The reversal step budget by default.  It lives here, beside the complement
+# lookup, so that the command line can name it without loading the kernel.
+DEFAULT_FUEL = 10000
+
+
+class CapError(RuntimeError):
+    """A search met its size cap before an answer: the outcome is inconclusive.
+
+    The cube sweep (completeness.SweepCapError) and the oracle
+    (oracle.OracleCapError) raise subclasses; the command line catches
+    this base without loading either module.
+    """
+
 
 class SchemaError(ValueError):
     """Raised for schemas that cannot support pair-indexed lookup."""

@@ -39,21 +39,16 @@ record per rewrite and builds the trace.  Intermediate words are replayed
 on demand by words(): diverging reversals produce words that grow without
 bound, so materializing every intermediate would cost quadratic memory.
 
-The grid view replays a trace geometrically: positive letters run right,
-negative letters are climbed against down-pointing edges, relation steps
-close a square with two new labelled chains, and cancellations become
-unoriented epsilon arcs.  Grids for left reversals are built from the
-mirrored trace, so they come out flipped left-to-right relative to the
-usual picture.
+Reversing grids, the geometric view of a trace, live in `monorev.grid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
 from .presentation import (
+    DEFAULT_FUEL,
     EQUAL,
     Presentation,
     RelationInstance,
@@ -62,8 +57,6 @@ from .presentation import (
     splice,
 )
 from .words import Generator, Letter, Word
-
-DEFAULT_FUEL = 10000
 
 
 class ReversalStep(NamedTuple):
@@ -308,163 +301,3 @@ def reverse_quotient(p: Presentation, u: Word, v: Word, side: str = "right",
     if side == "right":
         return right_reverse(p, u.inverse() * v, fuel)
     return left_reverse(p, u * v.inverse(), fuel)
-
-
-# -- grids ----------------------------------------------------------------
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class GridNode:
-    x: Fraction
-    y: Fraction
-
-
-@dataclass(frozen=True, slots=True)
-class GridEdge:
-    tail: GridNode
-    head: GridNode
-    label: Generator
-
-
-@dataclass(frozen=True, slots=True)
-class EpsilonArc:
-    a: GridNode
-    b: GridNode
-
-
-@dataclass(frozen=True, slots=True)
-class GridCell:
-    corner: GridNode
-    rule: RelationInstance
-
-
-@dataclass(frozen=True)
-class ReversingGrid:
-    side: str
-    nodes: tuple[GridNode, ...]
-    path_edges: tuple[GridEdge, ...]
-    completion_edges: tuple[GridEdge, ...]
-    epsilon_arcs: tuple[EpsilonArc, ...]
-    cells: tuple[GridCell, ...]
-    final_path: tuple[tuple[GridEdge, int], ...]
-
-
-def _mirror_trace(trace: ReversalTrace) -> ReversalTrace:
-    """Reverse letter order (signs kept): turns a left trace into a right one."""
-    steps = []
-    n = len(trace.start)
-    for step in trace.steps:
-        pos = n - 2 - step.position
-        rule = step.rule
-        if rule is None:
-            n -= 2
-        else:
-            rule = RelationInstance(rule.rhs.reversed(), rule.lhs.reversed(),
-                                    rule.schema, rule.bindings)
-            n += len(rule.lhs) + len(rule.rhs) - 4
-        steps.append(ReversalStep(pos, step.kind, rule))
-    outcome = trace.outcome
-    if isinstance(outcome, Terminal):
-        outcome = Terminal(outcome.v_prime.reversed(), outcome.u_prime.reversed())
-    return ReversalTrace("right", trace.start.reversed(), tuple(steps), outcome,
-                         trace.final.reversed())
-
-
-def _chain(a: GridNode, b: GridNode, labels: Word, node) -> list[GridEdge]:
-    k = len(labels)
-    out = []
-    prev = a
-    for j, letter in enumerate(labels, start=1):
-        if j == k:
-            nxt = node(b.x, b.y)
-        else:
-            nxt = node(a.x + (b.x - a.x) * j / k, a.y + (b.y - a.y) * j / k)
-        out.append(GridEdge(prev, nxt, letter.gen))
-        prev = nxt
-    return out
-
-
-def build_grid(trace: ReversalTrace) -> ReversingGrid:
-    """Replay a terminal or empty trace into its reversing diagram.
-
-    Positive letters are horizontal edges pointing right; negative letters
-    climb against vertical edges pointing down, so the start path rises
-    from the origin and completions grow down and to the right.  A relation
-    step closes the square on the redex with two interpolated chains that
-    meet at the corner; a cancellation contributes an epsilon arc from the
-    entry node of the first letter to the exit node of the second.
-    """
-    if not trace.reached_terminal:
-        raise ValueError("grid requires a terminal or empty trace")
-    side = trace.side
-    if side == "left":
-        trace = _mirror_trace(trace)
-    nodes: dict[GridNode, None] = {}
-
-    def node(x, y) -> GridNode:
-        n = GridNode(Fraction(x), Fraction(y))
-        nodes.setdefault(n, None)
-        return n
-
-    path: list[tuple[GridEdge, int]] = []
-    path_edges: list[GridEdge] = []
-    cur = node(0, 0)
-    for letter in trace.start:
-        if letter.sign > 0:
-            nxt = node(cur.x + 1, cur.y)
-            e = GridEdge(cur, nxt, letter.gen)
-        else:
-            nxt = node(cur.x, cur.y + 1)
-            e = GridEdge(nxt, cur, letter.gen)
-        path_edges.append(e)
-        path.append((e, letter.sign))
-        cur = nxt
-    completion: list[GridEdge] = []
-    arcs: list[EpsilonArc] = []
-    cells: list[GridCell] = []
-    for step in trace.steps:
-        i = step.position
-        (e1, s1), (e2, s2) = path[i], path[i + 1]
-        entry1 = e1.head if s1 < 0 else e1.tail
-        exit2 = e2.head if s2 > 0 else e2.tail
-        if step.kind == "cancel":
-            arcs.append(EpsilonArc(entry1, exit2))
-            path[i:i + 2] = []
-        else:
-            rule = step.rule
-            corner = node(exit2.x, entry1.y)
-            v_edges = _chain(entry1, corner, rule.lhs[1:], node)
-            u_edges = _chain(exit2, corner, rule.rhs[1:], node)
-            completion.extend(v_edges)
-            completion.extend(u_edges)
-            cells.append(GridCell(corner, rule))
-            path[i:i + 2] = [(e, 1) for e in v_edges] + [(e, -1) for e in reversed(u_edges)]
-    return ReversingGrid(side, tuple(nodes), tuple(path_edges), tuple(completion),
-                         tuple(arcs), tuple(cells), tuple(path))
-
-
-def grid_to_dot(grid: ReversingGrid) -> str:
-    """Deterministic DOT rendering of the completed material.
-
-    Only the edges produced by reversing appear: relation chains as
-    labelled arrows, cancellations as dashed undirected arcs.  The input
-    path is the caller's word and is omitted, so a pure-cancellation grid
-    reduces to its arcs.
-    """
-    used: set[GridNode] = set()
-    for e in grid.completion_edges:
-        used.add(e.tail)
-        used.add(e.head)
-    for a in grid.epsilon_arcs:
-        used.add(a.a)
-        used.add(a.b)
-    index = {n: i for i, n in enumerate(sorted(used))}
-    lines = ["digraph reversing_grid {", "  node [shape=point];"]
-    edges = sorted(grid.completion_edges,
-                   key=lambda e: (index[e.tail], index[e.head], str(e.label)))
-    for e in edges:
-        lines.append(f'  n{index[e.tail]} -> n{index[e.head]} [label="{e.label}"];')
-    for a in sorted(grid.epsilon_arcs, key=lambda a: (index[a.a], index[a.b])):
-        lines.append(f"  n{index[a.a]} -> n{index[a.b]} [style=dashed, dir=none];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

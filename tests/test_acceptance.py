@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from monorev import catalog
 from monorev.completeness import certify, cube_condition
 from monorev.derivation import parse_script, verify_script, verify_translation_product
+from monorev.grid import build_grid, grid_to_dot
 from monorev.oracle import cancellation_scan, monoid_equal
 from monorev.presentation import (
     EQUAL,
@@ -31,8 +32,6 @@ from monorev.reversing import (
     Cycles,
     Diverged,
     Empty,
-    build_grid,
-    grid_to_dot,
     left_reverse,
     reverse_quotient,
     right_reverse,

@@ -488,3 +488,29 @@ def test_usage_errors(capsys):
     assert code == 3
     code, _, err = run(capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "d4:new", "--output", "{dir}"),
+    ("oracle", "scan", "d4:new", "--output", "{dir}"),
+    ("render", "d4:new", "s1^-1 s2", "--dot", "{dir}"),
+    ("show", "{dir}"),
+    ("derive", "{dir}"),
+])
+def test_directory_path_is_a_usage_error(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 3
+    assert err.startswith("monorev: ") and err.count("\n") == 1
+    assert "Is a directory" in err and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("argv", [("show", "{path}"), ("derive", "{path}")])
+def test_undecodable_file_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    data = b"generators: a1 b1\n# caf\xe9\na1 b1 = b1 a1\n"  # latin-1, not UTF-8
+    path.write_bytes(data)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 3 and out == ""
+    offset = data.index(b"\xe9")
+    assert err == (f"monorev: {path}: not valid UTF-8 at byte {offset} "
+                   "(invalid continuation byte)\n")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monorev import catalog, load_presentation, save_presentation
+from monorev.grid import build_grid, grid_to_dot
 from monorev.presentation import (
     AmbiguousComplementError,
     Presentation,
@@ -22,8 +23,6 @@ from monorev.reversing import (
     Empty,
     Stuck,
     Terminal,
-    build_grid,
-    grid_to_dot,
     left_reverse,
     reverse_quotient,
     right_reverse,

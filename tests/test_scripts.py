@@ -74,6 +74,20 @@ def test_layer_bench(capsys, tmp_path):
     assert "certify_cold_ms" in capsys.readouterr().out
 
 
+def test_layer_bench_cold_start(capsys, tmp_path):
+    script = load_script("layer_bench")
+    script.COLD_COMMANDS = {"list": ["list"]}  # three fresh interpreters in all
+    out = tmp_path / "cold.json"
+    assert script.main(["--out", str(out), "--cold-start", "1"]) == 0
+    data = json.loads(out.read_text())
+    assert data["commands"] == {"list": "monorev list"}
+    for mode in ("compile", "cached"):
+        figures = data["trees"]["this"][mode]["list"]
+        assert set(figures) == {"import_ms", "main_ms", "total_ms", "process_ms"}
+        assert all(value > 0 for value in figures.values())
+    assert "this     cached   list" in capsys.readouterr().out
+
+
 def test_bench_hooks_resolve():
     # the traced benchmark skips a hook whose attribute is gone and reports
     # its metrics as absent, so a rename in src/ must show up here
