@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Apply the committed mutants to copies of this checkout and check that tests kill them.
+
+    python3 scripts/mutants.py [NAME ...]
+
+Each entry of MUTANTS names a file, a piece of its text, the text that
+replaces it and the tests that must fail once it does.  The entries are the
+lines that soundness rests on.  For each entry, or for each one named on the
+command line, the script copies this checkout without its .git directory and
+caches into a temporary directory, makes the one replacement there, and runs
+the named tests on the copy with pytest, hypothesis at a fixed seed.  A mutant
+is killed when the run reports a failing test, and survives when the named
+tests pass.  A run that fails for another reason (a test id that names no
+test, a collection error) kills nothing and is reported as an error.  The
+named tests are first run on this checkout as it is, where they must pass.
+
+Prints one line per mutant and exits 0 when every mutant was killed, 1
+otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+KILLED = 1  # pytest's exit status when some test failed
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the checkout
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the checkout
+
+
+MUTANTS = (
+    Mutant("shifted-cycle-guard", "src/monorev/reversing.py",
+           "if k is not None and (k == 0 or p.translation_invariant()):",
+           "if k is not None:",
+           ("tests/test_reversing.py::test_shifted_cycle_needs_translation_invariance",)),
+    Mutant("left-sweep-reuse", "src/monorev/completeness.py",
+           'if side == "left" and (failures or cycling or fuel_outs or not p.mirror_symmetric()):',
+           'if side == "left" and not p.mirror_symmetric():',
+           ("tests/test_completeness.py::test_word_sweep_matches_the_unmirrored_certificate",)),
+    Mutant("pinned-letter-refusal", "src/monorev/completeness.py",
+           "if pinned is not None:",
+           "if False:",
+           ("tests/test_completeness.py::test_certify_refuses_a_pinned_index",
+            "tests/test_cli.py::test_certify_pinned_index_refused")),
+    Mutant("ambiguous-complement", "src/monorev/presentation.py",
+           "if len(insts) > 1:",
+           "if len(insts) > 99:",
+           ("tests/test_presentation.py::test_ambiguous_complement_raises_a_fresh_error",
+            "tests/test_reversing.py::test_ambiguity_propagates")),
+    Mutant("union-key-sort", "src/monorev/oracle.py",
+           "    keys.sort()\n",
+           "",
+           ("tests/test_oracle.py::test_scan_matches_reference_on_random_presentations",)),
+)
+
+
+def _copy(dest: Path) -> None:
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", "certificates"))
+
+
+def apply(mutant: Mutant, tree: Path) -> None:
+    """Make the mutant's one replacement in the checkout at tree."""
+    path = tree / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: the old text occurs {text.count(mutant.old)} "
+                         f"times in {mutant.file}, not once")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def _pytest(tree: Path, tests) -> int:
+    """pytest's exit status for the tests, run on the checkout at tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
+        cwd=tree, env=env, capture_output=True, text=True).returncode
+
+
+def run(mutant: Mutant) -> tuple[str, float]:
+    """('killed' | 'SURVIVED' | 'error (exit N)', seconds) for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
+        tree = Path(scratch) / "tree"
+        _copy(tree)
+        apply(mutant, tree)
+        t0 = time.perf_counter()
+        status = _pytest(tree, mutant.tests)
+        seconds = time.perf_counter() - t0
+    if status == 0:
+        return "SURVIVED", seconds
+    if status == KILLED:
+        return "killed", seconds
+    return f"error (exit {status})", seconds
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", metavar="NAME",
+                    help="mutants to run (default: all of them)")
+    args = ap.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        ap.error(f"unknown mutant {unknown[0]!r}; known: {', '.join(known)}")
+    chosen = [known[name] for name in args.names] or list(MUTANTS)
+    # a kill counts only if the named tests pass on the checkout as it is
+    status = _pytest(ROOT, sorted({test for m in chosen for test in m.tests}))
+    if status != 0:
+        print(f"the named tests do not pass without a mutant (pytest exit {status})")
+        return 1
+    worst = 0
+    for mutant in chosen:
+        verdict, seconds = run(mutant)
+        print(f"{verdict:16} {mutant.name:24} {seconds:6.1f} s  {' '.join(mutant.tests)}",
+              flush=True)
+        if verdict != "killed":
+            worst = 1
+    return worst
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -19,6 +19,8 @@ their bases: `CapError` from `presentation`, `ValueError` and `OSError`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import errno
 import json
 import os
 import sys
@@ -35,7 +37,7 @@ from .presentation import (
 )
 
 if TYPE_CHECKING:
-    from .reversing import Cycles, ReversalTrace
+    from .reversing import Outcome, ReversalTrace
 
 OK, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 3
 
@@ -68,6 +70,15 @@ def _load(source: str) -> Presentation:
         ) from None
 
 
+def _check_output(path: str | None) -> None:
+    """Raise before the work what writing to path after it would: path is a
+    directory, or its parent is missing.  Creates and truncates nothing."""
+    if path is not None and os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -76,25 +87,27 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _outcome_json(outcome) -> dict:
-    from .reversing import Cycles, Empty, Stuck, Terminal
+def _describe(outcome: Outcome) -> tuple[dict, str]:
+    """A reversal outcome as its JSON object and its one-line text.
 
-    if isinstance(outcome, Empty):
-        return {"kind": "empty"}
+    The object is the kind, the class name in lower case, and the fields as
+    text or integers.  The text is the kind, followed for a stuck, cycling or
+    diverged reversal by its place or figures: `cycles (step 7, period 4, shift 1)`.
+    """
+    from .reversing import Stuck, Terminal
+
+    kind = type(outcome).__name__.lower()
+    data = {"kind": kind}
     if isinstance(outcome, Terminal):
-        return {"kind": "terminal", "v_prime": str(outcome.v_prime),
-                "u_prime": str(outcome.u_prime)}
+        data.update(v_prime=str(outcome.v_prime), u_prime=str(outcome.u_prime))
+        return data, kind
     if isinstance(outcome, Stuck):
-        return {"kind": "stuck", "position": outcome.position,
-                "pair": [str(g) for g in outcome.pair]}
-    if isinstance(outcome, Cycles):
-        return {"kind": "cycles", "step": outcome.step, "period": outcome.period,
-                "shift": outcome.shift}
-    return {"kind": "diverged", "fuel": outcome.fuel}
-
-
-def _cycle_text(outcome: Cycles) -> str:
-    return f"cycles (step {outcome.step}, period {outcome.period}, shift {outcome.shift})"
+        x, y = outcome.pair
+        data.update(position=outcome.position, pair=[str(x), str(y)])
+        return data, f"stuck @{outcome.position} on ({x}, {y})"
+    data.update(dataclasses.asdict(outcome))  # integer fields only
+    figures = ", ".join(f"{name} {value}" for name, value in data.items() if name != "kind")
+    return data, f"{kind} ({figures})" if figures else kind
 
 
 def _trace_json(trace: ReversalTrace) -> dict:
@@ -108,13 +121,11 @@ def _trace_json(trace: ReversalTrace) -> dict:
              "rule": s.rule.label() if s.rule else None, "after": str(after)}
             for s, after in zip(trace.steps, intermediates)
         ],
-        "outcome": _outcome_json(trace.outcome),
+        "outcome": _describe(trace.outcome)[0],
     }
 
 
 def _print_trace(trace: ReversalTrace, limit: int) -> None:
-    from .reversing import Cycles, Empty, Stuck, Terminal
-
     print(f"start: {trace.start}")
     intermediates = trace.words()
     next(intermediates)
@@ -124,19 +135,11 @@ def _print_trace(trace: ReversalTrace, limit: int) -> None:
             break
         what = "cancel" if step.kind == "cancel" else step.rule.label()
         print(f"  step {i}: {what} @{step.position} -> {after}")
-    out = trace.outcome
-    if isinstance(out, Empty):
-        print("outcome: empty")
-    elif isinstance(out, Terminal):
-        print("outcome: terminal")
-        print(f"v' = {out.v_prime}")
-        print(f"u' = {out.u_prime}")
-    elif isinstance(out, Stuck):
-        print(f"outcome: stuck @{out.position} on ({out.pair[0]}, {out.pair[1]})")
-    elif isinstance(out, Cycles):
-        print(f"outcome: {_cycle_text(out)}")
-    else:
-        print(f"outcome: diverged (fuel {out.fuel})")
+    data, text = _describe(trace.outcome)
+    print(f"outcome: {text}")
+    if data["kind"] == "terminal":
+        print(f"v' = {data['v_prime']}")
+        print(f"u' = {data['u_prime']}")
 
 
 def _outcome_exit(trace: ReversalTrace) -> int:
@@ -168,7 +171,7 @@ def _cmd_reverse(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    from .reversing import Cycles, Empty, Stuck, Terminal, reverse_quotient
+    from .reversing import reverse_quotient
 
     p = _load(args.presentation)
     u, v = p.parse(args.u), p.parse(args.v)
@@ -178,21 +181,20 @@ def _cmd_quotient(args) -> int:
         print(json.dumps(_trace_json(trace), indent=2))
         return _outcome_exit(trace)
     out = trace.outcome
-    if isinstance(out, Empty):
+    data, text = _describe(out)
+    if data["kind"] == "empty":
         print(f"equal: {u} and {v} name the same element ({trace.step_count} steps)")
-    elif isinstance(out, Terminal):
+    elif data["kind"] == "terminal":
         print(f"v' = {out.v_prime}")
         print(f"u' = {out.u_prime}")
         if side == "right":
             print(f"common multiple: {u} {out.v_prime} = {v} {out.u_prime}")
         else:
             print(f"common multiple: {out.v_prime} {u} = {out.u_prime} {v}")
-    elif isinstance(out, Stuck):
-        print(f"stuck @{out.position} on ({out.pair[0]}, {out.pair[1]})")
-    elif isinstance(out, Cycles):
-        print(f"no common multiple reachable by reversing: the reversal {_cycle_text(out)}")
+    elif data["kind"] == "cycles":
+        print(f"no common multiple reachable by reversing: the reversal {text}")
     else:
-        print(f"diverged (fuel {out.fuel})")
+        print(text)
     return _outcome_exit(trace)
 
 
@@ -223,6 +225,7 @@ def _cmd_cube(args) -> int:
 def _cmd_certify(args) -> int:
     from .completeness import certify
 
+    _check_output(args.output)
     p = _load(args.presentation)
     cert = certify(p, t_bound=args.t_bound, fuel=args.fuel,
                    word_len=args.word_len)
@@ -273,7 +276,7 @@ def _cmd_oracle_class(args) -> int:
     word = p.parse(args.word)
     cls = equivalence_class(p, word, cap=args.cap)
     print(f"class size: {len(cls)}")
-    for w in sorted(cls, key=lambda w: w.letters):
+    for w in sorted(cls):
         print(str(w))
     return OK
 
@@ -293,6 +296,7 @@ def _cmd_oracle_equal(args) -> int:
 def _cmd_oracle_scan(args) -> int:
     from .oracle import cancellation_scan
 
+    _check_output(args.output)
     p = _windowed(_load(args.presentation), args.window)
     report = cancellation_scan(p, max_len=args.max_len, cap=args.cap)
     _emit(report.to_json(), args.output)
@@ -303,16 +307,18 @@ def _cmd_render(args) -> int:
     from .grid import build_grid, grid_to_dot
     from .reversing import left_reverse, right_reverse
 
+    dot = None if args.dot == "-" else args.dot
+    _check_output(args.output if args.dot is None else dot)
     p = _load(args.presentation)
     word = p.parse(args.word)
     trace = (left_reverse if args.left else right_reverse)(p, word, args.fuel)
+    kind = _describe(trace.outcome)[0]["kind"]
     if not trace.reached_terminal:
-        kind = _outcome_json(trace.outcome)["kind"]
         print(f"monorev: no grid: reversal ended {kind}", file=sys.stderr)
         return _outcome_exit(trace)
     grid = build_grid(trace)
     if args.dot is not None:
-        _emit(grid_to_dot(grid), None if args.dot == "-" else args.dot)
+        _emit(grid_to_dot(grid), dot)
     else:
         lines = [
             f"grid for {word} ({trace.side} reversing)",
@@ -321,7 +327,7 @@ def _cmd_render(args) -> int:
             f"completion edges: {len(grid.completion_edges)}",
             f"epsilon arcs: {len(grid.epsilon_arcs)}",
             f"cells: {len(grid.cells)}",
-            f"outcome: {_outcome_json(trace.outcome)['kind']}",
+            f"outcome: {kind}",
         ]
         _emit("\n".join(lines), args.output)
     return _outcome_exit(trace)

@@ -75,9 +75,6 @@ from .reversing import (
 )
 from .words import Generator, Letter, Word
 
-
-Letters = tuple[Letter, ...]
-
 # the largest triple set a sweep enumerates; e8:new's word triples up to
 # length 2 at t_bound 0 are 729,000
 MAX_TRIPLES = 1_000_000
@@ -87,27 +84,24 @@ class SweepCapError(CapError):
     """The index-normalised triples of a sweep number more than MAX_TRIPLES."""
 
 
-def _inverse(letters: Letters) -> Letters:
-    return tuple(map(Letter.inverse, reversed(letters)))
-
-
 # the inverses of the few words a sweep draws its triples from
-_word_inverse = functools.lru_cache(maxsize=1024)(_inverse)
+_word_inverse = functools.lru_cache(maxsize=1024)(Word.inverse)
 
 
-def _first_word(u: Letters, v: Letters, w: Letters, side: str) -> Letters:
-    """u^-1 w w^-1 v (right) or v w^-1 w u^-1 (left)."""
+def _first_word(u: Word, v: Word, w: Word, side: str) -> tuple[Letter, ...]:
+    """u^-1 w w^-1 v (right) or v w^-1 w u^-1 (left), as the plain tuple `+` gives."""
     if side == "right":
         return _word_inverse(u) + w + _word_inverse(w) + v
     return v + _word_inverse(w) + w + _word_inverse(u)
 
 
-def _second_word(u: Letters, v: Letters, done: list[Letter], side: str) -> Letters:
+def _second_word(u: Word, v: Word, done: list[Letter], side: str) -> tuple[Letter, ...]:
     """(u v')^-1 (v u') (right) or (u' v)(v' u)^-1 (left), where the first
     reversal ended on done = v' u'^-1 (right) or u'^-1 v' (left)."""
     lead = 1 if side == "right" else -1
-    split = next((i for i, l in enumerate(done) if l.sign != lead), len(done))
-    head, tail = _inverse(done[:split]), _inverse(done[split:])
+    cut = len(done) - next((i for i, l in enumerate(done) if l.sign != lead), len(done))
+    inverse = tuple(map(Letter.inverse, done[::-1]))  # u' v'^-1 (right) or v'^-1 u' (left)
+    head, tail = inverse[cut:], inverse[:cut]
     if side == "right":
         return head + _word_inverse(u) + v + tail
     return head + v + _word_inverse(u) + tail
@@ -124,7 +118,7 @@ _SECOND = {Cycles: ("fail", "second reversal cycles"),
 _PASS = ("pass", "ok")
 
 
-def _verdict(p: Presentation, u: Letters, v: Letters, w: Letters, side: str,
+def _verdict(p: Presentation, u: Word, v: Word, w: Word, side: str,
              fuel: int) -> tuple[str, str]:
     """(status, reason) of the cube check of positive (u, v, w) on one side, from bare runs."""
     out, done, _ = _run(p, _first_word(u, v, w, side), fuel, side, None)
@@ -150,7 +144,7 @@ class CubeResult:
 
     @property
     def first(self) -> ReversalTrace:
-        return self._replay(_first_word(*(x.letters for x in self.triple), self.side))
+        return self._replay(_first_word(*self.triple, self.side))
 
     @property
     def second(self) -> ReversalTrace | None:
@@ -158,13 +152,13 @@ class CubeResult:
 
         Only the second reversal is replayed with its steps; the first runs bare.
         """
-        u, v, w = (x.letters for x in self.triple)
+        u, v, w = self.triple
         out, done, _ = _run(self._p, _first_word(u, v, w, self.side), self._fuel, self.side, None)
         if out is not None:
             return None
         return self._replay(_second_word(u, v, done, self.side))
 
-    def _replay(self, letters: Letters) -> ReversalTrace:
+    def _replay(self, letters: tuple[Letter, ...]) -> ReversalTrace:
         reverse = right_reverse if self.side == "right" else left_reverse
         return reverse(self._p, Word(letters), self._fuel)
 
@@ -175,7 +169,7 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
     """Check the cube condition for (u, v, w) on one side, without step records.
 
     Without `passed` each call computes its verdict afresh and keeps
-    none.  `passed` is a sweep's set of letter triples that pass on this
+    none.  `passed` is a sweep's set of word triples that pass on this
     side at this fuel: a triple found there passes, and a computed pass
     adds the triple and (v, u, w) (the mirror lemma of the module
     docstring).  Nothing else is kept.  The set holds positive words only,
@@ -183,15 +177,15 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    key = (u.letters, v.letters, w.letters)
-    if passed is not None and key in passed:
-        return CubeResult((u, v, w), side, *_PASS, p, fuel)
-    if any(l.sign < 0 for word in key for l in word):
+    triple = (u, v, w)
+    if passed is not None and triple in passed:
+        return CubeResult(triple, side, *_PASS, p, fuel)
+    if any(l.sign < 0 for word in triple for l in word):
         raise ValueError("cube condition expects positive words")
-    verdict = _verdict(p, *key, side, fuel)
+    verdict = _verdict(p, u, v, w, side, fuel)
     if passed is not None and verdict == _PASS:
-        passed.update((key, (key[1], key[0], key[2])))
-    return CubeResult((u, v, w), side, *verdict, p, fuel)
+        passed.update((triple, (v, u, w)))
+    return CubeResult(triple, side, *verdict, p, fuel)
 
 
 def enumerate_word_triples(p: Presentation, max_len: int,
@@ -216,7 +210,7 @@ def enumerate_word_triples(p: Presentation, max_len: int,
         gens.extend(Generator(fam, d) for d in range(0, 2 * t_bound + 1))
     gens.sort()
     fams = p.alphabet.integer_families
-    words = [Word(tuple(Letter(g) for g in combo))
+    words = [Word([Letter(g) for g in combo])
              for length in range(1, max_len + 1)
              for combo in itertools.product(gens, repeat=length)]
     # each word's smallest family index, or `free`, above every index, for a

@@ -82,21 +82,20 @@ class ScriptResult:
 
 
 def apply_step(p: Presentation, word: Word, step: DerivationStep) -> Word:
-    letters = list(word.letters)
     if isinstance(step, CancelStep):
         i = step.position
-        if i < 0 or i + 1 >= len(letters):
+        if i < 0 or i + 1 >= len(word):
             raise DerivationError(f"cancel @{i}: position out of range")
-        if letters[i + 1] != letters[i].inverse():
+        if word[i + 1] != word[i].inverse():
             raise DerivationError(
-                f"cancel @{i}: {letters[i]} {letters[i + 1]} is not an inverse pair"
+                f"cancel @{i}: {word[i]} {word[i + 1]} is not an inverse pair"
             )
-        return Word(tuple(letters[:i] + letters[i + 2:]))
+        return Word(word[:i] + word[i + 2:])
     if isinstance(step, InsertStep):
         i = step.position
-        if i < 0 or i > len(letters):
+        if i < 0 or i > len(word):
             raise DerivationError(f"insert @{i}: position out of range")
-        return Word(tuple(letters[:i] + [step.letter, step.letter.inverse()] + letters[i:]))
+        return Word(word[:i] + (step.letter, step.letter.inverse()) + word[i:])
     try:  # an unknown schema, a missing binding or a value outside the domain
         inst = p.schema(step.schema).instantiate(dict(step.bindings))
     except (KeyError, ValueError) as exc:
@@ -105,14 +104,14 @@ def apply_step(p: Presentation, word: Word, step: DerivationStep) -> Word:
         raise DerivationError(f"rel {step.schema}: bindings give a degenerate instance")
     pattern, replacement = (inst.lhs, inst.rhs) if step.direction == "lr" else (inst.rhs, inst.lhs)
     i = step.position
-    if i < 0 or i + len(pattern) > len(letters):
+    if i < 0 or i + len(pattern) > len(word):
         raise DerivationError(f"rel {step.schema} @{i}: position out of range")
-    window = Word(tuple(letters[i:i + len(pattern)]))
+    window = word[i:i + len(pattern)]
     if window != pattern:
         raise DerivationError(
             f"rel {step.schema} @{i}: expected {pattern} in the word, found {window}"
         )
-    return Word(tuple(letters[:i] + list(replacement.letters) + letters[i + len(pattern):]))
+    return Word(word[:i] + replacement + word[i + len(pattern):])
 
 
 def verify_script(p: Presentation, script: DerivationScript) -> ScriptResult:
@@ -261,7 +260,7 @@ def t_expression(i: int) -> Word:
     if i in (0, 1):
         return _T0 if i == 0 else _T1
     if i >= 2:
-        prefix = Word(tuple(Letter(Generator("t", 1 - j % 2)) for j in range(i - 1)))
+        prefix = Word(Letter(Generator("t", 1 - j % 2)) for j in range(i - 1))
         centre = _T1 if i % 2 else _T0
         return prefix * centre * prefix.inverse()
     # t(i) = t(i+1)^-1 t(1) t(0)
@@ -276,8 +275,8 @@ def substitute_t(word: Word) -> Word:
             out.append(letter)
             continue
         expr = t_expression(letter.gen.index)
-        out.extend(expr.letters if letter.sign > 0 else expr.inverse().letters)
-    return free_reduce(Word(tuple(out)))
+        out.extend(expr if letter.sign > 0 else expr.inverse())
+    return free_reduce(Word(out))
 
 
 def verify_translation_product(i: int) -> bool:

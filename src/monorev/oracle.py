@@ -79,7 +79,7 @@ class _Rewriter:
     def encode(self, word: Word) -> Coded:
         codes = self.codes
         out = []
-        for letter in word.letters:
+        for letter in word:
             code = codes.get(letter.gen)
             if code is None:
                 self.alphabet.require(letter.gen)
@@ -87,8 +87,7 @@ class _Rewriter:
         return tuple(out)
 
     def decode(self, coded: Coded) -> Word:
-        letters = self.letters
-        return Word(tuple(letters[c] for c in coded))
+        return Word(map(self.letters.__getitem__, coded))
 
     def neighbours(self, w: Coded) -> list[Coded]:
         table, size = self.table, len(w)

@@ -97,7 +97,7 @@ class RelationInstance:
         return RelationInstance(self.rhs, self.lhs, self.schema, self.bindings)
 
     def unordered_key(self):
-        return frozenset((self.lhs.letters, self.rhs.letters))
+        return frozenset((self.lhs, self.rhs))
 
     def label(self) -> str:
         if not self.bindings:
@@ -211,12 +211,12 @@ class Schema:
     def _build(self, bindings: dict[str, int]) -> RelationInstance | None:
         # list comprehensions, which run faster than generator expressions:
         # every cold complement lookup builds its instances here
-        lhs = tuple([Letter(pl.concretize(bindings)) for pl in self.lhs])
-        rhs = tuple([Letter(pl.concretize(bindings)) for pl in self.rhs])
+        lhs = Word([Letter(pl.concretize(bindings)) for pl in self.lhs])
+        rhs = Word([Letter(pl.concretize(bindings)) for pl in self.rhs])
         if lhs == rhs:
             return None
         ordered = tuple([(p.name, bindings[p.name]) for p in self.params])
-        return RelationInstance(Word(lhs), Word(rhs), self.name, ordered)
+        return RelationInstance(lhs, rhs, self.name, ordered)
 
     # -- pair-indexed lookup ---------------------------------------------
 
@@ -474,13 +474,12 @@ def splice(rule: RelationInstance, side: str) -> tuple[Letter, ...]:
     Right, from x v' = y u': x^-1 y becomes v' u'^-1.  Left, from v' x = u' y:
     x y^-1 becomes v'^-1 u'.  The letters come last first, the order in which
     they are pushed onto a stack of unread letters so that the first one ends
-    on top.
+    on top.  The sides are sliced as plain tuples, which slice in C.
     """
+    lhs, rhs = tuple(rule.lhs), tuple(rule.rhs)
     if side == "right":
-        return (tuple(l.inverse() for l in rule.rhs.letters[1:])
-                + tuple(reversed(rule.lhs.letters[1:])))
-    return (tuple(reversed(rule.rhs.letters[:-1]))
-            + tuple(l.inverse() for l in rule.lhs.letters[:-1]))
+        return tuple(map(Letter.inverse, rhs[1:])) + lhs[:0:-1]
+    return rhs[-2::-1] + tuple(map(Letter.inverse, lhs[:-1]))
 
 
 def _oriented_hits(schemas, hits, x: Generator, y: Generator,

@@ -45,7 +45,7 @@ Reversing grids, the geometric view of a trace, live in `monorev.grid`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .presentation import (
     DEFAULT_FUEL,
@@ -127,14 +127,14 @@ class ReversalTrace:
 
     def words(self) -> Iterator[Word]:
         """Replay the trace, yielding the start and every intermediate."""
-        letters = list(self.start.letters)
+        letters = list(self.start)
         yield self.start
         for s in self.steps:
             if s.kind == "cancel":
                 del letters[s.position:s.position + 2]
             else:
                 letters[s.position:s.position + 2] = reversed(splice(s.rule, self.side))
-            yield Word(tuple(letters))
+            yield Word(letters)
 
     def touched_indices(self, family: str) -> tuple[int, int] | None:
         """Range of family indices appearing anywhere along the trace.
@@ -193,15 +193,17 @@ def _translation(now: list[Letter], then: list[Letter], families: frozenset[str]
     return k or 0
 
 
-def _run(p: Presentation, letters: tuple[Letter, ...], fuel: int, side: str,
+def _run(p: Presentation, word: Sequence[Letter], fuel: int, side: str,
          steps: list[ReversalStep] | None) -> tuple[Outcome | None, list[Letter], list[Letter]]:
     """The reversing kernel for both sides; see the module docstring.
 
-    Returns the outcome (None when no redex is left), the redex-free prefix
-    `done` and the unread rest `todo`, first letter on top.  Appends to
-    `steps` unless it is None.  Complements are looked up through the module
-    attributes right_complement and left_complement, once per call, so a
-    wrapper installed there sees every lookup.
+    `word` is any sequence of letters, such as a Word or the plain tuple
+    that the cube condition builds with `+`.  Returns the outcome (None
+    when no redex is left), the redex-free prefix `done` and the unread
+    rest `todo`, first letter on top.  Appends to `steps` unless it is
+    None.  Complements are looked up through the module attributes
+    right_complement and left_complement, once per call, so a wrapper
+    installed there sees every lookup.
     """
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
@@ -211,7 +213,8 @@ def _run(p: Presentation, letters: tuple[Letter, ...], fuel: int, side: str,
         first, second, complement = 1, -1, left_complement
     families = p.alphabet.integer_families
     done: list[Letter] = []
-    todo = list(reversed(letters))
+    todo = list(word)
+    todo.reverse()
     n = 0
     # The last checkpoint (step `since`, 0 before the first) and its stacks;
     # below low_done and low_todo nothing has been read since.  exact records
@@ -269,8 +272,8 @@ def _run(p: Presentation, letters: tuple[Letter, ...], fuel: int, side: str,
 def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace:
     """A full trace of the kernel's run: step records, outcome and final word."""
     steps: list[ReversalStep] = []
-    outcome, done, todo = _run(p, word.letters, fuel, side, steps)
-    final = Word(tuple(done) + tuple(reversed(todo)))
+    outcome, done, todo = _run(p, word, fuel, side, steps)
+    final = Word(done + todo[::-1])
     return ReversalTrace(side, word, tuple(steps), outcome or _classify(final, side), final)
 
 

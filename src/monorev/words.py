@@ -1,8 +1,8 @@
 """Signed words over alphabets mixing finite and integer-indexed generator families.
 
-A generator is a (family, index) pair such as s3 or t(-1).  A letter is a
-generator with a sign, and a word is a finite sequence of letters.  Words are
-immutable values: every operation returns a new word.
+A generator is a (family, index) pair such as s3 or t(-1), a letter a
+generator with a sign, and a word the tuple of its letters.  All three are
+immutable tuples, and each hashes, compares and orders as its plain tuple.
 
 The token grammar, used by both the parser and the formatter:
 
@@ -71,39 +71,40 @@ class Letter(_LetterFields):
         return str(self.gen) + ("^-1" if self.sign < 0 else "")
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
-    letters: tuple[Letter, ...] = ()
+class Word(tuple):
+    """The tuple of a word's letters; it equals, hashes and orders as that tuple.
 
-    def __len__(self) -> int:
-        return len(self.letters)
+    A slice is a word again and `*` concatenates to a word, while tuple `+`
+    gives a plain tuple, which the reversing kernel reads like any letter
+    sequence.  Indexing a word runs Python code, so hot paths slice a plain
+    tuple copy instead, and nothing runs reversed() over a word.
+    """
 
-    def __iter__(self):
-        return iter(self.letters)
+    __slots__ = ()
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word(self.letters[item])
-        return self.letters[item]
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
+            return Word(tuple.__getitem__(self, item))
+        return tuple.__getitem__(self, item)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word(self + other)
+
+    def __repr__(self) -> str:
+        return f"Word({tuple.__repr__(self)})"
 
     def __str__(self) -> str:
         return format_word(self)
 
     def is_positive(self) -> bool:
-        return all(l.sign > 0 for l in self.letters)
+        return all(l.sign > 0 for l in self)
 
     def inverse(self) -> "Word":
-        return Word(tuple(l.inverse() for l in reversed(self.letters)))
+        return Word(map(Letter.inverse, tuple(self)[::-1]))
 
     def reversed(self) -> "Word":
         """Letters in the opposite order, signs untouched (the mirror word)."""
-        return Word(tuple(reversed(self.letters)))
+        return Word(tuple(self)[::-1])
 
 
 EPSILON = Word()
@@ -156,7 +157,7 @@ def parse_letter(token: str, alphabet: Alphabet) -> Letter:
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    return Word(tuple(parse_letter(tok, alphabet) for tok in text.split()))
+    return Word([parse_letter(tok, alphabet) for tok in text.split()])
 
 
 def format_word(w: Word) -> str:
@@ -175,16 +176,14 @@ def free_reduce(w: Word) -> Word:
             stack.pop()
         else:
             stack.append(letter)
-    return Word(tuple(stack))
+    return Word(stack)
 
 
 def shift_word(w: Word, k: int, family: str = "t") -> Word:
     """Translate every index of the given family by k, fixing other letters."""
     return Word(
-        tuple(
-            Letter(Generator(l.gen.family, l.gen.index + k), l.sign)
-            if l.gen.family == family
-            else l
-            for l in w
-        )
+        Letter(Generator(l.gen.family, l.gen.index + k), l.sign)
+        if l.gen.family == family
+        else l
+        for l in w
     )

@@ -176,8 +176,8 @@ def reference_reverse(p, word, fuel, side):
 def _reference_oriented(p):
     """Each relation both ways round, as pairs of letter tuples."""
     return [pair for inst in materialize_relations(p)
-            for pair in ((inst.lhs.letters, inst.rhs.letters),
-                         (inst.rhs.letters, inst.lhs.letters))]
+            for pair in ((inst.lhs, inst.rhs),
+                         (inst.rhs, inst.lhs))]
 
 
 def _reference_rewrites(oriented, letters):
@@ -195,7 +195,7 @@ def reference_closure(p, word, cap, target=None):
     tuple) and raises OracleCapError when a new word would pass cap.
     """
     oriented = _reference_oriented(p)
-    seen = {word.letters}
+    seen = {word}
     queue = deque(seen)
     while queue:
         for nxt in _reference_rewrites(oriented, queue.popleft()):

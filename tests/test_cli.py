@@ -4,11 +4,15 @@
 in-process through main(argv).
 """
 
+import contextlib
+import io
 import json
 import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monorev import catalog, completeness, save_presentation
 from monorev.cli import main
@@ -504,6 +508,27 @@ def test_directory_path_is_a_usage_error(capsys, tmp_path, argv):
     assert "Is a directory" in err and str(tmp_path) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("certify", "d4:new", "-o", "{missing}"),
+    ("oracle", "scan", "d4:new", "-o", "{missing}"),
+    ("render", "d4:new", "s1^-1 s2", "--dot", "{missing}"),
+])
+def test_bad_output_path_fails_before_the_work(capsys, monkeypatch, tmp_path, argv):
+    from monorev import oracle, reversing
+
+    def work(*args, **kwargs):
+        pytest.fail("the command ran its work before checking its output path")
+
+    for module, name in ((completeness, "certify"), (oracle, "cancellation_scan"),
+                         (reversing, "right_reverse")):
+        monkeypatch.setattr(module, name, work)
+    missing = tmp_path / "no-such-dir" / "out"
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 3 and out == ""
+    assert err == f"monorev: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not missing.parent.exists()
+
+
 @pytest.mark.parametrize("argv", [("show", "{path}"), ("derive", "{path}")])
 def test_undecodable_file_is_a_usage_error(capsys, tmp_path, argv):
     path = tmp_path / "latin1.txt"
@@ -514,3 +539,80 @@ def test_undecodable_file_is_a_usage_error(capsys, tmp_path, argv):
     offset = data.index(b"\xe9")
     assert err == (f"monorev: {path}: not valid UTF-8 at byte {offset} "
                    "(invalid continuation byte)\n")
+
+
+# The CLI fuzz law.  A case is a presentation file and three words, made of
+# tokens that fit the drawn header, and then, in most cases, one token of
+# the file or of a word replaced by a bad or hostile one.  Each case runs
+# one command that reads a presentation, in-process, with small budgets.
+_BAD = ["a", "1a", "t(x", "a(99)", "b(i)", "s3", "t(1000000000)", "t(i+1000000000)",
+        "a(j+5)", "c(3)", "=", "^-1", "[i", "Q]", ";", "families:", "generators:", "schema"]
+_CLAUSES = 3 * [""] + [" [i in Z]", " [j in {1, 2}]", " [i in Z; j in {1, 2}]",
+                       " [j in {1000000000}]"]
+
+
+def _words(pool, min_size=1):
+    return st.lists(st.sampled_from(pool), min_size=min_size, max_size=3).map(" ".join)
+
+
+@st.composite
+def _fuzz_case(draw):
+    gens = draw(st.lists(st.sampled_from(["a1", "a2", "b1"]), min_size=1, max_size=3,
+                         unique=True))
+    family = draw(st.booleans())
+    letters = gens + (["t(0)", "t(1)", "t(-2)"] if family else [])
+    patterns = letters + ["a(j)", "a(j+1)"] + (["t(i)", "t(i+1)", "t(i-3)"] if family else [])
+    lines = ["generators: " + " ".join(gens) + ("; families: t" if family else "")]
+    for k in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            lines.append(f"{draw(_words(letters))} = {draw(_words(letters))}")
+        else:
+            head = f"schema r{k}{draw(st.sampled_from(_CLAUSES))}"
+            lines.append(f"{head}: {draw(_words(patterns))} = {draw(_words(patterns))}")
+    signed = letters + [letter + "^-1" for letter in letters]
+    parts = ["\n".join(lines)] + [draw(_words(letters, 0) | _words(signed, 0)) for _ in range(3)]
+    bad = draw(st.none() | st.tuples(st.integers(0, 3), st.integers(0, 99), st.sampled_from(_BAD)))
+    if bad is not None:  # one token of one part turns bad
+        part, at, token = bad
+        pieces = parts[part].split(" ")
+        pieces[at % len(pieces)] = token
+        parts[part] = " ".join(pieces)
+    return parts[0] + "\n", parts[1:]
+
+
+_SMALL = ("--fuel", "40")
+_FUZZ_COMMANDS = [  # a command, and its arguments after the presentation from three words
+    (["show"], lambda u, v, w: []),
+    (["reverse"], lambda u, v, w: [u + " " + v, *_SMALL]),
+    (["reverse"], lambda u, v, w: [u, "--left", "--format", "json", *_SMALL]),
+    (["quotient"], lambda u, v, w: [u, v, *_SMALL]),
+    (["quotient"], lambda u, v, w: [u, v, "--left", "--format", "json", *_SMALL]),
+    (["cube"], lambda u, v, w: [u, v, w, *_SMALL]),
+    (["certify"], lambda u, v, w: ["--t-bound", "0", *_SMALL]),
+    (["oracle", "class"], lambda u, v, w: [u, "--window", "1", "--cap", "300"]),
+    (["oracle", "equal"], lambda u, v, w: [u, v, "--window", "1", "--cap", "300"]),
+    (["oracle", "scan"], lambda u, v, w: ["--window", "1", "--max-len", "2", "--cap", "3000"]),
+    (["render"], lambda u, v, w: [u, *_SMALL]),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "fuzz.pres")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_fuzz_case(), command=st.sampled_from(_FUZZ_COMMANDS))
+def test_cli_fuzz_exits_cleanly(fuzz_path, case, command):
+    # every outcome is an exit code of the contract, never a traceback
+    text, words = case
+    with open(fuzz_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    name, arguments = command
+    argv = [*name, fuzz_path, *arguments(*words)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage failures
+            code = exc.code
+    assert code in (0, 1, 2, 3)

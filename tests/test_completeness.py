@@ -289,7 +289,7 @@ def _flip(p, word, c):
     """The side mirror of a word: read backwards, each family index i sent to c - i."""
     fams = p.alphabet.integer_families
     return Word(tuple(Letter(Generator(l.gen.family, c - l.gen.index), l.sign)
-                      if l.gen.family in fams else l for l in reversed(word.letters)))
+                      if l.gen.family in fams else l for l in reversed(word)))
 
 
 def _top_index(p, *words):
@@ -441,7 +441,7 @@ def test_verdict_table_files_a_pass_and_its_mirror(d4, monkeypatch):
     s1, s2, t0 = p.parse("s1"), p.parse("s2"), p.parse("t(0)")
     passed = set()
     assert cube_condition(p, s1, t0, s2, passed=passed).passed
-    assert passed == {(s1.letters, t0.letters, s2.letters), (t0.letters, s1.letters, s2.letters)}
+    assert passed == {(s1, t0, s2), (t0, s1, s2)}
     sides = _count_runs(monkeypatch)
     res = cube_condition(p, t0, s1, s2, passed=passed)
     assert res.passed and res.triple == (t0, s1, s2) and sides == []

@@ -194,7 +194,7 @@ def checked_reference(p, x, y, side):
                 continue
             for lhs, rhs in ((inst.lhs, inst.rhs), (inst.rhs, inst.lhs)):
                 if (lhs[end].gen, rhs[end].gen) == (x, y):
-                    sides.add((lhs.letters, rhs.letters))
+                    sides.add((lhs, rhs))
         found.append(sides)
     return found
 
@@ -212,7 +212,7 @@ def test_lookup_equals_checked_brute_force(case):
         for inst in instances_for_pair(p, x, y, side):
             pos = positions[inst.schema]
             order.append(pos)
-            sides = (inst.lhs.letters, inst.rhs.letters)
+            sides = (inst.lhs, inst.rhs)
             assert sides not in got[pos]
             got[pos].add(sides)
             built = p.schemas[pos].instantiate(dict(inst.bindings))

@@ -95,3 +95,18 @@ def test_bench_hooks_resolve():
     missing = [f"{module}.{attr}" for module, attr, _ in tracing.HOOKS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_mutants_still_apply():
+    # a mutant whose old text moved or whose tests were renamed would
+    # report an error instead of a kill; the full run is scripts/mutants.py
+    script = load_script("mutants")
+    assert len({m.name for m in script.MUTANTS}) == len(script.MUTANTS) >= 5
+    for mutant in script.MUTANTS:
+        with open(os.path.join(ROOT, mutant.file), encoding="utf-8") as fh:
+            assert fh.read().count(mutant.old) == 1, mutant.name
+        assert mutant.old != mutant.new and mutant.tests
+        for test in mutant.tests:
+            path, _, name = test.partition("::")
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                assert f"\ndef {name}(" in fh.read(), test

@@ -60,10 +60,16 @@ def test_value_types_are_named_tuples():
     s3, t = Generator("s", 3), Generator("t", -1)
     letter = Letter(s3, -1)
     step = ReversalStep(2, "cancel", None)
-    for value, fields in ((s3, ("s", 3)), (letter, (s3, -1)), (step, (2, "cancel", None))):
+    word = Word((letter, Letter(t)))
+    for value, fields in ((s3, ("s", 3)), (letter, (s3, -1)), (step, (2, "cancel", None)),
+                          (word, (letter, Letter(t)))):
         assert isinstance(value, tuple) and tuple(value) == fields
         # hashing the field tuple keeps set and dict orders, hence every output
         assert hash(value) == hash(fields)
+    # a word orders as the tuple of its letters
+    words = [Word((Letter(t),)), word, EPSILON, Word((letter,)), Word((Letter(s3), letter))]
+    assert [tuple(w) for w in sorted(words)] == sorted(tuple(w) for w in words)
+    assert repr(word) == f"Word(({letter!r}, {Letter(t)!r}))"
     assert s3 == Generator("s", 3) and s3 != Generator("s", 4)
     assert letter == Letter(Generator("s", 3), -1) != Letter(s3)
     assert step == ReversalStep(2, "cancel", None) != ReversalStep(3, "cancel", None)
@@ -91,7 +97,7 @@ def test_word_algebra():
     assert str(w.reversed()) == "t(2)^-1 s1"
     assert isinstance(w[0:1], Word) and str(w[0:1]) == "s1"
     assert w[1].sign == -1
-    assert list(w) == list(w.letters)
+    assert w == tuple(w)
     assert str(EPSILON * w) == str(w)
 
 
