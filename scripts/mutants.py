@@ -47,10 +47,16 @@ MUTANTS = (
            "if k is not None and (k == 0 or p.translation_invariant()):",
            "if k is not None:",
            ("tests/test_reversing.py::test_shifted_cycle_needs_translation_invariance",)),
+    Mutant("kernel-cancel", "src/monorev/reversing.py",
+           "if x != y:",
+           "if x.family != y.family:",
+           ("tests/test_acceptance.py::test_cycle_proofs_sound",)),
     Mutant("left-sweep-reuse", "src/monorev/completeness.py",
            'if side == "left" and (failures or cycling or fuel_outs or not p.mirror_symmetric()):',
            'if side == "left" and not p.mirror_symmetric():',
-           ("tests/test_completeness.py::test_word_sweep_matches_the_unmirrored_certificate",)),
+           ("tests/test_completeness.py::test_word_sweep_matches_the_unmirrored_certificate",
+            "tests/test_completeness.py::"
+            "test_left_sweep_computes_its_checks_after_a_right_non_pass")),
     Mutant("pinned-letter-refusal", "src/monorev/completeness.py",
            "if pinned is not None:",
            "if False:",

@@ -18,9 +18,9 @@ _EXPORTS = {
         "WordSyntaxError", "format_word", "free_reduce", "parse_word", "shift_word",
     ),
     "presentation": (
-        "DEFAULT_FUEL", "EQUAL", "AmbiguousComplementError", "CapError", "ComplementPair",
-        "Param", "PatternLetter", "Presentation", "RelationInstance", "Schema",
-        "SchemaError", "check_complemented", "fixed_schema", "instances_for_pair",
+        "DEFAULT_FUEL", "AmbiguousComplementError", "CapError", "ComplementPair", "Param",
+        "PatternLetter", "Presentation", "RelationInstance", "Schema", "SchemaError",
+        "check_complemented", "fixed_schema", "instances_for_pair",
         "instantiate_window", "left_complement", "load_presentation",
         "materialize_relations", "right_complement", "save_presentation",
     ),

@@ -106,7 +106,7 @@ def apply_step(p: Presentation, word: Word, step: DerivationStep) -> Word:
     i = step.position
     if i < 0 or i + len(pattern) > len(word):
         raise DerivationError(f"rel {step.schema} @{i}: position out of range")
-    window = word[i:i + len(pattern)]
+    window = Word(word[i:i + len(pattern)])
     if window != pattern:
         raise DerivationError(
             f"rel {step.schema} @{i}: expected {pattern} in the word, found {window}"

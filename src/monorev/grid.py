@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .presentation import RelationInstance
 from .reversing import ReversalStep, ReversalTrace, Terminal
-from .words import Generator, Word
+from .words import Generator, Letter
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -77,7 +77,7 @@ def _mirror_trace(trace: ReversalTrace) -> ReversalTrace:
                          trace.final.reversed())
 
 
-def _chain(a: GridNode, b: GridNode, labels: Word, node) -> list[GridEdge]:
+def _chain(a: GridNode, b: GridNode, labels: tuple[Letter, ...], node) -> list[GridEdge]:
     k = len(labels)
     out = []
     prev = a

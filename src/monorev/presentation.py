@@ -18,10 +18,12 @@ the queried pair.
 A schema is written as one line, `Schema.line()`, by `monorev show` and by
 the text format alike, so saving and loading give back the same schemas.
 
-Complements are cached per presentation.  An instance that leads (or
-trails) with (x, y) is, swapped, one that leads with (y, x), so a lookup
-that finds exactly one instance, or none, files the transposed pair as
-well.  This is half of the mirror lemma of the cube sweep (see
+Complements are cached per presentation, for pairs x != y: reversing
+deletes x^-1 x without a lookup.  An entry is None or a ComplementPair, the
+relation and the letters a reversal step pushes.  An instance that leads
+(or trails) with (x, y) is, swapped, one that leads with (y, x), so a
+lookup that finds exactly one instance, or none, files the transposed pair
+as well.  This is half of the mirror lemma of the cube sweep (see
 completeness).  A parametrised instance on two letters of one family is
 not filed both ways: a schema can hit such a pair both ways round, with
 other bindings.  Translation relates (t(0), t(1)) with i=0, j=1 and
@@ -45,6 +47,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .words import (
     Alphabet,
@@ -341,7 +344,6 @@ class Presentation:
     # caches, not arguments: dataclasses.replace starts them afresh.  _rewriter
     # is the oracle's rewrite table, built from the relations on first use
     _complements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _invariant: bool | None = field(default=None, init=False, repr=False, compare=False)
     _pair_index: dict | None = field(default=None, init=False, repr=False, compare=False)
     _rewriter: object | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -364,11 +366,9 @@ class Presentation:
 
         That holds when every integer-family letter of every schema carries a
         parameter ranging over Z, so the shift just moves the parameter.  A
-        fixed index such as t(100) breaks it.  Computed once per presentation.
+        fixed index such as t(100) breaks it.
         """
-        if self._invariant is None:
-            self._invariant = self.pinned_letter() is None
-        return self._invariant
+        return self.pinned_letter() is None
 
     def mirror_symmetric(self) -> bool:
         """True when every relation read backwards, family indices negated, is a relation.
@@ -450,20 +450,13 @@ def _boundary_key(pl: PatternLetter) -> tuple[str, int | None]:
 # -- complements ----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Equal:
-    """Marker: the two queried generators coincide, so x^-1 x just cancels."""
+class ComplementPair(NamedTuple):
+    """The relation x v' = y u' (right) or v' x = u' y (left), and what a reversal step pushes.
 
+    push is `splice(rule, side)`: the letters of v' u'^-1 (right) or
+    v'^-1 u' (left), last first.
+    """
 
-EQUAL = Equal()
-
-
-@dataclass(frozen=True, slots=True)
-class ComplementPair:
-    """x v' = y u' (right) or v' x = u' y (left), with the letters a reversal step pushes."""
-
-    v_prime: Word
-    u_prime: Word
     rule: RelationInstance
     push: tuple[Letter, ...]
 
@@ -474,12 +467,11 @@ def splice(rule: RelationInstance, side: str) -> tuple[Letter, ...]:
     Right, from x v' = y u': x^-1 y becomes v' u'^-1.  Left, from v' x = u' y:
     x y^-1 becomes v'^-1 u'.  The letters come last first, the order in which
     they are pushed onto a stack of unread letters so that the first one ends
-    on top.  The sides are sliced as plain tuples, which slice in C.
+    on top.
     """
-    lhs, rhs = tuple(rule.lhs), tuple(rule.rhs)
     if side == "right":
-        return tuple(map(Letter.inverse, rhs[1:])) + lhs[:0:-1]
-    return rhs[-2::-1] + tuple(map(Letter.inverse, lhs[:-1]))
+        return tuple(map(Letter.inverse, rule.rhs[1:])) + rule.lhs[:0:-1]
+    return rule.rhs[-2::-1] + tuple(map(Letter.inverse, rule.lhs[:-1]))
 
 
 def _oriented_hits(schemas, hits, x: Generator, y: Generator,
@@ -509,6 +501,8 @@ def instances_for_pair(p: Presentation, x: Generator, y: Generator,
     solved; their hits come in schema order, each schema's unswapped one
     first.
     """
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     p.alphabet.require(x)
     p.alphabet.require(y)
     end = 0 if side == "right" else -1
@@ -519,13 +513,8 @@ def instances_for_pair(p: Presentation, x: Generator, y: Generator,
     return _oriented_hits(p.schemas, hits, x, y, end)
 
 
-def _complement_pair(inst: RelationInstance, side: str) -> ComplementPair:
-    rest = slice(1, None) if side == "right" else slice(None, -1)
-    return ComplementPair(inst.lhs[rest], inst.rhs[rest], inst, splice(inst, side))
-
-
 def _complement(p: Presentation, x: Generator, y: Generator, side: str):
-    """Both complements, cached per presentation under (side, x, y).
+    """The ComplementPair of (x, y), or None, cached per presentation under (side, x, y).
 
     Ambiguity is detected lazily, per queried pair, so reversing still works
     on presentations whose conflicts live elsewhere in the alphabet.  An
@@ -534,8 +523,6 @@ def _complement(p: Presentation, x: Generator, y: Generator, side: str):
     A cold lookup that finds no instance, or one, files (y, x) as well,
     with the swapped instance; the module docstring says which are left out.
     """
-    if x == y:
-        return EQUAL
     key = (side, x, y)
     try:
         return p._complements[key]
@@ -548,19 +535,24 @@ def _complement(p: Presentation, x: Generator, y: Generator, side: str):
         p._complements[key] = p._complements[(side, y, x)] = None
         return None
     inst = insts[0]
-    result = p._complements[key] = _complement_pair(inst, side)
+    result = p._complements[key] = ComplementPair(inst, splice(inst, side))
     if x.family != y.family or not inst.bindings:
-        p._complements[(side, y, x)] = _complement_pair(inst.swapped(), side)
+        swapped = inst.swapped()
+        p._complements[(side, y, x)] = ComplementPair(swapped, splice(swapped, side))
     return result
 
 
 def right_complement(p: Presentation, x: Generator, y: Generator):
-    """Complement of x^-1 y: EQUAL, a ComplementPair with x*v' = y*u', or None."""
+    """Complement of x^-1 y: a ComplementPair whose rule is x v' = y u', or None.
+
+    The kernel asks only for x != y.  A pair (x, x) is solved like any
+    other; a complemented presentation has no relation for it.
+    """
     return _complement(p, x, y, "right")
 
 
 def left_complement(p: Presentation, x: Generator, y: Generator):
-    """Complement of x y^-1: EQUAL, a ComplementPair with v'*x = u'*y, or None."""
+    """Complement of x y^-1: a ComplementPair whose rule is v' x = u' y, or None."""
     return _complement(p, x, y, "left")
 
 
@@ -618,7 +610,7 @@ def check_complemented(p: Presentation) -> tuple[ComplementReport, ComplementRep
     for side in ("right", "left"):
         conflicts = []
         for x, y in itertools.product(gens, repeat=2):
-            if x == y:  # _complement answers EQUAL without solving
+            if x == y:  # solved, not filed: the kernel never looks (x, x) up
                 insts = instances_for_pair(p, x, y, side)
             else:
                 try:

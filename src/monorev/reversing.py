@@ -4,7 +4,9 @@ Right reversing rewrites x^-1 y (x, y generators) into v' u'^-1 where
 x v' = y u' is a relation, and deletes x^-1 x outright.  Left reversing is
 the mirror image: x y^-1 becomes v'^-1 u' where v' x = u' y, and x x^-1 is
 deleted.  One kernel serves both sides: the side fixes, once per call, the
-sign pair that makes a redex and the complement lookup.  The kernel always
+sign pair that makes a redex and the complement lookup.  The kernel deletes
+a redex on one generator itself and looks up only pairs x != y, for the
+relation and the letters to push (presentation.ComplementPair).  It always
 rewrites the leftmost redex, so traces are deterministic and reproduce the
 usual reversing diagrams cell by cell.  A single step is a call with fuel=1.
 
@@ -49,7 +51,6 @@ from typing import Iterator, NamedTuple, Sequence, Union
 
 from .presentation import (
     DEFAULT_FUEL,
-    EQUAL,
     Presentation,
     RelationInstance,
     left_complement,
@@ -169,7 +170,7 @@ def _classify(word: Word, side: str) -> Outcome:
         return Empty()
     lead = 1 if side == "right" else -1
     split = next((i for i, l in enumerate(word) if l.sign != lead), len(word))
-    head, tail = word[:split], word[split:]
+    head, tail = Word(word[:split]), Word(word[split:])
     if side == "right":
         return Terminal(head, tail.inverse())
     return Terminal(tail, head.inverse())
@@ -203,7 +204,7 @@ def _run(p: Presentation, word: Sequence[Letter], fuel: int, side: str,
     rest `todo`, first letter on top.  Appends to `steps` unless it is
     None.  Complements are looked up through the module attributes
     right_complement and left_complement, once per call, so a wrapper
-    installed there sees every lookup.
+    installed there sees every lookup; a pair x == y cancels without one.
     """
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
@@ -235,14 +236,16 @@ def _run(p: Presentation, word: Sequence[Letter], fuel: int, side: str,
             return Diverged(fuel), done, todo
         pos = len(done) - 1
         x, y = done[-1].gen, todo[-1].gen
-        comp = complement(p, x, y)
-        if comp is None:
-            return Stuck(pos, (x, y)), done, todo
+        comp = None  # x^-1 x (right) or x x^-1 (left) cancels with no lookup
+        if x != y:
+            comp = complement(p, x, y)
+            if comp is None:
+                return Stuck(pos, (x, y)), done, todo
         done.pop()
         todo.pop()
         if len(todo) < low_todo:
             low_todo = len(todo)
-        if comp is EQUAL:
+        if comp is None:
             if steps is not None:
                 steps.append(ReversalStep(pos, "cancel", None))
         else:

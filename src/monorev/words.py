@@ -74,18 +74,13 @@ class Letter(_LetterFields):
 class Word(tuple):
     """The tuple of a word's letters; it equals, hashes and orders as that tuple.
 
-    A slice is a word again and `*` concatenates to a word, while tuple `+`
+    Only `*` and the methods below build words.  A slice, like tuple `+`,
     gives a plain tuple, which the reversing kernel reads like any letter
-    sequence.  Indexing a word runs Python code, so hot paths slice a plain
-    tuple copy instead, and nothing runs reversed() over a word.
+    sequence; wrap it in Word to print or invert it.  Indexing, slicing and
+    reversed() run tuple's own C code.
     """
 
     __slots__ = ()
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return Word(tuple.__getitem__(self, item))
-        return tuple.__getitem__(self, item)
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self + other)
@@ -100,11 +95,11 @@ class Word(tuple):
         return all(l.sign > 0 for l in self)
 
     def inverse(self) -> "Word":
-        return Word(map(Letter.inverse, tuple(self)[::-1]))
+        return Word(map(Letter.inverse, self[::-1]))
 
     def reversed(self) -> "Word":
         """Letters in the opposite order, signs untouched (the mirror word)."""
-        return Word(tuple(self)[::-1])
+        return Word(self[::-1])
 
 
 EPSILON = Word()

@@ -7,7 +7,6 @@ from hypothesis import settings
 from monorev import catalog, load_presentation
 from monorev.oracle import OracleCapError, ScanReport, ScanWitness
 from monorev.presentation import (
-    EQUAL,
     _oriented_hits,
     left_complement,
     materialize_relations,
@@ -151,23 +150,25 @@ def reference_reverse(p, word, fuel, side):
         if pos is None or len(steps) >= fuel:
             break
         x, y = letters[pos].gen, letters[pos + 1].gen
+        if x == y:
+            letters[pos:pos + 2] = []
+            steps.append(ReversalStep(pos, "cancel", None))
+            continue
         comp = complement(p, x, y)
         if comp is None:
             return steps, Stuck(pos, (x, y)), Word(tuple(letters))
-        if comp is EQUAL:
-            letters[pos:pos + 2] = []
-            steps.append(ReversalStep(pos, "cancel", None))
-        else:
-            vp, up = comp.v_prime, comp.u_prime
-            letters[pos:pos + 2] = (vp * up.inverse() if side == "right" else vp.inverse() * up)
-            steps.append(ReversalStep(pos, "relation", comp.rule))
+        # v' and u' from the rule's own sides: x v' = y u' (right), v' x = u' y (left)
+        rest = slice(1, None) if side == "right" else slice(None, -1)
+        vp, up = Word(comp.rule.lhs[rest]), Word(comp.rule.rhs[rest])
+        letters[pos:pos + 2] = (vp * up.inverse() if side == "right" else vp.inverse() * up)
+        steps.append(ReversalStep(pos, "relation", comp.rule))
     final = Word(tuple(letters))
     if pos is not None:
         return steps, Diverged(fuel), final
     if not letters:
         return steps, Empty(), final
     split = next((i for i, l in enumerate(letters) if l.sign == first), len(letters))
-    head, tail = final[:split], final[split:]
+    head, tail = Word(final[:split]), Word(final[split:])
     if side == "right":  # v' u'^-1
         return steps, Terminal(head, tail.inverse()), final
     return steps, Terminal(tail, head.inverse()), final  # u'^-1 v'

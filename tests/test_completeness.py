@@ -460,12 +460,19 @@ def test_verdict_table_mirrors_no_other_verdict():
 
 def test_left_sweep_computes_its_checks_after_a_right_non_pass(monkeypatch):
     """classical:3 is mirror-symmetric, but some right checks do not pass:
-    the left sweep then starts afresh and runs the kernel on the left."""
+    the left sweep then starts afresh and runs the kernel on the left as
+    often as a left sweep from an empty set of passed triples does."""
     sides = _count_runs(monkeypatch)
     p = _fresh(C3)
     assert p.mirror_symmetric()
     cert = certify(p)
-    assert cert.claim == "undetermined" and "left" in sides
+    left_runs = sides.count("left")
+    assert cert.claim == "undetermined"
+    sides.clear()
+    passed: set = set()
+    for u, v, w in enumerate_word_triples(p, 1, cert.t_bound):
+        cube_condition(p, u, v, w, side="left", passed=passed)
+    assert left_runs == len(sides) == 36
     assert cert == _unmirrored_certificate(p)
 
 

@@ -54,6 +54,13 @@ def test_apply_relation_step_errors(d4):
         apply_step(d4, word, RelationStep("t_braid", (("i", 0), ("j", 9)), "lr", 0))
 
 
+def test_relation_step_mismatch_reports_words(d4):
+    step = RelationStep("translation", (("i", 2), ("j", 0)), "lr", 0)
+    with pytest.raises(DerivationError) as exc:
+        apply_step(d4, d4.parse("t(1) t(0) s1"), step)
+    assert str(exc.value) == "rel translation @0: expected t(2) t(1) in the word, found t(1) t(0)"
+
+
 def test_apply_cancel_and_insert(d4):
     word = d4.parse("s1 s2^-1 s2")
     assert str(apply_step(d4, word, CancelStep(1))) == "s1"

@@ -52,7 +52,7 @@ COMMANDS = [
 PUBLIC = {
     "words": ["EPSILON", "Alphabet", "Generator", "Letter", "UnknownGeneratorError", "Word",
               "WordSyntaxError", "format_word", "free_reduce", "parse_word", "shift_word"],
-    "presentation": ["DEFAULT_FUEL", "EQUAL", "AmbiguousComplementError", "ComplementPair",
+    "presentation": ["DEFAULT_FUEL", "AmbiguousComplementError", "ComplementPair",
                      "Param", "PatternLetter", "Presentation", "RelationInstance", "Schema",
                      "SchemaError", "check_complemented", "fixed_schema",
                      "instances_for_pair", "instantiate_window", "left_complement",

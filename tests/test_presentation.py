@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from monorev import catalog
 from monorev.presentation import (
-    EQUAL,
     AmbiguousComplementError,
     ComplementReport,
     Param,
@@ -103,17 +102,17 @@ def test_leading_and_trailing_orientation(d4):
 
 def test_right_complement(d4, two_commutes):
     comp = right_complement(d4, T2, S3)
-    assert str(comp.v_prime) == "s3 t(2)" and str(comp.u_prime) == "t(2) s3"
+    assert str(comp.rule) == "t(2) s3 t(2) = s3 t(2) s3"
     assert comp.rule.schema == "t_braid"
-    assert right_complement(d4, T2, T2) is EQUAL
+    assert right_complement(d4, T2, T2) is None
     none = right_complement(two_commutes, Generator("b", 1), Generator("c", 1))
     assert none is None
 
 
 def test_left_complement(d4):
     comp = left_complement(d4, T2, S3)
-    assert str(comp.v_prime) == "t(2) s3" and str(comp.u_prime) == "s3 t(2)"
-    assert left_complement(d4, S3, S3) is EQUAL
+    assert str(comp.rule) == "t(2) s3 t(2) = s3 t(2) s3"
+    assert left_complement(d4, S3, S3) is None
 
 
 def test_ambiguous_complement_is_lazy_and_not_cached(yamada):
@@ -127,7 +126,7 @@ def test_ambiguous_complement_is_lazy_and_not_cached(yamada):
         assert ("right", t1, s1) not in yamada._complements
     # pairs away from the conflict still resolve
     comp = right_complement(yamada, s1, Generator("s", 2))
-    assert str(comp.v_prime) == "s2" and str(comp.u_prime) == "s1"
+    assert str(comp.rule) == "s1 s2 = s2 s1"
 
 
 def test_ambiguous_complement_raises_a_fresh_error(yamada):
@@ -146,6 +145,12 @@ def test_ambiguous_complement_raises_a_fresh_error(yamada):
 def test_instances_for_pair_validates_generators(d4):
     with pytest.raises(UnknownGeneratorError):
         instances_for_pair(d4, Generator("s", 9), S3)
+
+
+def test_instances_for_pair_refuses_an_unknown_side(d4):
+    # as cube_condition and reverse_quotient do; "up" once answered the left side
+    with pytest.raises(ValueError, match="side must be 'right' or 'left', got 'up'"):
+        instances_for_pair(d4, T2, S3, "up")
 
 
 LAW_PRESENTATIONS = [catalog.load(key) for key in catalog.FIXED_NAMES] + [
@@ -243,17 +248,18 @@ def test_replace_starts_with_empty_caches(d4):
     s1, s2 = Generator("s", 1), Generator("s", 2)
     assert right_complement(d4, s1, s2) is not None and d4.translation_invariant()
     bare = dataclasses.replace(d4, schemas=d4.schemas[:1])
-    assert bare._complements == {} and bare._pair_index is None and bare._invariant is None
+    assert bare._complements == {} and bare._pair_index is None
     assert right_complement(bare, s1, s2) is None
 
 
 def test_presentation_caches():
     # each cache has traffic on the benchmark workloads; mirror_symmetric
-    # is asked once per certify call, so it is computed, not stored.  The
+    # is asked once per certify call and translation_invariant 8 times per
+    # certify-elliptic pass, so they are computed, not stored.  The
     # oracle's rewrite table is built once and read 5 more times per
     # oracle-window pass
     caches = [f.name for f in dataclasses.fields(Presentation) if not f.init]
-    assert caches == ["_complements", "_invariant", "_pair_index", "_rewriter"]
+    assert caches == ["_complements", "_pair_index", "_rewriter"]
 
 
 def test_catalog_load_builds_anew():
@@ -261,7 +267,7 @@ def test_catalog_load_builds_anew():
     assert right_complement(first, Generator("s", 1), Generator("s", 2)) is not None
     again = catalog.load("d4:new")
     assert again is not first and again == first
-    assert again._complements == {} and again._pair_index is None and again._invariant is None
+    assert again._complements == {} and again._pair_index is None
     assert again._rewriter is None
 
 

@@ -95,7 +95,7 @@ def test_word_algebra():
     assert str(w * w) == "s1 t(2)^-1 s1 t(2)^-1"
     assert str(w.inverse()) == "t(2) s1^-1"
     assert str(w.reversed()) == "t(2)^-1 s1"
-    assert isinstance(w[0:1], Word) and str(w[0:1]) == "s1"
+    assert type(w[0:1]) is tuple and str(Word(w[0:1])) == "s1"
     assert w[1].sign == -1
     assert w == tuple(w)
     assert str(EPSILON * w) == str(w)
