@@ -18,6 +18,9 @@ Without --cold-start it measures, on the monorev in this checkout's src/:
 - cube_condition on e8:new's t_bound 6 triples, both sides, per check, and
   right_reverse with its full trace on the same triples' right first words
   u^-1 w w^-1 v, per call, both with a warm complement cache;
+- instantiate_window on a fresh d4:new at radius 2, per call, alone
+  (window_ms) and followed by the window's first rewrite table, the one
+  the first oracle call builds (window_table_ms);
 - cancellation_scan on the d4:new window of radius 2 at max_len 3, a fresh
   call each repeat on a window built before the clock starts, so each call
   builds the window's rewrite table;
@@ -65,7 +68,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from monorev import catalog  # noqa: E402
+from monorev import catalog, oracle  # noqa: E402
 from monorev.completeness import certify, cube_condition, enumerate_word_triples  # noqa: E402
 from monorev.derivation import parse_script  # noqa: E402
 from monorev.oracle import cancellation_scan, monoid_equal  # noqa: E402
@@ -110,6 +113,7 @@ print(json.dumps([code, t1 - t0, t2 - t1, before, time_reference()]))
 LETTERS = 100_000
 KEY = "e8:new"
 EQUAL_CALLS = 20  # monoid_equal calls per run, cold and warm
+WINDOW_CALLS = 50  # windows built per run, with and without their rewrite table
 
 
 def letters_bench():
@@ -206,6 +210,23 @@ def monoid_equal_runs():
     return timings
 
 
+def window_runs():
+    """instantiate_window(d4:new, 2) per call, without and with the window's first rewrite table.
+
+    Each call windows its own d4:new, loaded before the clock starts.
+    """
+    timings = {}
+    for name, table in (("window_ms", False), ("window_table_ms", True)):
+        fresh = [catalog.load("d4:new") for _ in range(WINDOW_CALLS)]
+        t0 = time.perf_counter()
+        for p in fresh:
+            w = instantiate_window(p, 2)
+            if table:
+                oracle._table(w)
+        timings[name] = (time.perf_counter() - t0) / WINDOW_CALLS
+    return timings
+
+
 def measure(fn) -> tuple[float, float]:
     """One run of fn: (seconds, seconds scaled by the reference kernel)."""
     before = reference.time_reference()
@@ -249,6 +270,11 @@ def run() -> dict:
         record("certify_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=3)))
         p = catalog.load(KEY)
         record("certify6_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=6)))
+        before = reference.time_reference()
+        per_call = window_runs()
+        after = reference.time_reference()
+        for name, seconds in per_call.items():
+            record(name, 1e3, seconds, reference.scaled(seconds, before, after))
         w = instantiate_window(catalog.load("d4:new"), 2)
         record("cancellation_scan_ms", 1e3, *measure(lambda: cancellation_scan(w, max_len=3)))
         before = reference.time_reference()

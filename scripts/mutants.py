@@ -67,6 +67,10 @@ MUTANTS = (
            "if len(insts) > 99:",
            ("tests/test_presentation.py::test_ambiguous_complement_raises_a_fresh_error",
             "tests/test_reversing.py::test_ambiguity_propagates")),
+    Mutant("window-domain", "src/monorev/presentation.py",
+           "min(n - off for off in offsets)",
+           "min(n + 1 - off for off in offsets)",
+           ("tests/test_presentation.py::test_window_relations_match_the_reference",)),
     Mutant("union-key-sort", "src/monorev/oracle.py",
            "    keys.sort()\n",
            "",

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Union
 
 from .presentation import Presentation
-from .words import Generator, Letter, Word, free_reduce, parse_letter, shift_word
+from .words import Generator, Letter, Word, free_reduce, parse_letter
 
 
 class DerivationError(ValueError):
@@ -215,31 +215,35 @@ def format_script(script: DerivationScript) -> str:
 
 
 def shift_script(p: Presentation, script: DerivationScript, k: int) -> DerivationScript:
-    """Translate every t index in the script by k.
+    """Translate every index of every integer family of p by k.
 
-    Relation steps shift only bindings of Z-ranged parameters over t, so
-    the result replays the same derivation k levels up.
+    The letters of the start, the expected word and the inserts move, and
+    so do the bindings of the Z-ranged parameters over an integer family,
+    so the result replays the same derivation k levels up.
     """
+    fams = p.alphabet.integer_families
+
+    def moved(letter: Letter) -> Letter:
+        gen = letter.gen
+        if gen.family not in fams:
+            return letter
+        return Letter(Generator(gen.family, gen.index + k), letter.sign)
+
     steps: list[DerivationStep] = []
     for step in script.steps:
         if isinstance(step, RelationStep):
             schema = p.schema(step.schema)
             shiftable = {pp.name for pp in schema.params
-                         if pp.values is None and schema.param_family(pp.name) == "t"}
+                         if pp.values is None and schema.param_family(pp.name) in fams}
             bindings = tuple((name, value + k if name in shiftable else value)
                              for name, value in step.bindings)
             steps.append(RelationStep(step.schema, bindings, step.direction, step.position))
         elif isinstance(step, InsertStep):
-            letter = step.letter
-            if letter.gen.family == "t":
-                letter = Letter(Generator("t", letter.gen.index + k), letter.sign)
-            steps.append(InsertStep(letter, step.position))
+            steps.append(InsertStep(moved(step.letter), step.position))
         else:
             steps.append(step)
-    return DerivationScript(script.presentation,
-                            shift_word(script.start, k),
-                            shift_word(script.expect, k),
-                            tuple(steps))
+    return DerivationScript(script.presentation, Word(map(moved, script.start)),
+                            Word(map(moved, script.expect)), tuple(steps))
 
 
 # -- expressing t(i) through t(0) and t(1) --------------------------------

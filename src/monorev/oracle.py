@@ -3,10 +3,11 @@
 Everything here works by exhaustive rewriting, so it is bounded and
 independent of the reversing machinery; the point is to have a second
 opinion that cannot share bugs with it.  Nothing here calls reversing or
-reads the complement cache: the only input is the list of relations.
-Presentations with Z-indexed families must be windowed (see
-instantiate_window) before use, and a word with a letter outside the window
-is refused with UnknownGeneratorError instead of being treated as a word no
+reads the complement cache: the only input is the list of relations that
+materialize_relations enumerates.  Presentations with Z-indexed families
+must be windowed (see instantiate_window) before use: a window keeps its
+schemas, with finite domains.  A word with a letter outside the window is
+refused with UnknownGeneratorError instead of being treated as a word no
 relation touches.
 
 The rewriting runs on small integers.  Each generator is coded as its

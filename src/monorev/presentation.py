@@ -40,11 +40,19 @@ every :new key and affine-a:{classical,cll} is; the finite t(0), t(1) of
 :yamada and affine-a:shi are not negated, and their double twist reads
 backwards as another relation.  The cube sweep lets a pass on one side
 settle a check on the other there (see completeness).
+
+A window (`instantiate_window`) is the finite presentation on the indices
+-n..n of each integer family: the same schemas, names and patterns, with
+each parameter over such a family narrowed to the values that keep all of
+its letters inside, and without the schemas that no value keeps there.
+`materialize_relations` enumerates the instances, of a window or of a
+finite presentation; the oracle rewrites with them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -68,8 +76,9 @@ class CapError(RuntimeError):
     """A search met its size cap before an answer: the outcome is inconclusive.
 
     The cube sweep (completeness.SweepCapError) and the oracle
-    (oracle.OracleCapError) raise subclasses; the command line catches
-    this base without loading either module.
+    (oracle.OracleCapError) raise subclasses, and instantiate_window raises
+    it for a window that would be too large; the command line catches this
+    base without loading either module.
     """
 
 
@@ -259,50 +268,6 @@ class Schema:
             return None
         inst = self._build(bindings)
         return inst.swapped() if swap and inst is not None else inst
-
-    # -- enumeration ------------------------------------------------------
-
-    def instances(self, window: tuple[int, int] | None = None,
-                  integer_families: frozenset[str] = frozenset()) -> list[RelationInstance]:
-        """All instances whose integer-family indices lie in the window.
-
-        Mirror duplicates (the same unordered relation with sides exchanged)
-        are emitted once.  Schemas with Z-parameters require a window.
-        """
-        for pl in self.lhs + self.rhs:
-            if pl.param is None and pl.family in integer_families:
-                if window is None or not window[0] <= pl.offset <= window[1]:
-                    return []
-        ranges: list[tuple[str, list[int]]] = []
-        for p in self.params:
-            fam = self.param_family(p.name)
-            offsets = [pl.offset for pl in self.lhs + self.rhs if pl.param == p.name]
-            if p.values is None:
-                if window is None:
-                    raise ValueError(
-                        f"schema {self.name}: cannot enumerate parameter {p.name} "
-                        "over Z without a window"
-                    )
-                lo = max(window[0] - off for off in offsets)
-                hi = min(window[1] - off for off in offsets)
-                ranges.append((p.name, list(range(lo, hi + 1))))
-            else:
-                values = list(p.values)
-                if window is not None and fam in integer_families:
-                    values = [v for v in values
-                              if all(window[0] <= v + off <= window[1] for off in offsets)]
-                ranges.append((p.name, values))
-        out: list[RelationInstance] = []
-        seen = set()
-        for combo in itertools.product(*(vals for _, vals in ranges)):
-            inst = self.instantiate({name: v for (name, _), v in zip(ranges, combo)})
-            if inst is None:
-                continue
-            key = inst.unordered_key()
-            if key not in seen:
-                seen.add(key)
-                out.append(inst)
-        return out
 
     def render(self) -> str:
         left = " ".join(pl.render() for pl in self.lhs)
@@ -625,45 +590,73 @@ def check_complemented(p: Presentation) -> tuple[ComplementReport, ComplementRep
 
 
 def materialize_relations(p: Presentation) -> tuple[RelationInstance, ...]:
-    """Every relation of a fully finite presentation, mirror-deduplicated."""
+    """Every relation of a finite presentation or a window: the one instance enumerator.
+
+    Schema by schema, the bindings run over the product of the finite
+    domains, the last parameter fastest; degenerate instances are skipped,
+    and of the instances with the same unordered sides the first is kept.
+    """
     if p.alphabet.integer_families:
-        raise ValueError(
-            f"presentation {p.name} has integer families; window it first"
-        )
+        raise ValueError(f"presentation {p.name} has integer families; window it first")
     out: list[RelationInstance] = []
     seen = set()
     for s in p.schemas:
-        for inst in s.instances(None):
-            key = inst.unordered_key()
-            if key not in seen:
+        if any(q.values is None for q in s.params):
+            raise ValueError(f"schema {s.name}: a parameter over Z needs a window")
+        names = [q.name for q in s.params]
+        for combo in itertools.product(*(q.values for q in s.params)):
+            inst = s._build(dict(zip(names, combo)))
+            if inst is not None and (key := inst.unordered_key()) not in seen:
                 seen.add(key)
                 out.append(inst)
     return tuple(out)
 
 
-def _binding_suffix(bindings: tuple[tuple[str, int], ...]) -> str:
-    parts = []
-    for k, v in bindings:
-        parts.append(f"{k}{v}" if v >= 0 else f"{k}m{-v}")
-    return "_".join(parts)
+# the most generators plus schema bindings a window may hold; the largest d4:new
+# window under it has radius 222 and 199,371, nearly all translation bindings
+MAX_WINDOW = 200_000
 
 
 def instantiate_window(p: Presentation, n: int) -> Presentation:
-    """Finite snapshot with integer-family indices restricted to [-n, n]."""
+    """The window of radius n: p with its integer families cut down to the indices -n..n.
+
+    See the module docstring.  The generators and the bindings of every
+    schema are counted from the offsets before a domain is built; more
+    than MAX_WINDOW raise CapError.
+    """
     if n < 1:
         raise ValueError("window must be at least 1")
-    finite = dict(p.alphabet.finite)
-    for fam in p.alphabet.integer_families:
-        finite[fam] = tuple(range(-n, n + 1))
-    alphabet = Alphabet(finite, frozenset())
-    schemas = []
+    fams = p.alphabet.integer_families
+    finite = {**p.alphabet.finite, **{fam: range(-n, n + 1) for fam in fams}}
+    size = sum(map(len, finite.values()))
+    narrowed = []
     for s in p.schemas:
-        for inst in s.instances((-n, n), p.alphabet.integer_families):
-            name = s.name
-            if inst.bindings:
-                name = f"{s.name}_{_binding_suffix(inst.bindings)}"
-            schemas.append(fixed_schema(name, inst.lhs, inst.rhs))
-    return Presentation(f"{p.name}|window={n}", alphabet, tuple(schemas), window=n)
+        letters = s.lhs + s.rhs
+        if any(pl.param is None and pl.family in fams and not -n <= pl.offset <= n
+               for pl in letters):
+            continue
+        domains: list[range | tuple[int, ...]] = []
+        for q in s.params:
+            offsets = [pl.offset for pl in letters if pl.param == q.name]
+            lo, hi = max(-n - off for off in offsets), min(n - off for off in offsets)
+            if q.values is None:
+                domains.append(range(lo, hi + 1))
+            elif s.param_family(q.name) in fams:
+                domains.append(tuple(v for v in q.values if lo <= v <= hi))
+            else:
+                domains.append(q.values)
+        if all(domains):
+            size += math.prod(map(len, domains))
+            narrowed.append((s, domains))
+    if size > MAX_WINDOW:
+        raise CapError(f"the window of radius {n} on {p.name} holds {size} generators "
+                       f"and schema bindings, more than the cap of {MAX_WINDOW}")
+    schemas = tuple(
+        Schema(s.name, tuple(Param(q.name, tuple(d)) for q, d in zip(s.params, domains)),
+               s.lhs, s.rhs)
+        for s, domains in narrowed)
+    alphabet = Alphabet({fam: tuple(values) for fam, values in finite.items()}, frozenset())
+    return Presentation(f"{p.name}|window={n}", alphabet, schemas, window=n)
 
 
 # -- text format ----------------------------------------------------------

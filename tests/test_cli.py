@@ -394,6 +394,17 @@ def test_oracle_class_cap_is_inconclusive(capsys):
     assert err == "monorev: class of t(1) t(0) s1 t(1) t(0) s1 exceeded cap 10\n"
 
 
+@pytest.mark.parametrize("command", [("class", "s1"), ("equal", "s1", "s2"), ("scan",)])
+def test_oracle_huge_window_is_refused(capsys, command):
+    # the window is counted before it is built, so this takes no time or memory
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "oracle", command[0], "d4:new", *command[1:],
+                         "--window", "1000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("monorev: the window of radius 1000000000 on d4:new holds ")
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_oracle_scan(capsys, tmp_path):
     code, out, _ = run(capsys, "oracle", "scan", "d4:new", "--max-len", "2")
     assert code == 0

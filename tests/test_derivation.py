@@ -19,6 +19,7 @@ from monorev.derivation import (
     verify_script,
     verify_translation_product,
 )
+from monorev.presentation import instantiate_window, load_presentation
 from monorev.reversing import Empty, reverse_quotient
 from monorev.words import Letter, Generator, free_reduce, shift_word
 
@@ -165,6 +166,29 @@ def test_shift_script_replays(d4):
     assert first.schema == "translation" and dict(first.bindings) == {"i": 5, "j": 4}
     braid = lifted.steps[1]
     assert dict(braid.bindings) == {"i": 4, "j": 1}
+
+
+def test_shift_script_moves_every_integer_family():
+    p = load_presentation("generators: a1 ; families: u\n"
+                          "schema tr: u(i) u(i-1) = u(j) u(j-1)\n")
+    script = parse_script("presentation: u-file\nstart: u(1) u(0) a1\nexpect: u(2) u(1) a1\n"
+                          "insert u(0) @3\ncancel @3\nrel tr i=2,j=1 rl @0\n", p)
+    assert verify_script(p, script).ok
+    lifted = shift_script(p, script, 3)
+    assert lifted.start == p.parse("u(4) u(3) a1") and lifted.expect == p.parse("u(5) u(4) a1")
+    assert lifted.steps[0] == InsertStep(Letter(Generator("u", 3)), 3)
+    assert dict(lifted.steps[2].bindings) == {"i": 5, "j": 4}
+    assert verify_script(p, lifted).ok
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_double_twist_replays_on_a_window(j):
+    # a window keeps its schemas' names, so a script names them there too
+    w = instantiate_window(catalog.load("d4:new"), 2)
+    with open(os.path.join(FIXTURES, f"double_twist_s{j}.script"), encoding="utf-8") as fh:
+        script = parse_script(fh.read(), w)
+    result = verify_script(w, script)
+    assert result.ok, result.error
 
 
 def test_t_expression_fixed_values():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from monorev import catalog
 from monorev.presentation import (
     AmbiguousComplementError,
+    CapError,
     ComplementReport,
     Param,
     PatternLetter,
@@ -374,18 +375,27 @@ def test_window_drops_instances_outside_it():
     # a fixed index outside the window drops its relation
     w = instantiate_window(load_presentation(PINNED_T), 2)
     assert [s.line() for s in w.schemas] == ["rel_1: a1 b1 = b1 a1"]
-    # so does a finite-domain value on an integer family
+    # a finite-domain value on an integer family leaves the domain, and a
+    # schema whose domain empties is dropped
     p = load_presentation("generators: a1 ; families: t\n"
-                          "schema x [k in {0, 5}]: t(k) a1 = a1 t(k)\n")
-    assert [s.line() for s in instantiate_window(p, 2).schemas] == ["x_k0: t(0) a1 = a1 t(0)"]
-    assert len(instantiate_window(p, 5).schemas) == 2
+                          "schema x [k in {0, 5}]: t(k) a1 = a1 t(k)\n"
+                          "schema y [k in {5}]: t(k) a1 a1 = a1 a1 t(k)\n")
+    assert [s.line() for s in instantiate_window(p, 2).schemas] == [
+        "x [k in {0}]: t(k) a1 = a1 t(k)"]
+    assert [s.line() for s in instantiate_window(p, 5).schemas] == [
+        "x [k in {0, 5}]: t(k) a1 = a1 t(k)", "y [k in {5}]: t(k) a1 a1 = a1 a1 t(k)"]
+    assert len(materialize_relations(instantiate_window(p, 5))) == 3
 
 
 def test_window_schema_names(d4):
-    names = [s.name for s in instantiate_window(d4, 1).schemas]
-    assert len(names) == 19
-    assert "t_braid_im1_j1" in names and "t_braid_i1_j4" in names
-    assert sum(1 for n in names if n.startswith("translation")) == 1
+    # a window keeps the schemas, names and patterns, with narrower domains
+    w = instantiate_window(d4, 1)
+    assert [s.name for s in w.schemas] == [s.name for s in d4.schemas]
+    assert [(s.lhs, s.rhs) for s in w.schemas] == [(s.lhs, s.rhs) for s in d4.schemas]
+    labels = [inst.label() for inst in materialize_relations(w)]
+    assert len(labels) == 19
+    assert "t_braid(i=-1, j=1)" in labels and "t_braid(i=1, j=4)" in labels
+    assert sum(1 for label in labels if label.startswith("translation")) == 1
 
 
 def test_materialize_relations(d4):
@@ -395,11 +405,102 @@ def test_materialize_relations(d4):
 
 
 def test_schema_window_enumeration(d4):
-    tr = d4.schema("translation")
-    insts = tr.instances((-1, 1), d4.alphabet.integer_families)
+    tr = instantiate_window(d4, 1).schema("translation")
+    assert tr.line() == "translation [i in {0, 1}; j in {0, 1}]: t(i) t(i-1) = t(j) t(j-1)"
+    insts = [inst for inst in materialize_relations(instantiate_window(d4, 1))
+             if inst.schema == "translation"]
     assert [str(i) for i in insts] == ["t(0) t(-1) = t(1) t(0)"]
-    with pytest.raises(ValueError):
-        tr.instances(None)  # Z-parameters need a window
+    # a Z-parameter on a finite presentation cannot be enumerated
+    finite = load_presentation("generators: s1 s2\n")
+    z = Schema("z", (Param("j", None),), (PatternLetter("s", 0, "j"), PatternLetter("s", 1)),
+               (PatternLetter("s", 1), PatternLetter("s", 0, "j")))
+    with pytest.raises(ValueError, match="over Z"):
+        materialize_relations(dataclasses.replace(finite, schemas=(z,)))
+
+
+def test_window_size_is_capped(d4):
+    # counted from the offsets before any domain is built, so a huge radius
+    # is refused at once
+    with pytest.raises(CapError, match="more than the cap"):
+        instantiate_window(d4, 10 ** 9)
+    # d4:new's translation schema alone has (2n)^2 bindings
+    assert len(instantiate_window(d4, 200).alphabet.finite["t"]) == 401
+    with pytest.raises(CapError):
+        instantiate_window(d4, 250)
+
+
+@st.composite
+def windowed_schemas(draw):
+    """A presentation on s1..s3 and the family t, with up to three random schemas.
+
+    A parameter indexes t over Z or over a finite domain, or s over a
+    finite domain; every parameter sits on a boundary letter at both ends,
+    so the schema supports pair lookup.  Fixed t-indices reach past the
+    small windows, so some schemas leave them.
+    """
+    alphabet = load_presentation("generators: s1 s2 s3 ; families: t\n").alphabet
+    schemas = []
+    for number in range(draw(st.integers(1, 3))):
+        params, families = [], {}
+        for name in ("i", "j")[:draw(st.integers(0, 2))]:
+            family = draw(st.sampled_from(("t", "t", "s")))
+            pool = range(-5, 6) if family == "t" else range(1, 4)
+            values = draw((st.none() if family == "t" else st.nothing())
+                          | st.sets(st.sampled_from(pool), min_size=1).map(sorted).map(tuple))
+            params.append(Param(name, values))
+            families[name] = family
+
+        def bound(name):
+            offset = draw(st.integers(-3, 3)) if families[name] == "t" else 0
+            return PatternLetter(families[name], offset, name)
+
+        fixed = st.builds(PatternLetter, st.just("t"), st.integers(-5, 5)) | st.builds(
+            PatternLetter, st.just("s"), st.integers(1, 3))
+
+        def letter():
+            if params and draw(st.booleans()):
+                return bound(draw(st.sampled_from(params)).name)
+            return draw(fixed)
+
+        ends = []
+        for _ in range(2):  # each end carries every parameter on one side or the other
+            names = draw(st.permutations([q.name for q in params]))
+            pair = [bound(name) for name in names] + [letter() for _ in range(2 - len(names))]
+            ends.append(pair if draw(st.booleans()) else pair[::-1])
+        sides = [tuple([ends[0][k]] + [letter() for _ in range(draw(st.integers(0, 2)))]
+                       + [ends[1][k]]) for k in (0, 1)]
+        schemas.append(Schema(f"r{number}", tuple(params), *sides))
+    return Presentation("random", alphabet, tuple(schemas))
+
+
+def reference_window_relations(p, n):
+    """The relations of the window of radius n, from Schema.instantiate over a wide range.
+
+    Each Z-parameter runs over [-n - 8, n + 8], past any offset the
+    strategy draws; instances with a t-index outside [-n, n] are dropped,
+    and of the instances with the same unordered sides the first is kept.
+    """
+    out, seen = [], set()
+    for s in p.schemas:
+        ranges = [range(-n - 8, n + 9) if q.values is None else q.values for q in s.params]
+        for combo in itertools.product(*ranges):
+            inst = s.instantiate({q.name: v for q, v in zip(s.params, combo)})
+            if inst is None or any(letter.gen.family == "t" and abs(letter.gen.index) > n
+                                   for letter in inst.lhs + inst.rhs):
+                continue
+            key = frozenset((inst.lhs, inst.rhs))
+            if key not in seen:
+                seen.add(key)
+                out.append(inst)
+    return out
+
+
+@settings(max_examples=100)
+@given(p=windowed_schemas(), n=st.integers(1, 4))
+def test_window_relations_match_the_reference(p, n):
+    w = instantiate_window(p, n)
+    assert w.alphabet.finite["t"] == tuple(range(-n, n + 1))
+    assert list(materialize_relations(w)) == reference_window_relations(p, n)
 
 
 def test_pair_scan_generators(d4):
@@ -535,7 +636,7 @@ def test_presentation_lookup(d4):
 def test_offsets_inside_the_finite_family_load():
     text = "generators: s1 s2 s3\nschema up [j in {1, 2}]: s(j) s(j+1) = s(j+1) s(j)\n"
     p = load_presentation(text)
-    assert [str(i) for i in p.schema("up").instances()] == ["s1 s2 = s2 s1", "s2 s3 = s3 s2"]
+    assert [str(i) for i in materialize_relations(p)] == ["s1 s2 = s2 s1", "s2 s3 = s3 s2"]
 
 
 @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a:b", "a[1]", "b]"])

@@ -68,8 +68,8 @@ def test_layer_bench(capsys, tmp_path):
         "letter_hash_ms_per_100k", "letter_eq_ms_per_100k", "letter_sort_ms_per_100k",
         "right_complement_cold_us", "right_complement_warm_us", "pair_lookup_us",
         "check_complemented_ms", "certify_cold_ms", "certify6_cold_ms", "cube_warm_us",
-        "reverse_warm_us", "cancellation_scan_ms", "monoid_equal_cold_ms",
-        "monoid_equal_warm_ms"}
+        "reverse_warm_us", "window_ms", "window_table_ms", "cancellation_scan_ms",
+        "monoid_equal_cold_ms", "monoid_equal_warm_ms"}
     assert all(value > 0 for value in data["figures"].values())
     assert "certify_cold_ms" in capsys.readouterr().out
 
