@@ -71,6 +71,11 @@ MUTANTS = (
            "min(n - off for off in offsets)",
            "min(n + 1 - off for off in offsets)",
            ("tests/test_presentation.py::test_window_relations_match_the_reference",)),
+    Mutant("doubled-core", "src/monorev/catalog.py",
+           "tail = tuple(j for j in vertices if j not in core)",
+           "tail = tuple(j for j in vertices)",
+           ("tests/test_presentation.py::test_catalog_saves_as_pinned",
+            "tests/test_presentation.py::test_both_forms_share_the_diagram")),
     Mutant("union-key-sort", "src/monorev/oracle.py",
            "    keys.sort()\n",
            "",

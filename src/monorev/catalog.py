@@ -1,32 +1,36 @@
 """Built-in presentation catalog.
 
-Fixed keys cover the elliptic types with a doubled central vertex:
+Every key with a t is one diagram with its central vertex t doubled, in
+one of two forms.  The earlier form has two central generators t(0),
+t(1), and closes with a double twist x t(1) t(0) x t(1) t(0) =
+t(1) t(0) x t(1) t(0) x for each vertex x joined to t.  The new form
+replaces them with a Z-indexed family t(i) and closes with the two-letter
+translation relations t(i) t(i-1) = t(j) t(j-1), which is what makes it
+right-complemented.  Both forms of a diagram share its braid and commute
+relations and differ only in the central letter.
+
+Fixed keys cover the elliptic diagrams, :yamada the earlier form and :new
+the new one:
 
     d4:yamada   d4:new   e6:yamada   e6:new
     e7:yamada   e7:new   e8:yamada   e8:new
 
-Both presentations of a diagram share its braid and commute relations and
-differ only in the central letter.  The :yamada entries use two central
-generators t(0), t(1) and a commutation relation for the product of twists;
-the :new entries replace them with a Z-indexed family t(i) and the
-two-letter translation relations t(i) t(i-1) = t(j) t(j-1), which is what
-makes them right-complemented.
-
 Parametric keys take a rank suffix, e.g. affine-a:cll:5:
 
-    affine-a:classical:<n>   cycle of n braid generators
-    affine-a:shi:<n>         t(0), t(1) and r3..rn, with a double twist
-    affine-a:cll:<n>         Z-family t(i) and r3..rn
+    affine-a:classical:<n>   cycle of n braid generators, no t
+    affine-a:shi:<n>         the chain r3..rn, t joined to r3, earlier form
+    affine-a:cll:<n>         the same chain in the new form
 
-`_diagram` writes the braid and commute relations of a diagram;
-`_elliptic` and `_affine` add the central letter in either form.
+`_diagram` writes the braid and commute relations of a diagram, and
+`_doubled` adds t to one in either form: t_braid, t_commute, the diagram,
+then the translation or the double twists.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .presentation import Param, PatternLetter, Presentation, Schema
+from .presentation import MAX_WINDOW, Param, PatternLetter, Presentation, Schema
 from .words import Alphabet
 
 # Star-shaped diagrams as (rank, core, edges): the doubled vertex t sits at
@@ -48,9 +52,11 @@ PARAMETRIC_NAMES = (
 )
 
 # The central letter in each form, as (parameter, letter, finite alphabet
-# entry, integer families): t(i) over Z, or t(k) over {0, 1}.
+# entry, integer families): t(i) over Z in the new form, t(k) over {0, 1}
+# in the earlier one.
 _Z_FORM = (Param("i"), PatternLetter("t", 0, "i"), {}, frozenset({"t"}))
 _FINITE_FORM = (Param("k", (0, 1)), PatternLetter("t", 0, "k"), {"t": (0, 1)}, frozenset())
+_FORMS = {"new": _Z_FORM, "cll": _Z_FORM, "yamada": _FINITE_FORM, "shi": _FINITE_FORM}
 
 # What closes the Z form: t(i) t(i-1) = t(j) t(j-1).
 _TRANSLATION = Schema("translation", (Param("i"), Param("j")),
@@ -58,18 +64,19 @@ _TRANSLATION = Schema("translation", (Param("i"), Param("j")),
                       (PatternLetter("t", 0, "j"), PatternLetter("t", -1, "j")))
 
 
-def _double_twist(name: str, x: PatternLetter) -> Schema:
-    """What closes the finite form: x t(1) t(0) x t(1) t(0) = t(1) t(0) x t(1) t(0) x."""
-    t1, t0 = PatternLetter("t", 1), PatternLetter("t", 0)
-    return Schema(name, (), (x, t1, t0, x, t1, t0), (t1, t0, x, t1, t0, x))
-
-
 def _diagram(family: str, vertices: tuple[int, ...],
              edges: tuple[tuple[int, int], ...]) -> list[Schema]:
-    """x y x = y x y on each edge (x, y) in that orientation, x y = y x on every other pair."""
-    schemas = []
+    """x y x = y x y on each edge (x, y) in that orientation, x y = y x on every other pair.
+
+    Raises ValueError, before building any, for more than MAX_WINDOW pairs.
+    """
+    pairs = len(vertices) * (len(vertices) - 1) // 2
+    if pairs > MAX_WINDOW:
+        raise ValueError(f"{len(vertices)} vertices make {pairs} diagram relations, "
+                         f"more than the cap of {MAX_WINDOW}")
+    schemas, edge_set = [], set(edges)
     for pair in itertools.combinations(vertices, 2):
-        edge = next((e for e in (pair, pair[::-1]) if e in edges), None)
+        edge = next((e for e in (pair, pair[::-1]) if e in edge_set), None)
         i, j = edge or pair
         x, y = PatternLetter(family, i), PatternLetter(family, j)
         if edge:
@@ -79,48 +86,30 @@ def _diagram(family: str, vertices: tuple[int, ...],
     return schemas
 
 
-def _t_commute(k: Param, t: PatternLetter, family: str, tail: tuple[int, ...]) -> list[Schema]:
-    """t x(j) = x(j) t for the vertices in `tail`, which are not joined to t."""
+def _doubled(name: str, family: str, vertices: tuple[int, ...], core: tuple[int, ...],
+             edges: tuple[tuple[int, int], ...], form: str) -> Presentation:
+    """The diagram on `vertices` with the doubled vertex t joined to `core`, in `form`.
+
+    t braids with the vertices in `core` and commutes with the others.  The
+    Z form is closed by the translation relations, the finite form by one
+    double twist x t(1) t(0) x t(1) t(0) = t(1) t(0) x t(1) t(0) x per x in core.
+    """
+    k, t, t_finite, families = _FORMS[form]
     x = PatternLetter(family, 0, "j")
-    return [Schema("t_commute", (k, Param("j", tail)), (t, x), (x, t))] if tail else []
-
-
-def _elliptic(key: str, form: str) -> Presentation:
-    rank, core, edges = _ELLIPTIC[key]
-    k, t, t_finite, families = _Z_FORM if form == "new" else _FINITE_FORM
-    vertices = tuple(range(1, rank + 1))
-    s_j = PatternLetter("s", 0, "j")
+    tail = tuple(j for j in vertices if j not in core)
+    if families:
+        closing = [_TRANSLATION]
+    else:
+        tt = (PatternLetter("t", 1), PatternLetter("t", 0))
+        closing = [Schema(f"double_twist_{c.offset}", (), (c, *tt, c, *tt), (*tt, c, *tt, c))
+                   for c in (PatternLetter(family, j) for j in core)]
     schemas = [
-        Schema("t_braid", (k, Param("j", core)), (t, s_j, t), (s_j, t, s_j)),
-        *_t_commute(k, t, "s", tuple(j for j in vertices if j not in core)),
-        *_diagram("s", vertices, edges),
-        *([_TRANSLATION] if form == "new" else
-          [_double_twist(f"double_twist_{j}", PatternLetter("s", j)) for j in core]),
+        Schema("t_braid", (k, Param("j", core)), (t, x, t), (x, t, x)),
+        *([Schema("t_commute", (k, Param("j", tail)), (t, x), (x, t))] if tail else []),
+        *_diagram(family, vertices, edges),
+        *closing,
     ]
-    return Presentation(f"{key}:{form}", Alphabet({"s": vertices, **t_finite}, families),
-                        tuple(schemas))
-
-
-def _classical(n: int) -> Presentation:
-    vertices = tuple(range(1, n + 1))
-    edges = tuple(zip(vertices, vertices[1:])) + ((n, 1),)
-    return Presentation(f"affine-a:classical:{n}", Alphabet({"r": vertices}, frozenset()),
-                        tuple(_diagram("r", vertices, edges)))
-
-
-def _affine(form: str, n: int) -> Presentation:
-    """The chain r3..rn with the central letter braided with r3 and commuting with the rest."""
-    k, t, t_finite, families = _Z_FORM if form == "cll" else _FINITE_FORM
-    vertices = tuple(range(3, n + 1))
-    r3 = PatternLetter("r", 3)
-    schemas = [
-        Schema("t_braid", (k,), (r3, t, r3), (t, r3, t)),
-        *_t_commute(k, t, "r", vertices[1:]),
-        *_diagram("r", vertices, tuple(zip(vertices, vertices[1:]))),
-        _TRANSLATION if form == "cll" else _double_twist("double_twist", r3),
-    ]
-    return Presentation(f"affine-a:{form}:{n}", Alphabet({**t_finite, "r": vertices}, families),
-                        tuple(schemas))
+    return Presentation(name, Alphabet({family: vertices, **t_finite}, families), tuple(schemas))
 
 
 def load(name: str) -> Presentation:
@@ -130,7 +119,8 @@ def load(name: str) -> Presentation:
     """
     parts = name.split(":")
     if name in FIXED_NAMES:
-        return _elliptic(*parts)
+        rank, core, edges = _ELLIPTIC[parts[0]]
+        return _doubled(name, "s", tuple(range(1, rank + 1)), core, edges, parts[1])
     if len(parts) == 3 and parts[0] == "affine-a":
         try:
             n = int(parts[2])
@@ -138,10 +128,15 @@ def load(name: str) -> Presentation:
             raise ValueError(f"rank suffix in {name!r} must be an integer") from None
         if n < 3:
             raise ValueError(f"family {parts[1]!r} needs rank n >= 3, got {n}")
+        name = f"affine-a:{parts[1]}:{n}"
         if parts[1] == "classical":
-            return _classical(n)
+            cycle = tuple(range(1, n + 1))
+            edges = tuple(zip(cycle, cycle[1:])) + ((n, 1),)
+            return Presentation(name, Alphabet({"r": cycle}, frozenset()),
+                                tuple(_diagram("r", cycle, edges)))
         if parts[1] in ("shi", "cll"):
-            return _affine(parts[1], n)
+            chain = tuple(range(3, n + 1))
+            return _doubled(name, "r", chain, (3,), tuple(zip(chain, chain[1:])), parts[1])
     raise KeyError(f"unknown catalog key {name!r}")
 
 

@@ -613,7 +613,10 @@ def materialize_relations(p: Presentation) -> tuple[RelationInstance, ...]:
 
 
 # the most generators plus schema bindings a window may hold; the largest d4:new
-# window under it has radius 222 and 199,371, nearly all translation bindings
+# window under it has radius 222 and 199,371, nearly all translation bindings.
+# It also caps the vertex pairs of a catalog diagram, one relation each, so
+# affine-a:classical above rank 632 (shi and cll above 634) is refused before
+# any relation is built
 MAX_WINDOW = 200_000
 
 
@@ -742,7 +745,8 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
     Raises WordSyntaxError for malformed text, a family named both among
     the generators and under `families:` included, and SchemaError for a
     domain that does not fit its schema or that takes a letter, offset
-    included, outside its finite family.
+    included, outside its finite family, and for a schema name used twice,
+    a plain line's rel_<n> included.
     """
     lines = [l.strip() for l in text.splitlines()]
     lines = [l for l in lines if l and not l.startswith("#")]
@@ -771,6 +775,7 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
     alphabet = Alphabet({f: tuple(sorted(set(v))) for f, v in finite.items()},
                         integer_families)
     schemas: list[Schema] = []
+    names: set[str] = set()
     count = 0
     for line in lines[1:]:
         if line.startswith("schema "):
@@ -785,6 +790,9 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
             if not (lhs.is_positive() and rhs.is_positive()):
                 raise WordSyntaxError("relation sides must be positive words")
             schemas.append(fixed_schema(f"rel_{count}", lhs, rhs))
+        if schemas[-1].name in names:
+            raise SchemaError(f"schema name {schemas[-1].name!r} is used twice")
+        names.add(schemas[-1].name)
     return Presentation(name, alphabet, tuple(schemas))
 
 

@@ -554,8 +554,9 @@ def test_undecodable_file_is_a_usage_error(capsys, tmp_path, argv):
 
 # The CLI fuzz law.  A case is a presentation file and three words, made of
 # tokens that fit the drawn header, and then, in most cases, one token of
-# the file or of a word replaced by a bad or hostile one.  Each case runs
-# one command that reads a presentation, in-process, with small budgets.
+# the file or of a word replaced by a bad or hostile one.  A schema head may
+# repeat a name, r0 or a plain line's rel_1.  Each case runs one command
+# that reads a presentation, in-process, with small budgets.
 _BAD = ["a", "1a", "t(x", "a(99)", "b(i)", "s3", "t(1000000000)", "t(i+1000000000)",
         "a(j+5)", "c(3)", "=", "^-1", "[i", "Q]", ";", "families:", "generators:", "schema"]
 _CLAUSES = 3 * [""] + [" [i in Z]", " [j in {1, 2}]", " [i in Z; j in {1, 2}]",
@@ -578,7 +579,8 @@ def _fuzz_case(draw):
         if draw(st.booleans()):
             lines.append(f"{draw(_words(letters))} = {draw(_words(letters))}")
         else:
-            head = f"schema r{k}{draw(st.sampled_from(_CLAUSES))}"
+            name = draw(st.sampled_from([f"r{k}", "r0", "rel_1"]))
+            head = f"schema {name}{draw(st.sampled_from(_CLAUSES))}"
             lines.append(f"{head}: {draw(_words(patterns))} = {draw(_words(patterns))}")
     signed = letters + [letter + "^-1" for letter in letters]
     parts = ["\n".join(lines)] + [draw(_words(letters, 0) | _words(signed, 0)) for _ in range(3)]

@@ -581,10 +581,42 @@ def test_catalog_saves_as_pinned(key):
     assert save_presentation(catalog.load(key)) == SAVED_CATALOG[key]
 
 
+FORM_PAIRS = [(f"{key}:yamada", f"{key}:new") for key in ("d4", "e6", "e7", "e8")] + [
+    (f"affine-a:shi:{n}", f"affine-a:cll:{n}") for n in range(3, 9)]
+
+
+def _t_blanked(s):
+    """A schema's shape with t's parameter, whose name and domain differ by form, left out."""
+    blank = [(pl.family, pl.offset, None if pl.family == "t" else pl.param)
+             for pl in s.lhs + s.rhs]
+    return s.name, [q for q in s.params if s.param_family(q.name) != "t"], blank, len(s.lhs)
+
+
+@pytest.mark.parametrize("earlier, new", FORM_PAIRS)
+def test_both_forms_share_the_diagram(earlier, new):
+    # the catalog docstring: both forms of a diagram share its braid and commute
+    # relations and differ only in the central letter
+    forms = [catalog.load(key) for key in (earlier, new)]
+    diagram = [[s for s in p.schemas if all(pl.family != "t" for pl in s.lhs + s.rhs)]
+               for p in forms]
+    joins = [[_t_blanked(s) for s in p.schemas if s.name in ("t_braid", "t_commute")]
+             for p in forms]
+    assert diagram[0] == diagram[1]
+    assert joins[0] == joins[1]
+    for p, shapes in zip(forms, joins):
+        assert len({s.name for s in p.schemas}) == len(p.schemas)
+        # t is joined to each vertex once: it braids with the core, commutes with the rest
+        (family,) = set(p.alphabet.finite) - {"t"}
+        joined = sorted(v for _, params, _, _ in shapes for v in params[0].values)
+        assert joined == list(p.alphabet.finite[family])
+
+
 @pytest.mark.parametrize("key, error", [
     ("d4", KeyError), ("d5:new", KeyError), ("d4:old", KeyError), ("affine-a:cll", KeyError),
     ("affine-a:b:3", KeyError), ("affine-a:cll:3:4", KeyError),
     ("affine-a:cll:x", ValueError), ("affine-a:shi:2", ValueError),
+    # more vertex pairs than presentation.MAX_WINDOW, refused before any is built
+    ("affine-a:cll:100000", ValueError), ("affine-a:classical:100000", ValueError),
 ])
 def test_catalog_bad_keys(key, error):
     with pytest.raises(error):
@@ -621,6 +653,9 @@ def test_catalog_bad_keys(key, error):
     ("generators: s1 s2 s3\nschema up [j in {1, 2, 3}]: s(j) s(j+1) = s(j+1) s(j)\n",
      SchemaError),
     ("generators: s1 s2 s3\nschema dn [j in {1, 2}]: s(j-1) s3 = s3 s(j-1)\n", SchemaError),
+    # a schema name used twice: a plain line is rel_<n>, or two schema lines share one
+    ("generators: s1 s2 s3\nschema rel_1: s1 s2 = s2 s1\ns1 s3 = s3 s1\n", SchemaError),
+    ("generators: s1 s2 s3\nschema x: s1 s2 = s2 s1\nschema x: s1 s3 = s3 s1\n", SchemaError),
 ])
 def test_load_presentation_errors(text, error):
     with pytest.raises(error):
