@@ -76,6 +76,11 @@ MUTANTS = (
            "tail = tuple(j for j in vertices)",
            ("tests/test_presentation.py::test_catalog_saves_as_pinned",
             "tests/test_presentation.py::test_both_forms_share_the_diagram")),
+    Mutant("family-name", "src/monorev/presentation.py",
+           "if not re.fullmatch(_FAMILY, fam):",
+           "if False:",
+           ("tests/test_presentation.py::test_load_presentation_errors",
+            "tests/test_completeness.py::test_falsified_witnesses_parse_back")),
     Mutant("union-key-sort", "src/monorev/oracle.py",
            "    keys.sort()\n",
            "",

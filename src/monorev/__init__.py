@@ -20,9 +20,9 @@ _EXPORTS = {
     "presentation": (
         "DEFAULT_FUEL", "AmbiguousComplementError", "CapError", "ComplementPair", "Param",
         "PatternLetter", "Presentation", "RelationInstance", "Schema", "SchemaError",
-        "check_complemented", "fixed_schema", "instances_for_pair",
-        "instantiate_window", "left_complement", "load_presentation",
-        "materialize_relations", "right_complement", "save_presentation",
+        "check_complemented", "instances_for_pair", "instantiate_window",
+        "left_complement", "load_presentation", "materialize_relations",
+        "right_complement", "save_presentation",
     ),
     "reversing": (
         "Cycles", "Diverged", "Empty", "ReversalStep", "ReversalTrace", "Stuck", "Terminal",

@@ -58,12 +58,15 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .words import (
+    _FAMILY,
+    _LETTER_RE,
     Alphabet,
     Generator,
     Letter,
     Word,
     WordSyntaxError,
     format_word,
+    parse_letter,
     parse_word,
 )
 
@@ -249,8 +252,7 @@ class Schema:
             if dom is not None and value not in dom:
                 return None
             bindings[pl.param] = value
-        if len(bindings) != len(self.params):
-            return None
+        # all bound: __post_init__ puts every parameter in the two letters at each end
         return bindings
 
     def _oriented(self, x: Generator, y: Generator, end: int,
@@ -286,18 +288,6 @@ class Schema:
             else f"{p.name} in {{{', '.join(map(str, p.values))}}}"
             for p in self.params)
         return f"{self.name} [{doms}]: {self.render()}"
-
-
-def fixed_schema(name: str, lhs: Word, rhs: Word) -> Schema:
-    """Schema with no parameters: a single concrete relation."""
-    if not (lhs.is_positive() and rhs.is_positive()):
-        raise SchemaError(f"schema {name}: relation sides must be positive words")
-    return Schema(
-        name,
-        (),
-        tuple(PatternLetter(l.gen.family, l.gen.index) for l in lhs),
-        tuple(PatternLetter(l.gen.family, l.gen.index) for l in rhs),
-    )
 
 
 @dataclass(slots=True)
@@ -664,7 +654,7 @@ def instantiate_window(p: Presentation, n: int) -> Presentation:
 
 # -- text format ----------------------------------------------------------
 
-_PARAM_TOKEN = re.compile(r"([A-Za-z]+)\(([a-z])([+-]\d+)?\)\Z")
+_PARAM_TOKEN = re.compile(rf"({_FAMILY})\(([a-z])([+-]\d+)?\)\Z")
 _SCHEMA_HEAD = re.compile(rf"({_SCHEMA_NAME.pattern})\s*(?:\[([^\]]*)\])?\Z")
 _DOMAIN = re.compile(r"([a-z])\s+in\s+(?:(Z)|\{\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\})\Z")
 
@@ -676,16 +666,25 @@ def _parse_pattern_token(token: str, alphabet: Alphabet,
         family, name, offset = m.groups()
         if family not in alphabet.finite and family not in alphabet.integer_families:
             raise WordSyntaxError(f"unknown generator family {family!r}")
-        if name not in params:
-            if family in alphabet.integer_families:
-                params[name] = Param(name, None)
-            else:
-                params[name] = Param(name, tuple(sorted(alphabet.finite[family])))
+        if name not in params:  # inferred: the whole family
+            values = None if family in alphabet.integer_families else alphabet.finite[family]
+            params[name] = Param(name, values)
         return PatternLetter(family, int(offset or 0), name)
-    letter = parse_word(token, alphabet)[0]
+    letter = parse_letter(token, alphabet)
     if letter.sign < 0:
         raise WordSyntaxError("relation sides must be positive words")
-    return PatternLetter(letter.gen.family, letter.gen.index)
+    return PatternLetter(*letter.gen)
+
+
+def _parse_sides(body: str, alphabet: Alphabet):
+    """The two pattern sides of `lhs = rhs`, and the parameters their letters use."""
+    left_text, eq, right_text = body.partition("=")
+    if not eq:
+        raise WordSyntaxError(f"relation {body.strip()!r} lacks '='")
+    inferred: dict[str, Param] = {}
+    lhs = tuple(_parse_pattern_token(t, alphabet, inferred) for t in left_text.split())
+    rhs = tuple(_parse_pattern_token(t, alphabet, inferred) for t in right_text.split())
+    return lhs, rhs, inferred
 
 
 def _parse_schema(line: str, alphabet: Alphabet) -> Schema:
@@ -695,12 +694,7 @@ def _parse_schema(line: str, alphabet: Alphabet) -> Schema:
     if m is None or not body:
         raise WordSyntaxError(f"malformed schema line {line!r}")
     sname, clause = m.groups()
-    left_text, eq, right_text = body.partition("=")
-    if not eq:
-        raise WordSyntaxError(f"schema line {line!r} lacks '='")
-    inferred: dict[str, Param] = {}
-    lhs = tuple(_parse_pattern_token(t, alphabet, inferred) for t in left_text.split())
-    rhs = tuple(_parse_pattern_token(t, alphabet, inferred) for t in right_text.split())
+    lhs, rhs, inferred = _parse_sides(body, alphabet)
     if clause is None:
         params = list(inferred.values())
     else:
@@ -733,7 +727,7 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
     """Parse the plain-text presentation format.
 
     Header line:   generators: s1 s2 ... ; families: t
-    Relations:     one `lhs = rhs` per line in the word grammar, named
+    Relations:     one `lhs = rhs` per line, the parameterless schema
                    rel_1, rel_2, ... in order, or one
                    `schema <name> [<domains>]: <pattern> = <pattern>` with
                    single-letter parameters and constant offsets.  The
@@ -742,11 +736,21 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
                    are inferred from the families they index.
     Lines starting with # are comments.
 
-    Raises WordSyntaxError for malformed text, a family named both among
-    the generators and under `families:` included, and SchemaError for a
-    domain that does not fit its schema or that takes a letter, offset
-    included, outside its finite family, and for a schema name used twice,
-    a plain line's rel_<n> included.
+    Every letter is read with the letter grammar of `words`: a header
+    generator, a name under `families:` (a family name alone, no index) and
+    each letter of a relation side, where a `schema` line also takes
+    `family(p)`, `family(p+k)` and `family(p-k)`.  Plain and `schema` lines
+    share one side parser.
+
+    Raises WordSyntaxError for malformed text: a header without generators,
+    a generator token that is not a letter or is inverted, a family name that
+    is not letters alone, a family named both among the generators and under
+    `families:`, a line without `=`, an inverted letter on a relation side,
+    a parameter letter on a plain line, and a malformed schema head or
+    domain.  Raises UnknownGeneratorError for a letter outside the alphabet,
+    and SchemaError for a domain that does not fit its schema or that takes
+    a letter, offset included, outside its finite family, and for a schema
+    name used twice, a plain line's rel_<n> included.
     """
     lines = [l.strip() for l in text.splitlines()]
     lines = [l for l in lines if l and not l.startswith("#")]
@@ -756,17 +760,20 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
     gen_part, _, fam_part = header.partition(";")
     finite: dict[str, list[int]] = {}
     for tok in gen_part[len("generators:"):].split():
-        m = re.match(r"([A-Za-z]+)(?:\((-?\d+)\)|(\d))\Z", tok)
-        if m is None:
+        m = _LETTER_RE.match(tok)
+        if m is None or m[4]:
             raise WordSyntaxError(f"malformed generator token {tok!r} in header")
-        fam, paren_index, digit_index = m.groups()
-        finite.setdefault(fam, []).append(int(paren_index if paren_index is not None else digit_index))
+        finite.setdefault(m[1], []).append(int(m[2] or m[3]))
     integer_families = frozenset()
     if fam_part:
         fam_part = fam_part.strip()
         if not fam_part.startswith("families:"):
             raise WordSyntaxError("expected 'families:' after ';' in header")
-        integer_families = frozenset(fam_part[len("families:"):].split())
+        fams = fam_part[len("families:"):].split()
+        for fam in fams:
+            if not re.fullmatch(_FAMILY, fam):
+                raise WordSyntaxError(f"malformed family name {fam!r} in header")
+        integer_families = frozenset(fams)
     if not finite and not integer_families:  # no word to reverse, sweep or scan
         raise WordSyntaxError("the 'generators:' header names no generator")
     both = sorted(integer_families & finite.keys())
@@ -781,15 +788,12 @@ def load_presentation(text: str, name: str = "user") -> Presentation:
         if line.startswith("schema "):
             schemas.append(_parse_schema(line, alphabet))
         else:
-            left_text, eq, right_text = line.partition("=")
-            if not eq:
-                raise WordSyntaxError(f"expected 'lhs = rhs' or schema line, got {line!r}")
             count += 1
-            lhs = parse_word(left_text, alphabet)
-            rhs = parse_word(right_text, alphabet)
-            if not (lhs.is_positive() and rhs.is_positive()):
-                raise WordSyntaxError("relation sides must be positive words")
-            schemas.append(fixed_schema(f"rel_{count}", lhs, rhs))
+            lhs, rhs, inferred = _parse_sides(line, alphabet)
+            if inferred:
+                raise WordSyntaxError(f"a plain relation line takes no parameter letter, "
+                                      f"got {line!r}; write it as a schema line")
+            schemas.append(Schema(f"rel_{count}", (), lhs, rhs))
         if schemas[-1].name in names:
             raise SchemaError(f"schema name {schemas[-1].name!r} is used twice")
         names.add(schemas[-1].name)

@@ -9,6 +9,10 @@ The token grammar, used by both the parser and the formatter:
     word   := (letter SP)* letter | ""
     letter := atom ("^-1")?
     atom   := family "(" int ")" | family digit
+    family := [A-Za-z]+
+
+A presentation file reads its generators, families and relation letters
+with this grammar too (see presentation.load_presentation).
 """
 
 from __future__ import annotations
@@ -137,7 +141,8 @@ class Alphabet:
             )
 
 
-_LETTER_RE = re.compile(r"([A-Za-z]+)(?:\((-?\d+)\)|(\d))(\^-1)?\Z")
+_FAMILY = r"[A-Za-z]+"
+_LETTER_RE = re.compile(rf"({_FAMILY})(?:\((-?\d+)\)|(\d))(\^-1)?\Z")
 
 
 def parse_letter(token: str, alphabet: Alphabet) -> Letter:

@@ -227,6 +227,16 @@ def test_family_declared_twice_is_a_usage_error(capsys, tmp_path):
     assert err == "monorev: family 't' is named both in 'generators:' and in 'families:'\n"
 
 
+def test_malformed_family_name_is_a_usage_error(capsys, tmp_path):
+    # t(1) is no family name: its letters would print as t(1)0, which no
+    # parser reads back, so a certificate could not name them
+    path = tmp_path / "family.pres"
+    path.write_text("generators: a1 ; families: t(1)\n")
+    code, out, err = run(capsys, "certify", str(path), "--t-bound", "0")
+    assert code == 3 and out == ""
+    assert err == "monorev: malformed family name 't(1)' in header\n"
+
+
 def test_header_without_generators_is_a_usage_error(capsys, tmp_path):
     # with no letter there is no word, so a sweep or scan would count
     # nothing up to any length: a huge --word-len would loop instead of
@@ -554,11 +564,13 @@ def test_undecodable_file_is_a_usage_error(capsys, tmp_path, argv):
 
 # The CLI fuzz law.  A case is a presentation file and three words, made of
 # tokens that fit the drawn header, and then, in most cases, one token of
-# the file or of a word replaced by a bad or hostile one.  A schema head may
+# the file or of a word replaced by a bad or hostile one, a malformed family
+# name or an inverted header generator among them.  A schema head may
 # repeat a name, r0 or a plain line's rel_1.  Each case runs one command
 # that reads a presentation, in-process, with small budgets.
 _BAD = ["a", "1a", "t(x", "a(99)", "b(i)", "s3", "t(1000000000)", "t(i+1000000000)",
-        "a(j+5)", "c(3)", "=", "^-1", "[i", "Q]", ";", "families:", "generators:", "schema"]
+        "a(j+5)", "c(3)", "=", "^-1", "[i", "Q]", ";", "families:", "generators:", "schema",
+        "t(1)", "1t", "a1^-1"]
 _CLAUSES = 3 * [""] + [" [i in Z]", " [j in {1, 2}]", " [i in Z; j in {1, 2}]",
                        " [j in {1000000000}]"]
 

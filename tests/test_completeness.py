@@ -18,13 +18,14 @@ from monorev.completeness import (
 )
 from monorev.presentation import (
     AmbiguousComplementError,
+    PatternLetter,
     Presentation,
+    Schema,
     check_complemented,
-    fixed_schema,
     load_presentation,
     pair_scan_generators,
 )
-from monorev.words import EPSILON, Alphabet, Generator, Letter, Word, parse_word
+from monorev.words import EPSILON, Alphabet, Generator, Letter, Word, WordSyntaxError
 from monorev.reversing import (
     DEFAULT_FUEL,
     Cycles,
@@ -672,7 +673,7 @@ def test_certify_refuses_inhomogeneous():
 def test_hand_built_presentation_does_not_claim_homogeneity():
     # homogeneity is computed from the schemas, not a flag that defaults to True
     alphabet = Alphabet({"a": (1,), "b": (1,)})
-    rel = fixed_schema("r", parse_word("a1", alphabet), parse_word("b1 b1", alphabet))
+    rel = Schema("r", (), (PatternLetter("a", 1),), (PatternLetter("b", 1),) * 2)
     p = Presentation("hand", alphabet, (rel,))
     assert not p.homogeneous
     cert = certify(p)
@@ -695,6 +696,24 @@ def test_certify_falsified(skewed):
     data = json.loads(cert.to_json())
     assert data["failures"][0] == {
         "side": "right", "triple": ["a1", "b1", "c1"], "reason": "not-trivial"}
+
+
+@pytest.mark.parametrize("text, refused", [
+    (TWO_COMMUTES, False), (SKEWED, False), (GLUE, False),
+    # a family name the letter grammar cannot read back is refused, not certified
+    ("generators: a1 ; families: t(1)\n", True),
+])
+def test_falsified_witnesses_parse_back(text, refused):
+    # a falsified certificate's witness is words the presentation reads back
+    if refused:
+        with pytest.raises(WordSyntaxError):
+            load_presentation(text)
+        return
+    p = load_presentation(text)
+    cert = certify(p, t_bound=0)
+    assert cert.claim == "falsified" and cert.failures
+    for _, triple, _ in cert.failures:
+        assert [str(p.parse(word)) for word in triple] == list(triple)
 
 
 def test_certify_one_sided_claim():

@@ -54,10 +54,9 @@ PUBLIC = {
               "WordSyntaxError", "format_word", "free_reduce", "parse_word", "shift_word"],
     "presentation": ["DEFAULT_FUEL", "AmbiguousComplementError", "ComplementPair",
                      "Param", "PatternLetter", "Presentation", "RelationInstance", "Schema",
-                     "SchemaError", "check_complemented", "fixed_schema",
-                     "instances_for_pair", "instantiate_window", "left_complement",
-                     "load_presentation", "materialize_relations", "right_complement",
-                     "save_presentation"],
+                     "SchemaError", "check_complemented", "instances_for_pair",
+                     "instantiate_window", "left_complement", "load_presentation",
+                     "materialize_relations", "right_complement", "save_presentation"],
     "reversing": ["Cycles", "Diverged", "Empty", "ReversalStep", "ReversalTrace", "Stuck",
                   "Terminal", "left_reverse", "reverse_quotient", "right_reverse"],
     "grid": ["ReversingGrid", "build_grid", "grid_to_dot"],

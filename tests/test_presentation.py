@@ -19,7 +19,6 @@ from monorev.presentation import (
     Schema,
     SchemaError,
     check_complemented,
-    fixed_schema,
     instances_for_pair,
     instantiate_window,
     left_complement,
@@ -30,7 +29,7 @@ from monorev.presentation import (
     save_presentation,
     _complement,
 )
-from monorev.words import Generator, Letter, UnknownGeneratorError, Word, WordSyntaxError
+from monorev.words import Generator, UnknownGeneratorError, WordSyntaxError
 
 from conftest import (
     FIXTURES,
@@ -82,12 +81,6 @@ def test_schema_structural_errors():
     with pytest.raises(SchemaError):
         Schema("spread", (Param("i"),),
                (t_i, PatternLetter("s", 0, "i")), (PatternLetter("s", 0, "i"), t_i))
-
-
-def test_fixed_schema_requires_positive_words():
-    w = Word((Letter(S3, -1),))
-    with pytest.raises(SchemaError):
-        fixed_schema("bad", w, w)
 
 
 def test_leading_and_trailing_orientation(d4):
@@ -630,6 +623,13 @@ def test_catalog_bad_keys(key, error):
     ("generators: a1\na1 a1\n", WordSyntaxError),     # relation without =
     ("generators: a1\na1 = a1^-1\n", WordSyntaxError),
     ("generators: a1\nschema x a1 = a1\n", WordSyntaxError),
+    ("generators: a1\nschema x: a1 = a1^-1\n", WordSyntaxError),  # a negative letter
+    ("generators: a1\nschema x: a1 a1\n", WordSyntaxError),        # schema line without =
+    ("generators: s1 ; families: t\nt(i) s1 = s1 t(i)\n", WordSyntaxError),  # plain: no t(i)
+    # the header reads letters and family names with the word grammar
+    ("generators: a1 ; families: t(1)\n", WordSyntaxError),
+    ("generators: a1 ; families: 1t\n", WordSyntaxError),
+    ("generators: a1^-1\n", WordSyntaxError),
     ("generators: a1\na1 = b1\n", UnknownGeneratorError),
     # a family both finite and indexed over Z
     ("generators: t1 a1 b1 ; families: t\na1 b1 = b1 a1\n", WordSyntaxError),
@@ -682,7 +682,6 @@ def test_schema_names_must_read_back(name):
 
 def test_unusual_schema_names_round_trip():
     alphabet = load_presentation("generators: a1 b1\n").alphabet
-    rel = fixed_schema("a.b-1/x", Word((Letter(Generator("a", 1)),)),
-                       Word((Letter(Generator("b", 1)),)))
+    rel = Schema("a.b-1/x", (), (PatternLetter("a", 1),), (PatternLetter("b", 1),))
     text = save_presentation(Presentation("odd", alphabet, (rel,)))
     assert load_presentation(text).schemas == (rel,)
