@@ -81,6 +81,10 @@ MUTANTS = (
            "if False:",
            ("tests/test_presentation.py::test_load_presentation_errors",
             "tests/test_completeness.py::test_falsified_witnesses_parse_back")),
+    Mutant("request-window", "src/monorev/cli.py",
+           "p = instantiate_window(p, args.window)",
+           "pass",
+           ("tests/test_cli.py::test_oracle_equal", "tests/test_cli.py::test_oracle_class")),
     Mutant("union-key-sort", "src/monorev/oracle.py",
            "    keys.sort()\n",
            "",

@@ -6,6 +6,13 @@ outcomes (reversals proved to cycle, fuel exhaustion, stuck reversals,
 ambiguous preconditions, oracle and sweep caps), 3 for usage and input
 errors.
 
+Every subcommand is made by `_command`, which declares its positionals and
+the options it shares with other commands (`--left`, `--fuel`, `--format`,
+`--window`, `--cap`), each in one place.  Every command but `list`, `show`
+and `derive` gets its input from `_request`: the presentation, windowed for
+the oracle commands, and its words parsed in the presentation's alphabet.
+`show` and `derive` call `_load` themselves.
+
 A command imports what it runs.  At module level this file loads only
 `catalog` and the `presentation` and `words` modules under it, which
 `list` and `show` need and every other command loads anyway; each
@@ -38,6 +45,7 @@ from .presentation import (
 
 if TYPE_CHECKING:
     from .reversing import Outcome, ReversalTrace
+    from .words import Word
 
 OK, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 3
 
@@ -68,6 +76,15 @@ def _load(source: str) -> Presentation:
             f"{source!r} is neither a catalog key nor a presentation file; "
             "see 'monorev list'"
         ) from None
+
+
+def _request(args, *names: str) -> tuple[Presentation, list[Word]]:
+    """The command's presentation, windowed when the command has --window and
+    the presentation an integer family, and the named words parsed in it."""
+    p = _load(args.presentation)
+    if hasattr(args, "window") and p.alphabet.integer_families:
+        p = instantiate_window(p, args.window)
+    return p, [p.parse(getattr(args, name)) for name in names]
 
 
 def _check_output(path: str | None) -> None:
@@ -160,8 +177,7 @@ def _cmd_show(args) -> int:
 def _cmd_reverse(args) -> int:
     from .reversing import left_reverse, right_reverse
 
-    p = _load(args.presentation)
-    word = p.parse(args.word)
+    p, (word,) = _request(args, "word")
     trace = (left_reverse if args.left else right_reverse)(p, word, args.fuel)
     if args.format == "json":
         print(json.dumps(_trace_json(trace), indent=2))
@@ -173,8 +189,7 @@ def _cmd_reverse(args) -> int:
 def _cmd_quotient(args) -> int:
     from .reversing import reverse_quotient
 
-    p = _load(args.presentation)
-    u, v = p.parse(args.u), p.parse(args.v)
+    p, (u, v) = _request(args, "u", "v")
     side = "left" if args.left else "right"
     trace = reverse_quotient(p, u, v, side=side, fuel=args.fuel)
     if args.format == "json":
@@ -201,8 +216,7 @@ def _cmd_quotient(args) -> int:
 def _cmd_cube(args) -> int:
     from .completeness import cube_condition
 
-    p = _load(args.presentation)
-    u, v, w = p.parse(args.u), p.parse(args.v), p.parse(args.w)
+    p, (u, v, w) = _request(args, "u", "v", "w")
     side = "left" if args.left else "right"
     res = cube_condition(p, u, v, w, side=side, fuel=args.fuel)
     if args.format == "json":
@@ -226,7 +240,7 @@ def _cmd_certify(args) -> int:
     from .completeness import certify
 
     _check_output(args.output)
-    p = _load(args.presentation)
+    p, _ = _request(args)
     cert = certify(p, t_bound=args.t_bound, fuel=args.fuel,
                    word_len=args.word_len)
     _emit(cert.to_json(), args.output)
@@ -265,15 +279,10 @@ def _cmd_derive(args) -> int:
     return FAIL
 
 
-def _windowed(p: Presentation, window: int) -> Presentation:
-    return instantiate_window(p, window) if p.alphabet.integer_families else p
-
-
 def _cmd_oracle_class(args) -> int:
     from .oracle import equivalence_class
 
-    p = _windowed(_load(args.presentation), args.window)
-    word = p.parse(args.word)
+    p, (word,) = _request(args, "word")
     cls = equivalence_class(p, word, cap=args.cap)
     print(f"class size: {len(cls)}")
     for w in sorted(cls):
@@ -284,8 +293,7 @@ def _cmd_oracle_class(args) -> int:
 def _cmd_oracle_equal(args) -> int:
     from .oracle import monoid_equal
 
-    p = _windowed(_load(args.presentation), args.window)
-    u, v = p.parse(args.u), p.parse(args.v)
+    p, (u, v) = _request(args, "u", "v")
     if monoid_equal(p, u, v, cap=args.cap):
         print("equal")
         return OK
@@ -297,7 +305,7 @@ def _cmd_oracle_scan(args) -> int:
     from .oracle import cancellation_scan
 
     _check_output(args.output)
-    p = _windowed(_load(args.presentation), args.window)
+    p, _ = _request(args)
     report = cancellation_scan(p, max_len=args.max_len, cap=args.cap)
     _emit(report.to_json(), args.output)
     return OK if report.cancellative else FAIL
@@ -308,9 +316,8 @@ def _cmd_render(args) -> int:
     from .reversing import left_reverse, right_reverse
 
     dot = None if args.dot == "-" else args.dot
-    _check_output(args.output if args.dot is None else dot)
-    p = _load(args.presentation)
-    word = p.parse(args.word)
+    _check_output(dot or args.output)  # --dot and -o exclude each other
+    p, (word,) = _request(args, "word")
     trace = (left_reverse if args.left else right_reverse)(p, word, args.fuel)
     kind = _describe(trace.outcome)[0]["kind"]
     if not trace.reached_terminal:
@@ -333,16 +340,6 @@ def _cmd_render(args) -> int:
     return _outcome_exit(trace)
 
 
-def _add_format(sub) -> None:
-    sub.add_argument("--format", choices=("text", "json"), default="text",
-                     help="output format (default text)")
-
-
-def _add_fuel(sub) -> None:
-    sub.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
-                     help=f"reversal step budget (default {DEFAULT_FUEL})")
-
-
 def _at_least(low: int):
     """An argparse type: an integer no smaller than low."""
     def parse(text: str) -> int:
@@ -355,49 +352,56 @@ def _at_least(low: int):
     return parse
 
 
+_SOURCES = {"presentation": "catalog key (see 'monorev list') or presentation file",
+            "script": "path to a script file"}
+
+
+def _command(sub, name: str, help: str, func, *words: str, source="presentation",
+             left=None, fuel=False, format=False, window=False, cap=None):
+    """A subcommand of sub: its source positional (none when source is None),
+    then the word positionals in order, then the shared options it asks for:
+    --left with the help text left, --cap with the default cap."""
+    s = sub.add_parser(name, help=help)
+    if source is not None:
+        s.add_argument(source, help=_SOURCES[source])
+    for word in words:
+        s.add_argument(word)
+    if left is not None:
+        s.add_argument("--left", action="store_true", help=left)
+    if fuel:
+        s.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+                       help=f"reversal step budget (default {DEFAULT_FUEL})")
+    if format:
+        s.add_argument("--format", choices=("text", "json"), default="text",
+                       help="output format (default text)")
+    if window:
+        s.add_argument("--window", type=_at_least(1), default=2,
+                       help="index window for integer families (default 2)")
+    if cap is not None:
+        s.add_argument("--cap", type=_at_least(1), default=cap,
+                       help=f"most words the oracle may enumerate (default {cap})")
+    s.set_defaults(func=func)
+    return s
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="monorev",
                      description="word reversing for positive monoid presentations")
     sub = parser.add_subparsers(dest="command", required=True)
+    _command(sub, "list", "list catalog presentations", _cmd_list, source=None)
+    _command(sub, "show", "print a presentation", _cmd_show)
 
-    s = sub.add_parser("list", help="list catalog presentations")
-    s.set_defaults(func=_cmd_list)
-
-    s = sub.add_parser("show", help="print a presentation")
-    s.add_argument("presentation")
-    s.set_defaults(func=_cmd_show)
-
-    s = sub.add_parser("reverse", help="reverse a signed word")
-    s.add_argument("presentation")
-    s.add_argument("word")
-    s.add_argument("--left", action="store_true", help="left reversing")
+    s = _command(sub, "reverse", "reverse a signed word", _cmd_reverse, "word",
+                 left="left reversing", fuel=True, format=True)
     s.add_argument("--limit", type=_at_least(0), default=1000,
                    help="print at most this many steps (default 1000)")
-    _add_fuel(s)
-    _add_format(s)
-    s.set_defaults(func=_cmd_reverse)
 
-    s = sub.add_parser("quotient", help="reverse u^-1 v for positive words")
-    s.add_argument("presentation")
-    s.add_argument("u")
-    s.add_argument("v")
-    s.add_argument("--left", action="store_true", help="reverse u v^-1 instead")
-    _add_fuel(s)
-    _add_format(s)
-    s.set_defaults(func=_cmd_quotient)
+    _command(sub, "quotient", "reverse u^-1 v for positive words", _cmd_quotient, "u", "v",
+             left="reverse u v^-1 instead", fuel=True, format=True)
+    _command(sub, "cube", "cube condition on a triple of positive words", _cmd_cube,
+             "u", "v", "w", left="left cube condition", fuel=True, format=True)
 
-    s = sub.add_parser("cube", help="cube condition on a triple of positive words")
-    s.add_argument("presentation")
-    s.add_argument("u")
-    s.add_argument("v")
-    s.add_argument("w")
-    s.add_argument("--left", action="store_true", help="left cube condition")
-    _add_fuel(s)
-    _add_format(s)
-    s.set_defaults(func=_cmd_cube)
-
-    s = sub.add_parser("certify", help="bounded cancellativity certificate")
-    s.add_argument("presentation")
+    s = _command(sub, "certify", "bounded cancellativity certificate", _cmd_certify, fuel=True)
     s.add_argument("--t-bound", type=_at_least(0), default=3, dest="t_bound",
                    help="integer-family spread bound (default 3)")
     s.add_argument("--word-len", type=_at_least(1), default=None, dest="word_len",
@@ -405,53 +409,29 @@ def _build_parser() -> argparse.ArgumentParser:
                         "generator triples (required when not homogeneous)")
     s.add_argument("-o", "--output", default=None,
                    help="write to this file instead of stdout")
-    _add_fuel(s)
-    s.set_defaults(func=_cmd_certify)
 
-    s = sub.add_parser("derive", help="verify a derivation script")
-    s.add_argument("script", help="path to a script file")
-    _add_format(s)
-    s.set_defaults(func=_cmd_derive)
+    _command(sub, "derive", "verify a derivation script", _cmd_derive, source="script", format=True)
 
     s = sub.add_parser("oracle", help="brute-force checks on finite windows")
     osub = s.add_subparsers(dest="oracle_command", required=True)
-
-    oc = osub.add_parser("class", help="equivalence class of a positive word")
-    oc.add_argument("presentation")
-    oc.add_argument("word")
-    oc.add_argument("--window", type=_at_least(1), default=2,
-                    help="index window for integer families (default 2)")
-    oc.add_argument("--cap", type=_at_least(1), default=1_000_000)
-    oc.set_defaults(func=_cmd_oracle_class)
-
-    oc = osub.add_parser("equal", help="test equality of two positive words")
-    oc.add_argument("presentation")
-    oc.add_argument("u")
-    oc.add_argument("v")
-    oc.add_argument("--window", type=_at_least(1), default=2)
-    oc.add_argument("--cap", type=_at_least(1), default=1_000_000)
-    oc.set_defaults(func=_cmd_oracle_equal)
-
-    oc = osub.add_parser("scan", help="search for cancellativity violations")
-    oc.add_argument("presentation")
-    oc.add_argument("--window", type=_at_least(1), default=2)
-    oc.add_argument("--max-len", type=_at_least(1), default=3, dest="max_len",
-                    help="remainder length bound (default 3)")
-    oc.add_argument("--cap", type=_at_least(1), default=500_000)
-    oc.add_argument("-o", "--output", default=None)
-    oc.set_defaults(func=_cmd_oracle_scan)
-
-    s = sub.add_parser("render", help="reversing grid of a word")
-    s.add_argument("presentation")
-    s.add_argument("word")
-    s.add_argument("--left", action="store_true")
-    s.add_argument("--dot", metavar="PATH", default=None,
-                   help="write the grid as DOT to PATH ('-' for stdout)")
+    _command(osub, "class", "equivalence class of a positive word", _cmd_oracle_class,
+             "word", window=True, cap=1_000_000)
+    _command(osub, "equal", "test equality of two positive words", _cmd_oracle_equal,
+             "u", "v", window=True, cap=1_000_000)
+    s = _command(osub, "scan", "search for cancellativity violations", _cmd_oracle_scan,
+                 window=True, cap=500_000)
+    s.add_argument("--max-len", type=_at_least(1), default=3, dest="max_len",
+                   help="remainder length bound (default 3)")
     s.add_argument("-o", "--output", default=None,
-                   help="write the text summary here instead of stdout")
-    _add_fuel(s)
-    s.set_defaults(func=_cmd_render)
+                   help="write the report to this file instead of stdout")
 
+    s = _command(sub, "render", "reversing grid of a word", _cmd_render, "word",
+                 left="left reversing", fuel=True)
+    out = s.add_mutually_exclusive_group()
+    out.add_argument("--dot", metavar="PATH", default=None,
+                     help="write the grid as DOT to PATH ('-' for stdout)")
+    out.add_argument("-o", "--output", default=None,
+                     help="write the text summary here instead of stdout")
     return parser
 
 

@@ -256,19 +256,19 @@ _T1 = Word((Letter(Generator("t", 1)),))
 def t_expression(i: int) -> Word:
     """t(i) as a freely reduced word in t(0), t(1).
 
-    For i >= 2 this is the conjugate P c P^-1 with P the alternating word
-    t(1) t(0) t(1) ... of length i-1 and c the opposite letter; below zero
-    the defining product is unfolded downward.  Lengths are 2i-1 for i >= 1
-    and 2|i|+1 for i <= 0.
+    For i >= 1 this is the conjugate P c P^-1 with P the alternating word
+    t(1) t(0) t(1) ... of length i-1 and c the opposite letter.  For i <= 0
+    it is P^-1 c P with P the alternating word ... t(1) t(0) of length |i|
+    and c the letter that continues P to the left: the defining product
+    t(i) = t(i+1)^-1 t(1) t(0) cancels nothing, and unfolds downward to that.
+    Lengths are 2i-1 for i >= 1 and 2|i|+1 for i <= 0.
     """
-    if i in (0, 1):
-        return _T0 if i == 0 else _T1
-    if i >= 2:
+    centre = _T1 if i % 2 else _T0
+    if i >= 1:
         prefix = Word(Letter(Generator("t", 1 - j % 2)) for j in range(i - 1))
-        centre = _T1 if i % 2 else _T0
         return prefix * centre * prefix.inverse()
-    # t(i) = t(i+1)^-1 t(1) t(0)
-    return free_reduce(t_expression(i + 1).inverse() * _T1 * _T0)
+    suffix = Word(Letter(Generator("t", (j - i - 1) % 2)) for j in range(-i))
+    return suffix.inverse() * centre * suffix
 
 
 def substitute_t(word: Word) -> Word:

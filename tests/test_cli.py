@@ -4,6 +4,7 @@
 in-process through main(argv).
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monorev import catalog, completeness, save_presentation
-from monorev.cli import main
+from monorev.cli import _build_parser, main
 
 from conftest import FIXTURES, GLUE, NONHOM, PINNED_T, SKEWED, TWO_COMMUTES
 
@@ -459,6 +460,18 @@ def test_render_dot(capsys, tmp_path):
     assert target.read_text().count("label=") == 8
 
 
+@pytest.mark.parametrize("order", [("--dot", "-o"), ("-o", "--dot")])
+def test_render_dot_and_output_exclude_each_other(capsys, tmp_path, order):
+    # -o names the text summary, which --dot replaces, so the pair is refused
+    # before anything is written, a missing directory included
+    paths = {"--dot": tmp_path / "grid.dot", "-o": tmp_path / "no-such-dir" / "summary"}
+    argv = [arg for flag in order for arg in (flag, str(paths[flag]))]
+    code, out, err = run(capsys, "render", "d4:new", "t(2)^-1 s3 s3", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("usage: monorev render ") and "not allowed with argument" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_render_no_grid(capsys):
     code, out, err = run(capsys, "render", "d4:new", "t(2)^-1 s3 s3", "--fuel", "0")
     assert code == 2 and out == ""
@@ -502,6 +515,25 @@ def test_bad_numeric_flag_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.endswith(f"{message}\n")
+
+
+def _subparsers(parser):
+    """parser and every subparser under it, depth first."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _subparsers(child)
+
+
+def test_every_option_has_help_text():
+    parsers = list(_subparsers(_build_parser()))
+    assert {"monorev oracle class", "monorev oracle scan"} <= {p.prog for p in parsers}
+    missing = [f"{parser.prog} {action.option_strings[0]}"
+               for parser in parsers for action in parser._actions
+               if action.option_strings and not isinstance(action, argparse._HelpAction)
+               and not action.help]
+    assert missing == []
 
 
 def test_usage_errors(capsys):
@@ -618,6 +650,7 @@ _FUZZ_COMMANDS = [  # a command, and its arguments after the presentation from t
     (["oracle", "equal"], lambda u, v, w: [u, v, "--window", "1", "--cap", "300"]),
     (["oracle", "scan"], lambda u, v, w: ["--window", "1", "--max-len", "2", "--cap", "3000"]),
     (["render"], lambda u, v, w: [u, *_SMALL]),
+    (["render"], lambda u, v, w: [u, "--dot", "-", *_SMALL]),
 ]
 
 

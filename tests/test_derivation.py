@@ -207,6 +207,18 @@ def test_t_expression_lengths():
         assert len(expr) == (2 * i - 1 if i >= 1 else 2 * abs(i) + 1)
 
 
+def test_t_expression_unfolds_the_defining_product():
+    t0, t1 = t_expression(0), t_expression(1)
+    for i in range(-8, 0):
+        assert t_expression(i) == free_reduce(t_expression(i + 1).inverse() * t1 * t0)
+
+
+def test_t_expression_far_below_zero():
+    # built in one pass: an index far below zero does not recurse once per index
+    assert verify_translation_product(-2000)
+    assert len(t_expression(-2000)) == 4001
+
+
 def test_substitute_t():
     from monorev.words import parse_word, Alphabet
     ab = Alphabet({"s": (3,)}, frozenset({"t"}))
