@@ -67,6 +67,16 @@ MUTANTS = (
            "if len(insts) > 99:",
            ("tests/test_presentation.py::test_ambiguous_complement_raises_a_fresh_error",
             "tests/test_reversing.py::test_ambiguity_propagates")),
+    Mutant("compiled-domain", "src/monorev/presentation.py",
+           "if values[slot] not in dom:",
+           "if False:",
+           ("tests/test_presentation.py::test_lookup_equals_checked_brute_force",
+            "tests/test_presentation.py::test_indexed_lookup_equals_full_scan")),
+    Mutant("repeated-hit", "src/monorev/presentation.py",
+           "if pos == last and inst.lhs == out[-1].lhs and inst.rhs == out[-1].rhs:",
+           "if False:",
+           ("tests/test_presentation.py::test_lookup_equals_checked_brute_force",
+            "tests/test_presentation.py::test_indexed_lookup_equals_full_scan")),
     Mutant("window-domain", "src/monorev/presentation.py",
            "min(n - off for off in offsets)",
            "min(n + 1 - off for off in offsets)",

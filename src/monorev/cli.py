@@ -88,11 +88,12 @@ def _request(args, *names: str) -> tuple[Presentation, list[Word]]:
 
 
 def _check_output(path: str | None) -> None:
-    """Raise before the work what writing to path after it would: path is a
-    directory, or its parent is missing.  Creates and truncates nothing."""
+    """Raise before the work what writing to path after it would: path is empty
+    or a directory, or its parent is missing.  Creates and truncates nothing."""
     if path is not None and os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+    # the empty path has the empty parent, which would read as "."
+    if path is not None and (not path or not os.path.isdir(os.path.dirname(path) or ".")):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
@@ -316,7 +317,7 @@ def _cmd_render(args) -> int:
     from .reversing import left_reverse, right_reverse
 
     dot = None if args.dot == "-" else args.dot
-    _check_output(dot or args.output)  # --dot and -o exclude each other
+    _check_output(args.output if dot is None else dot)  # --dot and -o exclude each other
     p, (word,) = _request(args, "word")
     trace = (left_reverse if args.left else right_reverse)(p, word, args.fuel)
     kind = _describe(trace.outcome)[0]["kind"]

@@ -9,7 +9,13 @@ Binding the parameters yields relation instances.  A schema with no parameters
 is an ordinary fixed relation.  Schemas answer pair-indexed queries (all
 instances whose sides begin, or end, with a given ordered generator pair)
 without ever enumerating the infinite instance family, which is what makes
-word reversing over Z-indexed alphabets possible.
+word reversing over Z-indexed alphabets possible.  A query solves the two
+boundary letters of a schema against the pair and builds the instance from
+the schema's compiled form: letter templates, domain sets and boundary
+templates, made on the schema's first lookup or build and kept on that
+schema object (see Schema).  The form is one per object, not per name, so
+a window's schemas, which keep the names, solve with their own narrowed
+domains.
 
 Relations are unordered pairs of words; instances returned by queries are
 oriented so that the left side starts (or ends) with the first generator of
@@ -130,10 +136,6 @@ class PatternLetter:
     offset: int = 0
     param: str | None = None
 
-    def concretize(self, bindings: dict[str, int]) -> Generator:
-        index = self.offset + (bindings[self.param] if self.param else 0)
-        return Generator(self.family, index)
-
     def render(self) -> str:
         if self.param is None:
             return str(Generator(self.family, self.offset))
@@ -157,10 +159,25 @@ _SCHEMA_NAME = re.compile(r"[^\s:\[\]]+")
 
 @dataclass(frozen=True, slots=True)
 class Schema:
+    """A named pair of pattern sides and the domains of their parameters.
+
+    Lookups and builds read the schema's compiled form, made on the first
+    of them and kept on this schema object.  It is the tuple (names,
+    sides, domains, ends): the parameter names in order; sides[swap], the
+    letter templates of (lhs, rhs), or of (rhs, lhs) when swap is True;
+    domains, the (slot, set of values) of each parameter with a finite
+    domain; and ends[end][swap], the templates of the two boundary letters
+    that a lookup solves against (x, y).  A template is (letter, family,
+    offset, slot): slot indexes the parameter values, and a letter of
+    fixed index has slot -1 and is built once, as letter.  A window's
+    schemas are new objects, so each compiles its own narrowed domains.
+    """
+
     name: str
     params: tuple[Param, ...]
     lhs: tuple[PatternLetter, ...]
     rhs: tuple[PatternLetter, ...]
+    _form: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _SCHEMA_NAME.fullmatch(self.name):
@@ -191,6 +208,20 @@ class Schema:
                     f"schema {self.name}: parameter {p.name} spans families {sorted(fams)}"
                 )
 
+    def _compile(self) -> tuple:
+        new = tuple.__new__
+        slots = {p.name: k for k, p in enumerate(self.params)}
+        lhs, rhs = ([(None, pl.family, pl.offset, slots[pl.param]) if pl.param else
+                     (new(Letter, (new(Generator, (pl.family, pl.offset)), 1)),
+                      pl.family, pl.offset, -1) for pl in side]
+                    for side in (self.lhs, self.rhs))
+        form = (tuple(slots), ((lhs, rhs), (rhs, lhs)),
+                tuple([(k, frozenset(p.values)) for k, p in enumerate(self.params)
+                       if p.values is not None]),
+                (((lhs[0], rhs[0]), (rhs[0], lhs[0])), ((lhs[-1], rhs[-1]), (rhs[-1], lhs[-1]))))
+        object.__setattr__(self, "_form", form)
+        return form
+
     # -- instantiation ---------------------------------------------------
 
     def _param(self, name: str) -> Param:
@@ -211,7 +242,7 @@ class Schema:
         Returns None for degenerate instances whose two sides are the same
         word (these never count as relations).  The bindings must name
         every parameter, each within its domain; pair lookup builds from
-        bindings its solve has already checked, without these checks.
+        values its solve has already checked, without these checks.
         """
         if set(bindings) != {p.name for p in self.params}:
             raise ValueError(f"schema {self.name} expects bindings for "
@@ -221,55 +252,52 @@ class Schema:
                 raise ValueError(
                     f"schema {self.name}: {p.name}={bindings[p.name]} outside domain"
                 )
-        return self._build(bindings)
+        return self._build([bindings[p.name] for p in self.params])
 
-    def _build(self, bindings: dict[str, int]) -> RelationInstance | None:
-        # list comprehensions, which run faster than generator expressions:
-        # every cold complement lookup builds its instances here
-        lhs = Word([Letter(pl.concretize(bindings)) for pl in self.lhs])
-        rhs = Word([Letter(pl.concretize(bindings)) for pl in self.rhs])
+    def _build(self, values, swap: bool = False) -> RelationInstance | None:
+        """The instance at values, the parameter values in order; its lhs is the rhs if swap.
+
+        Relation sides are positive, so each letter is built as a bare
+        (generator, 1) tuple, or taken ready-made when its index is fixed.
+        """
+        new = tuple.__new__
+        names, sides, _, _ = self._form or self._compile()
+        first, second = sides[swap]
+        lhs = new(Word, [fixed or new(Letter, (new(Generator, (fam, off + values[slot])), 1))
+                         for fixed, fam, off, slot in first])
+        rhs = new(Word, [fixed or new(Letter, (new(Generator, (fam, off + values[slot])), 1))
+                         for fixed, fam, off, slot in second])
         if lhs == rhs:
             return None
-        ordered = tuple([(p.name, bindings[p.name]) for p in self.params])
-        return RelationInstance(lhs, rhs, self.name, ordered)
+        return RelationInstance(lhs, rhs, self.name, tuple(zip(names, values)))
 
     # -- pair-indexed lookup ---------------------------------------------
-
-    def _solve(self, pats: tuple[PatternLetter, PatternLetter],
-               gens: tuple[Generator, Generator]) -> dict[str, int] | None:
-        bindings: dict[str, int] = {}
-        for pl, g in zip(pats, gens):
-            if pl.family != g.family:
-                return None
-            if pl.param is None:
-                if pl.offset != g.index:
-                    return None
-                continue
-            value = g.index - pl.offset
-            if pl.param in bindings and bindings[pl.param] != value:
-                return None
-            dom = self._param(pl.param).values
-            if dom is not None and value not in dom:
-                return None
-            bindings[pl.param] = value
-        # all bound: __post_init__ puts every parameter in the two letters at each end
-        return bindings
 
     def _oriented(self, x: Generator, y: Generator, end: int,
                   swap: bool) -> RelationInstance | None:
         """The instance whose lhs has x and rhs has y at the given end, or None.
 
-        The schema's lhs pattern is solved against x when swap is False,
-        its rhs pattern when swap is True (the instance then comes back
-        swapped).  None when the patterns do not fit or the instance is
-        degenerate.
+        The boundary letters of the schema's lhs and rhs are solved against
+        x and y when swap is False, those of its rhs and lhs when swap is
+        True, and the instance is built in that orientation.  None when the
+        patterns do not fit or the instance is degenerate.
         """
-        left, right = (self.rhs, self.lhs) if swap else (self.lhs, self.rhs)
-        bindings = self._solve((left[end], right[end]), (x, y))
-        if bindings is None:
+        names, _, domains, ends = self._form or self._compile()
+        (_, fx, ox, sx), (_, fy, oy, sy) = ends[end][swap]
+        if x.family != fx or y.family != fy:
             return None
-        inst = self._build(bindings)
-        return inst.swapped() if swap and inst is not None else inst
+        a, b = x.index - ox, y.index - oy
+        values = [0] * (len(names) + 1)
+        values[sx] = a
+        values[sy] = b
+        # a letter of fixed index (slot -1) puts its difference in the trailing
+        # 0, which must stay 0, and a parameter on both letters takes one value
+        if values[-1] or (sx == sy and a != b):
+            return None
+        for slot, dom in domains:
+            if values[slot] not in dom:
+                return None
+        return self._build(values, swap)
 
     def render(self) -> str:
         left = " ".join(pl.render() for pl in self.lhs)
@@ -422,30 +450,12 @@ def splice(rule: RelationInstance, side: str) -> tuple[Letter, ...]:
     Right, from x v' = y u': x^-1 y becomes v' u'^-1.  Left, from v' x = u' y:
     x y^-1 becomes v'^-1 u'.  The letters come last first, the order in which
     they are pushed onto a stack of unread letters so that the first one ends
-    on top.
+    on top.  Relation sides are positive, so a letter's inverse is (gen, -1).
     """
+    new = tuple.__new__
     if side == "right":
-        return tuple(map(Letter.inverse, rule.rhs[1:])) + rule.lhs[:0:-1]
-    return rule.rhs[-2::-1] + tuple(map(Letter.inverse, rule.lhs[:-1]))
-
-
-def _oriented_hits(schemas, hits, x: Generator, y: Generator,
-                   end: int) -> list[RelationInstance]:
-    """The instances that the (position, swap) hits, sorted, give for (x, y).
-
-    A schema's swapped solve that repeats its unswapped one is left out:
-    translation gives t(2) t(1) = t(1) t(0) both ways round.
-    """
-    out: list[RelationInstance] = []
-    last = None  # position of out[-1]
-    for pos, swap in hits:
-        inst = schemas[pos]._oriented(x, y, end, swap)
-        if inst is None or (pos == last and inst.lhs == out[-1].lhs
-                            and inst.rhs == out[-1].rhs):
-            continue
-        out.append(inst)
-        last = pos
-    return out
+        return tuple([new(Letter, (letter.gen, -1)) for letter in rule.rhs[1:]]) + rule.lhs[:0:-1]
+    return rule.rhs[-2::-1] + tuple([new(Letter, (letter.gen, -1)) for letter in rule.lhs[:-1]])
 
 
 def instances_for_pair(p: Presentation, x: Generator, y: Generator,
@@ -454,7 +464,8 @@ def instances_for_pair(p: Presentation, x: Generator, y: Generator,
 
     Only the orientations that p.pair_index() files under the pair are
     solved; their hits come in schema order, each schema's unswapped one
-    first.
+    first.  A schema's swapped hit that repeats its unswapped one is left
+    out: translation gives t(2) t(1) = t(1) t(0) both ways round.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -462,10 +473,25 @@ def instances_for_pair(p: Presentation, x: Generator, y: Generator,
     p.alphabet.require(y)
     end = 0 if side == "right" else -1
     index = p.pair_index()
-    keys = [(end, a, b) for a in ((x.family, x.index), (x.family, None))
-            for b in ((y.family, y.index), (y.family, None))]
-    hits = sorted({hit for key in keys for hit in index.get(key, ())})
-    return _oriented_hits(p.schemas, hits, x, y, end)
+    # a generator keys as (family, index), like a pattern letter of fixed index
+    anyx, anyy = (x.family, None), (y.family, None)
+    found = list(filter(None, (index.get((end, x, y)), index.get((end, x, anyy)),
+                               index.get((end, anyx, y)), index.get((end, anyx, anyy)))))
+    if not found:
+        return []
+    # each list of the index is in schema order, each schema's unswapped entry first
+    hits = found[0] if len(found) == 1 else sorted({hit for hits in found for hit in hits})
+    out: list[RelationInstance] = []
+    last = None  # position of out[-1]
+    for pos, swap in hits:
+        inst = p.schemas[pos]._oriented(x, y, end, swap)
+        if inst is None:
+            continue
+        if pos == last and inst.lhs == out[-1].lhs and inst.rhs == out[-1].rhs:
+            continue
+        out.append(inst)
+        last = pos
+    return out
 
 
 def _complement(p: Presentation, x: Generator, y: Generator, side: str):
@@ -593,9 +619,8 @@ def materialize_relations(p: Presentation) -> tuple[RelationInstance, ...]:
     for s in p.schemas:
         if any(q.values is None for q in s.params):
             raise ValueError(f"schema {s.name}: a parameter over Z needs a window")
-        names = [q.name for q in s.params]
         for combo in itertools.product(*(q.values for q in s.params)):
-            inst = s._build(dict(zip(names, combo)))
+            inst = s._build(combo)
             if inst is not None and (key := inst.unordered_key()) not in seen:
                 seen.add(key)
                 out.append(inst)

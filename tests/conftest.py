@@ -6,12 +6,7 @@ from hypothesis import settings
 
 from monorev import catalog, load_presentation
 from monorev.oracle import OracleCapError, ScanReport, ScanWitness
-from monorev.presentation import (
-    _oriented_hits,
-    left_complement,
-    materialize_relations,
-    right_complement,
-)
+from monorev.presentation import left_complement, materialize_relations, right_complement
 from monorev.reversing import Diverged, Empty, ReversalStep, Stuck, Terminal
 from monorev.words import Generator, Letter, Word
 
@@ -124,9 +119,31 @@ def pair_query(schema, x, y, end):
     """One schema's instances oriented so that lhs has x and rhs has y at the end.
 
     end is 0 for the leading pair (right reversing) and -1 for the trailing
-    pair (left reversing).  Both orientations are solved, unswapped first.
+    pair (left reversing).  Built by the checked Schema.instantiate from
+    every binding that could place x and y at the end, each parameter's
+    candidates read off the two boundary letters and kept within its domain.
+    The unswapped hit comes first; the swapped hit, turned round, follows
+    unless its sides repeat the unswapped one's.
     """
-    return _oriented_hits((schema,), ((0, False), (0, True)), x, y, end)
+    boundary = (schema.lhs[end], schema.rhs[end])
+    choices = [sorted(v for v in {g.index - pl.offset for pl in boundary
+                                  if pl.param == param.name for g in (x, y)}
+                      if param.values is None or v in param.values)
+               for param in schema.params]
+    unswapped = swapped = None
+    for combo in itertools.product(*choices):
+        inst = schema.instantiate({param.name: v for param, v in zip(schema.params, combo)})
+        if inst is None:
+            continue
+        if (inst.lhs[end].gen, inst.rhs[end].gen) == (x, y):
+            unswapped = inst
+        if (inst.rhs[end].gen, inst.lhs[end].gen) == (x, y):
+            swapped = inst.swapped()
+    hits = [unswapped] if unswapped is not None else []
+    if swapped is not None and (unswapped is None or (swapped.lhs, swapped.rhs)
+                                != (unswapped.lhs, unswapped.rhs)):
+        hits.append(swapped)
+    return hits
 
 
 def reference_instances_for_pair(p, x, y, side):

@@ -582,6 +582,26 @@ def test_bad_output_path_fails_before_the_work(capsys, monkeypatch, tmp_path, ar
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("certify", "d4:new", "-o", ""),
+    ("oracle", "scan", "d4:new", "-o", ""),
+    ("render", "d4:new", "s1^-1 s2", "--dot", ""),
+])
+def test_empty_output_path_fails_before_the_work(capsys, monkeypatch, argv):
+    # the empty path's parent is the empty string, which must not pass for "."
+    from monorev import oracle, reversing
+
+    def work(*args, **kwargs):
+        pytest.fail("the command ran its work before checking its output path")
+
+    for module, name in ((completeness, "certify"), (oracle, "cancellation_scan"),
+                         (reversing, "right_reverse")):
+        monkeypatch.setattr(module, name, work)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "monorev: [Errno 2] No such file or directory: ''\n"
+
+
 @pytest.mark.parametrize("argv", [("show", "{path}"), ("derive", "{path}")])
 def test_undecodable_file_is_a_usage_error(capsys, tmp_path, argv):
     path = tmp_path / "latin1.txt"

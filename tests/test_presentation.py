@@ -151,7 +151,11 @@ LAW_PRESENTATIONS = [catalog.load(key) for key in catalog.FIXED_NAMES] + [
     catalog.load(f"affine-a:{family}:3") for family in ("classical", "shi", "cll")] + [
     load_presentation(text, name=name) for name, text in (
         ("wide-offset", WIDE_OFFSET), ("glue", GLUE), ("skewed", SKEWED),
-        ("pinned-t", PINNED_T))]
+        ("pinned-t", PINNED_T))] + [
+    # windows narrow their t-domains, which the compiled boundary solve must honour
+    instantiate_window(catalog.load("d4:new"), 2),
+    instantiate_window(catalog.load("affine-a:cll:3"), 1),
+    instantiate_window(load_presentation(PINNED_T, name="pinned-t"), 10)]
 
 
 @st.composite
@@ -218,6 +222,19 @@ def test_lookup_equals_checked_brute_force(case):
             assert inst in (built, built.swapped())
         assert order == sorted(order)
         assert got == checked_reference(p, x, y, side)
+
+
+def test_each_schema_object_compiles_its_own_domains():
+    # a window's schemas share names and patterns with the presentation's, not domains
+    p = catalog.load("d4:new")
+    s1 = Generator("s", 1)
+    assert [inst.schema for inst in instances_for_pair(p, T2, s1)] == ["t_braid"]
+    w = instantiate_window(p, 1)
+    assert p.schema("t_braid")._form is not None and w.schema("t_braid")._form is None
+    assert w.schema("t_braid")._oriented(T2, s1, 0, False) is None
+    assert w.schema("t_braid")._oriented(Generator("t", 1), s1, 0, False) is not None
+    assert all(letter.gen != T2 for inst in materialize_relations(w)
+               for letter in inst.lhs + inst.rhs)
 
 
 def test_pair_index_files_both_orientations(d4):
