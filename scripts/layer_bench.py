@@ -44,7 +44,10 @@ with PYTHONDONTWRITEBYTECODE=1, so that every run compiles monorev's
 sources, and "cached", with bytecode written once under a
 PYTHONPYCACHEPREFIX in a temporary directory and read back.  The runs go round the commands, trees
 and modes in turn, so that a drift in the machine's speed reaches each
-alike.  Every figure is a median over the N runs.
+alike.  Every figure is a median over the N runs, written beside its lower
+and upper quartiles as <figure>_q1 and <figure>_q3 (statistics.quantiles,
+inclusive method; a single run is its own quartiles), so that a change's
+figure can be read against the spread of another tree's runs.
 """
 
 from __future__ import annotations
@@ -340,8 +343,13 @@ def cold_start(trees: dict[str, Path], runs: int, scratch: Path) -> dict:
                          for load, work, before, after, _ in rows],
             "process_ms": [process for *_, process in rows],  # unscaled
         }
-        result[name][mode][command] = {figure: round(statistics.median(values) * 1e3, 2)
-                                       for figure, values in seconds.items()}
+        figures = result[name][mode][command] = {}
+        for figure, values in seconds.items():
+            q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                         if len(values) > 1 else values * 3)
+            figures[figure] = round(statistics.median(values) * 1e3, 2)
+            figures[f"{figure}_q1"] = round(q1 * 1e3, 2)
+            figures[f"{figure}_q3"] = round(q3 * 1e3, 2)
     return {
         "script": "scripts/layer_bench.py --cold-start",
         "python": platform.python_version(),
@@ -382,7 +390,8 @@ def main(argv=None) -> int:
             for mode, commands in modes.items():
                 for command, figures in commands.items():
                     print(f"{name:8} {mode:8} {command:12} " + "  ".join(
-                        f"{k} {v:8.2f}" for k, v in figures.items()))
+                        f"{k} {v:8.2f}" for k, v in figures.items()
+                        if not k.endswith(("_q1", "_q3"))))
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
 

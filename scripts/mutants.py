@@ -77,6 +77,10 @@ MUTANTS = (
            "if False:",
            ("tests/test_presentation.py::test_lookup_equals_checked_brute_force",
             "tests/test_presentation.py::test_indexed_lookup_equals_full_scan")),
+    Mutant("window-radius", "src/monorev/presentation.py",
+           "return values.stop - values.start if isinstance(values, range) else len(values)",
+           "return len(values)",
+           ("tests/test_presentation.py::test_window_radius_past_ssize_t_is_capped",)),
     Mutant("window-domain", "src/monorev/presentation.py",
            "min(n - off for off in offsets)",
            "min(n + 1 - off for off in offsets)",

@@ -66,14 +66,7 @@ _TRANSLATION = Schema("translation", (Param("i"), Param("j")),
 
 def _diagram(family: str, vertices: tuple[int, ...],
              edges: tuple[tuple[int, int], ...]) -> list[Schema]:
-    """x y x = y x y on each edge (x, y) in that orientation, x y = y x on every other pair.
-
-    Raises ValueError, before building any, for more than MAX_WINDOW pairs.
-    """
-    pairs = len(vertices) * (len(vertices) - 1) // 2
-    if pairs > MAX_WINDOW:
-        raise ValueError(f"{len(vertices)} vertices make {pairs} diagram relations, "
-                         f"more than the cap of {MAX_WINDOW}")
+    """x y x = y x y on each edge (x, y) in that orientation, x y = y x on every other pair."""
     schemas, edge_set = [], set(edges)
     for pair in itertools.combinations(vertices, 2):
         edge = next((e for e in (pair, pair[::-1]) if e in edge_set), None)
@@ -115,7 +108,9 @@ def _doubled(name: str, family: str, vertices: tuple[int, ...], core: tuple[int,
 def load(name: str) -> Presentation:
     """Build a catalog presentation by key, anew on each call, with empty caches.
 
-    Raises KeyError for unknown keys and ValueError for a bad rank suffix.
+    Raises KeyError for unknown keys and ValueError for a bad rank suffix, or
+    for a rank whose diagram has more than MAX_WINDOW vertex pairs, one
+    relation each: that is counted from the rank before anything is built.
     """
     parts = name.split(":")
     if name in FIXED_NAMES:
@@ -129,6 +124,10 @@ def load(name: str) -> Presentation:
         if n < 3:
             raise ValueError(f"family {parts[1]!r} needs rank n >= 3, got {n}")
         name = f"affine-a:{parts[1]}:{n}"
+        vertices = {"classical": n, "shi": n - 2, "cll": n - 2}.get(parts[1], 0)
+        if (pairs := vertices * (vertices - 1) // 2) > MAX_WINDOW:
+            raise ValueError(f"{vertices} vertices make {pairs} diagram relations, "
+                             f"more than the cap of {MAX_WINDOW}")
         if parts[1] == "classical":
             cycle = tuple(range(1, n + 1))
             edges = tuple(zip(cycle, cycle[1:])) + ((n, 1),)

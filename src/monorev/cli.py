@@ -26,7 +26,6 @@ their bases: `CapError` from `presentation`, `ValueError` and `OSError`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import json
 import os
@@ -123,7 +122,7 @@ def _describe(outcome: Outcome) -> tuple[dict, str]:
         x, y = outcome.pair
         data.update(position=outcome.position, pair=[str(x), str(y)])
         return data, f"stuck @{outcome.position} on ({x}, {y})"
-    data.update(dataclasses.asdict(outcome))  # integer fields only
+    data.update(outcome._asdict())  # integer fields only
     figures = ", ".join(f"{name} {value}" for name, value in data.items() if name != "kind")
     return data, f"{kind} ({figures})" if figures else kind
 

@@ -27,9 +27,8 @@ the defining products collapse freely to t(1) t(0).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .presentation import Presentation
 from .words import Generator, Letter, Word, free_reduce, parse_letter
@@ -39,21 +38,18 @@ class DerivationError(ValueError):
     """A script step that does not apply to the current word."""
 
 
-@dataclass(frozen=True, slots=True)
-class RelationStep:
+class RelationStep(NamedTuple):
     schema: str
     bindings: tuple[tuple[str, int], ...]
     direction: str  # "lr" | "rl"
     position: int
 
 
-@dataclass(frozen=True, slots=True)
-class CancelStep:
+class CancelStep(NamedTuple):
     position: int
 
 
-@dataclass(frozen=True, slots=True)
-class InsertStep:
+class InsertStep(NamedTuple):
     letter: Letter
     position: int
 
@@ -61,16 +57,14 @@ class InsertStep:
 DerivationStep = Union[RelationStep, CancelStep, InsertStep]
 
 
-@dataclass(frozen=True)
-class DerivationScript:
+class DerivationScript(NamedTuple):
     presentation: str
     start: Word
     expect: Word
     steps: tuple[DerivationStep, ...]
 
 
-@dataclass(frozen=True)
-class ScriptResult:
+class ScriptResult(NamedTuple):
     ok: bool
     intermediates: tuple[Word, ...]
     failed_at: int | None

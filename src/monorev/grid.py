@@ -12,41 +12,36 @@ reversing kernel does not need it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .presentation import RelationInstance
 from .reversing import ReversalStep, ReversalTrace, Terminal
 from .words import Generator, Letter
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class GridNode:
+class GridNode(NamedTuple):
     x: Fraction
     y: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class GridEdge:
+class GridEdge(NamedTuple):
     tail: GridNode
     head: GridNode
     label: Generator
 
 
-@dataclass(frozen=True, slots=True)
-class EpsilonArc:
+class EpsilonArc(NamedTuple):
     a: GridNode
     b: GridNode
 
 
-@dataclass(frozen=True, slots=True)
-class GridCell:
+class GridCell(NamedTuple):
     corner: GridNode
     rule: RelationInstance
 
 
-@dataclass(frozen=True)
-class ReversingGrid:
+class ReversingGrid(NamedTuple):
     side: str
     nodes: tuple[GridNode, ...]
     path_edges: tuple[GridEdge, ...]

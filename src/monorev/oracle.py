@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .presentation import CapError, Presentation, materialize_relations
 from .words import Generator, Letter, Word
@@ -154,16 +154,14 @@ def monoid_equal(p: Presentation, u: Word, v: Word, cap: int = 1_000_000) -> boo
     return target in _closure(rw, u, cap, target)
 
 
-@dataclass(frozen=True)
-class ScanWitness:
+class ScanWitness(NamedTuple):
     side: str  # "left" | "right"
     letter: Generator
     first: Word
     second: Word
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     presentation: str
     window: int | None
     max_len: int

@@ -107,8 +107,7 @@ class AmbiguousComplementError(ValueError):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class RelationInstance:
+class RelationInstance(NamedTuple):
     lhs: Word
     rhs: Word
     schema: str
@@ -130,8 +129,7 @@ class RelationInstance:
         return f"{format_word(self.lhs)} = {format_word(self.rhs)}"
 
 
-@dataclass(frozen=True, slots=True)
-class PatternLetter:
+class PatternLetter(NamedTuple):
     family: str
     offset: int = 0
     param: str | None = None
@@ -145,8 +143,7 @@ class PatternLetter:
         return f"{self.family}({self.param}{sign}{abs(self.offset)})"
 
 
-@dataclass(frozen=True, slots=True)
-class Param:
+class Param(NamedTuple):
     """A schema parameter; values is None for parameters ranging over Z."""
 
     name: str
@@ -540,8 +537,7 @@ def left_complement(p: Presentation, x: Generator, y: Generator):
 # -- global checks --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplementReport:
+class ComplementReport(NamedTuple):
     side: str
     conflicts: tuple[tuple[tuple[Generator, Generator], tuple[RelationInstance, ...]], ...]
 
@@ -646,7 +642,11 @@ def instantiate_window(p: Presentation, n: int) -> Presentation:
         raise ValueError("window must be at least 1")
     fams = p.alphabet.integer_families
     finite = {**p.alphabet.finite, **{fam: range(-n, n + 1) for fam in fams}}
-    size = sum(map(len, finite.values()))
+
+    def count(values) -> int:  # len() of a range of 2**63 or more integers overflows
+        return values.stop - values.start if isinstance(values, range) else len(values)
+
+    size = sum(map(count, finite.values()))
     narrowed = []
     for s in p.schemas:
         letters = s.lhs + s.rhs
@@ -664,7 +664,7 @@ def instantiate_window(p: Presentation, n: int) -> Presentation:
             else:
                 domains.append(q.values)
         if all(domains):
-            size += math.prod(map(len, domains))
+            size += math.prod(map(count, domains))
             narrowed.append((s, domains))
     if size > MAX_WINDOW:
         raise CapError(f"the window of radius {n} on {p.name} holds {size} generators "

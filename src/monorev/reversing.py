@@ -46,7 +46,6 @@ Reversing grids, the geometric view of a trace, live in `monorev.grid`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from .presentation import (
@@ -66,13 +65,11 @@ class ReversalStep(NamedTuple):
     rule: RelationInstance | None
 
 
-@dataclass(frozen=True, slots=True)
-class Empty:
+class Empty(NamedTuple):
     """The word reversed to epsilon."""
 
 
-@dataclass(frozen=True, slots=True)
-class Terminal:
+class Terminal(NamedTuple):
     """Reversal finished on a non-empty sorted word.
 
     Right: final word is v_prime * u_prime^-1.
@@ -83,14 +80,12 @@ class Terminal:
     u_prime: Word
 
 
-@dataclass(frozen=True, slots=True)
-class Stuck:
+class Stuck(NamedTuple):
     position: int
     pair: tuple[Generator, Generator]
 
 
-@dataclass(frozen=True, slots=True)
-class Cycles:
+class Cycles(NamedTuple):
     """The reversal runs forever, proved after `step` steps.
 
     The last `period` steps repeat forever, each round translated by `shift`
@@ -102,16 +97,14 @@ class Cycles:
     shift: int
 
 
-@dataclass(frozen=True, slots=True)
-class Diverged:
+class Diverged(NamedTuple):
     fuel: int
 
 
 Outcome = Union[Empty, Terminal, Stuck, Cycles, Diverged]
 
 
-@dataclass(frozen=True, slots=True)
-class ReversalTrace:
+class ReversalTrace(NamedTuple):
     side: str
     start: Word
     steps: tuple[ReversalStep, ...]
@@ -277,7 +270,9 @@ def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace
     steps: list[ReversalStep] = []
     outcome, done, todo = _run(p, word, fuel, side, steps)
     final = Word(done + todo[::-1])
-    return ReversalTrace(side, word, tuple(steps), outcome or _classify(final, side), final)
+    if outcome is None:
+        outcome = _classify(final, side)
+    return ReversalTrace(side, word, tuple(steps), outcome, final)
 
 
 def right_reverse(p: Presentation, word: Word, fuel: int = DEFAULT_FUEL) -> ReversalTrace:

@@ -3,6 +3,14 @@
 A generator is a (family, index) pair such as s3 or t(-1), a letter a
 generator with a sign, and a word the tuple of its letters.  All three are
 immutable tuples, and each hashes, compares and orders as its plain tuple.
+So is every other immutable value record of the package, a named tuple
+like Generator: relation instances, reversal outcomes and traces,
+derivation steps, grid parts, scan reports.  Only four classes are
+dataclasses, each for a feature it uses: Alphabet here, mutable with a
+default_factory dict; presentation.Schema, which checks itself in
+__post_init__ and sets its compiled form lazily; presentation.Presentation,
+with mutable caches, copied by dataclasses.replace; and
+completeness.Certificate, copied by dataclasses.replace.
 
 The token grammar, used by both the parser and the formatter:
 

@@ -416,6 +416,16 @@ def test_oracle_huge_window_is_refused(capsys, command):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("command", [("class", "s1"), ("equal", "s1", "s2"), ("scan",)])
+def test_oracle_window_past_ssize_t_is_refused(capsys, command):
+    # 2n + 1 >= 2**63 generators: refused with the cap message, not an OverflowError
+    code, out, err = run(capsys, "oracle", command[0], "d4:new", *command[1:],
+                         "--window", "4611686018427387904")
+    assert code == 2 and out == ""
+    assert err.startswith("monorev: the window of radius 4611686018427387904 on d4:new holds ")
+    assert err.endswith(" generators and schema bindings, more than the cap of 200000\n")
+
+
 def test_oracle_scan(capsys, tmp_path):
     code, out, _ = run(capsys, "oracle", "scan", "d4:new", "--max-len", "2")
     assert code == 0
@@ -669,6 +679,10 @@ _FUZZ_COMMANDS = [  # a command, and its arguments after the presentation from t
     (["oracle", "class"], lambda u, v, w: [u, "--window", "1", "--cap", "300"]),
     (["oracle", "equal"], lambda u, v, w: [u, v, "--window", "1", "--cap", "300"]),
     (["oracle", "scan"], lambda u, v, w: ["--window", "1", "--max-len", "2", "--cap", "3000"]),
+    # a radius whose 2n + 1 indices overflow len()
+    (["oracle", "class"], lambda u, v, w: [u, "--window", "4611686018427387904", "--cap", "300"]),
+    (["oracle", "equal"], lambda u, v, w: [u, v, "--window", "4611686018427387904"]),
+    (["oracle", "scan"], lambda u, v, w: ["--window", "4611686018427387904", "--max-len", "2"]),
     (["render"], lambda u, v, w: [u, *_SMALL]),
     (["render"], lambda u, v, w: [u, "--dot", "-", *_SMALL]),
 ]

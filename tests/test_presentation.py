@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 import traceback
 
 import pytest
@@ -439,6 +440,14 @@ def test_window_size_is_capped(d4):
         instantiate_window(d4, 250)
 
 
+def test_window_radius_past_ssize_t_is_capped(d4):
+    # a range of 2n + 1 >= 2**63 integers has no len(); the window is counted
+    # without one and refused like any other
+    with pytest.raises(CapError, match="the window of radius 4611686018427387904 on d4:new holds "
+                                       r"\d+ generators and schema bindings, more than the cap"):
+        instantiate_window(d4, 2 ** 62)
+
+
 @st.composite
 def windowed_schemas(draw):
     """A presentation on s1..s3 and the family t, with up to three random schemas.
@@ -464,8 +473,8 @@ def windowed_schemas(draw):
             offset = draw(st.integers(-3, 3)) if families[name] == "t" else 0
             return PatternLetter(families[name], offset, name)
 
-        fixed = st.builds(PatternLetter, st.just("t"), st.integers(-5, 5)) | st.builds(
-            PatternLetter, st.just("s"), st.integers(1, 3))
+        fixed = st.builds(PatternLetter, st.just("t"), st.integers(-5, 5), st.none()) | st.builds(
+            PatternLetter, st.just("s"), st.integers(1, 3), st.none())
 
         def letter():
             if params and draw(st.booleans()):
@@ -631,6 +640,20 @@ def test_both_forms_share_the_diagram(earlier, new):
 def test_catalog_bad_keys(key, error):
     with pytest.raises(error):
         catalog.load(key)
+
+
+@pytest.mark.parametrize("kind", ["classical", "shi", "cll"])
+def test_huge_rank_is_refused_before_anything_is_built(kind):
+    # the vertex pairs are counted from the rank, before any vertex, edge or
+    # relation tuple is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="diagram relations, more than the cap"):
+            catalog.load(f"affine-a:{kind}:200000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("text, error", [

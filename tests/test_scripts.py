@@ -83,9 +83,24 @@ def test_layer_bench_cold_start(capsys, tmp_path):
     assert data["commands"] == {"list": "monorev list"}
     for mode in ("compile", "cached"):
         figures = data["trees"]["this"][mode]["list"]
-        assert set(figures) == {"import_ms", "main_ms", "total_ms", "process_ms"}
+        medians = {"import_ms", "main_ms", "total_ms", "process_ms"}
+        assert set(figures) == medians | {f"{m}_{q}" for m in medians for q in ("q1", "q3")}
         assert all(value > 0 for value in figures.values())
+        # one run is its own lower and upper quartile
+        assert all(figures[f"{m}_q1"] == figures[m] == figures[f"{m}_q3"] for m in medians)
     assert "this     cached   list" in capsys.readouterr().out
+
+
+def test_code_lines(capsys, tmp_path):
+    script = load_script("code_lines")
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""A module docstring\n\nover three lines."""\n\n'
+                      "# a comment\nx = 1\n\ny = x + 1  # and a comment after code\n")
+    assert script.main([str(sample)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"      2  {sample}", "      2  total"]
+    assert script.main([os.path.join(ROOT, "src", "monorev")]) == 0
+    rows = [int(line.split()[0].replace(",", "")) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) > 2 and sum(rows[:-1]) == rows[-1]
 
 
 def test_bench_hooks_resolve():

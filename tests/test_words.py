@@ -1,8 +1,26 @@
 """The word layer: token grammar, word algebra, free reduction, shifts."""
 
+import dataclasses
+import importlib
+import pkgutil
+from fractions import Fraction
+
 import pytest
 
-from monorev.reversing import ReversalStep
+import monorev
+from monorev.derivation import CancelStep, DerivationScript, InsertStep, RelationStep, ScriptResult
+from monorev.grid import EpsilonArc, GridCell, GridEdge, GridNode, ReversingGrid
+from monorev.oracle import ScanReport, ScanWitness
+from monorev.presentation import ComplementReport, Param, PatternLetter, RelationInstance
+from monorev.reversing import (
+    Cycles,
+    Diverged,
+    Empty,
+    ReversalStep,
+    ReversalTrace,
+    Stuck,
+    Terminal,
+)
 from monorev.words import (
     EPSILON,
     Alphabet,
@@ -86,6 +104,49 @@ def test_value_types_are_named_tuples():
         Letter(s3, 0)
     with pytest.raises(ValueError):
         letter._replace(sign=0)
+
+    # so is every other immutable value record: it equals and hashes as its fields
+    rule = RelationInstance(Word((Letter(s3),)), Word((Letter(t),)), "r", (("i", -1),))
+    node, far = GridNode(Fraction(1, 2), Fraction(-3)), GridNode(Fraction(1), Fraction(0))
+    edge, witness = GridEdge(node, far, s3), ScanWitness("left", s3, word, EPSILON)
+    records = [
+        rule, PatternLetter("t", -1, "i"), Param("k", (0, 1)), ComplementReport("right", ()),
+        Empty(), Terminal(Word((Letter(s3),)), EPSILON), Stuck(0, (s3, t)), Cycles(7, 4, 1),
+        Diverged(40), ReversalTrace("right", word, (step,), Empty(), EPSILON),
+        RelationStep("r", (("i", -1),), "lr", 0), CancelStep(3), InsertStep(letter, 1),
+        DerivationScript("d4:new", word, EPSILON, (CancelStep(0),)),
+        ScriptResult(True, (word, EPSILON), None, None),
+        node, edge, EpsilonArc(node, far), GridCell(node, rule),
+        ReversingGrid("right", (node, far), (edge,), (), (), (), ((edge, 1),)),
+        witness, ScanReport("d4:new", 2, 3, 10, (witness,)),
+    ]
+    assert len({type(value) for value in records}) == 22
+    for value in records:
+        assert isinstance(value, tuple)
+        assert value == tuple(value) and hash(value) == hash(tuple(value))
+    assert sorted([far, node]) == [node, far]  # a grid node orders as (x, y)
+    assert repr(records[5]) == (
+        "Terminal(v_prime=Word((Letter(gen=Generator(family='s', index=3), sign=1),)), "
+        "u_prime=Word(()))")
+    assert repr(rule) == (
+        "RelationInstance(lhs=Word((Letter(gen=Generator(family='s', index=3), sign=1),)), "
+        "rhs=Word((Letter(gen=Generator(family='t', index=-1), sign=1),)), schema='r', "
+        "bindings=(('i', -1),))")
+    assert repr(records[1]) == "PatternLetter(family='t', offset=-1, param='i')"
+    assert repr(node) == "GridNode(x=Fraction(1, 2), y=Fraction(-3, 1))"
+
+
+def test_dataclasses_are_the_four_that_use_a_feature():
+    # Schema validates in __post_init__ and sets its compiled form lazily;
+    # Presentation and Alphabet are mutable; Certificate is copied with
+    # dataclasses.replace.  Every other record is a named tuple.
+    found = set()
+    for info in pkgutil.iter_modules(monorev.__path__):
+        module = importlib.import_module(f"monorev.{info.name}")
+        found |= {name for name, value in vars(module).items()
+                  if isinstance(value, type) and value.__module__ == module.__name__
+                  and dataclasses.is_dataclass(value)}
+    assert found == {"Schema", "Presentation", "Certificate", "Alphabet"}
 
 
 def test_word_algebra():
