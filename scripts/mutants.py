@@ -67,6 +67,10 @@ MUTANTS = (
            "if len(insts) > 99:",
            ("tests/test_presentation.py::test_ambiguous_complement_raises_a_fresh_error",
             "tests/test_reversing.py::test_ambiguity_propagates")),
+    Mutant("schema-boundary", "src/monorev/presentation.py",
+           "if names - bound:",
+           "if False:",
+           ("tests/test_presentation.py::test_schema_structural_errors",)),
     Mutant("compiled-domain", "src/monorev/presentation.py",
            "if values[slot] not in dom:",
            "if False:",

@@ -31,7 +31,7 @@ _EXPORTS = {
     "grid": ("ReversingGrid", "build_grid", "grid_to_dot"),
     "completeness": (
         "Certificate", "CubeResult", "SweepCapError", "certify", "cube_condition",
-        "enumerate_word_triples",
+        "cube_traces", "enumerate_word_triples",
     ),
     "derivation": (
         "CancelStep", "DerivationError", "DerivationScript", "InsertStep", "RelationStep",

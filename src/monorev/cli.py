@@ -134,7 +134,7 @@ def _trace_json(trace: ReversalTrace) -> dict:
         "side": trace.side,
         "start": str(trace.start),
         "steps": [
-            {"position": s.position, "kind": s.kind,
+            {"position": s.position, "kind": "cancel" if s.rule is None else "relation",
              "rule": s.rule.label() if s.rule else None, "after": str(after)}
             for s, after in zip(trace.steps, intermediates)
         ],
@@ -150,7 +150,7 @@ def _print_trace(trace: ReversalTrace, limit: int) -> None:
         if i > limit:
             print(f"  ... {len(trace.steps) - limit} more steps")
             break
-        what = "cancel" if step.kind == "cancel" else step.rule.label()
+        what = "cancel" if step.rule is None else step.rule.label()
         print(f"  step {i}: {what} @{step.position} -> {after}")
     data, text = _describe(trace.outcome)
     print(f"outcome: {text}")
@@ -214,13 +214,13 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_cube(args) -> int:
-    from .completeness import cube_condition
+    from .completeness import cube_condition, cube_traces
 
     p, (u, v, w) = _request(args, "u", "v", "w")
     side = "left" if args.left else "right"
     res = cube_condition(p, u, v, w, side=side, fuel=args.fuel)
     if args.format == "json":
-        first, second = res.first, res.second  # each read replays a reversal
+        first, second = cube_traces(p, u, v, w, side=side, fuel=args.fuel)
         data = {
             "triple": [str(u), str(v), str(w)],
             "side": side,

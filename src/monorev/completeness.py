@@ -18,7 +18,8 @@ hypothesis word itself has no common multiple witness).  A second reversal
 that is proved to cycle fails too, since it can never reach the empty word.
 A first reversal that cycles, and fuel exhaustion anywhere, make the
 certificate undetermined rather than falsified.  The check keeps only its
-verdict; a CubeResult replays its reversal traces when they are read.
+verdict, a CubeResult that holds no presentation; cube_traces runs the
+two reversals again with their step records, for a reader of the traces.
 A plain cube_condition call computes its verdict afresh and keeps none.
 certify's sweep applies the two lemmas below within one call: it hands
 cube_condition a set of the triples that passed on the side, and drops
@@ -62,7 +63,9 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
+from . import __version__
 from .presentation import DEFAULT_FUEL, CapError, Presentation, check_complemented
 from .reversing import (
     Cycles,
@@ -95,7 +98,7 @@ def _first_word(u: Word, v: Word, w: Word, side: str) -> tuple[Letter, ...]:
     return v + _word_inverse(w) + w + _word_inverse(u)
 
 
-def _second_word(u: Word, v: Word, done: list[Letter], side: str) -> tuple[Letter, ...]:
+def _second_word(u: Word, v: Word, done: Sequence[Letter], side: str) -> tuple[Letter, ...]:
     """(u v')^-1 (v u') (right) or (u' v)(v' u)^-1 (left), where the first
     reversal ended on done = v' u'^-1 (right) or u'^-1 v' (left)."""
     lead = 1 if side == "right" else -1
@@ -128,39 +131,34 @@ def _verdict(p: Presentation, u: Word, v: Word, w: Word, side: str,
     return _SECOND.get(type(out), ("fail", "not-trivial") if done else _PASS)
 
 
-class CubeResult:
-    """The verdict of one cube check; `first` and `second` replay its traces when read."""
+class CubeResult(NamedTuple):
+    """The verdict of one cube check; cube_traces gives its two reversal traces."""
 
-    __slots__ = ("triple", "side", "status", "reason", "_p", "_fuel")
-
-    def __init__(self, triple: tuple[Word, Word, Word], side: str, status: str, reason: str,
-                 p: Presentation, fuel: int) -> None:
-        self.triple, self.side, self.status, self.reason = triple, side, status, reason
-        self._p, self._fuel = p, fuel
+    triple: tuple[Word, Word, Word]
+    side: str
+    status: str
+    reason: str
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
-    @property
-    def first(self) -> ReversalTrace:
-        return self._replay(_first_word(*self.triple, self.side))
 
-    @property
-    def second(self) -> ReversalTrace | None:
-        """None when the first reversal did not reach the terminal shape.
+def cube_traces(p: Presentation, u: Word, v: Word, w: Word, side: str = "right",
+                fuel: int = DEFAULT_FUEL) -> tuple[ReversalTrace, ReversalTrace | None]:
+    """The traces of the cube check's first and second reversals of (u, v, w) on one side.
 
-        Only the second reversal is replayed with its steps; the first runs bare.
-        """
-        u, v, w = self.triple
-        out, done, _ = _run(self._p, _first_word(u, v, w, self.side), self._fuel, self.side, None)
-        if out is not None:
-            return None
-        return self._replay(_second_word(u, v, done, self.side))
-
-    def _replay(self, letters: tuple[Letter, ...]) -> ReversalTrace:
-        reverse = right_reverse if self.side == "right" else left_reverse
-        return reverse(self._p, Word(letters), self._fuel)
+    The second is None when the first did not reach the terminal shape;
+    otherwise its word is built from the first trace's final word.  Each
+    reversal runs once, through right_reverse or left_reverse.
+    """
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    reverse = right_reverse if side == "right" else left_reverse
+    first = reverse(p, Word(_first_word(u, v, w, side)), fuel)
+    if not first.reached_terminal:
+        return first, None
+    return first, reverse(p, Word(_second_word(u, v, first.final, side)), fuel)
 
 
 def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
@@ -179,13 +177,13 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     triple = (u, v, w)
     if passed is not None and triple in passed:
-        return CubeResult(triple, side, *_PASS, p, fuel)
+        return CubeResult(triple, side, *_PASS)
     if any(l.sign < 0 for word in triple for l in word):
         raise ValueError("cube condition expects positive words")
     verdict = _verdict(p, u, v, w, side, fuel)
     if passed is not None and verdict == _PASS:
         passed.update((triple, (v, u, w)))
-    return CubeResult(triple, side, *verdict, p, fuel)
+    return CubeResult(triple, side, *verdict)
 
 
 def enumerate_word_triples(p: Presentation, max_len: int,
@@ -276,12 +274,6 @@ class Certificate:
         return json.dumps(data, indent=2)
 
 
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
             goal: str = "cancellative", word_len: int | None = None) -> Certificate:
     """Run the bounded cube check and package the outcome.
@@ -317,7 +309,7 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
         raise ValueError("t_bound must be >= 0" if t_bound < 0 else "word_len must be >= 1")
 
     def refused(reason: str) -> Certificate:
-        return Certificate(p.name, "refused", t_bound, fuel, 0, (), reason, _tool_version())
+        return Certificate(p.name, "refused", t_bound, fuel, 0, (), reason, __version__)
 
     pinned = p.pinned_letter()
     if pinned is not None:
@@ -370,4 +362,4 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
         missing = "left" if "right" in sides else "right"
         refusal = f"{missing} side not complemented, claim restricted to {sides[0]} reversing"
     return Certificate(p.name, claim, t_bound, fuel, len(triples), tuple(failures),
-                       refusal, _tool_version())
+                       refusal, __version__)

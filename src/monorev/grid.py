@@ -64,7 +64,7 @@ def _mirror_trace(trace: ReversalTrace) -> ReversalTrace:
             rule = RelationInstance(rule.rhs.reversed(), rule.lhs.reversed(),
                                     rule.schema, rule.bindings)
             n += len(rule.lhs) + len(rule.rhs) - 4
-        steps.append(ReversalStep(pos, step.kind, rule))
+        steps.append(ReversalStep(pos, rule))
     outcome = trace.outcome
     if isinstance(outcome, Terminal):
         outcome = Terminal(outcome.v_prime.reversed(), outcome.u_prime.reversed())
@@ -129,7 +129,7 @@ def build_grid(trace: ReversalTrace) -> ReversingGrid:
         (e1, s1), (e2, s2) = path[i], path[i + 1]
         entry1 = e1.head if s1 < 0 else e1.tail
         exit2 = e2.head if s2 > 0 else e2.tail
-        if step.kind == "cancel":
+        if step.rule is None:
             arcs.append(EpsilonArc(entry1, exit2))
             path[i:i + 2] = []
         else:

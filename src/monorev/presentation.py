@@ -60,7 +60,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .words import (
@@ -154,12 +153,20 @@ class Param(NamedTuple):
 _SCHEMA_NAME = re.compile(r"[^\s:\[\]]+")
 
 
-@dataclass(frozen=True, slots=True)
-class Schema:
+class _SchemaFields(NamedTuple):
+    name: str
+    params: tuple[Param, ...]
+    lhs: tuple[PatternLetter, ...]
+    rhs: tuple[PatternLetter, ...]
+
+
+class Schema(_SchemaFields):
     """A named pair of pattern sides and the domains of their parameters.
 
-    Lookups and builds read the schema's compiled form, made on the first
-    of them and kept on this schema object.  It is the tuple (names,
+    A named tuple of its four fields, checked when it is made: it equals,
+    hashes and prints as them.  Lookups and builds read the schema's
+    compiled form, made on the first of them and kept on this schema object
+    as the attribute _form, None until then.  It is the tuple (names,
     sides, domains, ends): the parameter names in order; sides[swap], the
     letter templates of (lhs, rhs), or of (rhs, lhs) when swap is True;
     domains, the (slot, set of values) of each parameter with a finite
@@ -170,13 +177,11 @@ class Schema:
     schemas are new objects, so each compiles its own narrowed domains.
     """
 
-    name: str
-    params: tuple[Param, ...]
-    lhs: tuple[PatternLetter, ...]
-    rhs: tuple[PatternLetter, ...]
-    _form: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _form = None
 
-    def __post_init__(self) -> None:
+    def __new__(cls, name: str, params: tuple[Param, ...], lhs: tuple[PatternLetter, ...],
+                rhs: tuple[PatternLetter, ...]) -> "Schema":
+        self = tuple.__new__(cls, (name, params, lhs, rhs))
         if not _SCHEMA_NAME.fullmatch(self.name):
             raise SchemaError(f"schema name {self.name!r} must be non-empty, without "
                               "whitespace, ':', '[' or ']', so a schema line can name it")
@@ -204,6 +209,11 @@ class Schema:
                 raise SchemaError(
                     f"schema {self.name}: parameter {p.name} spans families {sorted(fams)}"
                 )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Schema":  # _replace goes through here too
+        return cls(*iterable)
 
     def _compile(self) -> tuple:
         new = tuple.__new__
@@ -216,7 +226,7 @@ class Schema:
                 tuple([(k, frozenset(p.values)) for k, p in enumerate(self.params)
                        if p.values is not None]),
                 (((lhs[0], rhs[0]), (rhs[0], lhs[0])), ((lhs[-1], rhs[-1]), (rhs[-1], lhs[-1]))))
-        object.__setattr__(self, "_form", form)
+        self._form = form
         return form
 
     # -- instantiation ---------------------------------------------------
@@ -278,18 +288,21 @@ class Schema:
         x and y when swap is False, those of its rhs and lhs when swap is
         True, and the instance is built in that orientation.  None when the
         patterns do not fit or the instance is degenerate.
+
+        x and y must match the two boundary letters' keys (see
+        Presentation.pair_index): each has the letter's family, and the
+        letter's index when that is fixed.  instances_for_pair solves only
+        the entries filed under the pair, so only the parameters are checked.
         """
         names, _, domains, ends = self._form or self._compile()
-        (_, fx, ox, sx), (_, fy, oy, sy) = ends[end][swap]
-        if x.family != fx or y.family != fy:
-            return None
+        (_, _, ox, sx), (_, _, oy, sy) = ends[end][swap]
         a, b = x.index - ox, y.index - oy
         values = [0] * (len(names) + 1)
         values[sx] = a
         values[sy] = b
-        # a letter of fixed index (slot -1) puts its difference in the trailing
-        # 0, which must stay 0, and a parameter on both letters takes one value
-        if values[-1] or (sx == sy and a != b):
+        # a letter of fixed index (slot -1) puts its difference, 0, in the
+        # trailing spare slot, and a parameter on both letters takes one value
+        if sx == sy and a != b:
             return None
         for slot, dom in domains:
             if values[slot] not in dom:
@@ -315,17 +328,24 @@ class Schema:
         return f"{self.name} [{doms}]: {self.render()}"
 
 
-@dataclass(slots=True)
 class Presentation:
-    name: str
-    alphabet: Alphabet
-    schemas: tuple[Schema, ...]
-    window: int | None = None
-    # caches, not arguments: dataclasses.replace starts them afresh.  _rewriter
-    # is the oracle's rewrite table, built from the relations on first use
-    _complements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pair_index: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _rewriter: object | None = field(default=None, init=False, repr=False, compare=False)
+    """A named alphabet and schemas, with the caches that lookups fill.
+
+    It compares by identity: each object owns its caches, and a new one,
+    made with the constructor, starts them empty.
+    """
+
+    __slots__ = ("name", "alphabet", "schemas", "window",
+                 "_complements", "_pair_index", "_rewriter")
+
+    def __init__(self, name: str, alphabet: Alphabet, schemas: tuple[Schema, ...],
+                 window: int | None = None) -> None:
+        self.name, self.alphabet, self.schemas, self.window = name, alphabet, schemas, window
+        # caches, not arguments.  _rewriter is the oracle's rewrite table, built
+        # from the relations on first use
+        self._complements: dict = {}
+        self._pair_index: dict | None = None
+        self._rewriter: object | None = None
 
     def schema(self, name: str) -> Schema:
         for s in self.schemas:

@@ -60,8 +60,9 @@ from .words import Generator, Letter, Word
 
 
 class ReversalStep(NamedTuple):
+    """One rewrite at position: a relation step, or a cancellation when rule is None."""
+
     position: int
-    kind: str  # "cancel" | "relation"
     rule: RelationInstance | None
 
 
@@ -124,7 +125,7 @@ class ReversalTrace(NamedTuple):
         letters = list(self.start)
         yield self.start
         for s in self.steps:
-            if s.kind == "cancel":
+            if s.rule is None:
                 del letters[s.position:s.position + 2]
             else:
                 letters[s.position:s.position + 2] = reversed(splice(s.rule, self.side))
@@ -240,11 +241,11 @@ def _run(p: Presentation, word: Sequence[Letter], fuel: int, side: str,
             low_todo = len(todo)
         if comp is None:
             if steps is not None:
-                steps.append(ReversalStep(pos, "cancel", None))
+                steps.append(ReversalStep(pos, None))
         else:
             todo.extend(comp.push)
             if steps is not None:
-                steps.append(ReversalStep(pos, "relation", comp.rule))
+                steps.append(ReversalStep(pos, comp.rule))
         n += 1
         # lengths first: the slices below are only worth building when the
         # stacks have regrown over everything read since the checkpoint

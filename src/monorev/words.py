@@ -4,13 +4,11 @@ A generator is a (family, index) pair such as s3 or t(-1), a letter a
 generator with a sign, and a word the tuple of its letters.  All three are
 immutable tuples, and each hashes, compares and orders as its plain tuple.
 So is every other immutable value record of the package, a named tuple
-like Generator: relation instances, reversal outcomes and traces,
-derivation steps, grid parts, scan reports.  Only four classes are
-dataclasses, each for a feature it uses: Alphabet here, mutable with a
-default_factory dict; presentation.Schema, which checks itself in
-__post_init__ and sets its compiled form lazily; presentation.Presentation,
-with mutable caches, copied by dataclasses.replace; and
-completeness.Certificate, copied by dataclasses.replace.
+like Generator: the alphabet, relation instances and schemas, reversal
+outcomes and traces, cube verdicts, derivation steps, grid parts, scan
+reports.  Only completeness.Certificate stays a dataclass, because it is
+copied with dataclasses.replace; presentation.Presentation, which holds
+mutable caches, is a plain class with __slots__.
 
 The token grammar, used by both the parser and the formatter:
 
@@ -26,7 +24,6 @@ with this grammar too (see presentation.load_presentation).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # Families that conventionally range over all integers are always written in
@@ -117,15 +114,14 @@ class Word(tuple):
 EPSILON = Word()
 
 
-@dataclass(slots=True)
-class Alphabet:
+class Alphabet(NamedTuple):
     """Generator inventory of a presentation.
 
     finite maps a family name to the tuple of admissible indices;
     integer_families names the families indexed over all of Z.
     """
 
-    finite: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    finite: dict[str, tuple[int, ...]]
     integer_families: frozenset[str] = frozenset()
 
     def __contains__(self, gen: Generator) -> bool:

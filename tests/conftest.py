@@ -6,7 +6,12 @@ from hypothesis import settings
 
 from monorev import catalog, load_presentation
 from monorev.oracle import OracleCapError, ScanReport, ScanWitness
-from monorev.presentation import left_complement, materialize_relations, right_complement
+from monorev.presentation import (
+    Presentation,
+    left_complement,
+    materialize_relations,
+    right_complement,
+)
 from monorev.reversing import Diverged, Empty, ReversalStep, Stuck, Terminal
 from monorev.words import Generator, Letter, Word
 
@@ -66,6 +71,11 @@ a1 b1 a1 b1 = b1 a1 b1 a1
 a1 a1 = c1 b1
 b1 c1 b1 c1 = c1 b1 c1 b1
 """
+
+
+def fresh(p, schemas=None):
+    """A copy of p with empty caches, and with the given schemas in place of its own."""
+    return Presentation(p.name, p.alphabet, p.schemas if schemas is None else schemas, p.window)
 
 
 @pytest.fixture(scope="session")
@@ -169,7 +179,7 @@ def reference_reverse(p, word, fuel, side):
         x, y = letters[pos].gen, letters[pos + 1].gen
         if x == y:
             letters[pos:pos + 2] = []
-            steps.append(ReversalStep(pos, "cancel", None))
+            steps.append(ReversalStep(pos, None))
             continue
         comp = complement(p, x, y)
         if comp is None:
@@ -178,7 +188,7 @@ def reference_reverse(p, word, fuel, side):
         rest = slice(1, None) if side == "right" else slice(None, -1)
         vp, up = Word(comp.rule.lhs[rest]), Word(comp.rule.rhs[rest])
         letters[pos:pos + 2] = (vp * up.inverse() if side == "right" else vp.inverse() * up)
-        steps.append(ReversalStep(pos, "relation", comp.rule))
+        steps.append(ReversalStep(pos, comp.rule))
     final = Word(tuple(letters))
     if pos is not None:
         return steps, Diverged(fuel), final

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monorev import catalog
-from monorev.completeness import certify, cube_condition
+from monorev.completeness import certify, cube_condition, cube_traces
 from monorev.derivation import parse_script, verify_script, verify_translation_product
 from monorev.grid import build_grid, grid_to_dot
 from monorev.oracle import cancellation_scan, monoid_equal
@@ -78,9 +78,10 @@ def test_reversal_worked_example():
 def test_cube_worked_example():
     t0 = time.perf_counter()
     e8 = catalog.load("e8:new")
-    res = cube_condition(e8, e8.parse("s7"), e8.parse("t(2)"), e8.parse("s8"))
+    triple = e8.parse("s7"), e8.parse("t(2)"), e8.parse("s8")
+    res = cube_condition(e8, *triple)
     assert res.passed and res.reason == "ok"
-    assert isinstance(res.second.outcome, Empty)
+    assert isinstance(cube_traces(e8, *triple)[1].outcome, Empty)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -232,8 +233,8 @@ def check_reversing_equivariance(w, k):
     for reverse in (right_reverse, left_reverse):
         plain = reverse(D4, w, 48)
         moved = reverse(D4, shift_word(w, k), 48)
-        assert [(s.position, s.kind) for s in plain.steps] == \
-            [(s.position, s.kind) for s in moved.steps]
+        assert [(s.position, s.rule is None) for s in plain.steps] == \
+            [(s.position, s.rule is None) for s in moved.steps]
         assert type(plain.outcome) is type(moved.outcome)
         assert shift_word(plain.final, k) == moved.final
 

@@ -14,6 +14,7 @@ from monorev.completeness import (
     SweepCapError,
     certify,
     cube_condition,
+    cube_traces,
     enumerate_word_triples,
 )
 from monorev.presentation import (
@@ -45,6 +46,7 @@ from conftest import (
     SQUARE_CHAIN,
     TWO_COMMUTES,
     WIDE_OFFSET,
+    fresh,
     reference_reverse,
     reference_word_triples,
 )
@@ -67,10 +69,11 @@ def test_cube_anchor_triple(e8):
     for side, first_steps, second_steps in (("right", 4, 9), ("left", 4, 9)):
         res = cube_condition(e8, u, v, w, side=side)
         assert res.passed and res.reason == "ok"
-        assert res.first.step_count == first_steps
-        assert res.second.step_count == second_steps
-        assert isinstance(res.second.outcome, Empty)
-    out = cube_condition(e8, u, v, w).first.outcome
+        first, second = cube_traces(e8, u, v, w, side=side)
+        assert first.step_count == first_steps
+        assert second.step_count == second_steps
+        assert isinstance(second.outcome, Empty)
+    out = cube_traces(e8, u, v, w)[0].outcome
     assert str(out.v_prime) == "s8 s7 t(2)" and str(out.u_prime) == "s8 s7 s8"
 
 
@@ -82,16 +85,17 @@ def test_cube_pass_trivially(d4):
 
 def test_cube_stuck_hypothesis(two_commutes):
     p = two_commutes
-    res = cube_condition(p, p.parse("b1"), p.parse("a1"), p.parse("c1"))
+    b1, a1, c1 = p.parse("b1"), p.parse("a1"), p.parse("c1")
+    res = cube_condition(p, b1, a1, c1)
     assert res.status == "fail" and res.reason == "stuck-hypothesis"
-    assert res.second is None
+    assert cube_traces(p, b1, a1, c1)[1] is None
 
 
 def test_cube_not_trivial(skewed):
-    res = cube_condition(skewed, skewed.parse("a1"), skewed.parse("b1"),
-                         skewed.parse("c1"))
+    triple = skewed.parse("a1"), skewed.parse("b1"), skewed.parse("c1")
+    res = cube_condition(skewed, *triple)
     assert res.status == "fail" and res.reason == "not-trivial"
-    out = res.second.outcome
+    out = cube_traces(skewed, *triple)[1].outcome
     assert str(out.v_prime) == "a1" and str(out.u_prime) == "a1"
 
 
@@ -103,24 +107,28 @@ def test_cube_fuel_exhaustion():
     res = cube_condition(p, r1, r2, r3, fuel=8)
     assert res.status == "inconclusive"
     assert res.reason == "first reversal ran out of fuel"
-    assert res.first.outcome == Diverged(8) and res.first.step_count == 8
+    first, second = cube_traces(p, r1, r2, r3, fuel=8)
+    assert first.outcome == Diverged(8) and first.step_count == 8 and second is None
     # with fuel to spare the same reversal is proved to run forever
     res = cube_condition(p, r1, r2, r3, fuel=2000)
     assert res.status == "inconclusive"
     assert res.reason == "first reversal cycles"
-    assert res.first.outcome == Cycles(14, 6, 0) and res.first.step_count == 14
-    assert res.second is None
+    first, second = cube_traces(p, r1, r2, r3, fuel=2000)
+    assert first.outcome == Cycles(14, 6, 0) and first.step_count == 14
+    assert second is None
 
 
 def test_cube_second_reversal_cycles():
     # the first reversal terminates, then (u v')^-1 (v u') runs forever:
     # it can never reach epsilon, so the cube fails outright
     p = load_presentation(SQUARE_CHAIN, name="square-chain")
-    res = cube_condition(p, p.parse("a1"), p.parse("b1"), p.parse("c1"))
-    assert res.first.reached_terminal
+    triple = p.parse("a1"), p.parse("b1"), p.parse("c1")
+    res = cube_condition(p, *triple)
+    first, second = cube_traces(p, *triple)
+    assert first.reached_terminal
     assert res.status == "fail" and res.reason == "second reversal cycles"
-    assert res.second.outcome == Cycles(12, 4, 0)
-    _, outcome, _ = reference_reverse(p, res.second.start, 2000, "right")
+    assert second.outcome == Cycles(12, 4, 0)
+    _, outcome, _ = reference_reverse(p, second.start, 2000, "right")
     assert outcome == Diverged(2000)
 
 
@@ -170,18 +178,15 @@ def _second_start(u, v, first, side):
 
 
 def _check_replay(p, u, v, w, side, fuel=2000):
-    reverse = right_reverse if side == "right" else left_reverse
     start = u.inverse() * w * w.inverse() * v if side == "right" else v * w.inverse() * w * u.inverse()
     try:
         res = cube_condition(p, u, v, w, side=side, fuel=fuel)
     except AmbiguousComplementError:
-        # the traced kernel meets the same ambiguous pair
+        # the traced reversals meet the same ambiguous pair
         with pytest.raises(AmbiguousComplementError):
-            first = reverse(p, start, fuel)
-            if first.reached_terminal:
-                reverse(p, _second_start(u, v, first, side), fuel)
+            cube_traces(p, u, v, w, side=side, fuel=fuel)
         return "ambiguous"
-    first, second = res.first, res.second
+    first, second = cube_traces(p, u, v, w, side=side, fuel=fuel)
     assert (res.triple, res.side) == ((u, v, w), side)
     assert first.side == side and first.start == start
     if first.reached_terminal:
@@ -219,11 +224,6 @@ def test_cube_replay_covers_every_reason():
                     "second reversal cycles", "first reversal ran out of fuel", "ambiguous"}
 
 
-def _fresh(p):
-    """A copy of p with empty caches."""
-    return Presentation(p.name, p.alphabet, p.schemas, p.window)
-
-
 def _check_lemma(p, checked, side, target, target_side):
     """A pass of `checked` on `side` is a pass of `target` on `target_side`,
     each verdict computed by a fresh cube_condition.
@@ -232,10 +232,10 @@ def _check_lemma(p, checked, side, target, target_side):
     reversal, where a pass just passes, and at one step less.
     """
     try:
-        probe = cube_condition(p, *checked, side=side)
+        traces = cube_traces(p, *checked, side=side)
     except AmbiguousComplementError:
         return
-    longest = max(t.step_count for t in (probe.first, probe.second) if t is not None)
+    longest = max(t.step_count for t in traces if t is not None)
     for fuel in {DEFAULT_FUEL, longest, max(longest - 1, 0)}:
         if cube_condition(p, *checked, side=side, fuel=fuel).passed:
             res = cube_condition(p, *target, side=target_side, fuel=fuel)
@@ -416,7 +416,7 @@ def _count_runs(monkeypatch):
 def test_left_sweep_makes_no_reversal(d4, monkeypatch):
     """Every right check of d4:new passes, so the left sweep reads every verdict."""
     sides = _count_runs(monkeypatch)
-    cert = certify(_fresh(d4), t_bound=2)
+    cert = certify(fresh(d4), t_bound=2)
     assert cert.claim == "cancellative-up-to" and "right" in sides and "left" not in sides
 
 
@@ -431,14 +431,14 @@ def test_certify_checks_each_triple_once_a_side(key, monkeypatch):
         return check(p, u, v, w, side=side, **kwargs)
 
     monkeypatch.setattr(completeness, "cube_condition", counted)
-    p = _fresh(catalog.load(key))
+    p = fresh(catalog.load(key))
     cert = certify(p, t_bound=1)
     triples = enumerate_word_triples(p, 1, 1) if cert.claim != "refused" else []
     assert calls == [(side, t) for side in ("right", "left") for t in triples]
 
 
 def test_verdict_table_files_a_pass_and_its_mirror(d4, monkeypatch):
-    p = _fresh(d4)
+    p = fresh(d4)
     s1, s2, t0 = p.parse("s1"), p.parse("s2"), p.parse("t(0)")
     passed = set()
     assert cube_condition(p, s1, t0, s2, passed=passed).passed
@@ -464,7 +464,7 @@ def test_left_sweep_computes_its_checks_after_a_right_non_pass(monkeypatch):
     the left sweep then starts afresh and runs the kernel on the left as
     often as a left sweep from an empty set of passed triples does."""
     sides = _count_runs(monkeypatch)
-    p = _fresh(C3)
+    p = fresh(C3)
     assert p.mirror_symmetric()
     cert = certify(p)
     left_runs = sides.count("left")
@@ -481,7 +481,7 @@ def test_left_sweep_computes_its_checks_after_a_right_non_pass(monkeypatch):
 def test_no_verdict_outlives_a_certify_call(key, monkeypatch):
     """A second certify call on the same presentation runs every reversal again."""
     sides = _count_runs(monkeypatch)
-    p = _fresh(catalog.load(key))
+    p = fresh(catalog.load(key))
     first = certify(p, t_bound=2, fuel=8)
     runs = len(sides)
     assert certify(p, t_bound=2, fuel=8) == first
@@ -499,18 +499,20 @@ def test_certify_builds_no_trace(d4, monkeypatch):
     monkeypatch.setattr(reversing, "_reverse", no_trace)
     assert certify(d4, t_bound=2).to_json() == expected
     with pytest.raises(AssertionError, match="built a reversal trace"):
-        cube_condition(d4, d4.parse("s1"), d4.parse("s2"), d4.parse("s3")).first
+        cube_traces(d4, d4.parse("s1"), d4.parse("s2"), d4.parse("s3"))
 
 
 def test_cube_validation(d4):
     with pytest.raises(ValueError):
         cube_condition(d4, d4.parse("s1"), d4.parse("s2"), d4.parse("s3"), side="up")
     with pytest.raises(ValueError):
+        cube_traces(d4, d4.parse("s1"), d4.parse("s2"), d4.parse("s3"), side="up")
+    with pytest.raises(ValueError):
         cube_condition(d4, d4.parse("s1^-1"), d4.parse("s2"), d4.parse("s3"))
 
 
 def test_positivity_is_checked_on_a_warm_cache(d4):
-    p = _fresh(d4)
+    p = fresh(d4)
     s1, s2, s3 = p.parse("s1"), p.parse("s2"), p.parse("s3")
     passed = set()
     assert cube_condition(p, s1, s2, s3, passed=passed).passed

@@ -19,7 +19,8 @@ from monorev import reversing
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Runs `monorev.cli.main(argv)` after `import monorev.cli` (argv null: the
-# import alone) and prints the exit code and the monorev modules loaded.
+# import alone) and prints the exit code, the monorev modules loaded and
+# whether `dataclasses` (which imports `inspect`) was.
 CHILD = """\
 import contextlib, io, json, sys
 import monorev.cli
@@ -28,12 +29,16 @@ code = None
 if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = monorev.cli.main(argv)
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "monorev")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "monorev"),
+                  "dataclasses" in sys.modules]))
 """
 
 CLI_IMPORT = {"monorev", "monorev.cli", "monorev.catalog", "monorev.presentation",
               "monorev.words"}
 NEVER_FOR_KERNEL_COMMANDS = {"monorev.oracle", "monorev.derivation", "monorev.grid"}
+# only Certificate is a dataclass, so only the commands that load completeness
+# import dataclasses
+WITH_DATACLASSES = {"cube", "certify"}
 
 COMMANDS = [
     None,
@@ -61,7 +66,7 @@ PUBLIC = {
                   "Terminal", "left_reverse", "reverse_quotient", "right_reverse"],
     "grid": ["ReversingGrid", "build_grid", "grid_to_dot"],
     "completeness": ["Certificate", "CubeResult", "SweepCapError", "certify",
-                     "cube_condition", "enumerate_word_triples"],
+                     "cube_condition", "cube_traces", "enumerate_word_triples"],
     "derivation": ["CancelStep", "DerivationError", "DerivationScript", "InsertStep",
                    "RelationStep", "ScriptResult", "apply_step", "format_script",
                    "parse_script", "shift_script", "substitute_t", "t_expression",
@@ -80,9 +85,11 @@ def test_each_command_loads_what_it_runs():
     for argv, child in zip(COMMANDS, children):
         out, err = child.communicate(timeout=60)
         assert child.returncode == 0, err
-        code, modules = json.loads(out)
+        code, modules, dataclasses = json.loads(out)
         assert code in (None, 0), (argv, code)
-        loaded[argv[0] if argv else None] = set(modules)
+        command = argv[0] if argv else None
+        assert dataclasses == (command in WITH_DATACLASSES), command
+        loaded[command] = set(modules)
     assert loaded.pop(None) == CLI_IMPORT
     assert loaded.pop("list") == loaded.pop("show") == CLI_IMPORT
     assert "monorev.grid" in loaded.pop("render")

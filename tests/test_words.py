@@ -11,7 +11,15 @@ import monorev
 from monorev.derivation import CancelStep, DerivationScript, InsertStep, RelationStep, ScriptResult
 from monorev.grid import EpsilonArc, GridCell, GridEdge, GridNode, ReversingGrid
 from monorev.oracle import ScanReport, ScanWitness
-from monorev.presentation import ComplementReport, Param, PatternLetter, RelationInstance
+from monorev.completeness import CubeResult
+from monorev.presentation import (
+    ComplementReport,
+    Param,
+    PatternLetter,
+    RelationInstance,
+    Schema,
+    SchemaError,
+)
 from monorev.reversing import (
     Cycles,
     Diverged,
@@ -77,9 +85,9 @@ def test_letter_sign_validation():
 def test_value_types_are_named_tuples():
     s3, t = Generator("s", 3), Generator("t", -1)
     letter = Letter(s3, -1)
-    step = ReversalStep(2, "cancel", None)
+    step = ReversalStep(2, None)
     word = Word((letter, Letter(t)))
-    for value, fields in ((s3, ("s", 3)), (letter, (s3, -1)), (step, (2, "cancel", None)),
+    for value, fields in ((s3, ("s", 3)), (letter, (s3, -1)), (step, (2, None)),
                           (word, (letter, Letter(t)))):
         assert isinstance(value, tuple) and tuple(value) == fields
         # hashing the field tuple keeps set and dict orders, hence every output
@@ -90,13 +98,13 @@ def test_value_types_are_named_tuples():
     assert repr(word) == f"Word(({letter!r}, {Letter(t)!r}))"
     assert s3 == Generator("s", 3) and s3 != Generator("s", 4)
     assert letter == Letter(Generator("s", 3), -1) != Letter(s3)
-    assert step == ReversalStep(2, "cancel", None) != ReversalStep(3, "cancel", None)
+    assert step == ReversalStep(2, None) != ReversalStep(3, None)
     # field by field: family, then index; generator, then sign
     assert sorted([Letter(t), Letter(s3), letter, Letter(Generator("s", 1))]) == [
         Letter(Generator("s", 1)), letter, Letter(s3), Letter(t)]
     assert repr(s3) == "Generator(family='s', index=3)"
     assert repr(letter) == "Letter(gen=Generator(family='s', index=3), sign=-1)"
-    assert repr(step) == "ReversalStep(position=2, kind='cancel', rule=None)"
+    assert repr(step) == "ReversalStep(position=2, rule=None)"
     assert (str(s3), str(t), str(letter)) == ("s3", "t(-1)", "s3^-1")
     assert letter.inverse() == Letter(s3) and type(letter.inverse()) is Letter
     assert Letter(s3).sign == 1
@@ -109,6 +117,7 @@ def test_value_types_are_named_tuples():
     rule = RelationInstance(Word((Letter(s3),)), Word((Letter(t),)), "r", (("i", -1),))
     node, far = GridNode(Fraction(1, 2), Fraction(-3)), GridNode(Fraction(1), Fraction(0))
     edge, witness = GridEdge(node, far, s3), ScanWitness("left", s3, word, EPSILON)
+    schema = Schema("r", (Param("i"),), (PatternLetter("t", 0, "i"),), (PatternLetter("t", 1, "i"),))
     records = [
         rule, PatternLetter("t", -1, "i"), Param("k", (0, 1)), ComplementReport("right", ()),
         Empty(), Terminal(Word((Letter(s3),)), EPSILON), Stuck(0, (s3, t)), Cycles(7, 4, 1),
@@ -119,11 +128,22 @@ def test_value_types_are_named_tuples():
         node, edge, EpsilonArc(node, far), GridCell(node, rule),
         ReversingGrid("right", (node, far), (edge,), (), (), (), ((edge, 1),)),
         witness, ScanReport("d4:new", 2, 3, 10, (witness,)),
+        schema, CubeResult((word, EPSILON, word), "right", "pass", "ok"),
     ]
-    assert len({type(value) for value in records}) == 22
+    assert len({type(value) for value in records}) == 24
     for value in records:
         assert isinstance(value, tuple)
         assert value == tuple(value) and hash(value) == hash(tuple(value))
+    # the alphabet's finite map is a dict, so it equals its fields but does not hash
+    assert isinstance(AB, tuple) and AB == tuple(AB) == ({"s": (1, 2, 3, 10)}, frozenset({"t"}))
+    assert repr(AB) == "Alphabet(finite={'s': (1, 2, 3, 10)}, integer_families=frozenset({'t'}))"
+    assert repr(schema) == (
+        "Schema(name='r', params=(Param(name='i', values=None),), "
+        "lhs=(PatternLetter(family='t', offset=0, param='i'),), "
+        "rhs=(PatternLetter(family='t', offset=1, param='i'),))")
+    assert records[-1].passed and not records[-1]._replace(status="fail").passed
+    with pytest.raises(SchemaError):  # a schema checks itself however it is made
+        schema._replace(rhs=())
     assert sorted([far, node]) == [node, far]  # a grid node orders as (x, y)
     assert repr(records[5]) == (
         "Terminal(v_prime=Word((Letter(gen=Generator(family='s', index=3), sign=1),)), "
@@ -136,17 +156,16 @@ def test_value_types_are_named_tuples():
     assert repr(node) == "GridNode(x=Fraction(1, 2), y=Fraction(-3, 1))"
 
 
-def test_dataclasses_are_the_four_that_use_a_feature():
-    # Schema validates in __post_init__ and sets its compiled form lazily;
-    # Presentation and Alphabet are mutable; Certificate is copied with
-    # dataclasses.replace.  Every other record is a named tuple.
+def test_certificate_is_the_one_dataclass():
+    # Certificate is copied with dataclasses.replace.  Every other record is a
+    # named tuple, and Presentation, which holds caches, a class with __slots__.
     found = set()
     for info in pkgutil.iter_modules(monorev.__path__):
         module = importlib.import_module(f"monorev.{info.name}")
         found |= {name for name, value in vars(module).items()
                   if isinstance(value, type) and value.__module__ == module.__name__
                   and dataclasses.is_dataclass(value)}
-    assert found == {"Schema", "Presentation", "Certificate", "Alphabet"}
+    assert found == {"Certificate"}
 
 
 def test_word_algebra():
