@@ -5,33 +5,50 @@
     python3 scripts/layer_bench.py --cold-start 11 --out BENCH.json \
         [--tree parent=OTHER_CHECKOUT --tree change=.]
 
-Without --cold-start it measures, on the monorev in this checkout's src/:
+Without --cold-start it times the cases of CASES, on the monorev in this
+checkout's src/.  A case builds its inputs and returns its figures in
+order, each as (name, unit, work, calls); work runs `calls` calls of the
+layer, and the figure is its time per call in unit.  The cases are:
 
-- hashing, comparing and sorting 100,000 letters;
-- right_complement on e8:new, cold (empty cache) and warm, per call, over
-  every pair of distinct generators of pair_scan_generators(e8:new), the
-  pairs the reversing kernel looks up;
-- instances_for_pair on e8:new, per call, over every pair of those
+- letters: hashing, comparing and sorting 100,000 letters;
+- complements: right_complement on e8:new over every pair of distinct
+  generators of pair_scan_generators(e8:new), the pairs the reversing
+  kernel looks up, a cold pass (empty cache) and then a warm one;
+- pair_lookups: instances_for_pair on e8:new over every pair of those
   generators, both sides;
-- check_complemented(e8:new) on a fresh presentation;
-- certify(e8:new) at t_bound 3 and at t_bound 6, each on a fresh presentation;
-- cube_condition on e8:new's t_bound 6 triples, both sides, per check, and
-  right_reverse with its full trace on the same triples' right first words
-  u^-1 w w^-1 v, per call, both with a warm complement cache;
-- instantiate_window on a fresh d4:new at radius 2, per call, alone
-  (window_ms) and followed by the window's first rewrite table, the one
-  the first oracle call builds (window_table_ms);
-- cancellation_scan on the d4:new window of radius 2 at max_len 3, a fresh
-  call each repeat on a window built before the clock starts, so each call
-  builds the window's rewrite table;
-- monoid_equal on the two sides of the double_twist_s1 fixture, on the
-  same window, per call: cold, each call on a fresh window built before
-  the clock starts, and warm, each call on one window after a first call.
+- cubes: cube_condition on e8:new's t_bound 6 triples, both sides, per
+  check, and then right_reverse with its full trace on the same triples'
+  right first words u^-1 w w^-1 v, per call; a check of every triple,
+  made with the case, warms the complement cache;
+- fresh_e8: check_complemented(e8:new), and certify(e8:new) at t_bound 3
+  and at t_bound 6, each on its own fresh presentation;
+- windows: instantiate_window on a fresh d4:new at radius 2, per call,
+  alone (window_ms) and then followed by the window's first rewrite
+  table, the one the first oracle call builds (window_table_ms);
+- scan: cancellation_scan at max_len 3 on a d4:new window of radius 2,
+  so the call builds the window's rewrite table;
+- equalities: monoid_equal on the two sides of the double_twist_s1
+  fixture, per call: cold, each call on its own fresh window, and then
+  warm, each call on the first of those windows;
+- quotients: reverse_quotient on d4:new over all 1,296 pairs of the 36
+  words of length 2 over QUOTIENT_TOKENS, per kernel step: the 1,152
+  pairs whose reversal ends (quotient_ending_us_per_step, 6,256 steps)
+  and the 144 proved to cycle (quotient_cycling_us_per_step, 3,936
+  steps), after an untimed pass that warms the complement cache and sorts
+  the pairs; and Presentation.parse on each pair's two texts, per word
+  (parse_word_us).
 
-Each figure is the median of REPEATS runs.  Each run is scaled by the
-reference kernel of bench/reference.py, timed just before and just after
-it, so the figure reads as it would on a machine where that kernel takes
-REFERENCE_S; the raw medians are written beside the scaled ones.
+A case's set-up runs before the clock and the reference runs: each repeat
+builds the case, times the reference kernel of bench/reference.py, runs
+every figure's work in order, and times the kernel again.  The figures
+that share warm state (cold then warm, checks then reversals) share a case
+for that reason.  Each figure's time is scaled by that pair of reference
+runs, so it reads as it would on a machine where the kernel takes
+REFERENCE_S.  Every figure is the median of REPEATS runs, written beside
+its lower and upper quartiles (q1, q3; statistics.quantiles, inclusive
+method; a single run is its own quartiles), so that a change's figure can
+be read against the spread of another tree's runs; the unscaled medians
+are written beside them.
 
 With --cold-start N it measures instead the commands of COLD_COMMANDS from a
 cold start, in N fresh interpreters per command: each times `import
@@ -44,10 +61,8 @@ with PYTHONDONTWRITEBYTECODE=1, so that every run compiles monorev's
 sources, and "cached", with bytecode written once under a
 PYTHONPYCACHEPREFIX in a temporary directory and read back.  The runs go round the commands, trees
 and modes in turn, so that a drift in the machine's speed reaches each
-alike.  Every figure is a median over the N runs, written beside its lower
-and upper quartiles as <figure>_q1 and <figure>_q3 (statistics.quantiles,
-inclusive method; a single run is its own quartiles), so that a change's
-figure can be read against the spread of another tree's runs.
+alike.  Every figure is a median over the N runs, written beside its
+quartiles as <figure>_q1 and <figure>_q3, as in the layer mode.
 """
 
 from __future__ import annotations
@@ -82,7 +97,7 @@ from monorev.presentation import (  # noqa: E402
     pair_scan_generators,
     right_complement,
 )
-from monorev.reversing import right_reverse  # noqa: E402
+from monorev.reversing import Cycles, reverse_quotient, right_reverse  # noqa: E402
 from monorev.words import Generator, Letter  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("bench_reference", ROOT / "bench" / "reference.py")
@@ -117,80 +132,109 @@ LETTERS = 100_000
 KEY = "e8:new"
 EQUAL_CALLS = 20  # monoid_equal calls per run, cold and warm
 WINDOW_CALLS = 50  # windows built per run, with and without their rewrite table
+QUOTIENT_TOKENS = ("s1", "s2", "s3", "s4", "t(0)", "t(1)")  # 36 words of length 2
+UNITS = {"ms": 1e3, "us": 1e6}
 
 
-def letters_bench():
+def letters():
+    """Hashing, comparing and sorting 100,000 random e8:new letters."""
     p = catalog.load(KEY)
     rng = random.Random(6)
     gens = p.alphabet.finite_generators() + [Generator("t", i) for i in range(-3, 4)]
-    letters = [Letter(rng.choice(gens), rng.choice((1, -1))) for _ in range(LETTERS)]
+    sample = [Letter(rng.choice(gens), rng.choice((1, -1))) for _ in range(LETTERS)]
     # equal values in distinct objects, so equality compares fields
-    copies = [Letter(Generator(l.gen.family, l.gen.index), l.sign) for l in letters]
-    return {
-        "letter_hash_ms_per_100k": lambda: sum(map(hash, letters)),
-        "letter_eq_ms_per_100k": lambda: sum(map(operator.eq, letters, copies)),
-        "letter_sort_ms_per_100k": lambda: sorted(letters),
-    }
+    copies = [Letter(Generator(l.gen.family, l.gen.index), l.sign) for l in sample]
+    return [("letter_hash_ms_per_100k", "ms", lambda: sum(map(hash, sample)), 1),
+            ("letter_eq_ms_per_100k", "ms", lambda: sum(map(operator.eq, sample, copies)), 1),
+            ("letter_sort_ms_per_100k", "ms", lambda: sorted(sample), 1)]
 
 
-def complement_runs():
-    """A cold pass and a warm pass of right_complement over the scan pairs x != y, per call."""
+def complements():
+    """right_complement over the scan pairs x != y, a cold pass then a warm one."""
     p = catalog.load(KEY)
     pairs = [(x, y) for x, y in itertools.product(pair_scan_generators(p), repeat=2) if x != y]
-    timings = {}
-    for phase in ("cold", "warm"):
-        t0 = time.perf_counter()
+
+    def lookups():
         for x, y in pairs:
             right_complement(p, x, y)
-        timings[phase] = (time.perf_counter() - t0) / len(pairs)
-    return timings
+    return [("right_complement_cold_us", "us", lookups, len(pairs)),
+            ("right_complement_warm_us", "us", lookups, len(pairs))]
 
 
-def pair_lookup_run() -> float:
-    """instances_for_pair over the scan pairs, both sides, per call.
+def pair_lookups():
+    """instances_for_pair over the scan pairs, both sides.
 
     The lookup files nothing, so every call solves its pair; the pair
-    index is built before the clock starts.
+    index is built with the case.
     """
     p = catalog.load(KEY)
     pairs = list(itertools.product(pair_scan_generators(p), repeat=2))
     p.pair_index()
-    t0 = time.perf_counter()
-    for side in ("right", "left"):
-        for x, y in pairs:
-            instances_for_pair(p, x, y, side)
-    return (time.perf_counter() - t0) / (2 * len(pairs))
+
+    def lookups():
+        for side in ("right", "left"):
+            for x, y in pairs:
+                instances_for_pair(p, x, y, side)
+    return [("pair_lookup_us", "us", lookups, 2 * len(pairs))]
 
 
-def cube_runs():
-    """Cube checks per check and traced right reversals per call, on warm complements.
+def cubes():
+    """Cube checks, both sides, then traced right reversals, on warm complements.
 
-    Every cube check computes its verdict afresh, on both sides: the
-    mirror lemmas settle checks within a certify sweep only.
+    Every cube check computes its verdict afresh: the mirror lemmas settle
+    checks within a certify sweep only.
     """
     p = catalog.load(KEY)
     triples = enumerate_word_triples(p, 1, t_bound=6)
     firsts = [u.inverse() * w * w.inverse() * v for u, v, w in triples]
 
-    def cubes():
+    def checks():
         for side in ("right", "left"):
             for u, v, w in triples:
                 cube_condition(p, u, v, w, side=side)
 
-    cubes()  # fills the complement cache
-    timings = {}
-    t0 = time.perf_counter()
-    cubes()
-    timings["cube_warm_us"] = (time.perf_counter() - t0) / (2 * len(triples))
-    t0 = time.perf_counter()
-    for word in firsts:
-        right_reverse(p, word)
-    timings["reverse_warm_us"] = (time.perf_counter() - t0) / len(firsts)
-    return timings
+    def reversals():
+        for word in firsts:
+            right_reverse(p, word)
+    checks()  # fills the complement cache
+    return [("cube_warm_us", "us", checks, 2 * len(triples)),
+            ("reverse_warm_us", "us", reversals, len(firsts))]
 
 
-def monoid_equal_runs():
-    """monoid_equal on the double_twist_s1 sides, per call, cold and warm.
+def fresh_e8():
+    """check_complemented and certify at t_bound 3 and 6, each on its own fresh e8:new."""
+    p, q, r = (catalog.load(KEY) for _ in range(3))
+    return [("check_complemented_ms", "ms", lambda: check_complemented(p), 1),
+            ("certify_cold_ms", "ms", lambda: certify(q, t_bound=3), 1),
+            ("certify6_cold_ms", "ms", lambda: certify(r, t_bound=6), 1)]
+
+
+def windows():
+    """instantiate_window(d4:new, 2), alone and then with the window's first rewrite table.
+
+    Each call windows its own d4:new, loaded with the case.
+    """
+    alone, tabled = ([catalog.load("d4:new") for _ in range(WINDOW_CALLS)] for _ in range(2))
+
+    def bare():
+        for p in alone:
+            instantiate_window(p, 2)
+
+    def with_table():
+        for p in tabled:
+            oracle._table(instantiate_window(p, 2))
+    return [("window_ms", "ms", bare, WINDOW_CALLS),
+            ("window_table_ms", "ms", with_table, WINDOW_CALLS)]
+
+
+def scan():
+    """cancellation_scan at max_len 3 on a d4:new window of radius 2 built with the case."""
+    w = instantiate_window(catalog.load("d4:new"), 2)
+    return [("cancellation_scan_ms", "ms", lambda: cancellation_scan(w, max_len=3), 1)]
+
+
+def equalities():
+    """monoid_equal on the double_twist_s1 sides, cold then warm.
 
     A cold call is the first on its window, so it builds the rewrite
     table; a warm call finds the table built.
@@ -200,101 +244,95 @@ def monoid_equal_runs():
     script = parse_script(text, d4)
     u, v = script.start, script.expect
     windows = [instantiate_window(d4, 2) for _ in range(EQUAL_CALLS)]
-    timings = {}
-    t0 = time.perf_counter()
-    for w in windows:
-        monoid_equal(w, u, v)
-    timings["monoid_equal_cold_ms"] = (time.perf_counter() - t0) / EQUAL_CALLS
-    w = windows[0]
-    t0 = time.perf_counter()
-    for _ in range(EQUAL_CALLS):
-        monoid_equal(w, u, v)
-    timings["monoid_equal_warm_ms"] = (time.perf_counter() - t0) / EQUAL_CALLS
-    return timings
+
+    def cold():
+        for w in windows:
+            monoid_equal(w, u, v)
+
+    def warm():
+        for _ in range(EQUAL_CALLS):
+            monoid_equal(windows[0], u, v)
+    return [("monoid_equal_cold_ms", "ms", cold, EQUAL_CALLS),
+            ("monoid_equal_warm_ms", "ms", warm, EQUAL_CALLS)]
 
 
-def window_runs():
-    """instantiate_window(d4:new, 2) per call, without and with the window's first rewrite table.
+def quotients():
+    """reverse_quotient on d4:new over every pair of two-letter words, and parsing them.
 
-    Each call windows its own d4:new, loaded before the clock starts.
+    An untimed pass warms the complement cache and sorts the pairs into
+    those whose reversal ends and those proved to cycle.
     """
-    timings = {}
-    for name, table in (("window_ms", False), ("window_table_ms", True)):
-        fresh = [catalog.load("d4:new") for _ in range(WINDOW_CALLS)]
-        t0 = time.perf_counter()
-        for p in fresh:
-            w = instantiate_window(p, 2)
-            if table:
-                oracle._table(w)
-        timings[name] = (time.perf_counter() - t0) / WINDOW_CALLS
-    return timings
+    p = catalog.load("d4:new")
+    words = [f"{a} {b}" for a in QUOTIENT_TOKENS for b in QUOTIENT_TOKENS]
+    texts = list(itertools.product(words, repeat=2))
+    ending, cycling = [], []
+    for u, v in ((p.parse(u), p.parse(v)) for u, v in texts):
+        trace = reverse_quotient(p, u, v)
+        (cycling if isinstance(trace.outcome, Cycles) else ending).append((u, v, trace.step_count))
+
+    def reversals(group):
+        for u, v, _ in group:
+            reverse_quotient(p, u, v)
+
+    def parses():
+        for u, v in texts:
+            p.parse(u)
+            p.parse(v)
+    return [("quotient_ending_us_per_step", "us", lambda: reversals(ending),
+             sum(steps for *_, steps in ending)),
+            ("quotient_cycling_us_per_step", "us", lambda: reversals(cycling),
+             sum(steps for *_, steps in cycling)),
+            ("parse_word_us", "us", parses, 2 * len(texts))]
 
 
-def measure(fn) -> tuple[float, float]:
-    """One run of fn: (seconds, seconds scaled by the reference kernel)."""
+CASES = (letters, complements, pair_lookups, cubes, fresh_e8, windows, scan, equalities, quotients)
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """[q1, median, q3] of values: statistics.quantiles, inclusive method.
+
+    A single value is its own quartiles.
+    """
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
+def time_case(case) -> list[tuple[str, float, float]]:
+    """One run of a case: (name, time per call in its unit, the same scaled) per figure.
+
+    The case is built before the first reference run, and its inputs are
+    freed on return, before the next case builds its own.
+    """
+    figures = case()
+    timed = []
     before = reference.time_reference()
-    t0 = time.perf_counter()
-    fn()
-    seconds = time.perf_counter() - t0
-    return seconds, reference.scaled(seconds, before, reference.time_reference())
+    for name, unit, work, calls in figures:
+        t0 = time.perf_counter()
+        work()
+        timed.append((name, (time.perf_counter() - t0) / calls * UNITS[unit]))
+    after = reference.time_reference()
+    return [(name, value, reference.scaled(value, before, after)) for name, value in timed]
 
 
 def run() -> dict:
-    factor: dict[str, float] = {}  # seconds to the unit the figure's name ends in
     raw: dict[str, list[float]] = {}
     scaled: dict[str, list[float]] = {}
-
-    def record(name: str, to_unit: float, seconds: float, scaled_s: float) -> None:
-        factor[name] = to_unit
-        raw.setdefault(name, []).append(seconds)
-        scaled.setdefault(name, []).append(scaled_s)
-
     for _ in range(REPEATS):
-        for name, fn in letters_bench().items():
-            record(name, 1e3, *measure(fn))
-        before = reference.time_reference()
-        per_call = complement_runs()
-        after = reference.time_reference()
-        for phase, seconds in per_call.items():
-            record(f"right_complement_{phase}_us", 1e6, seconds,
-                   reference.scaled(seconds, before, after))
-        before = reference.time_reference()
-        seconds = pair_lookup_run()
-        after = reference.time_reference()
-        record("pair_lookup_us", 1e6, seconds, reference.scaled(seconds, before, after))
-        before = reference.time_reference()
-        per_call = cube_runs()
-        after = reference.time_reference()
-        for name, seconds in per_call.items():
-            record(name, 1e6, seconds, reference.scaled(seconds, before, after))
-        p = catalog.load(KEY)
-        record("check_complemented_ms", 1e3, *measure(lambda: check_complemented(p)))
-        p = catalog.load(KEY)
-        record("certify_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=3)))
-        p = catalog.load(KEY)
-        record("certify6_cold_ms", 1e3, *measure(lambda: certify(p, t_bound=6)))
-        before = reference.time_reference()
-        per_call = window_runs()
-        after = reference.time_reference()
-        for name, seconds in per_call.items():
-            record(name, 1e3, seconds, reference.scaled(seconds, before, after))
-        w = instantiate_window(catalog.load("d4:new"), 2)
-        record("cancellation_scan_ms", 1e3, *measure(lambda: cancellation_scan(w, max_len=3)))
-        before = reference.time_reference()
-        per_call = monoid_equal_runs()
-        after = reference.time_reference()
-        for name, seconds in per_call.items():
-            record(name, 1e3, seconds, reference.scaled(seconds, before, after))
+        for case in CASES:
+            for name, value, scaled_value in time_case(case):
+                raw.setdefault(name, []).append(value)
+                scaled.setdefault(name, []).append(scaled_value)
+    q1, median, q3 = ({name: round(quartiles(values)[i], 3) for name, values in scaled.items()}
+                      for i in range(3))
     return {
         "script": "scripts/layer_bench.py",
         "presentation": KEY,
         "python": platform.python_version(),
         "repeats": REPEATS,
         "reference_s": reference.REFERENCE_S,
-        "figures": {name: round(statistics.median(v) * factor[name], 3)
-                    for name, v in scaled.items()},
-        "unscaled": {name: round(statistics.median(v) * factor[name], 3)
-                     for name, v in raw.items()},
+        "figures": median,
+        "q1": q1,
+        "q3": q3,
+        "unscaled": {name: round(quartiles(values)[1], 3) for name, values in raw.items()},
     }
 
 
@@ -345,9 +383,8 @@ def cold_start(trees: dict[str, Path], runs: int, scratch: Path) -> dict:
         }
         figures = result[name][mode][command] = {}
         for figure, values in seconds.items():
-            q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                         if len(values) > 1 else values * 3)
-            figures[figure] = round(statistics.median(values) * 1e3, 2)
+            q1, median, q3 = quartiles(values)
+            figures[figure] = round(median * 1e3, 2)
             figures[f"{figure}_q1"] = round(q1 * 1e3, 2)
             figures[f"{figure}_q3"] = round(q3 * 1e3, 2)
     return {
@@ -381,7 +418,7 @@ def main(argv=None) -> int:
     if args.cold_start < 1:
         result = run()
         for name, value in result["figures"].items():
-            print(f"{name:28} {value:10.3f}")
+            print(f"{name:28} {value:10.3f}  [{result['q1'][name]:.3f}, {result['q3'][name]:.3f}]")
     else:
         trees = dict(args.tree) or {"this": ROOT}
         with tempfile.TemporaryDirectory() as scratch:

@@ -103,6 +103,18 @@ MUTANTS = (
            "p = instantiate_window(p, args.window)",
            "pass",
            ("tests/test_cli.py::test_oracle_equal", "tests/test_cli.py::test_oracle_class")),
+    Mutant("transposed-filing", "src/monorev/presentation.py",
+           "if x.family != y.family or not inst.bindings:",
+           "if True:",
+           ("tests/test_presentation.py::test_scan_files_cold_complements",)),
+    Mutant("triple-normalisation", "src/monorev/completeness.py",
+           "if min(a, b, c) in (0, free)]",
+           "if True]",
+           ("tests/test_completeness.py::test_enumerate_generator_triples",)),
+    Mutant("boundary-difference", "src/monorev/presentation.py",
+           "near.add(abs(a.offset - b.offset))",
+           "pass",
+           ("tests/test_completeness.py::test_certify_refuses_wide_offset_conflict",)),
     Mutant("union-key-sort", "src/monorev/oracle.py",
            "    keys.sort()\n",
            "",

@@ -7,9 +7,7 @@ seven-move derivation replayed and then re-proved by reversing, and the
 translation product identities.
 """
 
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -17,19 +15,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from monorev.cli import main as monorev  # noqa: E402
 from monorev.derivation import t_expression, verify_translation_product  # noqa: E402
-
-DOUBLE_TWIST = """\
-presentation: d4:new
-start: t(1) t(0) s1 t(1) t(0) s1
-expect: s1 t(1) t(0) s1 t(1) t(0)
-rel translation i=2,j=1 rl @0
-rel t_braid i=1,j=1 lr @1
-rel t_braid i=0,j=1 rl @3
-rel translation i=2,j=1 rl @2
-rel t_braid i=2,j=1 lr @0
-rel t_braid i=1,j=1 rl @2
-rel translation i=2,j=1 lr @1
-"""
 
 
 def run(*argv: str, shown: str | None = None) -> None:
@@ -49,11 +34,8 @@ def main() -> int:
     run("cube", "e8:new", "s7", "t(2)", "s8")
 
     print("== double twist commutes with s1, three ways ==\n")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "double_twist.script")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(DOUBLE_TWIST)
-        run("derive", path, shown="derive double_twist.script")
+    run("derive", str(ROOT / "tests" / "fixtures" / "double_twist_s1.script"),
+        shown="derive double_twist.script")
     run("quotient", "d4:new", "t(1) t(0) s1 t(1) t(0) s1", "s1 t(1) t(0) s1 t(1) t(0)")
     run("oracle", "equal", "d4:new", "--window", "2",
         "t(1) t(0) s1 t(1) t(0) s1", "s1 t(1) t(0) s1 t(1) t(0)")

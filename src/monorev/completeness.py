@@ -154,6 +154,8 @@ def cube_traces(p: Presentation, u: Word, v: Word, w: Word, side: str = "right",
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    if any(l.sign < 0 for word in (u, v, w) for l in word):
+        raise ValueError("cube condition expects positive words")
     reverse = right_reverse if side == "right" else left_reverse
     first = reverse(p, Word(_first_word(u, v, w, side)), fuel)
     if not first.reached_terminal:

@@ -511,6 +511,16 @@ def test_cube_validation(d4):
         cube_condition(d4, d4.parse("s1^-1"), d4.parse("s2"), d4.parse("s3"))
 
 
+def test_cube_traces_refuses_non_positive_words(d4):
+    # the check cube_condition refuses is not traced either
+    s2, s3 = d4.parse("s2"), d4.parse("s3")
+    for u in (d4.parse("s1^-1"), d4.parse("s1 s1^-1")):
+        for side in ("right", "left"):
+            for triple in ((u, s2, s3), (s2, s3, u)):
+                with pytest.raises(ValueError, match="expects positive words"):
+                    cube_traces(d4, *triple, side=side)
+
+
 def test_positivity_is_checked_on_a_warm_cache(d4):
     p = fresh(d4)
     s1, s2, s3 = p.parse("s1"), p.parse("s2"), p.parse("s3")

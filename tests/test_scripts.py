@@ -64,13 +64,16 @@ def test_layer_bench(capsys, tmp_path):
     out = tmp_path / "bench.json"
     assert script.main(["--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert set(data["figures"]) == set(data["unscaled"]) == {
+    figures = data["figures"]
+    assert set(figures) == set(data["unscaled"]) == set(data["q1"]) == set(data["q3"]) == {
         "letter_hash_ms_per_100k", "letter_eq_ms_per_100k", "letter_sort_ms_per_100k",
         "right_complement_cold_us", "right_complement_warm_us", "pair_lookup_us",
         "check_complemented_ms", "certify_cold_ms", "certify6_cold_ms", "cube_warm_us",
         "reverse_warm_us", "window_ms", "window_table_ms", "cancellation_scan_ms",
-        "monoid_equal_cold_ms", "monoid_equal_warm_ms"}
-    assert all(value > 0 for value in data["figures"].values())
+        "monoid_equal_cold_ms", "monoid_equal_warm_ms", "quotient_ending_us_per_step",
+        "quotient_cycling_us_per_step", "parse_word_us"}
+    assert all(value > 0 for value in figures.values())
+    assert all(data["q1"][name] <= figures[name] <= data["q3"][name] for name in figures)
     assert "certify_cold_ms" in capsys.readouterr().out
 
 
