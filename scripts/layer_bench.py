@@ -16,6 +16,8 @@ layer, and the figure is its time per call in unit.  The cases are:
   kernel looks up, a cold pass (empty cache) and then a warm one;
 - pair_lookups: instances_for_pair on e8:new over every pair of those
   generators, both sides;
+- triples: enumerate_word_triples(e8:new, 1, 6), the generator triples
+  of a t_bound 6 sweep, per call;
 - cubes: cube_condition on e8:new's t_bound 6 triples, both sides, per
   check, and then right_reverse with its full trace on the same triples'
   right first words u^-1 w w^-1 v, per call; a check of every triple,
@@ -40,15 +42,16 @@ layer, and the figure is its time per call in unit.  The cases are:
 
 A case's set-up runs before the clock and the reference runs: each repeat
 builds the case, times the reference kernel of bench/reference.py, runs
-every figure's work in order, and times the kernel again.  The figures
-that share warm state (cold then warm, checks then reversals) share a case
-for that reason.  Each figure's time is scaled by that pair of reference
-runs, so it reads as it would on a machine where the kernel takes
-REFERENCE_S.  Every figure is the median of REPEATS runs, written beside
-its lower and upper quartiles (q1, q3; statistics.quantiles, inclusive
-method; a single run is its own quartiles), so that a change's figure can
-be read against the spread of another tree's runs; the unscaled medians
-are written beside them.
+every figure's work in order, and times the kernel again.  Once a case's
+inputs are freed the garbage collector runs, so that the next case builds
+on a settled heap.  The figures that share warm state (cold then warm,
+checks then reversals) share a case for that reason.  Each figure's time
+is scaled by that pair of reference runs, so it reads as it would on a
+machine where the kernel takes REFERENCE_S.  Every figure is the median
+of REPEATS runs, written beside its lower and upper quartiles (q1, q3;
+statistics.quantiles, inclusive method; a single run is its own
+quartiles), so that a change's figure can be read against the spread of
+another tree's runs; the unscaled medians are written beside them.
 
 With --cold-start N it measures instead the commands of COLD_COMMANDS from a
 cold start, in N fresh interpreters per command: each times `import
@@ -68,6 +71,7 @@ quartiles as <figure>_q1 and <figure>_q3, as in the layer mode.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import itertools
 import json
@@ -131,6 +135,7 @@ print(json.dumps([code, t1 - t0, t2 - t1, before, time_reference()]))
 LETTERS = 100_000
 KEY = "e8:new"
 EQUAL_CALLS = 20  # monoid_equal calls per run, cold and warm
+TRIPLE_CALLS = 20  # enumerate_word_triples calls per run
 WINDOW_CALLS = 50  # windows built per run, with and without their rewrite table
 QUOTIENT_TOKENS = ("s1", "s2", "s3", "s4", "t(0)", "t(1)")  # 36 words of length 2
 UNITS = {"ms": 1e3, "us": 1e6}
@@ -176,6 +181,16 @@ def pair_lookups():
             for x, y in pairs:
                 instances_for_pair(p, x, y, side)
     return [("pair_lookup_us", "us", lookups, 2 * len(pairs))]
+
+
+def triples():
+    """enumerate_word_triples(e8:new, 1, 6), the triples a t_bound 6 sweep checks."""
+    p = catalog.load(KEY)
+
+    def enumerations():
+        for _ in range(TRIPLE_CALLS):
+            enumerate_word_triples(p, 1, 6)
+    return [("triples_ms", "ms", enumerations, TRIPLE_CALLS)]
 
 
 def cubes():
@@ -285,7 +300,8 @@ def quotients():
             ("parse_word_us", "us", parses, 2 * len(texts))]
 
 
-CASES = (letters, complements, pair_lookups, cubes, fresh_e8, windows, scan, equalities, quotients)
+CASES = (letters, complements, pair_lookups, triples, cubes, fresh_e8, windows, scan, equalities,
+         quotients)
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -299,8 +315,8 @@ def quartiles(values: list[float]) -> list[float]:
 def time_case(case) -> list[tuple[str, float, float]]:
     """One run of a case: (name, time per call in its unit, the same scaled) per figure.
 
-    The case is built before the first reference run, and its inputs are
-    freed on return, before the next case builds its own.
+    The case is built before the first reference run.  Its inputs are
+    freed on return and collected, before the next case builds its own.
     """
     figures = case()
     timed = []
@@ -310,6 +326,8 @@ def time_case(case) -> list[tuple[str, float, float]]:
         work()
         timed.append((name, (time.perf_counter() - t0) / calls * UNITS[unit]))
     after = reference.time_reference()
+    del figures, work
+    gc.collect()
     return [(name, value, reference.scaled(value, before, after)) for name, value in timed]
 
 

@@ -51,6 +51,10 @@ MUTANTS = (
            "if x != y:",
            "if x.family != y.family:",
            ("tests/test_acceptance.py::test_cycle_proofs_sound",)),
+    Mutant("kept-unread-length", "src/monorev/reversing.py",
+           "kept_done, kept_todo = pos, rest",
+           "kept_done = pos",
+           ("tests/test_acceptance.py::test_cycle_proofs_sound",)),
     Mutant("left-sweep-reuse", "src/monorev/completeness.py",
            'if side == "left" and (failures or cycling or fuel_outs or not p.mirror_symmetric()):',
            'if side == "left" and not p.mirror_symmetric():',
@@ -108,8 +112,8 @@ MUTANTS = (
            "if True:",
            ("tests/test_presentation.py::test_scan_files_cold_complements",)),
     Mutant("triple-normalisation", "src/monorev/completeness.py",
-           "if min(a, b, c) in (0, free)]",
-           "if True]",
+           "for w in thirds.get(min(a, b), zero)]",
+           "for w in words]",
            ("tests/test_completeness.py::test_enumerate_generator_triples",)),
     Mutant("boundary-difference", "src/monorev/presentation.py",
            "near.add(abs(a.offset - b.offset))",

@@ -103,7 +103,9 @@ def _second_word(u: Word, v: Word, done: Sequence[Letter], side: str) -> tuple[L
     reversal ended on done = v' u'^-1 (right) or u'^-1 v' (left)."""
     lead = 1 if side == "right" else -1
     cut = len(done) - next((i for i, l in enumerate(done) if l.sign != lead), len(done))
-    inverse = tuple(map(Letter.inverse, done[::-1]))  # u' v'^-1 (right) or v'^-1 u' (left)
+    new = tuple.__new__
+    # u' v'^-1 (right) or v'^-1 u' (left)
+    inverse = tuple([new(Letter, (gen, -sign)) for gen, sign in done[::-1]])
     head, tail = inverse[cut:], inverse[:cut]
     if side == "right":
         return head + _word_inverse(u) + v + tail
@@ -174,18 +176,23 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
     adds the triple and (v, u, w) (the mirror lemma of the module
     docstring).  Nothing else is kept.  The set holds positive words only,
     so only a computed check checks that the words are positive.
+
+    certify calls this function through the module attribute once per
+    (side, triple), a settled check included, and bench/tracing.py counts
+    those calls against the certificates' triple counts.
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     triple = (u, v, w)
     if passed is not None and triple in passed:
-        return CubeResult(triple, side, *_PASS)
+        return tuple.__new__(CubeResult, (triple, side, "pass", "ok"))
     if any(l.sign < 0 for word in triple for l in word):
         raise ValueError("cube condition expects positive words")
-    verdict = _verdict(p, u, v, w, side, fuel)
-    if passed is not None and verdict == _PASS:
-        passed.update((triple, (v, u, w)))
-    return CubeResult(triple, side, *verdict)
+    status, reason = _verdict(p, u, v, w, side, fuel)
+    if passed is not None and status == "pass":
+        passed.add(triple)
+        passed.add((v, u, w))
+    return tuple.__new__(CubeResult, (triple, side, status, reason))
 
 
 def enumerate_word_triples(p: Presentation, max_len: int,
@@ -199,6 +206,13 @@ def enumerate_word_triples(p: Presentation, max_len: int,
     index 0, so each class of triples under index translation is
     enumerated exactly once.  The triples are counted before any word is
     built, and more than MAX_TRIPLES raise SweepCapError.
+
+    The triples are built, not filtered from the full cube.  Each word
+    has a low, its smallest family index, or `free` (past every index)
+    when it mentions no family.  For a pair (u, v) with smaller low m the
+    third word w is every word when m is 0, a word of low 0 or `free`
+    when m is `free`, and a word of low 0 otherwise.  The triples come in
+    the order of itertools.product over the words.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -217,9 +231,13 @@ def enumerate_word_triples(p: Presentation, max_len: int,
     # word without one: a triple's smallest is then 0, or `free` when it has none
     free = 2 * t_bound + 1
     lows = [min((l.gen.index for l in w if l.gen.family in fams), default=free) for w in words]
-    return [(u, v, w)
-            for (u, a), (v, b), (w, c) in itertools.product(zip(words, lows), repeat=3)
-            if min(a, b, c) in (0, free)]
+    # the third words that complete a pair whose smaller low is the key
+    # (any other low above 0 takes those of low 0)
+    zero = [w for w, c in zip(words, lows) if c == 0]
+    thirds = {0: words, free: [w for w, c in zip(words, lows) if c in (0, free)]}
+    word_lows = list(zip(words, lows))
+    return [(u, v, w) for u, a in word_lows for v, b in word_lows
+            for w in thirds.get(min(a, b), zero)]
 
 
 def _require_sweep_size(p: Presentation, max_len: int, t_bound: int) -> None:

@@ -35,6 +35,13 @@ integer-family letter of every schema carries a parameter ranging over Z
 (Presentation.translation_invariant).  Detection does not depend on fuel;
 fuel only ends reversals the proof has not caught.
 
+The kernel keeps the lengths it compares in locals rather than asking the
+lists each step: the saved stacks' lengths (kept_done, kept_todo), set at
+a checkpoint, the prefix length once the redex is popped (pos, also the
+redex's position) and the unread length once its replacement is pushed
+(rest).  The moves between rewrites change both stacks, so the lengths
+are taken once per rewrite, after the pops.
+
 The zipper loop is `_run`, which returns only the outcome and both stacks;
 the cube condition runs it so.  `_reverse` has it record a small step
 record per rewrite and builds the trace.  Intermediate words are replayed
@@ -211,13 +218,13 @@ def _run(p: Presentation, word: Sequence[Letter], fuel: int, side: str,
     todo = list(word)
     todo.reverse()
     n = 0
-    # The last checkpoint (step `since`, 0 before the first) and its stacks;
-    # below low_done and low_todo nothing has been read since.  exact records
-    # that `done` was seen empty.
+    # The last checkpoint (step `since`, 0 before the first), its stacks and
+    # their lengths; below low_done and low_todo nothing has been read since.
+    # exact records that `done` was seen empty.
     since, mark = 0, 1
     saved_done: list[Letter] = []
     saved_todo: list[Letter] = []
-    low_done = low_todo = 0
+    kept_done = kept_todo = low_done = low_todo = 0
     exact = False
     while True:
         while todo:
@@ -228,42 +235,43 @@ def _run(p: Presentation, word: Sequence[Letter], fuel: int, side: str,
             return None, done, todo
         if n >= fuel:
             return Diverged(fuel), done, todo
-        pos = len(done) - 1
-        x, y = done[-1].gen, todo[-1].gen
-        comp = None  # x^-1 x (right) or x x^-1 (left) cancels with no lookup
+        a, b = done.pop(), todo.pop()
+        x, y = a.gen, b.gen
+        # the redex's position, which is the prefix length from here on, and
+        # the unread length, first without the redex and then after the push
+        pos, rest = len(done), len(todo)
+        if rest < low_todo:
+            low_todo = rest
         if x != y:
             comp = complement(p, x, y)
             if comp is None:
+                done.append(a)
+                todo.append(b)
                 return Stuck(pos, (x, y)), done, todo
-        done.pop()
-        todo.pop()
-        if len(todo) < low_todo:
-            low_todo = len(todo)
-        if comp is None:
-            if steps is not None:
-                steps.append(ReversalStep(pos, None))
-        else:
             todo.extend(comp.push)
+            rest = len(todo)
             if steps is not None:
                 steps.append(ReversalStep(pos, comp.rule))
+        elif steps is not None:  # x^-1 x (right) or x x^-1 (left) cancels with no lookup
+            steps.append(ReversalStep(pos, None))
         n += 1
         # lengths first: the slices below are only worth building when the
         # stacks have regrown over everything read since the checkpoint
-        if (since and len(todo) >= len(saved_todo) and len(done) >= len(saved_done)
-                and not (exact and len(done) != len(saved_done))):
-            a = len(saved_done) - low_done
-            k = _translation(done[len(done) - a:] + todo[len(todo) - len(saved_todo) + low_todo:],
+        if (since and rest >= kept_todo and pos >= kept_done
+                and not (exact and pos != kept_done)):
+            k = _translation(done[pos - kept_done + low_done:] + todo[rest - kept_todo + low_todo:],
                              saved_done[low_done:] + saved_todo[low_todo:], families)
             if k is not None and (k == 0 or p.translation_invariant()):
                 return Cycles(n, n - since, k), done, todo
         if n == mark:
             since, mark = n, 2 * n
             saved_done, saved_todo = done[:], todo[:]
-            low_done, low_todo, exact = max(len(done) - 1, 0), len(todo), not done
-        elif len(done) <= low_done:
+            kept_done, kept_todo = pos, rest
+            low_done, low_todo, exact = pos - 1 if pos else 0, rest, not pos
+        elif pos <= low_done:
             # the next move reads the new top of done, or sees it empty
-            low_done = max(len(done) - 1, 0)
-            exact = exact or not done
+            low_done = pos - 1 if pos else 0
+            exact = exact or not pos
 
 
 def _reverse(p: Presentation, word: Word, fuel: int, side: str) -> ReversalTrace:

@@ -14,9 +14,9 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from monorev import catalog
+from monorev import catalog, load_presentation
 from monorev.completeness import certify, cube_condition, cube_traces
 from monorev.derivation import parse_script, verify_script, verify_translation_product
 from monorev.grid import build_grid, grid_to_dot
@@ -31,6 +31,7 @@ from monorev.reversing import (
     Cycles,
     Diverged,
     Empty,
+    Stuck,
     left_reverse,
     reverse_quotient,
     right_reverse,
@@ -45,7 +46,7 @@ from monorev.words import (
     shift_word,
 )
 
-from conftest import FIXTURES, reference_reverse
+from conftest import FIXTURES, TWO_COMMUTES, reference_reverse
 
 NEW_KEYS = ("d4:new", "e6:new", "e7:new", "e8:new")
 YAMADA_KEYS = ("d4:yamada", "e6:yamada", "e7:yamada", "e8:yamada")
@@ -300,6 +301,34 @@ def test_cycle_proofs_sound(d4_word, c3_word):
                 assert [str(x) for x in got.words()][-1] == str(got.final)
             else:
                 assert (got.steps, got.outcome, got.final) == (tuple(steps), outcome, final)
+
+
+TWO = load_presentation(TWO_COMMUTES, name="two-commutes")
+TWO_LETTERS = [Letter(Generator(name, 1), sign) for name in "abc" for sign in (1, -1)]
+# a relation and a cancellation on each side, then stuck on (b1, c1)
+STUCK_BOTH_SIDES = "a1^-1 b1 a1 b1^-1 c1 b1 c1^-1"
+
+
+@settings(max_examples=300, deadline=None)
+@given(letters=st.lists(st.sampled_from(TWO_LETTERS), max_size=12))
+@example(letters=list(TWO.parse(STUCK_BOTH_SIDES)))
+def test_kernel_matches_the_reference_where_it_sticks(letters):
+    """On two-commutes, where (b1, c1) has no relation, the kernel takes the
+    steps of plain list-splice reversing and ends as it does, on both sides:
+    the same Stuck(position, pair), the same terminal split, the same word."""
+    w = Word(tuple(letters))
+    for side, reverse in (("right", right_reverse), ("left", left_reverse)):
+        got = reverse(TWO, w, 2000)
+        steps, outcome, final = reference_reverse(TWO, w, 2000, side)
+        assert (got.steps, got.outcome, got.final) == (tuple(steps), outcome, final)
+
+
+def test_the_stuck_example_sticks_after_steps():
+    w = TWO.parse(STUCK_BOTH_SIDES)
+    pair = (Generator("b", 1), Generator("c", 1))
+    for reverse, pos in ((right_reverse, 1), (left_reverse, 3)):
+        trace = reverse(TWO, w, 2000)
+        assert trace.step_count == 2 and trace.outcome == Stuck(pos, pair)
 
 
 def test_property_suites():

@@ -422,7 +422,10 @@ def test_left_sweep_makes_no_reversal(d4, monkeypatch):
 
 @pytest.mark.parametrize("key", ["d4:new", "affine-a:classical:3", "d4:yamada"])
 def test_certify_checks_each_triple_once_a_side(key, monkeypatch):
-    """One cube_condition call per (side, triple), settled or not; none when refused."""
+    """One cube_condition call per (side, triple), settled or not; none when refused.
+
+    bench/tracing.py counts these calls, one per (side, triple), against
+    the certificates' triple counts."""
     calls = []
     check = completeness.cube_condition
 
