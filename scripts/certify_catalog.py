@@ -25,8 +25,8 @@ PARAMETRIC_RANKS = (3, 4)
 
 def default_keys() -> list[str]:
     keys = list(FIXED)
-    for family in ("classical", "shi", "cll"):
-        keys.extend(f"affine-a:{family}:{n}" for n in PARAMETRIC_RANKS)
+    for name in catalog.PARAMETRIC_NAMES:
+        keys.extend(name.replace("<n>", str(n)) for n in PARAMETRIC_RANKS)
     return keys
 
 

@@ -111,6 +111,11 @@ MUTANTS = (
            "if x.family != y.family or not inst.bindings:",
            "if True:",
            ("tests/test_presentation.py::test_scan_files_cold_complements",)),
+    Mutant("diagonal-conflict", "src/monorev/presentation.py",
+           "if x == y:  # solved, not filed: the kernel never looks (x, x) up",
+           "if x == y:\n                continue",
+           ("tests/test_completeness.py::test_certify_names_the_relation_of_a_diagonal_conflict",
+            "tests/test_presentation.py::test_scan_files_cold_complements")),
     Mutant("triple-normalisation", "src/monorev/completeness.py",
            "for w in thirds.get(min(a, b), zero)]",
            "for w in words]",

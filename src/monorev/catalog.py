@@ -141,16 +141,3 @@ def load(name: str) -> Presentation:
 
 def names() -> tuple[str, ...]:
     return FIXED_NAMES + PARAMETRIC_NAMES
-
-
-def describe(p: Presentation) -> str:
-    """Readable listing: alphabet, then one line per relation schema."""
-    lines = [f"presentation {p.name}"]
-    fin = " ".join(str(g) for g in p.alphabet.finite_generators())
-    if fin:
-        lines.append(f"  generators: {fin}")
-    for fam in sorted(p.alphabet.integer_families):
-        lines.append(f"  family: {fam}(i) for i in Z")
-    lines.append(f"  homogeneous: {'yes' if p.homogeneous else 'no'}")
-    lines.extend(f"  {s.line()}" for s in p.schemas)
-    return "\n".join(lines)

@@ -40,6 +40,7 @@ from .presentation import (
     Presentation,
     instantiate_window,
     load_presentation,
+    save_presentation,
 )
 
 if TYPE_CHECKING:
@@ -170,7 +171,9 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_show(args) -> int:
-    print(catalog.describe(_load(args.presentation)))
+    p = _load(args.presentation)
+    print(f"# presentation {p.name}\n# homogeneous: {'yes' if p.homogeneous else 'no'}")
+    print(save_presentation(p), end="")
     return OK
 
 

@@ -344,9 +344,12 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     sides = [side for side, rep in (("right", right_rep), ("left", left_rep))
              if rep.verdict == "complemented"]
     if not sides:
-        pair, _ = right_rep.conflicts[0]
+        (x, y), insts = right_rep.conflicts[0]
+        if x == y:  # one relation conflicts with itself: both sides start with x
+            return refused(f"not complemented on either side; e.g. both sides of relation "
+                           f"{insts[0].label()} ({insts[0]}) start with {x}")
         return refused(
-            f"not complemented on either side; e.g. generators ({pair[0]}, {pair[1]}) "
+            f"not complemented on either side; e.g. generators ({x}, {y}) "
             "head more than one relation"
         )
     triples = enumerate_word_triples(p, 1 if word_len is None else word_len, t_bound)

@@ -21,8 +21,9 @@ Relations are unordered pairs of words; instances returned by queries are
 oriented so that the left side starts (or ends) with the first generator of
 the queried pair.
 
-A schema is written as one line, `Schema.line()`, by `monorev show` and by
-the text format alike, so saving and loading give back the same schemas.
+A schema is written as one line, `Schema.line()`, in the text format that
+`save_presentation` writes, `load_presentation` reads and `monorev show`
+prints, so saving and loading give back the same schemas.
 
 Complements are cached per presentation, for pairs x != y: reversing
 deletes x^-1 x without a lookup.  An entry is None or a ComplementPair, the
@@ -309,23 +310,19 @@ class Schema(_SchemaFields):
                 return None
         return self._build(values, swap)
 
-    def render(self) -> str:
-        left = " ".join(pl.render() for pl in self.lhs)
-        right = " ".join(pl.render() for pl in self.rhs)
-        return f"{left} = {right}"
-
     def line(self) -> str:
-        """The schema as `monorev show` and the text format write it, domains included.
+        """The schema as the text format writes it after `schema`, domains included.
 
         `t_braid [i in Z; j in {1, 2, 3}]: t(i) s(j) t(i) = s(j) t(i) s(j)`
         """
+        sides = " = ".join(" ".join(pl.render() for pl in side) for side in (self.lhs, self.rhs))
         if not self.params:
-            return f"{self.name}: {self.render()}"
+            return f"{self.name}: {sides}"
         doms = "; ".join(
             f"{p.name} in Z" if p.values is None
             else f"{p.name} in {{{', '.join(map(str, p.values))}}}"
             for p in self.params)
-        return f"{self.name} [{doms}]: {self.render()}"
+        return f"{self.name} [{doms}]: {sides}"
 
 
 class Presentation:
@@ -849,8 +846,10 @@ def save_presentation(p: Presentation) -> str:
     """Render a presentation in the plain-text format.
 
     After the header comes `schema <line>` for every schema, where the line
-    is `Schema.line()`, the one `monorev show` prints.  Names and parameter
-    domains are written out, so loading the text gives back the same schemas.
+    is `Schema.line()`.  Names and parameter domains are written out, so
+    loading the text gives back the same schemas.  `monorev show` prints
+    this text after two comment lines, the name and whether it is
+    homogeneous, so its output is a presentation file.
     """
     gens = " ".join(str(g) for g in p.alphabet.finite_generators())
     header = f"generators: {gens}"

@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import deque
 
 import pytest
@@ -19,6 +20,13 @@ settings.register_profile("monorev", deadline=None)
 settings.load_profile("monorev")
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
+
+# catalog keys whose saved text fixtures/catalog_saved.json pins
+ROUND_TRIP_KEYS = list(catalog.FIXED_NAMES) + [
+    f"affine-a:{family}:{n}" for family in ("classical", "shi", "cll") for n in (3, 4, 5)]
+
+with open(f"{FIXTURES}/catalog_saved.json", encoding="utf-8") as fh:
+    SAVED_CATALOG = json.load(fh)
 
 # Small hand-made presentations shared across test modules.  The first two
 # reuse generator names on purpose: same commutation relations, but the

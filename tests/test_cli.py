@@ -6,6 +6,7 @@ in-process through main(argv).
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -15,10 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monorev import catalog, completeness, save_presentation
+from monorev import catalog, completeness, load_presentation, oracle, save_presentation
 from monorev.cli import _build_parser, main
 
-from conftest import FIXTURES, GLUE, NONHOM, PINNED_T, SKEWED, TWO_COMMUTES
+from conftest import (
+    FIXTURES,
+    GLUE,
+    NONHOM,
+    ONE_SIDED,
+    PINNED_T,
+    ROUND_TRIP_KEYS,
+    SAVED_CATALOG,
+    SKEWED,
+    SQUARE_CHAIN,
+    TWO_COMMUTES,
+    WIDE_OFFSET,
+)
 
 
 def run(capsys, *argv):
@@ -44,12 +57,42 @@ def test_list(capsys):
     assert "d4:new" in names and "affine-a:cll:<n>" in names
 
 
-def test_show(capsys):
+def test_show(capsys, tmp_path):
     code, out, _ = run(capsys, "show", "d4:new")
     assert code == 0
-    assert "presentation d4:new" in out
-    assert "family: t(i) for i in Z" in out
-    assert "translation [i in Z; j in Z]: t(i) t(i-1) = t(j) t(j-1)" in out
+    assert out.startswith("# presentation d4:new\n# homogeneous: yes\n"
+                          "generators: s1 s2 s3 s4 ; families: t\n")
+    assert "schema translation [i in Z; j in Z]: t(i) t(i-1) = t(j) t(j-1)\n" in out
+    # the output is a presentation file, which certify takes as it stands
+    path = tmp_path / "d4.pres"
+    path.write_text(out)
+    code, out, _ = run(capsys, "certify", str(path), "--t-bound", "1")
+    assert code == 0 and json.loads(out)["claim"] == "cancellative-up-to"
+
+
+SHOW_TEXTS = {"two_commutes": TWO_COMMUTES, "skewed": SKEWED, "glue": GLUE,
+              "one_sided": ONE_SIDED, "nonhom": NONHOM, "wide_offset": WIDE_OFFSET,
+              "pinned_t": PINNED_T, "square_chain": SQUARE_CHAIN}
+
+
+@pytest.mark.parametrize("source", ROUND_TRIP_KEYS + list(SHOW_TEXTS))
+def test_show_prints_a_presentation_file(capsys, tmp_path, source):
+    if source in SHOW_TEXTS:
+        path = tmp_path / f"{source}.pres"
+        path.write_text(SHOW_TEXTS[source])
+        p, source = load_presentation(SHOW_TEXTS[source], name=path.name), str(path)
+    else:
+        p = catalog.load(source)
+    code, out, _ = run(capsys, "show", source)
+    assert code == 0
+    homogeneous = "no" if p.name == "nonhom.pres" else "yes"
+    assert out.startswith(f"# presentation {p.name}\n# homogeneous: {homogeneous}\n")
+    text = "".join(line for line in out.splitlines(keepends=True) if not line.startswith("#"))
+    assert text == save_presentation(p)
+    if source in SAVED_CATALOG:
+        assert text == SAVED_CATALOG[source]
+    again = load_presentation(out)
+    assert again.schemas == p.schemas and again.alphabet == p.alphabet
 
 
 def test_reverse_text(capsys):
@@ -544,6 +587,19 @@ def test_every_option_has_help_text():
                if action.option_strings and not isinstance(action, argparse._HelpAction)
                and not action.help]
     assert missing == []
+
+
+@pytest.mark.parametrize("argv, func, name", [
+    (["certify", "d4:new"], completeness.certify, "t_bound"),
+    (["oracle", "scan", "d4:new"], oracle.cancellation_scan, "max_len"),
+    (["oracle", "scan", "d4:new"], oracle.cancellation_scan, "cap"),
+    (["oracle", "class", "d4:new", "s1"], oracle.equivalence_class, "cap"),
+    (["oracle", "equal", "d4:new", "s1", "s2"], oracle.monoid_equal, "cap"),
+])
+def test_defaults_match_the_library(argv, func, name):
+    # cli.py repeats these defaults: it does not import the modules at load time
+    args = _build_parser().parse_args(argv)
+    assert getattr(args, name) == inspect.signature(func).parameters[name].default
 
 
 def test_usage_errors(capsys):

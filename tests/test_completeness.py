@@ -657,6 +657,16 @@ def test_certify_refuses_wide_offset_conflict():
     assert "(t(0), t(5))" in cert.refusal
 
 
+def test_certify_names_the_relation_of_a_diagonal_conflict():
+    # both sides of a1 b1 = a1 c1 start with a1, both of b1 a1 = c1 a1 end with
+    # a1: each side has one conflict, and no pair heads two relations
+    p = load_presentation(GLUE + "b1 a1 = c1 a1\n", name="diagonal")
+    cert = certify(p)
+    assert cert.claim == "refused" and cert.triples_checked == 0
+    assert cert.refusal == ("not complemented on either side; e.g. both sides of relation "
+                            "rel_1 (a1 b1 = a1 c1) start with a1")
+
+
 @pytest.mark.parametrize("t_bound", [3, 5])
 def test_certify_refuses_a_pinned_index(t_bound):
     # the normalised sweep would move t(10) and claim falsified at t_bound 3;
