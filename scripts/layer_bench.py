@@ -33,9 +33,11 @@ layer, and the figure is its time per call in unit.  The cases are:
   fixture, per call: cold, each call on its own fresh window, and then
   warm, each call on the first of those windows;
 - quotients: reverse_quotient on d4:new over all 1,296 pairs of the 36
-  words of length 2 over QUOTIENT_TOKENS, per kernel step: the 1,152
-  pairs whose reversal ends (quotient_ending_us_per_step, 6,256 steps)
-  and the 144 proved to cycle (quotient_cycling_us_per_step, 3,936
+  words of length 2 over QUOTIENT_TOKENS: first on a fresh presentation,
+  without the warming pass, per pair (quotient_cold_us_per_pair, the
+  first touches that solve the complements); then per kernel step, the
+  1,152 pairs whose reversal ends (quotient_ending_us_per_step, 6,256
+  steps) and the 144 proved to cycle (quotient_cycling_us_per_step, 3,936
   steps), after an untimed pass that warms the complement cache and sorts
   the pairs; and Presentation.parse on each pair's two texts, per word
   (parse_word_us).
@@ -274,16 +276,22 @@ def equalities():
 def quotients():
     """reverse_quotient on d4:new over every pair of two-letter words, and parsing them.
 
-    An untimed pass warms the complement cache and sorts the pairs into
-    those whose reversal ends and those proved to cycle.
+    An untimed pass warms the complement cache of one d4:new and sorts the
+    pairs into those whose reversal ends and those proved to cycle.  The
+    first touches run on another, loaded with the case and left cold.
     """
-    p = catalog.load("d4:new")
+    p, cold = catalog.load("d4:new"), catalog.load("d4:new")
     words = [f"{a} {b}" for a in QUOTIENT_TOKENS for b in QUOTIENT_TOKENS]
     texts = list(itertools.product(words, repeat=2))
+    pairs = [(p.parse(u), p.parse(v)) for u, v in texts]
     ending, cycling = [], []
-    for u, v in ((p.parse(u), p.parse(v)) for u, v in texts):
+    for u, v in pairs:
         trace = reverse_quotient(p, u, v)
         (cycling if isinstance(trace.outcome, Cycles) else ending).append((u, v, trace.step_count))
+
+    def first_touches():
+        for u, v in pairs:
+            reverse_quotient(cold, u, v)
 
     def reversals(group):
         for u, v, _ in group:
@@ -293,7 +301,8 @@ def quotients():
         for u, v in texts:
             p.parse(u)
             p.parse(v)
-    return [("quotient_ending_us_per_step", "us", lambda: reversals(ending),
+    return [("quotient_cold_us_per_pair", "us", first_touches, len(pairs)),
+            ("quotient_ending_us_per_step", "us", lambda: reversals(ending),
              sum(steps for *_, steps in ending)),
             ("quotient_cycling_us_per_step", "us", lambda: reversals(cycling),
              sum(steps for *_, steps in cycling)),

@@ -47,6 +47,10 @@ MUTANTS = (
            "if k is not None and (k == 0 or p.translation_invariant()):",
            "if k is not None:",
            ("tests/test_reversing.py::test_shifted_cycle_needs_translation_invariance",)),
+    Mutant("first-letter-reject", "src/monorev/reversing.py",
+           "now, then = done[pos - kept_done + low_done], saved_done[low_done]",
+           "now, then = done[pos - kept_done + low_done], saved_done[kept_done - 1]",
+           ("tests/test_acceptance.py::test_cycles_are_proved_at_the_pinned_step",)),
     Mutant("kernel-cancel", "src/monorev/reversing.py",
            "if x != y:",
            "if x.family != y.family:",

@@ -170,9 +170,16 @@ def _cmd_list(args) -> int:
     return OK
 
 
+# the characters at which str.splitlines, and so load_presentation, breaks a line
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _cmd_show(args) -> int:
     p = _load(args.presentation)
-    print(f"# presentation {p.name}\n# homogeneous: {'yes' if p.homogeneous else 'no'}")
+    # each line break escaped, so that the name stays on its comment line
+    name = "".join(c.encode("unicode_escape").decode() if c in _LINE_BREAKS else c
+                   for c in p.name)
+    print(f"# presentation {name}\n# homogeneous: {'yes' if p.homogeneous else 'no'}")
     print(save_presentation(p), end="")
     return OK
 

@@ -15,7 +15,10 @@ the schema's compiled form: letter templates, domain sets and boundary
 templates, made on the schema's first lookup or build and kept on that
 schema object (see Schema).  The form is one per object, not per name, so
 a window's schemas, which keep the names, solve with their own narrowed
-domains.
+domains.  It holds the schema's letter tables too: each parametrised
+letter, such as t(3) of t_braid, is built once per schema object, the
+first time an instance needs it, and every later instance of that schema
+reuses the object.
 
 Relations are unordered pairs of words; instances returned by queries are
 oriented so that the left side starts (or ends) with the first generator of
@@ -154,6 +157,21 @@ class Param(NamedTuple):
 _SCHEMA_NAME = re.compile(r"[^\s:\[\]]+")
 
 
+class _Letters(dict):
+    """One family's letter table: its positive letters by index, each built on first use."""
+
+    __slots__ = ("family",)
+
+    def __init__(self, family: str) -> None:
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, index: int) -> Letter:
+        new = tuple.__new__
+        letter = self[index] = new(Letter, (new(Generator, (self.family, index)), 1))
+        return letter
+
+
 class _SchemaFields(NamedTuple):
     name: str
     params: tuple[Param, ...]
@@ -172,10 +190,17 @@ class Schema(_SchemaFields):
     letter templates of (lhs, rhs), or of (rhs, lhs) when swap is True;
     domains, the (slot, set of values) of each parameter with a finite
     domain; and ends[end][swap], the templates of the two boundary letters
-    that a lookup solves against (x, y).  A template is (letter, family,
+    that a lookup solves against (x, y).  A template is (letter, table,
     offset, slot): slot indexes the parameter values, and a letter of
-    fixed index has slot -1 and is built once, as letter.  A window's
-    schemas are new objects, so each compiles its own narrowed domains.
+    fixed index has slot -1 and is taken once, as letter.  table is the
+    letter table of the letter's family, one per family of the schema,
+    shared by its templates: it maps an index to the positive letter, built
+    on the first build that needs it and kept.  So every instance this
+    object builds holds one Letter object per letter, wherever it occurs,
+    and a build allocates only the two words and the instance.  A window's
+    schemas are new objects, so each compiles its own narrowed domains and
+    starts its own tables; a presentation's tables go with it, rather than
+    growing in one table for every presentation loaded.
     """
 
     _form = None
@@ -217,12 +242,15 @@ class Schema(_SchemaFields):
         return cls(*iterable)
 
     def _compile(self) -> tuple:
-        new = tuple.__new__
         slots = {p.name: k for k, p in enumerate(self.params)}
-        lhs, rhs = ([(None, pl.family, pl.offset, slots[pl.param]) if pl.param else
-                     (new(Letter, (new(Generator, (pl.family, pl.offset)), 1)),
-                      pl.family, pl.offset, -1) for pl in side]
-                    for side in (self.lhs, self.rhs))
+        tables = {pl.family: _Letters(pl.family) for pl in self.lhs + self.rhs}
+
+        def template(pl: PatternLetter) -> tuple:
+            table = tables[pl.family]
+            if pl.param is None:
+                return (table[pl.offset], table, pl.offset, -1)
+            return (None, table, pl.offset, slots[pl.param])
+        lhs, rhs = [template(pl) for pl in self.lhs], [template(pl) for pl in self.rhs]
         form = (tuple(slots), ((lhs, rhs), (rhs, lhs)),
                 tuple([(k, frozenset(p.values)) for k, p in enumerate(self.params)
                        if p.values is not None]),
@@ -265,16 +293,14 @@ class Schema(_SchemaFields):
     def _build(self, values, swap: bool = False) -> RelationInstance | None:
         """The instance at values, the parameter values in order; its lhs is the rhs if swap.
 
-        Relation sides are positive, so each letter is built as a bare
-        (generator, 1) tuple, or taken ready-made when its index is fixed.
+        Each letter comes from its family's letter table, built there on
+        first use (see Schema).
         """
         new = tuple.__new__
         names, sides, _, _ = self._form or self._compile()
         first, second = sides[swap]
-        lhs = new(Word, [fixed or new(Letter, (new(Generator, (fam, off + values[slot])), 1))
-                         for fixed, fam, off, slot in first])
-        rhs = new(Word, [fixed or new(Letter, (new(Generator, (fam, off + values[slot])), 1))
-                         for fixed, fam, off, slot in second])
+        lhs = new(Word, [fixed or table[off + values[slot]] for fixed, table, off, slot in first])
+        rhs = new(Word, [fixed or table[off + values[slot]] for fixed, table, off, slot in second])
         if lhs == rhs:
             return None
         return RelationInstance(lhs, rhs, self.name, tuple(zip(names, values)))

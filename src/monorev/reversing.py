@@ -33,7 +33,13 @@ translated pairs are the translated complements.  That second fact needs
 translation invariance, so a cycle with k != 0 is only accepted when every
 integer-family letter of every schema carries a parameter ranging over Z
 (Presentation.translation_invariant).  Detection does not depend on fuel;
-fuel only ends reversals the proof has not caught.
+fuel only ends reversals the proof has not caught.  Most comparisons fail
+on their first letters, so the kernel compares those before it slices the
+two regions for `_translation`: the saved letter at the prefix's
+low-water mark (at the unread stack's, when no saved prefix letter is in
+the region) and the letter in its place now.  Unless the two are equal,
+or have one sign and one integer family, no shift turns one into the
+other, and the regions are not sliced.
 
 The kernel keeps the lengths it compares in locals rather than asking the
 lists each step: the saved stacks' lengths (kept_done, kept_todo), set at
@@ -214,6 +220,7 @@ def _run(p: Presentation, word: Sequence[Letter], fuel: int, side: str,
     else:
         first, second, complement = 1, -1, left_complement
     families = p.alphabet.integer_families
+    new = tuple.__new__
     done: list[Letter] = []
     todo = list(word)
     todo.reverse()
@@ -251,18 +258,27 @@ def _run(p: Presentation, word: Sequence[Letter], fuel: int, side: str,
             todo.extend(comp.push)
             rest = len(todo)
             if steps is not None:
-                steps.append(ReversalStep(pos, comp.rule))
+                steps.append(new(ReversalStep, (pos, comp.rule)))
         elif steps is not None:  # x^-1 x (right) or x x^-1 (left) cancels with no lookup
-            steps.append(ReversalStep(pos, None))
+            steps.append(new(ReversalStep, (pos, None)))
         n += 1
-        # lengths first: the slices below are only worth building when the
-        # stacks have regrown over everything read since the checkpoint
+        # lengths first, then first letters: the slices below are only worth
+        # building when the stacks have regrown over everything read since
+        # the checkpoint and the regions' first letters could be translates
         if (since and rest >= kept_todo and pos >= kept_done
                 and not (exact and pos != kept_done)):
-            k = _translation(done[pos - kept_done + low_done:] + todo[rest - kept_todo + low_todo:],
-                             saved_done[low_done:] + saved_todo[low_todo:], families)
-            if k is not None and (k == 0 or p.translation_invariant()):
-                return Cycles(n, n - since, k), done, todo
+            if low_done < kept_done:
+                now, then = done[pos - kept_done + low_done], saved_done[low_done]
+            else:  # the unread region, never empty: each step popped below its mark
+                now, then = todo[rest - kept_todo + low_todo], saved_todo[low_todo]
+            if now == then or (
+                    now.sign == then.sign and now.gen.family == then.gen.family
+                    and now.gen.family in families):
+                k = _translation(
+                    done[pos - kept_done + low_done:] + todo[rest - kept_todo + low_todo:],
+                    saved_done[low_done:] + saved_todo[low_todo:], families)
+                if k is not None and (k == 0 or p.translation_invariant()):
+                    return Cycles(n, n - since, k), done, todo
         if n == mark:
             since, mark = n, 2 * n
             saved_done, saved_todo = done[:], todo[:]

@@ -190,6 +190,20 @@ def test_reversal_oracle_agreement():
     assert time.perf_counter() - t0 < 120.0
 
 
+
+def test_cycles_are_proved_at_the_pinned_step():
+    """Each pair of the agreement test that cycles, on either side, is proved
+    to cycle after the steps, with the period and the shift, pinned in the
+    fixture.  test_cycle_proofs_sound checks that a proved cycle is real; a
+    cycle check that rejects too much proves one later, or not at all."""
+    with open(f"{FIXTURES}/quotient_cycles.json", encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    for side in ("right", "left"):
+        assert len(pinned[side]) == 83
+        for u, v, *cycle in pinned[side]:
+            outcome = reverse_quotient(D4, D4.parse(u), D4.parse(v), side).outcome
+            assert outcome == Cycles(*cycle), (side, u, v)
+
 # -- generative law suites -------------------------------------------------
 
 GEN = st.sampled_from([Generator("s", i) for i in range(1, 5)]

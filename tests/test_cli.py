@@ -95,6 +95,21 @@ def test_show_prints_a_presentation_file(capsys, tmp_path, source):
     assert again.schemas == p.schemas and again.alphabet == p.alphabet
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x85", "\u2028"])
+def test_show_keeps_a_file_name_on_its_comment_line(capsys, tmp_path, brk):
+    # a character that str.splitlines breaks at is escaped in the comment, so
+    # the output still loads
+    path = tmp_path / f"two{brk}lines.pres"
+    path.write_text(SAVED_CATALOG["d4:new"])
+    code, out, _ = run(capsys, "show", str(path))
+    escaped = brk.encode("unicode_escape").decode()
+    assert code == 0 and out.startswith(f"# presentation two{escaped}lines.pres\n")
+    shown = tmp_path / "shown.pres"
+    shown.write_text(out)
+    code, out, _ = run(capsys, "certify", str(shown), "--t-bound", "1")
+    assert code == 0 and json.loads(out)["claim"] == "cancellative-up-to"
+
+
 def test_reverse_text(capsys):
     code, out, _ = run(capsys, "reverse", "d4:new", "t(2)^-1 s3 s3")
     assert code == 0

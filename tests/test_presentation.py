@@ -28,7 +28,7 @@ from monorev.presentation import (
     save_presentation,
     _complement,
 )
-from monorev.words import Generator, UnknownGeneratorError, WordSyntaxError
+from monorev.words import Generator, Letter, UnknownGeneratorError, WordSyntaxError
 
 from conftest import (
     FIXTURES,
@@ -237,6 +237,22 @@ def test_each_schema_object_compiles_its_own_domains():
     assert w.schema("t_braid")._oriented(Generator("t", 1), s1, 0, False) is not None
     assert all(letter.gen != T2 for inst in materialize_relations(w)
                for letter in inst.lhs + inst.rhs)
+
+
+def test_a_schema_builds_each_letter_once():
+    # a schema object keeps the letters it has built: t_braid solves
+    # (t(3), s1) and (t(3), s2) with one t(3), and instantiate takes it too
+    p = catalog.load("d4:new")
+    t3 = Generator("t", 3)
+    (first,), (second,) = (instances_for_pair(p, t3, Generator("s", j)) for j in (1, 2))
+    assert first.schema == second.schema == "t_braid" and first.lhs[0] == Letter(t3)
+    assert first.lhs[0] is second.lhs[0] is first.lhs[2] is first.rhs[1]
+    assert p.schema("t_braid").instantiate({"i": 3, "j": 4}).lhs[0] is first.lhs[0]
+    # every instance of one window schema holds one object per letter
+    built: dict = {}
+    for inst in materialize_relations(instantiate_window(p, 2)):
+        for letter in inst.lhs + inst.rhs:
+            assert built.setdefault((inst.schema, letter), letter) is letter
 
 
 def test_pair_index_files_both_orientations(d4):

@@ -71,7 +71,8 @@ def test_layer_bench(capsys, tmp_path):
         "check_complemented_ms", "certify_cold_ms", "certify6_cold_ms", "cube_warm_us",
         "reverse_warm_us", "window_ms", "window_table_ms", "cancellation_scan_ms",
         "monoid_equal_cold_ms", "monoid_equal_warm_ms", "quotient_ending_us_per_step",
-        "quotient_cycling_us_per_step", "parse_word_us", "triples_ms"}
+        "quotient_cold_us_per_pair", "quotient_cycling_us_per_step", "parse_word_us",
+        "triples_ms"}
     assert all(value > 0 for value in figures.values())
     assert all(data["q1"][name] <= figures[name] <= data["q3"][name] for name in figures)
     assert "certify_cold_ms" in capsys.readouterr().out
