@@ -120,6 +120,18 @@ MUTANTS = (
            "if x == y:\n                continue",
            ("tests/test_completeness.py::test_certify_names_the_relation_of_a_diagonal_conflict",
             "tests/test_presentation.py::test_scan_files_cold_complements")),
+    Mutant("lemma-skips-lookup", "src/monorev/completeness.py",
+           "        comp = lookup(p, x, y)\n"
+           "        if comp is None:\n"
+           "            return _FIRST[Stuck]\n"
+           "        if fuel >= 2 + len(comp.push):\n"
+           "            return _PASS\n",
+           "        return _PASS\n",
+           ("tests/test_completeness.py::test_two_commutes_keeps_its_stuck_hypotheses",)),
+    Mutant("lemma-fuel-gate", "src/monorev/completeness.py",
+           "if fuel >= 2 and len(u) == len(v) == len(w) == 1",
+           "if len(u) == len(v) == len(w) == 1",
+           ("tests/test_completeness.py::test_repeated_letter_lemma_keeps_the_fuel_gates",)),
     Mutant("triple-normalisation", "src/monorev/completeness.py",
            "for w in thirds.get(min(a, b), zero)]",
            "for w in words]",

@@ -20,10 +20,46 @@ A first reversal that cycles, and fuel exhaustion anywhere, make the
 certificate undetermined rather than falsified.  The check keeps only its
 verdict, a CubeResult that holds no presentation; cube_traces runs the
 two reversals again with their step records, for a reader of the traces.
-A plain cube_condition call computes its verdict afresh and keeps none.
-certify's sweep applies the two lemmas below within one call: it hands
-cube_condition a set of the triples that passed on the side, and drops
-the set when it returns, so no verdict outlives the call.
+A plain cube_condition call computes its verdict afresh and keeps none;
+the repeated-letter lemma below settles some of those verdicts with one
+complement lookup, with or without a sweep.  certify's sweep applies the
+two mirror lemmas as well, within one call: it hands cube_condition a set
+of the triples that passed on the side, and drops the set when it
+returns, so no verdict outlives the call.
+
+The repeated-letter lemma.  Take a generator triple (u, v, w) in which
+two of the letters are equal.  If all three are, the check passes.
+Otherwise let (x, y) be its two distinct letters in the order the first
+reversal meets them: (u, w) when u = v, and when w = u or w = v, (u, v)
+on the right and (v, u) on the left.  The check passes when (x, y) has a
+complement on the side, and is _FIRST[Stuck] (fail stuck-hypothesis)
+when it has none.  On the right, with the kernel's leftmost redex first,
+and push = v' u'^-1 the letters of x v' = y u' that a step pushes:
+- w = u: u^-1 u u^-1 v cancels u^-1 u at step 1 and meets u^-1 v at
+  step 2, ending on v' u'^-1 in 2 steps.  The second word
+  v'^-1 u^-1 v u' meets u^-1 v again, becomes v'^-1 v' u'^-1 u' and
+  cancels to the empty word: 1 + len(push) steps.
+- w = v: u^-1 v v^-1 v meets u^-1 v at step 1 and cancels v^-1 v at
+  step 2; it ends on the same v' u'^-1, so the second word is the same.
+- u = v: u^-1 w w^-1 u meets u^-1 w at step 1, giving v' u'^-1 w^-1 u.
+  On a complemented side the complement of (w, u) is the swapped
+  complement of (u, w), w u' = u v': read from its other side, an
+  instance that leads with (u, w) leads with (w, u), and conversely.  So
+  step 2 gives v' u'^-1 u' v'^-1, which cancels u'^-1 u' and ends on
+  v' v'^-1 after 2 + |u'| steps; the second word v'^-1 u^-1 u v'
+  cancels to the empty word in 1 + |v'| steps.
+- all three equal: the first reversal cancels twice, the second once.
+The left side mirrors each case: its first word v w^-1 w u^-1 cancels
+v v^-1 first when w = v, and meets v u^-1 first when w = u.  Each of
+these reversals ends, so none is proved to cycle (the cycle proof of
+reversing is sound), and each looks up only (x, y) and, for u = v, its
+transpose, so a pair that leads more than one relation raises
+AmbiguousComplementError from the lemma's lookup as from the kernel's.
+A missing complement sticks at step 1 or step 2.  The lemma therefore
+answers only at fuel >= 2, checked before its lookup, and passes only at
+fuel >= 2 + len(push), which covers both reversals of every case; any
+other check, longer words included, runs the kernel.  cube_traces always
+runs the kernel.
 
 The mirror lemma.  The first word of (v, u, w) is the formal inverse of
 the first word of (u, v, w) on either side, and once both first
@@ -65,7 +101,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from . import __version__
+from . import __version__, reversing
 from .presentation import DEFAULT_FUEL, CapError, Presentation, check_complemented
 from .reversing import (
     Cycles,
@@ -125,7 +161,29 @@ _PASS = ("pass", "ok")
 
 def _verdict(p: Presentation, u: Word, v: Word, w: Word, side: str,
              fuel: int) -> tuple[str, str]:
-    """(status, reason) of the cube check of positive (u, v, w) on one side, from bare runs."""
+    """(status, reason) of the cube check of positive (u, v, w) on one side.
+
+    A generator triple with a repeated letter is settled by the
+    repeated-letter lemma of the module docstring when the fuel covers
+    the runs it stands for; any other check runs the kernel bare.
+    """
+    if fuel >= 2 and len(u) == len(v) == len(w) == 1 and (u == v or w == u or w == v):
+        if u == v == w:
+            return _PASS
+        # the pair the first reversal looks up
+        if u == v:
+            x, y = u[0].gen, w[0].gen
+        elif side == "right":
+            x, y = u[0].gen, v[0].gen
+        else:
+            x, y = v[0].gen, u[0].gen
+        # through reversing's attributes, where the kernel looks its pairs up
+        lookup = reversing.right_complement if side == "right" else reversing.left_complement
+        comp = lookup(p, x, y)
+        if comp is None:
+            return _FIRST[Stuck]
+        if fuel >= 2 + len(comp.push):
+            return _PASS
     out, done, _ = _run(p, _first_word(u, v, w, side), fuel, side, None)
     if out is not None:
         return _FIRST[type(out)]
@@ -170,10 +228,11 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
                    passed: set | None = None) -> CubeResult:
     """Check the cube condition for (u, v, w) on one side, without step records.
 
-    Without `passed` each call computes its verdict afresh and keeps
-    none.  `passed` is a sweep's set of word triples that pass on this
-    side at this fuel: a triple found there passes, and a computed pass
-    adds the triple and (v, u, w) (the mirror lemma of the module
+    Without `passed` each call computes its verdict afresh, by the
+    repeated-letter lemma of the module docstring or by the kernel, and
+    keeps none.  `passed` is a sweep's set of word triples that pass on
+    this side at this fuel: a triple found there passes, and a computed
+    pass adds the triple and (v, u, w) (the mirror lemma of the module
     docstring).  Nothing else is kept.  The set holds positive words only,
     so only a computed check checks that the words are positive.
 

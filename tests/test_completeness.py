@@ -181,10 +181,11 @@ def _check_replay(p, u, v, w, side, fuel=2000):
     start = u.inverse() * w * w.inverse() * v if side == "right" else v * w.inverse() * w * u.inverse()
     try:
         res = cube_condition(p, u, v, w, side=side, fuel=fuel)
-    except AmbiguousComplementError:
+    except AmbiguousComplementError as exc:
         # the traced reversals meet the same ambiguous pair
-        with pytest.raises(AmbiguousComplementError):
+        with pytest.raises(AmbiguousComplementError) as traced:
             cube_traces(p, u, v, w, side=side, fuel=fuel)
+        assert str(traced.value) == str(exc)
         return "ambiguous"
     first, second = cube_traces(p, u, v, w, side=side, fuel=fuel)
     assert (res.triple, res.side) == ((u, v, w), side)
@@ -222,6 +223,95 @@ def test_cube_replay_covers_every_reason():
     seen.add(_check_replay(yamada, s1, t1, t1, "right"))
     assert seen == {"ok", "not-trivial", "stuck-hypothesis", "first reversal cycles",
                     "second reversal cycles", "first reversal ran out of fuel", "ambiguous"}
+
+
+# the catalog keys and the hand presentations of conftest
+LEMMA_PRESENTATIONS = [catalog.load(k) for k in catalog.FIXED_NAMES] + [
+    load_presentation(text, name=name) for name, text in (
+        ("two-commutes", TWO_COMMUTES), ("skewed", SKEWED), ("glue", GLUE),
+        ("one-sided", ONE_SIDED), ("nonhom", NONHOM), ("wide-offset", WIDE_OFFSET),
+        ("pinned-t", PINNED_T), ("square-chain", SQUARE_CHAIN))]
+
+
+def test_repeated_letter_lemma_agrees_with_the_kernel(monkeypatch):
+    """Every generator triple with a repeated letter, at t_bound 2, on both
+    sides and at fuel 0 to 8: cube_condition gives the kernel's verdict, and
+    the lemma settles the pinned number of them without a kernel run."""
+    runs = _count_runs(monkeypatch)
+    settled = checks = 0
+    for p in LEMMA_PRESENTATIONS:
+        p = fresh(p)
+        for u, v, w in enumerate_word_triples(p, 1, 2):
+            if len({u, v, w}) == 3:
+                continue
+            for side, fuel in itertools.product(("right", "left"), range(9)):
+                before = len(runs)
+                _check_replay(p, u, v, w, side, fuel)
+                settled += len(runs) == before
+                checks += 1
+    assert (settled, checks) == (16354, 29682)
+
+
+def test_repeated_letter_lemma_keeps_the_fuel_gates(two_commutes, d4):
+    """Below the steps its reversals take, a repeated-letter check gets the
+    kernel's verdict: (b1, c1) sticks at step 2, and the second reversal of
+    (s1, t(0), s1) takes 5 steps."""
+    b1, c1 = two_commutes.parse("b1"), two_commutes.parse("c1")
+    res = cube_condition(two_commutes, b1, c1, b1, fuel=1)
+    assert (res.status, res.reason) == ("inconclusive", "first reversal ran out of fuel")
+    assert cube_condition(two_commutes, b1, c1, b1, fuel=2).reason == "stuck-hypothesis"
+    s1, t0 = d4.parse("s1"), d4.parse("t(0)")
+    for side in ("right", "left"):
+        res = cube_condition(d4, s1, t0, s1, side=side, fuel=2)
+        assert (res.status, res.reason) == ("inconclusive", "second reversal ran out of fuel")
+        assert cube_condition(d4, s1, t0, s1, side=side, fuel=5).passed
+
+
+def test_two_commutes_keeps_its_stuck_hypotheses(two_commutes):
+    """No relation leads with (b1, c1): 24 checks stick in their first
+    reversal, 12 of them on triples with a repeated letter, which the lemma
+    settles with the lookup that finds no complement."""
+    cert = certify(fresh(two_commutes))
+    assert cert.claim == "falsified" and len(cert.failures) == 24
+    assert {reason for _, _, reason in cert.failures} == {"stuck-hypothesis"}
+    assert sum(len(set(triple)) < 3 for _, triple, _ in cert.failures) == 12
+    assert ("right", ("b1", "c1", "b1"), "stuck-hypothesis") in cert.failures
+
+
+@st.composite
+def _small_presentation(draw):
+    """a1 b1 and the family t with 1 to 5 relations, complemented or not,
+    homogeneous or not: fixed ones on a1, b1, t(0), t(1), and schemas over
+    Z that open their left side and close their right one with t(i),
+    t(i+1) or t(i-1), so two schema instances can lead with one pair."""
+    fixed = ["a1", "b1", "t(0)", "t(1)"]
+    bound = ["t(i)", "t(i+1)", "t(i-1)"]
+    side = st.lists(st.sampled_from(fixed + bound), min_size=0, max_size=2)
+    lines = ["generators: a1 b1 ; families: t"]
+    for number in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            lhs, rhs = (draw(st.lists(st.sampled_from(fixed), min_size=1, max_size=3))
+                        for _ in range(2))
+            lines.append(f"{' '.join(lhs)} = {' '.join(rhs)}")
+        else:
+            lhs = [draw(st.sampled_from(bound))] + draw(side)
+            rhs = draw(side) + [draw(st.sampled_from(bound))]
+            lines.append(f"schema r{number}: {' '.join(lhs)} = {' '.join(rhs)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_small_presentation(), data=st.data())
+def test_repeated_letter_lemma_law(text, data):
+    """On random presentations the lemma gives the kernel's verdict at every
+    fuel from 0 to 8, and an ambiguous pair raises from both."""
+    p = load_presentation(text, name="random")
+    letter = st.sampled_from([p.parse(x) for x in ("a1", "b1", "t(0)", "t(1)")])
+    x, y = data.draw(letter), data.draw(letter)
+    triple = data.draw(st.sampled_from([(x, x, y), (x, y, x), (y, x, x)]))
+    side = data.draw(st.sampled_from(("right", "left")))
+    for fuel in range(9):
+        _check_replay(p, *triple, side, fuel)
 
 
 def _check_lemma(p, checked, side, target, target_side):
@@ -465,7 +555,8 @@ def test_verdict_table_mirrors_no_other_verdict():
 def test_left_sweep_computes_its_checks_after_a_right_non_pass(monkeypatch):
     """classical:3 is mirror-symmetric, but some right checks do not pass:
     the left sweep then starts afresh and runs the kernel on the left as
-    often as a left sweep from an empty set of passed triples does."""
+    often as a left sweep from an empty set of passed triples does.  The
+    repeated-letter lemma settles all but the 6 runs left."""
     sides = _count_runs(monkeypatch)
     p = fresh(C3)
     assert p.mirror_symmetric()
@@ -476,7 +567,7 @@ def test_left_sweep_computes_its_checks_after_a_right_non_pass(monkeypatch):
     passed: set = set()
     for u, v, w in enumerate_word_triples(p, 1, cert.t_bound):
         cube_condition(p, u, v, w, side="left", passed=passed)
-    assert left_runs == len(sides) == 36
+    assert left_runs == len(sides) == 6
     assert cert == _unmirrored_certificate(p)
 
 
