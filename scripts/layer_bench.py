@@ -1,14 +1,28 @@
 #!/usr/bin/env python3
-"""Time the letter, lookup and oracle layers that bounded certificates lean on.
+"""Time the letter, lookup and oracle layers, and the CLI from a cold start.
 
-    python3 scripts/layer_bench.py --out BENCH.json
-    python3 scripts/layer_bench.py --cold-start 11 --out BENCH.json \
+    python3 scripts/layer_bench.py --out BENCH.json \
         [--tree parent=OTHER_CHECKOUT --tree change=.]
+    python3 scripts/layer_bench.py --cold-start 11 --out BENCH.json [--tree ...]
 
-Without --cold-start it times the cases of CASES, on the monorev in this
-checkout's src/.  A case builds its inputs and returns its figures in
-order, each as (name, unit, work, calls); work runs `calls` calls of the
-layer, and the figure is its time per call in unit.  The cases are:
+Every sample is one fresh interpreter.  Each tree named by --tree (a
+checkout; by default this one) is copied without bytecode, and a child
+imports monorev from that copy's src/ and the reference kernel from this
+checkout's bench/.  The children go round the jobs, trees and modes in
+turn, so that a drift in the machine's speed reaches each alike, and they
+keep the parent's environment, random hash seed included, without
+PYTHONPATH and the two bytecode variables below.  A child that fails
+stops the run with a RuntimeError that carries the tail of its stderr.
+
+Without --cold-start the jobs are the cases of CASES, REPEATS samples
+each.  A child loads this file from this checkout's scripts/, looks its
+case up by name and runs time_case on it.  A case builds its inputs and
+returns its figures in order, each as (name, unit, work, calls); work runs
+`calls` calls of the layer, and the figure is its time per call in unit.
+The case is built before the clock: time_case times the reference kernel,
+runs every figure's work in order, and times the kernel again.  The
+figures that share warm state (cold then warm, checks then reversals)
+share a case, and so a child.  The cases are:
 
 - letters: hashing, comparing and sorting 100,000 letters;
 - complements: right_complement on e8:new over every pair of distinct
@@ -42,44 +56,36 @@ layer, and the figure is its time per call in unit.  The cases are:
   the pairs; and Presentation.parse on each pair's two texts, per word
   (parse_word_us).
 
-A case's set-up runs before the clock and the reference runs: each repeat
-builds the case, times the reference kernel of bench/reference.py, runs
-every figure's work in order, and times the kernel again.  Once a case's
-inputs are freed the garbage collector runs, so that the next case builds
-on a settled heap.  The figures that share warm state (cold then warm,
-checks then reversals) share a case for that reason.  Each figure's time
-is scaled by that pair of reference runs, so it reads as it would on a
-machine where the kernel takes REFERENCE_S.  Every figure is the median
-of REPEATS runs, written beside its lower and upper quartiles (q1, q3;
-statistics.quantiles, inclusive method; a single run is its own
-quartiles), so that a change's figure can be read against the spread of
-another tree's runs; the unscaled medians are written beside them.
+With --cold-start N the jobs are the commands of COLD_COMMANDS, N samples
+each: a child times `import monorev.cli` and then `monorev.cli.main(argv)`,
+output discarded, between two timings of the reference kernel, and the
+parent times the whole child, interpreter start-up included (process_ms,
+not scaled).  Commands run in two modes: "compile", with
+PYTHONDONTWRITEBYTECODE=1, so that every run compiles monorev's sources,
+and "cached".  Layer cases run in the cached mode only.  In the cached
+mode bytecode is written under a PYTHONPYCACHEPREFIX in a temporary
+directory, once per tree by an untimed child that runs every_module, and
+read back.
 
-With --cold-start N it measures instead the commands of COLD_COMMANDS from a
-cold start, in N fresh interpreters per command: each times `import
-monorev.cli` and then `monorev.cli.main(argv)`, output discarded, with the
-reference kernel timed before and after in the same process; the parent
-process also times the whole child, interpreter start-up included
-(`process_ms`, unscaled).  Each tree named by --tree (a checkout; by default
-this one) is copied without bytecode and measured in two modes: "compile",
-with PYTHONDONTWRITEBYTECODE=1, so that every run compiles monorev's
-sources, and "cached", with bytecode written once under a
-PYTHONPYCACHEPREFIX in a temporary directory and read back.  The runs go round the commands, trees
-and modes in turn, so that a drift in the machine's speed reaches each
-alike.  Every figure is a median over the N runs, written beside its
-quartiles as <figure>_q1 and <figure>_q3, as in the layer mode.
+Each figure a child reports is scaled by its pair of reference runs, so it
+reads as it would on a machine where the kernel takes REFERENCE_S.  The
+JSON holds, per tree, mode and job, each figure's median, its quartiles as
+<figure>_q1 and <figure>_q3 (statistics.quantiles, inclusive method; a
+single run is its own quartiles), so that a change's figure can be read
+against the spread of another tree's runs, and the median of its unscaled
+values as <figure>_unscaled.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import importlib.util
 import itertools
 import json
 import operator
-import platform
 import os
+import pkgutil
+import platform
 import random
 import shutil
 import statistics
@@ -90,7 +96,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+if __name__ == "__main__":  # a child imports monorev from the tree it times
+    sys.path.insert(0, str(ROOT / "src"))
 
 from monorev import catalog, oracle  # noqa: E402
 from monorev.completeness import certify, cube_condition, enumerate_word_triples  # noqa: E402
@@ -119,21 +126,35 @@ COLD_COMMANDS = {
     "oracle_scan": ["oracle", "scan", "d4:new"],
     "render": ["render", "d4:new", "t(2)^-1 s3 s3"],
 }
-# A cold-start child: argv[1] is the src directory, argv[2] the command as JSON.
-COLD_CHILD = """\
+# A child: argv[1] is the tree's src directory, argv[2] the job as JSON, ["command", argv]
+# or ["case", name].  It prints [figures, before, after] as JSON: each figure unscaled, and
+# the reference kernel's seconds before and after them.
+CHILD = """\
 import contextlib, io, json, sys, time
 sys.path[:0] = [sys.argv[1], %r]
 from reference import time_reference
-argv = json.loads(sys.argv[2])
-before = time_reference()
-t0 = time.perf_counter()
-import monorev.cli
-t1 = time.perf_counter()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = monorev.cli.main(argv)
-t2 = time.perf_counter()
-print(json.dumps([code, t1 - t0, t2 - t1, before, time_reference()]))
-""" % str(ROOT / "bench")
+kind, job = json.loads(sys.argv[2])
+if kind == "command":
+    before = time_reference()
+    t0 = time.perf_counter()
+    import monorev.cli
+    t1 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = monorev.cli.main(job)
+    t2 = time.perf_counter()
+    if code != 0:
+        sys.exit(f"monorev {' '.join(job)} exited {code}")
+    figures = {"import_ms": (t1 - t0) * 1e3, "main_ms": (t2 - t1) * 1e3,
+               "total_ms": (t2 - t0) * 1e3}
+    after = time_reference()
+else:
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("layer_bench", %r)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    figures, before, after = bench.time_case(getattr(bench, job))
+print(json.dumps([figures, before, after]))
+""" % (str(ROOT / "bench"), str(Path(__file__).resolve()))
 LETTERS = 100_000
 KEY = "e8:new"
 EQUAL_CALLS = 20  # monoid_equal calls per run, cold and warm
@@ -313,6 +334,14 @@ CASES = (letters, complements, pair_lookups, triples, cubes, fresh_e8, windows, 
          quotients)
 
 
+def every_module():
+    """No figures: the child that runs it imports every monorev module, writing its bytecode."""
+    import monorev
+    for module in pkgutil.iter_modules(monorev.__path__, "monorev."):
+        importlib.import_module(module.name)
+    return []
+
+
 def quartiles(values: list[float]) -> list[float]:
     """[q1, median, q3] of values: statistics.quantiles, inclusive method.
 
@@ -321,50 +350,25 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
-def time_case(case) -> list[tuple[str, float, float]]:
-    """One run of a case: (name, time per call in its unit, the same scaled) per figure.
+def time_case(case) -> tuple[dict[str, float], float, float]:
+    """One run of a case: its figures, each a time per call in its unit, and the
+    reference kernel's seconds before and after them.
 
-    The case is built before the first reference run.  Its inputs are
-    freed on return and collected, before the next case builds its own.
+    The case is built before the first reference run.
     """
     figures = case()
-    timed = []
+    timed = {}
     before = reference.time_reference()
     for name, unit, work, calls in figures:
         t0 = time.perf_counter()
         work()
-        timed.append((name, (time.perf_counter() - t0) / calls * UNITS[unit]))
-    after = reference.time_reference()
-    del figures, work
-    gc.collect()
-    return [(name, value, reference.scaled(value, before, after)) for name, value in timed]
+        timed[name] = (time.perf_counter() - t0) / calls * UNITS[unit]
+    return timed, before, reference.time_reference()
 
 
-def run() -> dict:
-    raw: dict[str, list[float]] = {}
-    scaled: dict[str, list[float]] = {}
-    for _ in range(REPEATS):
-        for case in CASES:
-            for name, value, scaled_value in time_case(case):
-                raw.setdefault(name, []).append(value)
-                scaled.setdefault(name, []).append(scaled_value)
-    q1, median, q3 = ({name: round(quartiles(values)[i], 3) for name, values in scaled.items()}
-                      for i in range(3))
-    return {
-        "script": "scripts/layer_bench.py",
-        "presentation": KEY,
-        "python": platform.python_version(),
-        "repeats": REPEATS,
-        "reference_s": reference.REFERENCE_S,
-        "figures": median,
-        "q1": q1,
-        "q3": q3,
-        "unscaled": {name: round(quartiles(values)[1], 3) for name, values in raw.items()},
-    }
-
-
-def cold_start(trees: dict[str, Path], runs: int, scratch: Path) -> dict:
-    """Each command of COLD_COMMANDS from a cold start, per tree and bytecode mode."""
+def measure(trees: dict[str, Path], jobs: dict[str, list], modes: tuple[str, ...], runs: int,
+            scratch: Path) -> dict:
+    """Each job in `runs` fresh interpreters per tree and mode: tree -> mode -> job -> figures."""
     srcs = {}
     for name, tree in trees.items():
         srcs[name] = scratch / "trees" / name / "src"
@@ -374,55 +378,42 @@ def cold_start(trees: dict[str, Path], runs: int, scratch: Path) -> dict:
             if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX", "PYTHONPATH")}
     envs = {(name, mode): {**base, "PYTHONDONTWRITEBYTECODE": "1"} if mode == "compile"
             else {**base, "PYTHONPYCACHEPREFIX": str(scratch / "pycache" / name)}
-            for name in trees for mode in ("compile", "cached")}
+            for name in trees for mode in modes}
 
-    def child(name: str, mode: str, argv: list[str]) -> tuple[float, ...]:
+    def child(name: str, mode: str, job: list) -> dict[str, tuple[float, float]]:
+        """One sample: (scaled, unscaled) per figure."""
         t0 = time.perf_counter()
-        done = subprocess.run([sys.executable, "-c", COLD_CHILD, str(srcs[name]),
-                               json.dumps(argv)], env=envs[name, mode], capture_output=True,
-                              text=True, check=True, timeout=120)
+        done = subprocess.run([sys.executable, "-c", CHILD, str(srcs[name]), json.dumps(job)],
+                              env=envs[name, mode], capture_output=True, text=True, timeout=120)
         process = time.perf_counter() - t0
-        code, load, work, before, after = json.loads(done.stdout.splitlines()[-1])
-        if code != 0:
-            raise RuntimeError(f"{name}: monorev {' '.join(argv)} exited {code}")
-        return load, work, before, after, process
+        if done.returncode != 0:
+            raise RuntimeError(f"the child for {job} on tree {name!r} exited "
+                               f"{done.returncode}:\n" + "\n".join(done.stderr.splitlines()[-20:]))
+        figures, before, after = json.loads(done.stdout.splitlines()[-1])
+        values = {figure: (reference.scaled(value, before, after), value)
+                  for figure, value in figures.items()}
+        if job[0] == "command":
+            values["process_ms"] = (process * 1e3,) * 2
+        return values
 
     for name in trees:  # writes the cached mode's bytecode, untimed
-        for argv in COLD_COMMANDS.values():
-            child(name, "cached", argv)
-    samples: dict[tuple[str, str, str], list[tuple[float, ...]]] = {}
+        child(name, "cached", ["case", "every_module"])
+    samples: dict[tuple[str, str, str], list[dict]] = {}
     order = list(trees)
     for i in range(runs):
-        for command, argv in COLD_COMMANDS.items():
+        for job, spec in jobs.items():
             for name in order[i % len(order):] + order[:i % len(order)]:
-                for mode in ("compile", "cached"):
-                    samples.setdefault((name, mode, command), []).append(child(name, mode, argv))
-    result: dict = {name: {"compile": {}, "cached": {}} for name in trees}
-    for (name, mode, command), rows in samples.items():
-        seconds = {
-            "import_ms": [reference.scaled(load, before, after)
-                          for load, _, before, after, _ in rows],
-            "main_ms": [reference.scaled(work, before, after)
-                        for _, work, before, after, _ in rows],
-            "total_ms": [reference.scaled(load + work, before, after)
-                         for load, work, before, after, _ in rows],
-            "process_ms": [process for *_, process in rows],  # unscaled
-        }
-        figures = result[name][mode][command] = {}
-        for figure, values in seconds.items():
-            q1, median, q3 = quartiles(values)
-            figures[figure] = round(median * 1e3, 2)
-            figures[f"{figure}_q1"] = round(q1 * 1e3, 2)
-            figures[f"{figure}_q3"] = round(q3 * 1e3, 2)
-    return {
-        "script": "scripts/layer_bench.py --cold-start",
-        "python": platform.python_version(),
-        "runs": runs,
-        "reference_s": reference.REFERENCE_S,
-        "commands": {command: "monorev " + " ".join(argv)
-                     for command, argv in COLD_COMMANDS.items()},
-        "trees": result,
-    }
+                for mode in modes:
+                    samples.setdefault((name, mode, job), []).append(child(name, mode, spec))
+    result: dict = {}
+    for (name, mode, job), rows in samples.items():
+        figures = result.setdefault(name, {}).setdefault(mode, {})[job] = {}
+        for figure in rows[0]:
+            q1, median, q3 = quartiles([row[figure][0] for row in rows])
+            figures.update({figure: round(median, 3), f"{figure}_q1": round(q1, 3),
+                            f"{figure}_q3": round(q3, 3), f"{figure}_unscaled":
+                            round(quartiles([row[figure][1] for row in rows])[1], 3)})
+    return result
 
 
 def _tree(text: str) -> tuple[str, Path]:
@@ -439,23 +430,31 @@ def main(argv=None) -> int:
                     help="time the CLI from a cold start in N fresh interpreters per "
                          "command instead of the layers")
     ap.add_argument("--tree", type=_tree, action="append", default=[], metavar="NAME=PATH",
-                    help="a checkout to time from a cold start (repeatable; "
-                         "default this one)")
+                    help="a checkout to time (repeatable; default this one)")
     args = ap.parse_args(argv)
-    if args.cold_start < 1:
-        result = run()
-        for name, value in result["figures"].items():
-            print(f"{name:28} {value:10.3f}  [{result['q1'][name]:.3f}, {result['q3'][name]:.3f}]")
+    if args.cold_start > 0:
+        jobs = {command: ["command", argv] for command, argv in COLD_COMMANDS.items()}
+        modes, runs = ("compile", "cached"), args.cold_start
     else:
-        trees = dict(args.tree) or {"this": ROOT}
-        with tempfile.TemporaryDirectory() as scratch:
-            result = cold_start(trees, args.cold_start, Path(scratch))
-        for name, modes in result["trees"].items():
-            for mode, commands in modes.items():
-                for command, figures in commands.items():
-                    print(f"{name:8} {mode:8} {command:12} " + "  ".join(
-                        f"{k} {v:8.2f}" for k, v in figures.items()
-                        if not k.endswith(("_q1", "_q3"))))
+        jobs = {case.__name__: ["case", case.__name__] for case in CASES}
+        modes, runs = ("cached",), REPEATS
+    with tempfile.TemporaryDirectory() as scratch:
+        trees = measure(dict(args.tree) or {"this": ROOT}, jobs, modes, runs, Path(scratch))
+    for name, by_mode in trees.items():
+        for mode, by_job in by_mode.items():
+            for job, figures in by_job.items():
+                for figure in figures:
+                    if not figure.endswith(("_q1", "_q3", "_unscaled")):
+                        print(f"{name:8} {mode:8} {job:12} {figure:28} {figures[figure]:10.3f}  "
+                              f"[{figures[figure + '_q1']:.3f}, {figures[figure + '_q3']:.3f}]")
+    result = {
+        "script": "scripts/layer_bench.py" + (" --cold-start" if args.cold_start > 0 else ""),
+        "python": platform.python_version(),
+        "runs": runs,
+        "reference_s": reference.REFERENCE_S,
+        "jobs": jobs,
+        "trees": trees,
+    }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -72,6 +72,7 @@ from .words import (
     Alphabet,
     Generator,
     Letter,
+    UnknownGeneratorError,
     Word,
     WordSyntaxError,
     format_word,
@@ -733,7 +734,7 @@ def _parse_pattern_token(token: str, alphabet: Alphabet,
     if m is not None:
         family, name, offset = m.groups()
         if family not in alphabet.finite and family not in alphabet.integer_families:
-            raise WordSyntaxError(f"unknown generator family {family!r}")
+            raise UnknownGeneratorError(f"unknown generator family {family!r}")
         if name not in params:  # inferred: the whole family
             values = None if family in alphabet.integer_families else alphabet.finite[family]
             params[name] = Param(name, values)

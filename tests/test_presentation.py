@@ -711,6 +711,12 @@ def test_load_presentation_errors(text, error):
         load_presentation(text)
 
 
+@pytest.mark.parametrize("line", ["z1 a1 = a1 z1", "schema r [i in Z]: z(i) a1 = a1 z(i)"])
+def test_an_unknown_family_is_refused_alike_in_plain_and_pattern_letters(line):
+    with pytest.raises(UnknownGeneratorError, match=r"\Aunknown generator family 'z'\Z"):
+        load_presentation(f"generators: a1\n{line}\n")
+
+
 def test_presentation_lookup(d4):
     with pytest.raises(KeyError):
         d4.schema("no_such")

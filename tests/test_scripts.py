@@ -60,12 +60,17 @@ def test_worked_examples(capsys):
 
 def test_layer_bench(capsys, tmp_path):
     script = load_script("layer_bench")
-    script.REPEATS = 1  # one run of each figure keeps this test near a second
+    script.REPEATS = 1  # one fresh interpreter per case keeps this test near three seconds
     out = tmp_path / "bench.json"
     assert script.main(["--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    figures = data["figures"]
-    assert set(figures) == set(data["unscaled"]) == set(data["q1"]) == set(data["q3"]) == {
+    assert data["jobs"] == {case.__name__: ["case", case.__name__] for case in script.CASES}
+    assert list(data["trees"]) == ["this"] and list(data["trees"]["this"]) == ["cached"]
+    rows = data["trees"]["this"]["cached"]
+    assert list(rows) == list(data["jobs"])
+    figures = {name: value for row in rows.values() for name, value in row.items()}
+    medians = {name for name in figures if not name.endswith(("_q1", "_q3", "_unscaled"))}
+    assert medians == {
         "letter_hash_ms_per_100k", "letter_eq_ms_per_100k", "letter_sort_ms_per_100k",
         "right_complement_cold_us", "right_complement_warm_us", "pair_lookup_us",
         "check_complemented_ms", "certify_cold_ms", "certify6_cold_ms", "cube_warm_us",
@@ -73,9 +78,40 @@ def test_layer_bench(capsys, tmp_path):
         "monoid_equal_cold_ms", "monoid_equal_warm_ms", "quotient_ending_us_per_step",
         "quotient_cold_us_per_pair", "quotient_cycling_us_per_step", "parse_word_us",
         "triples_ms"}
+    assert set(figures) == medians | {f"{m}_{s}" for m in medians for s in ("q1", "q3", "unscaled")}
     assert all(value > 0 for value in figures.values())
-    assert all(data["q1"][name] <= figures[name] <= data["q3"][name] for name in figures)
+    assert all(figures[f"{m}_q1"] <= figures[m] <= figures[f"{m}_q3"] for m in medians)
     assert "certify_cold_ms" in capsys.readouterr().out
+
+
+def test_layer_bench_times_each_tree(tmp_path):
+    script = load_script("layer_bench")
+    script.CASES = (script.triples,)  # the child looks the case up by name in the file
+    script.REPEATS = 2
+    out = tmp_path / "bench.json"
+    assert script.main(["--out", str(out), "--tree", f"a={ROOT}", "--tree", f"b={ROOT}"]) == 0
+    trees = json.loads(out.read_text())["trees"]
+    assert trees == {name: {"cached": {"triples": trees[name]["cached"]["triples"]}}
+                     for name in ("a", "b")}
+    for name in ("a", "b"):
+        figures = trees[name]["cached"]["triples"]
+        assert set(figures) == {"triples_ms", "triples_ms_q1", "triples_ms_q3",
+                                "triples_ms_unscaled"}
+        assert figures["triples_ms_q1"] <= figures["triples_ms"] <= figures["triples_ms_q3"]
+        assert figures["triples_ms_unscaled"] > 0
+
+
+def test_layer_bench_names_a_failing_child(tmp_path):
+    # the child imports monorev from the tree under test, even where an installed
+    # monorev could be found, and its error reaches the parent
+    script = load_script("layer_bench")
+    script.CASES = (script.triples,)
+    package = tmp_path / "broken" / "src" / "monorev"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('raise RuntimeError("broken tree")\n')
+    with pytest.raises(RuntimeError, match="RuntimeError: broken tree"):
+        script.main(["--out", str(tmp_path / "bench.json"),
+                     "--tree", f"broken={tmp_path / 'broken'}"])
 
 
 def test_layer_bench_cold_start(capsys, tmp_path):
@@ -84,14 +120,19 @@ def test_layer_bench_cold_start(capsys, tmp_path):
     out = tmp_path / "cold.json"
     assert script.main(["--out", str(out), "--cold-start", "1"]) == 0
     data = json.loads(out.read_text())
-    assert data["commands"] == {"list": "monorev list"}
+    assert data["jobs"] == {"list": ["command", ["list"]]}
+    assert list(data["trees"]["this"]) == ["compile", "cached"]
     for mode in ("compile", "cached"):
         figures = data["trees"]["this"][mode]["list"]
         medians = {"import_ms", "main_ms", "total_ms", "process_ms"}
-        assert set(figures) == medians | {f"{m}_{q}" for m in medians for q in ("q1", "q3")}
+        assert set(figures) == medians | {f"{m}_{s}" for m in medians
+                                          for s in ("q1", "q3", "unscaled")}
         assert all(value > 0 for value in figures.values())
         # one run is its own lower and upper quartile
         assert all(figures[f"{m}_q1"] == figures[m] == figures[f"{m}_q3"] for m in medians)
+        # the parent times the whole child, start-up included, and does not scale it
+        assert figures["process_ms"] == figures["process_ms_unscaled"]
+        assert figures["process_ms"] > figures["total_ms_unscaled"]
     assert "this     cached   list" in capsys.readouterr().out
 
 
