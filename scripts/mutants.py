@@ -70,6 +70,11 @@ MUTANTS = (
            "if False:",
            ("tests/test_completeness.py::test_certify_refuses_a_pinned_index",
             "tests/test_cli.py::test_certify_pinned_index_refused")),
+    Mutant("complemented-sides", "src/monorev/completeness.py",
+           'sides = [side for side, conflicts in (("right", right), ("left", left)) if not conflicts]',
+           'sides = [side for side, conflicts in (("right", right), ("left", left))]',
+           ("tests/test_completeness.py::test_certify_one_sided_claim",
+            "tests/test_completeness.py::test_certify_refuses_yamada")),
     Mutant("ambiguous-complement", "src/monorev/presentation.py",
            "if len(insts) > 1:",
            "if len(insts) > 99:",

@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "words": (
         "EPSILON", "Alphabet", "Generator", "Letter", "UnknownGeneratorError", "Word",
-        "WordSyntaxError", "format_word", "free_reduce", "parse_word", "shift_word",
+        "WordSyntaxError", "free_reduce", "parse_word", "shift_word",
     ),
     "presentation": (
         "DEFAULT_FUEL", "AmbiguousComplementError", "CapError", "ComplementPair", "Param",

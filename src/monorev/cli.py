@@ -4,7 +4,9 @@ Exit codes are uniform across subcommands: 0 for success or a passing
 check, 1 for a definite failure or counterexample, 2 for inconclusive
 outcomes (reversals proved to cycle, fuel exhaustion, stuck reversals,
 ambiguous preconditions, oracle and sweep caps), 3 for usage and input
-errors.
+errors.  A command whose stdout has lost its reader (`monorev show e8:new
+| head -1`) prints nothing more and exits 2: its outcome never reached
+the reader.
 
 Every subcommand is made by `_command`, which declares its positionals and
 the options it shares with other commands (`--left`, `--fuel`, `--format`,
@@ -69,13 +71,13 @@ def _read(path: str) -> str:
 def _load(source: str) -> Presentation:
     try:
         return catalog.load(source)
-    except KeyError:
+    except (KeyError, ValueError) as exc:  # an unknown key, or an affine key's bad rank
         if os.path.exists(source):
             return load_presentation(_read(source), name=os.path.basename(source))
-        raise KeyError(
-            f"{source!r} is neither a catalog key nor a presentation file; "
-            "see 'monorev list'"
-        ) from None
+        if isinstance(exc, ValueError):
+            raise
+    raise KeyError(f"{source!r} is neither a catalog key nor a presentation file; "
+                   "see 'monorev list'")
 
 
 def _request(args, *names: str) -> tuple[Presentation, list[Word]]:
@@ -449,7 +451,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # stdout's reader has gone, so the outcome never reached it
+        # the interpreter's last flush then writes to devnull, not to the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return INCONCLUSIVE
     except AmbiguousComplementError as exc:
         print(f"monorev: ambiguous complement: {exc}", file=sys.stderr)
         return INCONCLUSIVE

@@ -399,11 +399,10 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     if not p.homogeneous and word_len is None:
         return refused("presentation is not homogeneous, the generator-triple "
                        "reduction does not apply; rerun with a word length")
-    right_rep, left_rep = check_complemented(p)
-    sides = [side for side, rep in (("right", right_rep), ("left", left_rep))
-             if rep.verdict == "complemented"]
+    right, left = check_complemented(p)
+    sides = [side for side, conflicts in (("right", right), ("left", left)) if not conflicts]
     if not sides:
-        (x, y), insts = right_rep.conflicts[0]
+        (x, y), insts = right[0]
         if x == y:  # one relation conflicts with itself: both sides start with x
             return refused(f"not complemented on either side; e.g. both sides of relation "
                            f"{insts[0].label()} ({insts[0]}) start with {x}")

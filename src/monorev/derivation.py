@@ -27,11 +27,10 @@ the defining products collapse freely to t(1) t(0).
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .presentation import Presentation
-from .words import Generator, Letter, Word, free_reduce, parse_letter
+from .words import Generator, Letter, Word, free_reduce, parse_letter, shift_word
 
 
 class DerivationError(ValueError):
@@ -211,18 +210,12 @@ def format_script(script: DerivationScript) -> str:
 def shift_script(p: Presentation, script: DerivationScript, k: int) -> DerivationScript:
     """Translate every index of every integer family of p by k.
 
-    The letters of the start, the expected word and the inserts move, and
-    so do the bindings of the Z-ranged parameters over an integer family,
-    so the result replays the same derivation k levels up.
+    The letters of the start, the expected word and the inserts move,
+    through shift_word, and so do the bindings of the Z-ranged parameters
+    over an integer family, so the result replays the same derivation k
+    levels up.
     """
     fams = p.alphabet.integer_families
-
-    def moved(letter: Letter) -> Letter:
-        gen = letter.gen
-        if gen.family not in fams:
-            return letter
-        return Letter(Generator(gen.family, gen.index + k), letter.sign)
-
     steps: list[DerivationStep] = []
     for step in script.steps:
         if isinstance(step, RelationStep):
@@ -233,11 +226,11 @@ def shift_script(p: Presentation, script: DerivationScript, k: int) -> Derivatio
                              for name, value in step.bindings)
             steps.append(RelationStep(step.schema, bindings, step.direction, step.position))
         elif isinstance(step, InsertStep):
-            steps.append(InsertStep(moved(step.letter), step.position))
+            steps.append(InsertStep(shift_word((step.letter,), k, fams)[0], step.position))
         else:
             steps.append(step)
-    return DerivationScript(script.presentation, Word(map(moved, script.start)),
-                            Word(map(moved, script.expect)), tuple(steps))
+    return DerivationScript(script.presentation, shift_word(script.start, k, fams),
+                            shift_word(script.expect, k, fams), tuple(steps))
 
 
 # -- expressing t(i) through t(0) and t(1) --------------------------------
@@ -246,7 +239,6 @@ _T0 = Word((Letter(Generator("t", 0)),))
 _T1 = Word((Letter(Generator("t", 1)),))
 
 
-@lru_cache(maxsize=None)
 def t_expression(i: int) -> Word:
     """t(i) as a freely reduced word in t(0), t(1).
 

@@ -75,7 +75,6 @@ from .words import (
     UnknownGeneratorError,
     Word,
     WordSyntaxError,
-    format_word,
     parse_letter,
     parse_word,
 )
@@ -130,7 +129,7 @@ class RelationInstance(NamedTuple):
         return f"{self.schema}({inner})"
 
     def __str__(self) -> str:
-        return f"{format_word(self.lhs)} = {format_word(self.rhs)}"
+        return f"{self.lhs} = {self.rhs}"
 
 
 class PatternLetter(NamedTuple):
@@ -581,15 +580,6 @@ def left_complement(p: Presentation, x: Generator, y: Generator):
 # -- global checks --------------------------------------------------------
 
 
-class ComplementReport(NamedTuple):
-    side: str
-    conflicts: tuple[tuple[tuple[Generator, Generator], tuple[RelationInstance, ...]], ...]
-
-    @property
-    def verdict(self) -> str:
-        return "complemented" if not self.conflicts else "conflict"
-
-
 def pair_scan_generators(p: Presentation) -> list[Generator]:
     """Representative generators for pair scans.
 
@@ -617,16 +607,18 @@ def pair_scan_generators(p: Presentation) -> list[Generator]:
     return sorted(gens)
 
 
-def check_complemented(p: Presentation) -> tuple[ComplementReport, ComplementReport]:
-    """Scan all generator pairs for complement conflicts, right and left.
+def check_complemented(p: Presentation) -> tuple[tuple, tuple]:
+    """Scan all generator pairs for complement conflicts: (right, left).
 
     A pair conflicts when more than one relation leads (or trails) with it,
-    or when a relation relates x... to x... with distinct sides.  Each pair
-    of distinct generators is looked up through the complement cache, so
-    the scan files what it solves for the reversals that follow, and a
-    pair whose transpose it has filed is not solved again.
+    or when a relation relates x... to x... with distinct sides.  Each side
+    gives the tuple of its conflicts, ((x, y), relations) with the first two
+    relations found, in pair order; the side is complemented when the tuple
+    is empty.  Each pair of distinct generators is looked up through the
+    complement cache, so the scan files what it solves for the reversals
+    that follow, and a pair whose transpose it has filed is not solved again.
     """
-    reports = []
+    found = []
     gens = pair_scan_generators(p)
     for side in ("right", "left"):
         conflicts = []
@@ -641,8 +633,8 @@ def check_complemented(p: Presentation) -> tuple[ComplementReport, ComplementRep
                     insts = exc.instances
             if insts:
                 conflicts.append(((x, y), tuple(insts[:2])))
-        reports.append(ComplementReport(side, tuple(conflicts)))
-    return reports[0], reports[1]
+        found.append(tuple(conflicts))
+    return found[0], found[1]
 
 
 def materialize_relations(p: Presentation) -> tuple[RelationInstance, ...]:

@@ -98,7 +98,7 @@ class Word(tuple):
         return f"Word({tuple.__repr__(self)})"
 
     def __str__(self) -> str:
-        return format_word(self)
+        return " ".join(map(str, self))
 
     def is_positive(self) -> bool:
         return all(l.sign > 0 for l in self)
@@ -164,10 +164,6 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return Word([parse_letter(tok, alphabet) for tok in text.split()])
 
 
-def format_word(w: Word) -> str:
-    return " ".join(str(l) for l in w)
-
-
 def free_reduce(w: Word) -> Word:
     """Delete adjacent mutually inverse letters until none remain.
 
@@ -183,11 +179,11 @@ def free_reduce(w: Word) -> Word:
     return Word(stack)
 
 
-def shift_word(w: Word, k: int, family: str = "t") -> Word:
-    """Translate every index of the given family by k, fixing other letters."""
+def shift_word(w: Word, k: int, families: frozenset[str]) -> Word:
+    """Translate every index of the given families by k, fixing other letters."""
     return Word(
         Letter(Generator(l.gen.family, l.gen.index + k), l.sign)
-        if l.gen.family == family
+        if l.gen.family in families
         else l
         for l in w
     )

@@ -10,6 +10,8 @@ import inspect
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -626,6 +628,48 @@ def test_usage_errors(capsys):
     assert code == 3
     code, _, err = run(capsys)
     assert code == 3
+
+
+def test_file_named_like_a_malformed_affine_key_loads(capsys, tmp_path, monkeypatch):
+    # catalog.load refuses these names with a ValueError, not a KeyError.  A
+    # relative name, since an absolute path never parses as an affine key.
+    monkeypatch.chdir(tmp_path)
+    for name in ("affine-a:cll:x", "affine-a:cll:2"):
+        (tmp_path / name).write_text(SAVED_CATALOG["d4:new"])
+        code, out, _ = run(capsys, "show", name)
+        assert code == 0 and out.startswith(f"# presentation {name}\n")
+        assert SAVED_CATALOG["d4:new"] in out
+    # a derivation script names its presentation the same way
+    (tmp_path / "s1.script").write_text("presentation: affine-a:cll:x\nstart: s1\nexpect: s1\n")
+    code, out, _ = run(capsys, "derive", "s1.script")
+    assert code == 0 and "verified: s1 = s1" in out
+    # a valid key wins over a file of its name
+    (tmp_path / "affine-a:cll:3").write_text(SAVED_CATALOG["d4:new"])
+    code, out, _ = run(capsys, "show", "affine-a:cll:3")
+    assert code == 0 and out.endswith(save_presentation(catalog.load("affine-a:cll:3")))
+    # without a file the catalog's message stands
+    code, out, err = run(capsys, "show", "affine-a:cll:y")
+    assert code == 3 and out == ""
+    assert err == "monorev: rank suffix in 'affine-a:cll:y' must be an integer\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["list"], ["certify", "d4:new"]], ids=" ".join)
+def test_closed_stdout_is_inconclusive_and_silent(argv, unbuffered):
+    # the reader of stdout is gone before the command starts, so the outcome
+    # never reaches it: no message, exit 2, with stdout buffered or not
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(catalog.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run([sys.executable, "-m", "monorev.cli", *argv], stdout=write,
+                               stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (2, b"")
 
 
 @pytest.mark.parametrize("argv", [

@@ -448,7 +448,8 @@ def _unmirrored_certificate(p, t_bound=3, fuel=DEFAULT_FUEL, word_len=None):
     if cert.claim == "refused":
         return cert
     failures, stalls = [], []
-    for side in [rep.side for rep in check_complemented(p) if rep.verdict == "complemented"]:
+    for side in [side for side, conflicts in zip(("right", "left"), check_complemented(p))
+                 if not conflicts]:
         for triple in enumerate_word_triples(p, word_len or 1, t_bound):
             res = cube_condition(p, *triple, side=side, fuel=fuel)
             if res.status == "fail":

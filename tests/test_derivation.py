@@ -159,7 +159,7 @@ def test_shift_script_replays(d4):
     with open(S1_SCRIPT, encoding="utf-8") as fh:
         script = parse_script(fh.read(), d4)
     lifted = shift_script(d4, script, 3)
-    assert lifted.start == shift_word(script.start, 3)
+    assert lifted.start == shift_word(script.start, 3, d4.alphabet.integer_families)
     assert verify_script(d4, lifted).ok
     # only the translation bindings move, the braid's s-vertex stays put
     first = lifted.steps[0]

@@ -56,7 +56,7 @@ COMMANDS = [
 # of `reversing`, into `grid`.
 PUBLIC = {
     "words": ["EPSILON", "Alphabet", "Generator", "Letter", "UnknownGeneratorError", "Word",
-              "WordSyntaxError", "format_word", "free_reduce", "parse_word", "shift_word"],
+              "WordSyntaxError", "free_reduce", "parse_word", "shift_word"],
     "presentation": ["DEFAULT_FUEL", "AmbiguousComplementError", "ComplementPair",
                      "Param", "PatternLetter", "Presentation", "RelationInstance", "Schema",
                      "SchemaError", "check_complemented", "instances_for_pair",

@@ -11,7 +11,6 @@ from monorev import catalog
 from monorev.presentation import (
     AmbiguousComplementError,
     CapError,
-    ComplementReport,
     Param,
     PatternLetter,
     Presentation,
@@ -342,19 +341,18 @@ def test_mirror_symmetric_hand_schemas(text, symmetric):
 
 
 def test_check_complemented_split(d4, yamada):
-    right, left = check_complemented(d4)
-    assert right.verdict == "complemented" and left.verdict == "complemented"
+    assert check_complemented(d4) == ((), ())
     right, left = check_complemented(yamada)
-    assert right.verdict == "conflict"
-    pair, insts = right.conflicts[0]
+    assert right
+    pair, insts = right[0]
     assert (str(pair[0]), str(pair[1])) == ("s1", "t(1)")
     assert [i.schema for i in insts] == ["t_braid", "double_twist_1"]
-    assert len(right.conflicts) == 8
+    assert len(right) == 8
 
 
 def reference_check_complemented(p):
     """The scan as a plain loop over instances_for_pair, which files nothing."""
-    reports = []
+    found = []
     gens = pair_scan_generators(p)
     for side in ("right", "left"):
         conflicts = []
@@ -362,8 +360,8 @@ def reference_check_complemented(p):
             insts = instances_for_pair(p, x, y, side)
             if (x == y and insts) or len(insts) > 1:
                 conflicts.append(((x, y), tuple(insts[:2])))
-        reports.append(ComplementReport(side, tuple(conflicts)))
-    return tuple(reports)
+        found.append(tuple(conflicts))
+    return tuple(found)
 
 
 SCAN_CASES = [*((key, None) for key in catalog.FIXED_NAMES),
@@ -559,8 +557,8 @@ def test_pair_scan_covers_pinned_indices(text):
         "t(8)", "t(9)", "t(10)", "t(11)", "t(12)"]
     assert len(instances_for_pair(p, t10, a1, "left")) == 2
     right, left = check_complemented(p)
-    assert right.verdict == "complemented" and left.verdict == "conflict"
-    assert [(str(x), str(y)) for (x, y), _ in left.conflicts] == [("a1", "t(10)"), ("t(10)", "a1")]
+    assert right == ()
+    assert [(str(x), str(y)) for (x, y), _ in left] == [("a1", "t(10)"), ("t(10)", "a1")]
 
 
 def test_load_save_round_trip():

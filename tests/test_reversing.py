@@ -25,9 +25,10 @@ from monorev.reversing import (
     Terminal,
     left_reverse,
     reverse_quotient,
+    _translation,
     right_reverse,
 )
-from monorev.words import Generator, Letter, Word
+from monorev.words import Generator, Letter, Word, shift_word
 
 from conftest import GLUE, SKEWED, TWO_COMMUTES
 
@@ -143,6 +144,33 @@ def test_shifted_cycle_needs_translation_invariance(d4):
     proved = reverse_quotient(d4, d4.parse(str(u)), d4.parse(str(v)))
     assert [str(w) for w, _ in zip(trace.words(), range(29))] == \
         [str(w) for w in proved.words()]
+
+
+# letters of two integer families, t and u, and of a finite one, s
+SHIFTED = frozenset({"t", "u"})
+MIXED_LETTER = st.builds(Letter, st.one_of(
+    st.builds(Generator, st.sampled_from(sorted(SHIFTED)), st.integers(-3, 3)),
+    st.builds(Generator, st.just("s"), st.integers(1, 3))), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(-4, 4), d=st.integers(-3, 3).filter(bool))
+def test_translation_recognises_shift_word(data, k, d):
+    """The cycle proof's shift recogniser finds the shift that shift_word made,
+    and no shift once a finite index, a sign or one family alone moves."""
+    w = data.draw(st.lists(MIXED_LETTER, min_size=1, max_size=8))
+    moved = list(shift_word(Word(w), k, SHIFTED))
+    families = {l.gen.family for l in w}
+    assert _translation(moved, w, SHIFTED) == (k if families & SHIFTED else 0)
+    i = data.draw(st.integers(0, len(w) - 1))
+    assert _translation(moved[:i] + [moved[i].inverse()] + moved[i + 1:], w, SHIFTED) is None
+    if "s" in families:
+        j = data.draw(st.sampled_from([j for j, l in enumerate(w) if l.gen.family == "s"]))
+        nudged = Letter(Generator("s", moved[j].gen.index + d), moved[j].sign)
+        assert _translation(moved[:j] + [nudged] + moved[j + 1:], w, SHIFTED) is None
+    if families >= SHIFTED:
+        apart = shift_word(shift_word(Word(w), k, frozenset({"t"})), k + d, frozenset({"u"}))
+        assert _translation(list(apart), w, SHIFTED) is None
 
 
 def test_left_anchor(d4):

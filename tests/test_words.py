@@ -13,7 +13,6 @@ from monorev.grid import EpsilonArc, GridCell, GridEdge, GridNode, ReversingGrid
 from monorev.oracle import ScanReport, ScanWitness
 from monorev.completeness import CubeResult
 from monorev.presentation import (
-    ComplementReport,
     Param,
     PatternLetter,
     RelationInstance,
@@ -119,7 +118,7 @@ def test_value_types_are_named_tuples():
     edge, witness = GridEdge(node, far, s3), ScanWitness("left", s3, word, EPSILON)
     schema = Schema("r", (Param("i"),), (PatternLetter("t", 0, "i"),), (PatternLetter("t", 1, "i"),))
     records = [
-        rule, PatternLetter("t", -1, "i"), Param("k", (0, 1)), ComplementReport("right", ()),
+        rule, PatternLetter("t", -1, "i"), Param("k", (0, 1)),
         Empty(), Terminal(Word((Letter(s3),)), EPSILON), Stuck(0, (s3, t)), Cycles(7, 4, 1),
         Diverged(40), ReversalTrace("right", word, (step,), Empty(), EPSILON),
         RelationStep("r", (("i", -1),), "lr", 0), CancelStep(3), InsertStep(letter, 1),
@@ -130,7 +129,7 @@ def test_value_types_are_named_tuples():
         witness, ScanReport("d4:new", 2, 3, 10, (witness,)),
         schema, CubeResult((word, EPSILON, word), "right", "pass", "ok"),
     ]
-    assert len({type(value) for value in records}) == 24
+    assert len({type(value) for value in records}) == 23
     for value in records:
         assert isinstance(value, tuple)
         assert value == tuple(value) and hash(value) == hash(tuple(value))
@@ -145,7 +144,7 @@ def test_value_types_are_named_tuples():
     with pytest.raises(SchemaError):  # a schema checks itself however it is made
         schema._replace(rhs=())
     assert sorted([far, node]) == [node, far]  # a grid node orders as (x, y)
-    assert repr(records[5]) == (
+    assert repr(records[4]) == (
         "Terminal(v_prime=Word((Letter(gen=Generator(family='s', index=3), sign=1),)), "
         "u_prime=Word(()))")
     assert repr(rule) == (
@@ -203,10 +202,11 @@ def test_free_reduce_kills_ww_inverse():
 
 def test_shift_word():
     w = parse_word("t(1) s3 t(-2)^-1", AB)
-    assert str(shift_word(w, 2)) == "t(3) s3 t(0)^-1"
-    assert str(shift_word(w, 0)) == str(w)
-    # other families can be shifted by name
-    assert str(shift_word(w, 1, family="s")) == "t(1) s4 t(-2)^-1"
+    assert str(shift_word(w, 2, AB.integer_families)) == "t(3) s3 t(0)^-1"
+    assert str(shift_word(w, 0, AB.integer_families)) == str(w)
+    # every family given moves, and only those
+    assert str(shift_word(w, 1, frozenset({"s"}))) == "t(1) s4 t(-2)^-1"
+    assert str(shift_word(w, 1, frozenset({"s", "t"}))) == "t(2) s4 t(-1)^-1"
 
 
 def test_alphabet_membership():
