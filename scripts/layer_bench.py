@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the letter, lookup and oracle layers, and the CLI from a cold start.
 
-    python3 scripts/layer_bench.py --out BENCH.json \
+    python3 scripts/layer_bench.py --out BENCH.json [--runs N] \
         [--tree parent=OTHER_CHECKOUT --tree change=.]
     python3 scripts/layer_bench.py --cold-start 11 --out BENCH.json [--tree ...]
 
@@ -14,15 +14,16 @@ keep the parent's environment, random hash seed included, without
 PYTHONPATH and the two bytecode variables below.  A child that fails
 stops the run with a RuntimeError that carries the tail of its stderr.
 
-Without --cold-start the jobs are the cases of CASES, REPEATS samples
-each.  A child loads this file from this checkout's scripts/, looks its
-case up by name and runs time_case on it.  A case builds its inputs and
-returns its figures in order, each as (name, unit, work, calls); work runs
-`calls` calls of the layer, and the figure is its time per call in unit.
-The case is built before the clock: time_case times the reference kernel,
-runs every figure's work in order, and times the kernel again.  The
-figures that share warm state (cold then warm, checks then reversals)
-share a case, and so a child.  The cases are:
+Without --cold-start the jobs are the cases of CASES, --runs samples
+each (REPEATS by default).  A child loads this file from this checkout's
+scripts/, looks its case up by name and runs time_case on it.  A case
+builds its inputs and returns its figures in order, each as (name,
+unit, work, calls); work runs `calls` calls of the layer, and the figure
+is its time per call in unit.  The case is built before the clock:
+time_case times the reference kernel, runs every figure's work in order,
+and times the kernel again.  The figures that share warm state (cold
+then warm, checks then reversals) share a case, and so a child.  The
+cases are:
 
 - letters: hashing, comparing and sorting 100,000 letters;
 - complements: right_complement on e8:new over every pair of distinct
@@ -74,6 +75,13 @@ JSON holds, per tree, mode and job, each figure's median, its quartiles as
 single run is its own quartiles), so that a change's figure can be read
 against the spread of another tree's runs, and the median of its unscaled
 values as <figure>_unscaled.
+
+A run goes round every job and tree once per sample, so with two trees
+each round holds one sample of each, taken close together.  For two
+trees the JSON's `lower` also counts, per mode, job and figure, the
+rounds in which the second tree's scaled value read lower than the
+first's, the pairwise count that a claim of a move rests on, and the
+table ends with those counts.
 """
 
 from __future__ import annotations
@@ -367,8 +375,12 @@ def time_case(case) -> tuple[dict[str, float], float, float]:
 
 
 def measure(trees: dict[str, Path], jobs: dict[str, list], modes: tuple[str, ...], runs: int,
-            scratch: Path) -> dict:
-    """Each job in `runs` fresh interpreters per tree and mode: tree -> mode -> job -> figures."""
+            scratch: Path) -> tuple[dict, dict]:
+    """Each job in `runs` fresh interpreters per tree and mode.
+
+    Returns tree -> mode -> job -> figures, and for two trees mode -> job ->
+    figure -> the rounds in which the second tree read lower (else {}).
+    """
     srcs = {}
     for name, tree in trees.items():
         srcs[name] = scratch / "trees" / name / "src"
@@ -413,7 +425,16 @@ def measure(trees: dict[str, Path], jobs: dict[str, list], modes: tuple[str, ...
             figures.update({figure: round(median, 3), f"{figure}_q1": round(q1, 3),
                             f"{figure}_q3": round(q3, 3), f"{figure}_unscaled":
                             round(quartiles([row[figure][1] for row in rows])[1], 3)})
-    return result
+    lower: dict = {}
+    if len(order) == 2:
+        first, second = order
+        for (name, mode, job), rows in samples.items():
+            if name == second:
+                lower.setdefault(mode, {})[job] = {
+                    figure: sum(b[figure][0] < a[figure][0]
+                                for a, b in zip(samples[first, mode, job], rows))
+                    for figure in rows[0]}
+    return result, lower
 
 
 def _tree(text: str) -> tuple[str, Path]:
@@ -429,17 +450,23 @@ def main(argv=None) -> int:
     ap.add_argument("--cold-start", type=int, default=0, metavar="N", dest="cold_start",
                     help="time the CLI from a cold start in N fresh interpreters per "
                          "command instead of the layers")
+    ap.add_argument("--runs", type=int, metavar="N",
+                    help=f"samples per layer case (default {REPEATS})")
     ap.add_argument("--tree", type=_tree, action="append", default=[], metavar="NAME=PATH",
                     help="a checkout to time (repeatable; default this one)")
     args = ap.parse_args(argv)
+    if args.runs is not None and (args.runs < 1 or args.cold_start > 0):
+        ap.error("--runs must be >= 1" if args.runs < 1 else
+                 "--runs counts layer samples; --cold-start N sets the command samples")
     if args.cold_start > 0:
         jobs = {command: ["command", argv] for command, argv in COLD_COMMANDS.items()}
         modes, runs = ("compile", "cached"), args.cold_start
     else:
         jobs = {case.__name__: ["case", case.__name__] for case in CASES}
-        modes, runs = ("cached",), REPEATS
+        modes, runs = ("cached",), REPEATS if args.runs is None else args.runs
     with tempfile.TemporaryDirectory() as scratch:
-        trees = measure(dict(args.tree) or {"this": ROOT}, jobs, modes, runs, Path(scratch))
+        trees, lower = measure(dict(args.tree) or {"this": ROOT}, jobs, modes, runs,
+                               Path(scratch))
     for name, by_mode in trees.items():
         for mode, by_job in by_mode.items():
             for job, figures in by_job.items():
@@ -447,6 +474,13 @@ def main(argv=None) -> int:
                     if not figure.endswith(("_q1", "_q3", "_unscaled")):
                         print(f"{name:8} {mode:8} {job:12} {figure:28} {figures[figure]:10.3f}  "
                               f"[{figures[figure + '_q1']:.3f}, {figures[figure + '_q3']:.3f}]")
+    if lower:
+        first, second = trees
+        print(f"rounds of {runs} in which {second} read lower than {first}:")
+        for mode, by_job in lower.items():
+            for job, counts in by_job.items():
+                for figure, count in counts.items():
+                    print(f"{mode:8} {job:12} {figure:28} {count:4d} of {runs}")
     result = {
         "script": "scripts/layer_bench.py" + (" --cold-start" if args.cold_start > 0 else ""),
         "python": platform.python_version(),
@@ -455,6 +489,8 @@ def main(argv=None) -> int:
         "jobs": jobs,
         "trees": trees,
     }
+    if lower:
+        result["lower"] = {"tree": second, "than": first, "rounds": lower}
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -137,6 +137,21 @@ MUTANTS = (
            "if fuel >= 2 and len(u) == len(v) == len(w) == 1",
            "if len(u) == len(v) == len(w) == 1",
            ("tests/test_completeness.py::test_repeated_letter_lemma_keeps_the_fuel_gates",)),
+    Mutant("lemma-commuting-letters", "src/monorev/completeness.py",
+           "            for l in over:\n"
+           "                x, y = (c, l.gen) if c == u or (c == w and l.sign > 0) else (l.gen, c)\n"
+           "                if l.gen == c or _complement_word(p, x, y, side) != ((y, 1), (x, -1)):\n"
+           "                    return False\n",
+           "",
+           ("tests/test_completeness.py::test_distinct_letter_lemmas_law",)),
+    Mutant("lemma-equal-complements", "src/monorev/completeness.py",
+           "return uv == (uw[0], wv[1]) and fuel >= 3",
+           "return uv is not None and uv[1:] == wv[1:] and fuel >= 3",
+           ("tests/test_completeness.py::test_distinct_letter_lemmas_law",)),
+    Mutant("lemma-step-bound", "src/monorev/completeness.py",
+           "3 + len_v + 2 * len_u",
+           "2 + len_v + 2 * len_u",
+           ("tests/test_completeness.py::test_distinct_letter_lemmas_keep_the_fuel_gates",)),
     Mutant("triple-normalisation", "src/monorev/completeness.py",
            "for w in thirds.get(min(a, b), zero)]",
            "for w in words]",

@@ -21,11 +21,12 @@ certificate undetermined rather than falsified.  The check keeps only its
 verdict, a CubeResult that holds no presentation; cube_traces runs the
 two reversals again with their step records, for a reader of the traces.
 A plain cube_condition call computes its verdict afresh and keeps none;
-the repeated-letter lemma below settles some of those verdicts with one
-complement lookup, with or without a sweep.  certify's sweep applies the
-two mirror lemmas as well, within one call: it hands cube_condition a set
-of the triples that passed on the side, and drops the set when it
-returns, so no verdict outlives the call.
+the repeated-letter, commuting-letter and equal-complements lemmas below
+settle many of those verdicts with a few complement lookups, with or
+without a sweep.  certify's sweep applies the two mirror lemmas as well,
+within one call: it hands cube_condition a set of the triples that passed
+on the side, and drops the set when it returns, so no verdict outlives
+the call.
 
 The repeated-letter lemma.  Take a generator triple (u, v, w) in which
 two of the letters are equal.  If all three are, the check passes.
@@ -60,6 +61,55 @@ answers only at fuel >= 2, checked before its lookup, and passes only at
 fuel >= 2 + len(push), which covers both reversals of every case; any
 other check, longer words included, runs the kernel.  cube_traces always
 runs the kernel.
+
+The distinct-letter lemmas.  Take a generator triple (u, v, w) of three
+distinct letters, on the right, and write the complement x A = y B of a
+pair (x, y) as A B^-1, the word that x^-1 y reverses to.  Two lemmas read
+the complements of (u, w), (w, v) and (u, v); each answers only pass, at
+fuel >= the larger of its two step counts, and any other check runs the
+kernel.
+- Equal complements: u a = w b, w c = v d and u e = v f, one letter a
+  side, with b = c, e = a and f = d.  The first word becomes
+  a b^-1 w^-1 v, then a b^-1 b d^-1, and cancels to a d^-1: 3 steps.
+  The second word a^-1 u^-1 v d becomes a^-1 a d^-1 d and cancels to the
+  empty word: 3 steps.
+- Commuting letter: one letter c of the triple whose complement against
+  each other letter, and against each letter of the complement x V = y U
+  of those two, is the commutation c l = l c (in the order the kernel
+  meets the pair), and which is no letter of that complement.
+  - c = w, over u V = v U.  u^-1 w w^-1 v becomes w u^-1 w^-1 v, then
+    w u^-1 v w^-1, then w V U^-1 w^-1: 3 steps.  The second word
+    V^-1 w^-1 u^-1 v w U meets u^-1 v, carries w^-1 across V and w across
+    U^-1, and cancels V^-1 V, w^-1 w and U^-1 U: 2 + 2|V| + 2|U| steps.
+  - c = u, over w V = v U.  The first word becomes w u^-1 w^-1 v, then
+    w u^-1 V U^-1, and carries u^-1 across V: 2 + |V| steps, ending on
+    w V u^-1 U^-1.  The second word V^-1 w^-1 u^-1 v U u meets u^-1 v and
+    w^-1 v, cancels V^-1 V, carries u^-1 across U and cancels U^-1 U and
+    u^-1 u: 3 + |V| + 2|U| steps.
+  - c = v, over u V = w U.  The first word becomes V U^-1 w^-1 v, then
+    V U^-1 v w^-1, and carries v across U^-1: 2 + |U| steps, ending on
+    V v U^-1 w^-1.  The second word v^-1 V^-1 u^-1 v w U meets u^-1 v,
+    carries v across V^-1, cancels v^-1 v, meets u^-1 w and cancels
+    V^-1 V and U^-1 U: 3 + 2|V| + |U| steps.
+The runs above do not take the kernel's order, but the counts hold for
+it: two redexes x^-1 y never share a letter, so rewriting one leaves the
+other in place, and every run of a word that ends makes the same steps,
+the cells of one reversing diagram, and ends on the same word.  These
+runs end, so none is proved to cycle.  The left side is the mirror.  The
+left check of (u, v, w) is the right check of (u, v, w) read backwards,
+in the presentation read backwards, at the same fuel and in as many
+steps: reading backwards, signs kept, turns v w^-1 w u^-1 into
+u^-1 w w^-1 v, a left redex x y^-1 into the right redex y^-1 x, and a
+relation into the relation read backwards.  There the lookup of (x, y) is
+left_complement(p, y, x), with its push read backwards: x A = y B there
+is A' x = B' y in p, A' and B' being A and B read backwards, and the
+push, which lists the letters of B'^-1 A' last first, reads A B^-1.
+A lemma looks up (u, w) and (w, v), which the kernel meets first, and
+stops at the first lookup that rules it out, but it may look up a pair
+the kernel does not reach, such as (u, v) when the first reversal sticks.
+So an AmbiguousComplementError from a lemma's lookup hands the check to
+the kernel, which raises its own error or gives its verdict as without
+the lemma.
 
 The mirror lemma.  The first word of (v, u, w) is the formal inverse of
 the first word of (u, v, w) on either side, and once both first
@@ -102,7 +152,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import __version__, reversing
-from .presentation import DEFAULT_FUEL, CapError, Presentation, check_complemented
+from .presentation import (
+    DEFAULT_FUEL,
+    AmbiguousComplementError,
+    CapError,
+    Presentation,
+    check_complemented,
+)
 from .reversing import (
     Cycles,
     Diverged,
@@ -159,13 +215,79 @@ _SECOND = {Cycles: ("fail", "second reversal cycles"),
 _PASS = ("pass", "ok")
 
 
+def _complement_word(p: Presentation, x: Generator, y: Generator,
+                     side: str) -> tuple[Letter, ...] | None:
+    """The letters of A B^-1, where x A = y B is the right complement of (x, y),
+    or None when the pair has none.
+
+    On the left it is the right complement in the presentation read
+    backwards: left_complement(p, y, x), with its push read backwards.
+    """
+    if side == "right":
+        comp = reversing.right_complement(p, x, y)
+        return None if comp is None else comp.push[::-1]
+    comp = reversing.left_complement(p, y, x)
+    return None if comp is None else comp.push
+
+
+def _distinct_letters_pass(p: Presentation, u: Generator, v: Generator, w: Generator,
+                           side: str, fuel: int) -> bool:
+    """Whether the commuting-letter or the equal-complements lemma of the module
+    docstring passes the check of three distinct generators at this fuel.
+
+    It looks up (u, w) and (w, v), the pairs the first reversal meets first,
+    then (u, v) and the commuting letter's pairs, and stops at the first
+    answer that rules both lemmas out.
+    """
+    uw = _complement_word(p, u, w, side)
+    if uw is None:
+        return False
+    wv = _complement_word(p, w, v, side)
+    if wv is None:
+        return False
+    uv = None
+    uw_commute, wv_commute = uw == ((w, 1), (u, -1)), wv == ((v, 1), (w, -1))
+    if uw_commute or wv_commute:
+        uv = _complement_word(p, u, v, side)
+        if uv is None:
+            return False
+        if uw_commute and wv_commute:
+            c, over = w, uv
+        elif uv == ((v, 1), (u, -1)):
+            c, over = (u, wv) if uw_commute else (v, uw)
+        else:
+            c = None
+        if c is not None:
+            # c meets each letter l of `over` as c^-1 l or l^-1 c, and
+            # commutes with it when the complement of that pair is c l = l c
+            for l in over:
+                x, y = (c, l.gen) if c == u or (c == w and l.sign > 0) else (l.gen, c)
+                if l.gen == c or _complement_word(p, x, y, side) != ((y, 1), (x, -1)):
+                    return False
+            len_v = sum(l.sign > 0 for l in over)
+            len_u = len(over) - len_v
+            if c == w:
+                return fuel >= max(3, 2 + 2 * len_v + 2 * len_u)
+            if c == u:
+                return fuel >= max(2 + len_v, 3 + len_v + 2 * len_u)
+            return fuel >= max(2 + len_u, 3 + 2 * len_v + len_u)
+    # equal complements: u a = w b, w b = v d and u a = v d
+    if (len(uw) == len(wv) == 2 and uw[0].sign == wv[0].sign == 1
+            and uw[1].sign == wv[1].sign == -1 and uw[1].gen == wv[0].gen):
+        if uv is None:
+            uv = _complement_word(p, u, v, side)
+        return uv == (uw[0], wv[1]) and fuel >= 3
+    return False
+
+
 def _verdict(p: Presentation, u: Word, v: Word, w: Word, side: str,
              fuel: int) -> tuple[str, str]:
     """(status, reason) of the cube check of positive (u, v, w) on one side.
 
-    A generator triple with a repeated letter is settled by the
-    repeated-letter lemma of the module docstring when the fuel covers
-    the runs it stands for; any other check runs the kernel bare.
+    A generator triple is settled before the kernel by the repeated-letter
+    lemma of the module docstring when it repeats a letter, and otherwise
+    by the commuting-letter or the equal-complements lemma, when the fuel
+    covers the runs each stands for; any other check runs the kernel bare.
     """
     if fuel >= 2 and len(u) == len(v) == len(w) == 1 and (u == v or w == u or w == v):
         if u == v == w:
@@ -184,6 +306,13 @@ def _verdict(p: Presentation, u: Word, v: Word, w: Word, side: str,
             return _FIRST[Stuck]
         if fuel >= 2 + len(comp.push):
             return _PASS
+    elif fuel >= 3 and len(u) == len(v) == len(w) == 1:
+        # three distinct letters (fuel >= 3 would have taken a repeated one above)
+        try:
+            if _distinct_letters_pass(p, u[0].gen, v[0].gen, w[0].gen, side, fuel):
+                return _PASS
+        except AmbiguousComplementError:
+            pass  # the kernel meets the pair, or sticks first, and answers as it does
     out, done, _ = _run(p, _first_word(u, v, w, side), fuel, side, None)
     if out is not None:
         return _FIRST[type(out)]

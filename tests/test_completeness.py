@@ -7,7 +7,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monorev import catalog, completeness, reversing
 from monorev.completeness import (
@@ -233,23 +233,63 @@ LEMMA_PRESENTATIONS = [catalog.load(k) for k in catalog.FIXED_NAMES] + [
         ("pinned-t", PINNED_T), ("square-chain", SQUARE_CHAIN))]
 
 
-def test_repeated_letter_lemma_agrees_with_the_kernel(monkeypatch):
-    """Every generator triple with a repeated letter, at t_bound 2, on both
-    sides and at fuel 0 to 8: cube_condition gives the kernel's verdict, and
-    the lemma settles the pinned number of them without a kernel run."""
+def _lemma_agreement(monkeypatch, distinct):
+    """(settled, checks) over the generator triples of LEMMA_PRESENTATIONS at
+    t_bound 2 whose three letters are distinct, or not, on both sides and at
+    fuel 0 to 8, each check replayed against the kernel's traces; a check is
+    settled when cube_condition made no kernel run for it."""
     runs = _count_runs(monkeypatch)
     settled = checks = 0
     for p in LEMMA_PRESENTATIONS:
         p = fresh(p)
         for u, v, w in enumerate_word_triples(p, 1, 2):
-            if len({u, v, w}) == 3:
+            if (len({u, v, w}) == 3) != distinct:
                 continue
             for side, fuel in itertools.product(("right", "left"), range(9)):
                 before = len(runs)
                 _check_replay(p, u, v, w, side, fuel)
                 settled += len(runs) == before
                 checks += 1
-    assert (settled, checks) == (16354, 29682)
+    return settled, checks
+
+
+def test_repeated_letter_lemma_agrees_with_the_kernel(monkeypatch):
+    """Every generator triple with a repeated letter: cube_condition gives the
+    kernel's verdict, and the lemma settles the pinned number of them."""
+    assert _lemma_agreement(monkeypatch, distinct=False) == (16354, 29682)
+
+
+def test_distinct_letter_lemmas_agree_with_the_kernel(monkeypatch):
+    """Every generator triple of three distinct letters: cube_condition gives
+    the kernel's verdict, or the message of its AmbiguousComplementError, and
+    the commuting-letter and equal-complements lemmas settle the pinned
+    number of them."""
+    assert _lemma_agreement(monkeypatch, distinct=True) == (9144, 66744)
+
+
+# one triple of each distinct-letter case and the step count of its longer
+# reversal: equal complements (pure t), then the commuting letter as w, as u
+# and as v, each over a braid complement of two letters a side
+LEMMA_GATES = [("d4:new", "t(0) t(2) t(1)", 3), ("e8:new", "s2 s4 s1", 10),
+               ("e8:new", "s1 s2 s4", 9), ("e8:new", "s2 s1 s4", 9)]
+
+
+@pytest.mark.parametrize("key,triple,bound", LEMMA_GATES)
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_distinct_letter_lemmas_keep_the_fuel_gates(key, triple, bound, side, monkeypatch):
+    """One step below the longer reversal, the check gets the kernel's "ran
+    out of fuel" verdict; at the bound it passes without a kernel run."""
+    p = fresh(catalog.load(key))
+    u, v, w = (Word((letter,)) for letter in p.parse(triple))
+    first, second = cube_traces(p, u, v, w, side=side)
+    assert max(first.step_count, second.step_count) == bound
+    runs = _count_runs(monkeypatch)
+    res = cube_condition(p, u, v, w, side=side, fuel=bound - 1)
+    reversal = "first" if first.step_count == bound else "second"
+    assert (res.status, res.reason) == ("inconclusive", f"{reversal} reversal ran out of fuel")
+    assert runs
+    runs.clear()
+    assert cube_condition(p, u, v, w, side=side, fuel=bound).passed and runs == []
 
 
 def test_repeated_letter_lemma_keeps_the_fuel_gates(two_commutes, d4):
@@ -312,6 +352,73 @@ def test_repeated_letter_lemma_law(text, data):
     side = data.draw(st.sampled_from(("right", "left")))
     for fuel in range(9):
         _check_replay(p, *triple, side, fuel)
+
+
+@st.composite
+def _distinct_letter_presentation(draw):
+    """a1 b1 c1 and the family t, drawn so that the distinct-letter lemmas
+    fire and fail.  Each pair of a1, b1, c1 commutes, braids, has a random
+    complement of one letter a side, or no relation; each of a1, b1, c1
+    commutes with every t(i), with t(0) and t(1) only, braids with every
+    t(i), or has no relation with t; t has a translation-shaped schema, or
+    none; and a last relation of one letter a side may collide with
+    another, so that some pair leads two relations."""
+    letters = ["a1", "b1", "c1"]
+    one = st.sampled_from(letters)
+    lines = ["generators: a1 b1 c1 ; families: t"]
+    for x, y in itertools.combinations(letters, 2):
+        kind = draw(st.sampled_from(("commute", "braid", "one", "none")))
+        if kind == "commute":
+            lines.append(f"{x} {y} = {y} {x}")
+        elif kind == "braid":
+            lines.append(f"{x} {y} {x} = {y} {x} {y}")
+        elif kind == "one":
+            lines.append(f"{x} {draw(one)} = {y} {draw(one)}")
+    for x in letters:
+        kind = draw(st.sampled_from(("all", "some", "braid", "none")))
+        if kind == "all":
+            lines.append(f"schema commute_{x}: {x} t(i) = t(i) {x}")
+        elif kind == "some":
+            lines += [f"{x} t(0) = t(0) {x}", f"{x} t(1) = t(1) {x}"]
+        elif kind == "braid":
+            lines.append(f"schema braid_{x}: {x} t(i) {x} = t(i) {x} t(i)")
+    shift = draw(st.sampled_from(("-1", "+1", None)))
+    if shift:
+        lines.append(f"schema translation: t(i) t(i{shift}) = t(j) t(j{shift})")
+    if draw(st.booleans()):
+        pick = st.sampled_from(letters + ["t(0)", "t(1)"])
+        x = draw(pick)
+        y = draw(pick.filter(lambda y: y != x))
+        lines.append(f"{x} {draw(pick)} = {y} {draw(pick)}")
+    return "\n".join(lines) + "\n"
+
+
+# equal complements but for e = a: a1 c1 = b1 a1, b1 a1 = c1 b1 and
+# a1 a1 = c1 b1, so (a1, c1, b1) ends its first reversal on c1 b1^-1 in 3
+# steps, but its second word c1^-1 a1^-1 c1 b1 does not cancel
+NEAR_EQUAL = ("generators: a1 b1 c1 ; families: t\n"
+              "a1 c1 = b1 a1\nb1 a1 = c1 b1\na1 a1 = c1 b1\n")
+# c1 commutes with t(0) and t(1), but not with t(-1) of their complement
+NEAR_COMMUTING = ("generators: a1 b1 c1 ; families: t\nc1 t(0) = t(0) c1\n"
+                  "c1 t(1) = t(1) c1\nschema translation: t(i) t(i-1) = t(j) t(j-1)\n")
+LAW_LETTERS = ("a1", "b1", "c1", "t(0)", "t(1)", "t(2)")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_distinct_letter_presentation(),
+       triple=st.permutations(range(6)).map(lambda order: order[:3]),
+       side=st.sampled_from(("right", "left")))
+@example(text=NEAR_EQUAL, triple=[0, 2, 1], side="right")
+@example(text=NEAR_COMMUTING, triple=[3, 4, 2], side="right")
+def test_distinct_letter_lemmas_law(text, triple, side):
+    """On random presentations the distinct-letter lemmas give the kernel's
+    verdict at every fuel from 0 to 8, on both sides, and an ambiguous pair
+    raises from both or from neither; the examples miss one condition of a
+    lemma each."""
+    p = load_presentation(text, name="random")
+    u, v, w = (p.parse(LAW_LETTERS[i]) for i in triple)
+    for fuel in range(9):
+        _check_replay(p, u, v, w, side, fuel)
 
 
 def _check_lemma(p, checked, side, target, target_side):

@@ -84,13 +84,24 @@ def test_layer_bench(capsys, tmp_path):
     assert "certify_cold_ms" in capsys.readouterr().out
 
 
-def test_layer_bench_times_each_tree(tmp_path):
+def test_layer_bench_times_each_tree(capsys, tmp_path):
     script = load_script("layer_bench")
     script.CASES = (script.triples,)  # the child looks the case up by name in the file
-    script.REPEATS = 2
     out = tmp_path / "bench.json"
-    assert script.main(["--out", str(out), "--tree", f"a={ROOT}", "--tree", f"b={ROOT}"]) == 0
-    trees = json.loads(out.read_text())["trees"]
+    assert script.main(["--out", str(out), "--runs", "3",
+                        "--tree", f"a={ROOT}", "--tree", f"b={ROOT}"]) == 0
+    data = json.loads(out.read_text())
+    assert data["runs"] == 3
+    # the rounds of three in which b's figure read lower than a's
+    lower = data["lower"]
+    assert (lower["tree"], lower["than"]) == ("b", "a")
+    counts = lower["rounds"]["cached"]["triples"]
+    assert set(counts) == {"triples_ms"} and 0 <= counts["triples_ms"] <= 3
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-2:] == ["rounds of 3 in which b read lower than a:",
+                            f"cached   triples      triples_ms                   "
+                            f"{counts['triples_ms']:4d} of 3"]
+    trees = data["trees"]
     assert trees == {name: {"cached": {"triples": trees[name]["cached"]["triples"]}}
                      for name in ("a", "b")}
     for name in ("a", "b"):
@@ -99,6 +110,17 @@ def test_layer_bench_times_each_tree(tmp_path):
                                 "triples_ms_unscaled"}
         assert figures["triples_ms_q1"] <= figures["triples_ms"] <= figures["triples_ms_q3"]
         assert figures["triples_ms_unscaled"] > 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--runs", "0"], "--runs must be >= 1"),
+    (["--runs", "2", "--cold-start", "1"], "--runs counts layer samples")])
+def test_layer_bench_runs_is_checked(capsys, tmp_path, argv, message):
+    script = load_script("layer_bench")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--out", str(tmp_path / "bench.json"), *argv])
+    assert exc.value.code == 2 and message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_layer_bench_names_a_failing_child(tmp_path):
