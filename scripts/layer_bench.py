@@ -13,6 +13,7 @@ turn, so that a drift in the machine's speed reaches each alike, and they
 keep the parent's environment, random hash seed included, without
 PYTHONPATH and the two bytecode variables below.  A child that fails
 stops the run with a RuntimeError that carries the tail of its stderr.
+Two trees with one name are a usage error.
 
 Without --cold-start the jobs are the cases of CASES, --runs samples
 each (REPEATS by default).  A child loads this file from this checkout's
@@ -455,6 +456,10 @@ def main(argv=None) -> int:
     ap.add_argument("--tree", type=_tree, action="append", default=[], metavar="NAME=PATH",
                     help="a checkout to time (repeatable; default this one)")
     args = ap.parse_args(argv)
+    names = [name for name, _ in args.tree]
+    twice = next((name for name in names if names.count(name) > 1), None)
+    if twice is not None:  # dict(args.tree) would keep only the last
+        ap.error(f"--tree name {twice!r} is given twice")
     if args.runs is not None and (args.runs < 1 or args.cold_start > 0):
         ap.error("--runs must be >= 1" if args.runs < 1 else
                  "--runs counts layer samples; --cold-start N sets the command samples")

@@ -152,6 +152,18 @@ MUTANTS = (
            "3 + len_v + 2 * len_u",
            "2 + len_v + 2 * len_u",
            ("tests/test_completeness.py::test_distinct_letter_lemmas_keep_the_fuel_gates",)),
+    Mutant("local-type-guard", "src/monorev/completeness.py",
+           "typed = [side for side in sides if _typed_side(p, side)]",
+           "typed = sides",
+           ("tests/test_completeness.py::test_no_local_types_outside_the_guard",)),
+    Mutant("local-type-pairs", "src/monorev/completeness.py",
+           "for f, g in itertools.combinations(finite, 2):",
+           "for f, g in ():",
+           ("tests/test_completeness.py::test_local_types_agree_with_fresh_checks",)),
+    Mutant("local-type-role", "src/monorev/completeness.py",
+           "for zero in zeros for pair in ((g, zero), (zero, g))]), len(ids))",
+           "for zero in zeros[:1] for pair in ((g, zero),)]), len(ids))",
+           ("tests/test_completeness.py::test_local_type_law",)),
     Mutant("triple-normalisation", "src/monorev/completeness.py",
            "for w in thirds.get(min(a, b), zero)]",
            "for w in words]",

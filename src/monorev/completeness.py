@@ -23,10 +23,11 @@ two reversals again with their step records, for a reader of the traces.
 A plain cube_condition call computes its verdict afresh and keeps none;
 the repeated-letter, commuting-letter and equal-complements lemmas below
 settle many of those verdicts with a few complement lookups, with or
-without a sweep.  certify's sweep applies the two mirror lemmas as well,
-within one call: it hands cube_condition a set of the triples that passed
-on the side, and drops the set when it returns, so no verdict outlives
-the call.
+without a sweep.  certify's sweep applies the two mirror lemmas and the
+locality lemma as well, within one call: it hands cube_condition a set of
+the triples that passed on the side, which also holds the side's
+local-type tables, and drops the set when it returns, so no verdict
+outlives the call.
 
 The repeated-letter lemma.  Take a generator triple (u, v, w) in which
 two of the letters are equal.  If all three are, the check passes.
@@ -141,6 +142,52 @@ failure and no open check; otherwise the left sweep starts from an
 empty set.  Only a sweep that passed everywhere crosses: a reversal that
 sticks or cycles stops at its leftmost blocked redex, and the flipped
 run can meet another one first.
+
+The locality lemma.  A cube check's verdict depends only on the local type
+of its letters.  Call F the finite letters of a generator triple, T the
+letters of the integer families, and write the complement x A = y B of a
+pair on a side as the word A B^-1, as above.  The key of the triple keeps
+each family letter as it is and puts each finite letter f's role in its
+place: f's family, and the words of (f, t(0)) and of (t(0), f) for each
+integer family t, with f written as a placeholder.  Each two positions
+that hold finite letters f and g add their pair type: `same` when f = g,
+otherwise the words of (f, g) and of (g, f) with f and g written as the
+placeholders 0 and 1.  A side gets keys only under a guard: the
+presentation is translation-invariant, and every finite pattern letter of
+every schema is one of that schema's two boundary letters on the side,
+its first letters on the right and its last on the left.  Two triples with
+equal keys on a side have the same verdict there at every fuel.
+- Under the guard, every finite letter of a relation instance leading (or
+  trailing) with a pair is a letter of that pair.  So a complement of a
+  pair in (F u T)^2 holds no finite letter outside F, and a run on a word
+  over F u T stays over F u T.  The first word is over F u T, and the
+  second is built from u, v and the first run's final word, so it is too.
+- Translation invariance makes the instances of (f, t(i)) the shifts by i
+  of those of (f, t(0)), and those of (t(i), f) of those of (t(0), f).
+- Equal keys therefore give a bijection phi from F u T onto F' u T that
+  fixes T, sends the letter at each position of the one triple to the
+  letter at that position of the other, and preserves families.  `same`
+  makes it well defined and one to one.  For every pair (x, y) of distinct
+  letters of F u T, the complement of (phi x, phi y) is phi of the
+  complement of (x, y), a missing one included: between two family
+  letters it is the same lookup, between f and t(i) the roles fix it, and
+  between f and g their pair type does.
+- The kernel compares letters only by equality, by sign, by family and
+  whether it is an integer family, and, within one family, by index
+  differences, which for finite letters are 0 exactly when the letters
+  are equal.  phi preserves all of these, so by induction on the steps the run of phi(W) is phi of
+  the run of W: the same steps, the same stuck pair, the same cycle proof
+  and the same fuel-out.  The lemmas above read only lookups and letter
+  equalities, and answer as the kernel does.  So the two verdicts are
+  equal.
+A lookup that raises AmbiguousComplementError while the key is built
+leaves the check without a key, and a check whose verdict raised files
+nothing, so every filed verdict is one the check computes.  Without the
+guard the lemma fails: with t(i) s3 t(i) = t(i+1) s3 t(i), s1, s2 and s3
+commuting with each t(i), s1 with s2 and with s3, and s2 braiding with s3,
+the complement of (t(0), t(1)) brings in s3.  There
+(t(0), t(1), s1) and (t(0), t(1), s2) have one key without the guard, but
+on the right the first passes and the second fails not-trivial.
 """
 
 from __future__ import annotations
@@ -352,6 +399,85 @@ def cube_traces(p: Presentation, u: Word, v: Word, w: Word, side: str = "right",
     return first, reverse(p, Word(_second_word(u, v, first.final, side)), fuel)
 
 
+def _typed_side(p: Presentation, side: str) -> bool:
+    """Whether the locality lemma of the module docstring holds on this side:
+    p is translation-invariant, and every finite pattern letter of every
+    schema is one of that schema's two boundary letters on the side."""
+    end = 0 if side == "right" else -1
+    fams = p.alphabet.integer_families
+    return p.translation_invariant() and all(
+        pl == s.lhs[end] or pl == s.rhs[end]
+        for s in p.schemas for pl in s.lhs + s.rhs if pl.family not in fams)
+
+
+def _placed(word: tuple[Letter, ...] | None, letters: tuple[Generator, ...]) -> tuple | None:
+    """A complement word with each of `letters` written as its position there."""
+    if word is None:
+        return None
+    return tuple([(letters.index(l.gen), l.sign) if l.gen in letters else l for l in word])
+
+
+class _Sweep(set):
+    """The set of a sweep's passed triples, with the local-type tables of the
+    sides in `typed`, those where the locality lemma holds (see cube_condition).
+
+    kinds holds the id of the role of (side, f) and of the pair type of
+    (side, f, g), and ids numbers each role and pair type, so that a key
+    hashes as a few small ints and letters; verdicts holds the verdict
+    computed under each key.
+    """
+
+    __slots__ = ("typed", "ids", "kinds", "verdicts")
+
+    def __init__(self, typed) -> None:
+        super().__init__()
+        self.typed = typed
+        self.ids: dict = {}
+        self.kinds: dict = {}
+        self.verdicts: dict = {}
+
+
+def _local_type(p: Presentation, sweep: _Sweep, gens: tuple[Generator, Generator, Generator],
+                side: str, fuel: int) -> tuple | None:
+    """The key of the locality lemma of the module docstring for a generator
+    triple on a side at a fuel; AmbiguousComplementError when a lookup meets one.
+
+    A family letter stands as itself, a finite letter as the id of its role,
+    and each two positions that hold finite letters add the id of their
+    pair type, "same" for one letter.  A triple of family letters alone gets
+    None: its key would name only itself, and a sweep checks it once a side.
+    """
+    fams = p.alphabet.integer_families
+    kinds, ids = sweep.kinds, sweep.ids
+    key: list = [side, fuel]
+    finite = []
+    for g in gens:
+        if g.family in fams:
+            key.append(g)
+            continue
+        finite.append(g)
+        role = kinds.get((side, g))
+        if role is None:
+            zeros = [Generator(fam, 0) for fam in sorted(fams)]
+            role = kinds[(side, g)] = ids.setdefault((g.family, *[
+                _placed(_complement_word(p, *pair, side), (g,))
+                for zero in zeros for pair in ((g, zero), (zero, g))]), len(ids))
+        key.append(role)
+    if not finite:
+        return None
+    for f, g in itertools.combinations(finite, 2):
+        if f == g:
+            key.append("same")
+            continue
+        kind = kinds.get((side, f, g))
+        if kind is None:
+            kind = kinds[(side, f, g)] = ids.setdefault(tuple(
+                _placed(_complement_word(p, *pair, side), (f, g)) for pair in ((f, g), (g, f))),
+                len(ids))
+        key.append(kind)
+    return tuple(key)
+
+
 def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
                    side: str = "right", fuel: int = DEFAULT_FUEL,
                    passed: set | None = None) -> CubeResult:
@@ -362,8 +488,12 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
     keeps none.  `passed` is a sweep's set of word triples that pass on
     this side at this fuel: a triple found there passes, and a computed
     pass adds the triple and (v, u, w) (the mirror lemma of the module
-    docstring).  Nothing else is kept.  The set holds positive words only,
-    so only a computed check checks that the words are positive.
+    docstring).  The set holds positive words only, so only a check not
+    found there checks that the words are positive.  certify's sweep hands
+    a set that also holds its local-type tables: a generator triple whose
+    key (the locality lemma) was filed on this side takes the verdict filed
+    under it, and a computed verdict is filed under its key.  Nothing else
+    is kept.
 
     certify calls this function through the module attribute once per
     (side, triple), a settled check included, and bench/tracing.py counts
@@ -376,7 +506,18 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
         return tuple.__new__(CubeResult, (triple, side, "pass", "ok"))
     if any(l.sign < 0 for word in triple for l in word):
         raise ValueError("cube condition expects positive words")
-    status, reason = _verdict(p, u, v, w, side, fuel)
+    key = None
+    if type(passed) is _Sweep and side in passed.typed and len(u) == len(v) == len(w) == 1:
+        try:
+            key = _local_type(p, passed, (u[0].gen, v[0].gen, w[0].gen), side, fuel)
+        except AmbiguousComplementError:
+            pass  # no key: computed as without the tables
+    verdict = None if key is None else passed.verdicts.get(key)
+    if verdict is None:
+        verdict = _verdict(p, u, v, w, side, fuel)
+        if key is not None:
+            passed.verdicts[key] = verdict
+    status, reason = verdict
     if passed is not None and status == "pass":
         passed.add(triple)
         passed.add((v, u, w))
@@ -505,9 +646,11 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     A sweep of more than MAX_TRIPLES triples raises SweepCapError.
 
     The sweep calls cube_condition once per side and triple, with the set
-    of the side's passed triples; the left sweep keeps the right sweep's
-    set only when the side-mirror lemma of the module docstring makes every
-    left check a pass.  The set is dropped when the call returns.
+    of the side's passed triples, which holds the local-type tables of the
+    sides where the locality lemma's guard holds; the left sweep keeps the
+    right sweep's set only when the side-mirror lemma of the module
+    docstring makes every left check a pass.  The set is dropped when the
+    call returns.
     """
     if goal not in ("cancellative", "complete"):
         raise ValueError(f"goal must be 'cancellative' or 'complete', got {goal!r}")
@@ -542,10 +685,12 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     triples = enumerate_word_triples(p, 1 if word_len is None else word_len, t_bound)
     failures = []
     cycling = fuel_outs = 0
-    passed: set = set()  # the sweep's passed triples on one side, dropped when certify returns
+    typed = [side for side in sides if _typed_side(p, side)]
+    # the sweep's passed triples on one side and its local types, dropped when certify returns
+    passed = _Sweep(typed)
     for side in sides:
         if side == "left" and (failures or cycling or fuel_outs or not p.mirror_symmetric()):
-            passed = set()
+            passed = _Sweep(typed)
         for u, v, w in triples:
             res = cube_condition(p, u, v, w, side=side, fuel=fuel, passed=passed)
             if res.status == "fail":

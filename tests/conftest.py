@@ -81,6 +81,35 @@ b1 c1 b1 c1 = c1 b1 c1 b1
 """
 
 
+# the complement of (t(i), t(i+1)) brings in s3, which s1 commutes with and
+# s2 braids with: on the right (t(0), t(1), s1) passes and (t(0), t(1), s2)
+# fails not-trivial, though s1 and s2 relate alike to each t(i) and to each
+# other.  The left side is not complemented: tc trails with (t(i), t(i))
+BOUNDARY_GUARD = """\
+generators: s1 s2 s3 ; families: t
+schema tc: t(i) s3 t(i) = t(i+1) s3 t(i)
+schema c1: s1 t(i) = t(i) s1
+schema c2: s2 t(i) = t(i) s2
+schema c3: s3 t(i) = t(i) s3
+s1 s3 = s3 s1
+s2 s3 s2 = s3 s2 s3
+s1 s2 = s2 s1
+"""
+
+# two integer families: a1 and b1 commute with each t(i) and with each
+# other, and u(i) commutes with each t(j); a1 commutes with each u(i), and
+# b1 has no relation with u.  So (a1, u(0), t(0)) passes on either side
+# and (b1, u(0), t(0)) sticks, though a1 and b1 relate alike to t
+TWO_FAMILIES = """\
+generators: a1 b1 ; families: t u
+schema ta: a1 t(i) = t(i) a1
+schema tb: b1 t(i) = t(i) b1
+schema ua: a1 u(i) = u(i) a1
+schema tu: t(i) u(j) = u(j) t(i)
+a1 b1 = b1 a1
+"""
+
+
 def fresh(p, schemas=None):
     """A copy of p with empty caches, and with the given schemas in place of its own."""
     return Presentation(p.name, p.alphabet, p.schemas if schemas is None else schemas, p.window)

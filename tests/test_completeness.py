@@ -37,6 +37,7 @@ from monorev.reversing import (
     right_reverse,
 )
 from conftest import (
+    BOUNDARY_GUARD,
     FIXTURES,
     GLUE,
     NONHOM,
@@ -45,6 +46,7 @@ from conftest import (
     SKEWED,
     SQUARE_CHAIN,
     TWO_COMMUTES,
+    TWO_FAMILIES,
     WIDE_OFFSET,
     fresh,
     reference_reverse,
@@ -663,8 +665,9 @@ def test_verdict_table_mirrors_no_other_verdict():
 def test_left_sweep_computes_its_checks_after_a_right_non_pass(monkeypatch):
     """classical:3 is mirror-symmetric, but some right checks do not pass:
     the left sweep then starts afresh and runs the kernel on the left as
-    often as a left sweep from an empty set of passed triples does.  The
-    repeated-letter lemma settles all but the 6 runs left."""
+    often as a left sweep from an empty sweep set does.  The
+    repeated-letter lemma settles all but 6 runs, and one local type, that
+    of the three distinct letters, leaves 1 of those."""
     sides = _count_runs(monkeypatch)
     p = fresh(C3)
     assert p.mirror_symmetric()
@@ -672,11 +675,130 @@ def test_left_sweep_computes_its_checks_after_a_right_non_pass(monkeypatch):
     left_runs = sides.count("left")
     assert cert.claim == "undetermined"
     sides.clear()
-    passed: set = set()
+    passed = completeness._Sweep(["right", "left"])
     for u, v, w in enumerate_word_triples(p, 1, cert.t_bound):
         cube_condition(p, u, v, w, side="left", passed=passed)
-    assert left_runs == len(sides) == 6
+    assert left_runs == len(sides) == 1
+    sides.clear()
+    passed = set()
+    for u, v, w in enumerate_word_triples(p, 1, cert.t_bound):
+        cube_condition(p, u, v, w, side="left", passed=passed)
+    assert len(sides) == 6
     assert cert == _unmirrored_certificate(p)
+
+
+# the lemma presentations and three affine keys, one of them cycling
+LOCALITY_PRESENTATIONS = LEMMA_PRESENTATIONS + [catalog.load(k) for k in (
+    "affine-a:cll:4", "affine-a:classical:3", "affine-a:classical:5")]
+
+
+def _type_hits(monkeypatch):
+    """(hits, calls) of the cube_condition calls made from now on, each as
+    (p, triple, side, fuel, status, reason).  A hit is a check settled by
+    its local type: a call whose triple is not in its passed set and which
+    computes no verdict."""
+    hits, calls, computed = [], [], []
+    verdict, check = completeness._verdict, completeness.cube_condition
+
+    def counted(*args):
+        computed.append(args)
+        return verdict(*args)
+
+    def traced(p, u, v, w, side="right", fuel=DEFAULT_FUEL, passed=None):
+        found = passed is not None and (u, v, w) in passed
+        before = len(computed)
+        res = check(p, u, v, w, side=side, fuel=fuel, passed=passed)
+        calls.append((p, (u, v, w), side, fuel, res.status, res.reason))
+        if not found and len(computed) == before:
+            hits.append(calls[-1])
+        return res
+
+    monkeypatch.setattr(completeness, "_verdict", counted)
+    monkeypatch.setattr(completeness, "cube_condition", traced)
+    return hits, calls
+
+
+def test_local_types_agree_with_fresh_checks(monkeypatch):
+    """Every check that certify settles by its local type, at t_bound 2, on
+    both sides and at fuel 0 to 8, has the verdict of a fresh cube_condition
+    without a table; the sweeps settle the pinned number of their checks so."""
+    check = cube_condition
+    hits, calls = _type_hits(monkeypatch)
+    for p in LOCALITY_PRESENTATIONS:
+        for fuel in range(9):
+            certify(fresh(p), t_bound=2, fuel=fuel)
+    for p, triple, side, fuel, status, reason in hits:
+        res = check(p, *triple, side=side, fuel=fuel)
+        assert (res.status, res.reason) == (status, reason), (p.name, triple, side, fuel)
+    assert (len(hits), len(calls)) == (32200, 52335)
+
+
+def test_no_local_types_outside_the_guard(monkeypatch):
+    """On the right of BOUNDARY_GUARD a complement brings in a finite letter
+    outside its pair, so that side gets no keys, and the certificate is the
+    one a sweep without the tables gives; the left is not complemented."""
+    p = load_presentation(BOUNDARY_GUARD, name="boundary-guard")
+    t0, t1, s1, s2 = (p.parse(x) for x in ("t(0)", "t(1)", "s1", "s2"))
+    assert cube_condition(p, t0, t1, s1).passed
+    assert cube_condition(p, t0, t1, s2).reason == "not-trivial"
+    hits, calls = _type_hits(monkeypatch)
+    cert = certify(p, t_bound=2)
+    assert hits == [] and {side for _, _, side, _, _, _ in calls} == {"right"}
+    assert cert.claim == "falsified"
+    assert ("right", ("t(0)", "t(1)", "s2"), "not-trivial") in cert.failures
+    assert cert == _unmirrored_certificate(p, 2)
+
+
+@st.composite
+def _local_type_presentation(draw):
+    """s1 to s3 or s4 and the family t, drawn so that letters share roles:
+    each s letter commutes or braids with every t(i), or has no relation
+    with t, each kind through one schema whose finite parameter ranges over
+    the letters of that kind; each pair of s letters commutes, braids or has
+    no relation; t has a translation schema or none.  Now and then a second
+    family u commutes with t and with some s letters, and now and then a
+    schema puts a finite letter inside a complement of (t(i), t(i+1))."""
+    letters = list(range(1, draw(st.integers(3, 4)) + 1))
+    second = draw(st.booleans()) and draw(st.booleans())
+    lines = ["generators: " + " ".join(f"s{k}" for k in letters)
+             + (" ; families: t u" if second else " ; families: t")]
+    kinds = {k: draw(st.sampled_from(("commute", "braid", "none"))) for k in letters}
+    shapes = {"commute": "s(j) t(i) = t(i) s(j)", "braid": "s(j) t(i) s(j) = t(i) s(j) t(i)"}
+    for kind, shape in shapes.items():
+        domain = [k for k in letters if kinds[k] == kind]
+        if domain:
+            lines.append(f"schema {kind} [i in Z; j in {{{', '.join(map(str, domain))}}}]: {shape}")
+    for x, y in itertools.combinations(letters, 2):
+        kind = draw(st.sampled_from(("commute", "braid", "none")))
+        if kind == "commute":
+            lines.append(f"s{x} s{y} = s{y} s{x}")
+        elif kind == "braid":
+            lines.append(f"s{x} s{y} s{x} = s{y} s{x} s{y}")
+    if draw(st.booleans()):
+        lines.append("schema translation: t(i) t(i-1) = t(j) t(j-1)")
+    elif draw(st.booleans()):
+        lines.append(f"schema inside: t(i) s{draw(st.sampled_from(letters))} t(i) = "
+                     f"t(i+1) s{letters[0]} t(i)")
+    if second:
+        lines.append("schema tu: t(i) u(j) = u(j) t(i)")
+        for k in letters:
+            if draw(st.booleans()):
+                lines.append(f"schema u{k}: s{k} u(i) = u(i) s{k}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_local_type_presentation(), t_bound=st.integers(0, 1),
+       fuel=st.sampled_from((2, 5, DEFAULT_FUEL)))
+@example(text=TWO_FAMILIES, t_bound=1, fuel=DEFAULT_FUEL)
+@example(text=BOUNDARY_GUARD, t_bound=1, fuel=DEFAULT_FUEL)
+def test_local_type_law(text, t_bound, fuel):
+    """On random translation-invariant presentations whose letters share
+    roles, certify gives the certificate of a sweep without the local-type
+    tables; the examples need a role's second family, and the guard."""
+    p = load_presentation(text, name="random")
+    assert certify(p, t_bound=t_bound, fuel=fuel) == _unmirrored_certificate(
+        fresh(p), t_bound, fuel)
 
 
 @pytest.mark.parametrize("key", ["d4:new", "affine-a:classical:3"])

@@ -114,7 +114,8 @@ def test_layer_bench_times_each_tree(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv,message", [
     (["--runs", "0"], "--runs must be >= 1"),
-    (["--runs", "2", "--cold-start", "1"], "--runs counts layer samples")])
+    (["--runs", "2", "--cold-start", "1"], "--runs counts layer samples"),
+    (["--tree", "a=.", "--tree", "b=.", "--tree", "a=src"], "--tree name 'a' is given twice")])
 def test_layer_bench_runs_is_checked(capsys, tmp_path, argv, message):
     script = load_script("layer_bench")
     with pytest.raises(SystemExit) as exc:
