@@ -29,9 +29,13 @@ cases are:
 - letters: hashing, comparing and sorting 100,000 letters;
 - complements: right_complement on e8:new over every pair of distinct
   generators of pair_scan_generators(e8:new), the pairs the reversing
-  kernel looks up, a cold pass (empty cache) and then a warm one;
+  kernel looks up, a cold pass (empty cache) and then a warm one.  The
+  generators are the 12 letters s1..s8 and t(0)..t(3); they were 13,
+  with t(-2)..t(2), while the scan used a fixed index window, so the
+  per-call figures of the two pools are not comparable;
 - pair_lookups: instances_for_pair on e8:new over every pair of those
-  generators, both sides;
+  12 generators, both sides, not comparable with the 13-letter pool
+  either;
 - triples: enumerate_word_triples(e8:new, 1, 6), the generator triples
   of a t_bound 6 sweep, per call;
 - cubes: cube_condition on e8:new's t_bound 6 triples, both sides, per
@@ -187,7 +191,7 @@ def letters():
 
 
 def complements():
-    """right_complement over the scan pairs x != y, a cold pass then a warm one."""
+    """right_complement over the pairs x != y of e8:new's 12 scan generators, cold then warm."""
     p = catalog.load(KEY)
     pairs = [(x, y) for x, y in itertools.product(pair_scan_generators(p), repeat=2) if x != y]
 
@@ -199,7 +203,7 @@ def complements():
 
 
 def pair_lookups():
-    """instances_for_pair over the scan pairs, both sides.
+    """instances_for_pair over the pairs of e8:new's 12 scan generators, both sides.
 
     The lookup files nothing, so every call solves its pair; the pair
     index is built with the case.

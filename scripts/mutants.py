@@ -168,10 +168,14 @@ MUTANTS = (
            "for w in thirds.get(min(a, b), zero)]",
            "for w in words]",
            ("tests/test_completeness.py::test_enumerate_generator_triples",)),
-    Mutant("boundary-difference", "src/monorev/presentation.py",
-           "near.add(abs(a.offset - b.offset))",
-           "pass",
+    Mutant("scan-reach", "src/monorev/presentation.py",
+           "for i in range(2 * span + 2))",
+           "for i in range(3))",
            ("tests/test_completeness.py::test_certify_refuses_wide_offset_conflict",)),
+    Mutant("scan-generic-difference", "src/monorev/presentation.py",
+           "for i in range(2 * span + 2))",
+           "for i in range(2 * span + 1))",
+           ("tests/test_presentation.py::test_complemented_verdict_equals_a_brute_scan",)),
     Mutant("union-key-sort", "src/monorev/oracle.py",
            "    keys.sort()\n",
            "",

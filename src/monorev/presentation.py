@@ -38,8 +38,11 @@ completeness).  A parametrised instance on two letters of one family is
 not filed both ways: a schema can hit such a pair both ways round, with
 other bindings.  Translation relates (t(0), t(1)) with i=0, j=1 and
 (t(1), t(0)) with i=1, j=0.  The complementedness scan
-(`check_complemented`) looks its pairs up through this cache, so it files
-what it solves, and the reversals that follow it find those pairs warm.
+(`check_complemented`) solves one generator pair for each class of pairs
+under index translation, and refuses a presentation that is not
+translation-invariant.  It looks its pairs up through this cache, so it
+files what it solves, and the reversals that follow it find those pairs
+warm.
 
 A presentation is mirror-symmetric (`Presentation.mirror_symmetric`) when
 it is translation-invariant and reflecting its schemas gives them back:
@@ -581,34 +584,23 @@ def left_complement(p: Presentation, x: Generator, y: Generator):
 
 
 def pair_scan_generators(p: Presentation) -> list[Generator]:
-    """Representative generators for pair scans.
+    """The finite generators and each integer family's indices 0..2*span+1, sorted.
 
-    Schemas reference integer indices only through a parameter plus a
-    constant offset, so the relation pattern seen by a pair (t(a), t(b))
-    is invariant under translation.  Indices in [-2, 2] cover every pair
-    whose letters carry different parameters, and every index difference up
-    to 4.  A boundary pair whose two letters carry the same parameter fixes
-    the difference d of their indices, so t(d) joins the scan: the pairs
-    (t(0), t(d)) and (t(d), t(0)) stand for that difference.  Each index a
-    schema pins (a fixed offset, or a finite-domain value plus its offset)
-    gets the neighbourhood that index 0 gets.
+    span is the largest spread of offsets that one parameter has within one
+    schema.  check_complemented scans the ordered pairs of these generators
+    whose smallest family index is 0, one pair for each class of pairs
+    under index translation; its docstring proves that they cover them all.
     """
+    span = max((pl.offset - ql.offset for s in p.schemas for pl in s.lhs + s.rhs
+                for ql in s.lhs + s.rhs if pl.param and pl.param == ql.param), default=0)
     gens = p.alphabet.finite_generators()
-    for fam in sorted(p.alphabet.integer_families):
-        near = set(range(-2, 3))
-        pins = {0}
-        for s in p.schemas:
-            for a, b in ((s.lhs[0], s.rhs[0]), (s.lhs[-1], s.rhs[-1])):
-                if a.family == fam and a.param is not None and a.param == b.param:
-                    near.add(abs(a.offset - b.offset))
-            pins.update(pl.offset + v for pl in s.lhs + s.rhs if pl.family == fam
-                        for v in ((0,) if pl.param is None else s._param(pl.param).values or ()))
-        gens.extend(Generator(fam, i) for i in sorted({c + d for c in pins for d in near}))
+    gens.extend(Generator(fam, i) for fam in p.alphabet.integer_families
+                for i in range(2 * span + 2))
     return sorted(gens)
 
 
 def check_complemented(p: Presentation) -> tuple[tuple, tuple]:
-    """Scan all generator pairs for complement conflicts: (right, left).
+    """Scan the generator pairs for complement conflicts: (right, left).
 
     A pair conflicts when more than one relation leads (or trails) with it,
     or when a relation relates x... to x... with distinct sides.  Each side
@@ -617,12 +609,44 @@ def check_complemented(p: Presentation) -> tuple[tuple, tuple]:
     is empty.  Each pair of distinct generators is looked up through the
     complement cache, so the scan files what it solves for the reversals
     that follow, and a pair whose transpose it has filed is not solved again.
+
+    The pairs are those of pair_scan_generators(p), in product order, whose
+    smallest integer-family index is 0 (a pair of finite letters has none),
+    one for each class under index translation, as enumerate_word_triples
+    normalises triples.  They cover every pair:
+
+    1. Translation invariance makes a shift of every family index by k map
+       the instances of a pair onto those of the shifted pair, so a conflict
+       depends only on the class: (f, t(i)) stands with (f, t(0)), and
+       (a(i), b(i+d)) with (a(0), b(d)) when d >= 0, with (a(-d), b(0))
+       when d < 0.
+    2. Take (a(0), b(d)), one end, and one orientation of a schema whose
+       two boundary letters there are family letters.  If both carry one
+       parameter, the orientation hits the pair only where d is the
+       difference of their offsets, so |d| <= span.  If they carry two,
+       Schema's boundary check makes those two fix every parameter, so it
+       hits every d, and each of its letters gets an index c or c + d with
+       |c| <= span.  Whether the hit is degenerate, or repeats the other
+       orientation's, compares such indices, and c = c' + d can hold only
+       at |d| <= 2*span.  So a pair has as many instances at every
+       |d| > 2*span of one sign, and d = 2*span+1 stands for them all.
+    3. A class with d < 0 is scanned as (a(|d|), b(0)).
+
+    A presentation that is not translation-invariant (see
+    Presentation.pinned_letter) raises ValueError: its pairs have no
+    finite set of classes to stand for them.
     """
+    pinned = p.pinned_letter()
+    if pinned is not None:
+        raise ValueError(f"schema {pinned[0].name} pins the index of {pinned[1].render()}, "
+                         "so the pair scan does not cover its relations")
+    fams = p.alphabet.integer_families
+    pairs = [(x, y) for x, y in itertools.product(pair_scan_generators(p), repeat=2)
+             if min([g.index for g in (x, y) if g.family in fams], default=0) == 0]
     found = []
-    gens = pair_scan_generators(p)
     for side in ("right", "left"):
         conflicts = []
-        for x, y in itertools.product(gens, repeat=2):
+        for x, y in pairs:
             if x == y:  # solved, not filed: the kernel never looks (x, x) up
                 insts = instances_for_pair(p, x, y, side)
             else:

@@ -55,8 +55,8 @@ generators: a1 b1
 a1 = b1 b1
 """
 
-# two relations share the pairs (t(i), t(i+5)) and (t(i+5), t(i)), a wider
-# offset than the [-2, 2] index window of the pair scan spans
+# two relations share the pairs (t(i), t(i+5)) and (t(i+5), t(i)): one
+# parameter spreads over offsets 0 and 5, so the pair scan reaches t(11)
 WIDE_OFFSET = """\
 generators: a1 ; families: t
 schema x: t(i) t(i+5) = t(i+5) t(i)

@@ -1,6 +1,7 @@
 """Schemas, pair-indexed complement lookup, windowing, and the text format."""
 
 import itertools
+import re
 import tracemalloc
 import traceback
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monorev import catalog
+from monorev.completeness import certify
 from monorev.presentation import (
     AmbiguousComplementError,
     CapError,
@@ -351,12 +353,19 @@ def test_check_complemented_split(d4, yamada):
 
 
 def reference_check_complemented(p):
-    """The scan as a plain loop over instances_for_pair, which files nothing."""
+    """The scan as a plain loop over instances_for_pair, which files nothing.
+
+    It loops over the scan's own pairs, those of pair_scan_generators with
+    smallest family index 0: it checks what the scan files, not which pairs
+    it covers, which test_complemented_verdict_equals_a_brute_scan checks.
+    """
     found = []
-    gens = pair_scan_generators(p)
+    fams = p.alphabet.integer_families
+    pairs = [(x, y) for x, y in itertools.product(pair_scan_generators(p), repeat=2)
+             if min([g.index for g in (x, y) if g.family in fams], default=0) == 0]
     for side in ("right", "left"):
         conflicts = []
-        for x, y in itertools.product(gens, repeat=2):
+        for x, y in pairs:
             insts = instances_for_pair(p, x, y, side)
             if (x == y and insts) or len(insts) > 1:
                 conflicts.append(((x, y), tuple(insts[:2])))
@@ -368,7 +377,7 @@ SCAN_CASES = [*((key, None) for key in catalog.FIXED_NAMES),
               *((f"affine-a:{family}:{n}", None)
                 for family in ("classical", "shi", "cll") for n in (3, 4, 5)),
               *(("hand", text) for text in (TWO_COMMUTES, SKEWED, GLUE, ONE_SIDED, NONHOM,
-                                            WIDE_OFFSET, PINNED_T, SQUARE_CHAIN))]
+                                            WIDE_OFFSET, SQUARE_CHAIN))]
 
 
 @pytest.mark.parametrize("key,text", SCAN_CASES)
@@ -539,26 +548,106 @@ def test_window_relations_match_the_reference(p, n):
 
 
 def test_pair_scan_generators(d4):
+    # span 1: translation's t(i) t(i-1), so indices 0..3
     gens = pair_scan_generators(d4)
     assert [str(g) for g in gens] == [
-        "s1", "s2", "s3", "s4", "t(-2)", "t(-1)", "t(0)", "t(1)", "t(2)",
+        "s1", "s2", "s3", "s4", "t(0)", "t(1)", "t(2)", "t(3)",
     ]
+    # span 5: WIDE_OFFSET's t(i) t(i+5), so indices 0..11
+    wide = pair_scan_generators(load_presentation(WIDE_OFFSET))
+    assert [str(g) for g in wide] == ["a1"] + [f"t({i})" for i in range(12)]
 
 
-@pytest.mark.parametrize("text", [
-    PINNED_T,
+@pytest.mark.parametrize("text,refusal", [
+    (PINNED_T, "schema rel_2 pins the index of t(10)"),
     # the pinned index as a finite-domain value plus its offset
-    PINNED_T.replace("a1 t(10) = t(10) a1", "schema pin [j in {4}]: a1 t(j+6) = t(j+6) a1"),
+    (PINNED_T.replace("a1 t(10) = t(10) a1", "schema pin [j in {4}]: a1 t(j+6) = t(j+6) a1"),
+     "schema pin pins the index of t(j+6)"),
 ])
-def test_pair_scan_covers_pinned_indices(text):
+def test_check_complemented_refuses_pinned_indices(text, refusal):
     p = load_presentation(text, name="pinned-t")
-    t10, a1 = Generator("t", 10), Generator("a", 1)
-    assert [str(g) for g in pair_scan_generators(p)][-5:] == [
-        "t(8)", "t(9)", "t(10)", "t(11)", "t(12)"]
-    assert len(instances_for_pair(p, t10, a1, "left")) == 2
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        check_complemented(p)
+    assert not p._complements
+    # certify refuses them before it scans
+    assert certify(p).refusal == (
+        f"{refusal}, so the relations are not translation-invariant and the "
+        "index-normalised sweep does not cover them")
+
+
+@st.composite
+def invariant_schemas(draw):
+    """A translation-invariant presentation on a1, a2 and the families t and u.
+
+    One to four schemas of two or three letters a side.  A schema has up to
+    two parameters, each indexing t or u over Z with offsets in [-3, 3],
+    and every parameter sits on a boundary letter at both ends.
+    """
+    alphabet = load_presentation("generators: a1 a2 ; families: t u\n").alphabet
+    schemas = []
+    for number in range(draw(st.integers(1, 4))):
+        families = {name: draw(st.sampled_from("tu"))
+                    for name in ("i", "j")[:draw(st.integers(0, 2))]}
+
+        def bound(name):
+            return PatternLetter(families[name], draw(st.integers(-3, 3)), name)
+
+        def letter():
+            if families and draw(st.booleans()):
+                return bound(draw(st.sampled_from(sorted(families))))
+            return PatternLetter("a", draw(st.integers(1, 2)), None)
+
+        ends = []
+        for _ in range(2):  # each end carries every parameter on one side or the other
+            names = draw(st.permutations(sorted(families)))
+            pair = [bound(name) for name in names] + [letter() for _ in range(2 - len(names))]
+            ends.append(pair if draw(st.booleans()) else pair[::-1])
+        sides = [tuple([ends[0][k]] + [letter() for _ in range(draw(st.integers(0, 1)))]
+                       + [ends[1][k]]) for k in (0, 1)]
+        schemas.append(Schema(f"r{number}", tuple(Param(name) for name in families), *sides))
+    return Presentation("random", alphabet, tuple(schemas))
+
+
+def brute_conflict_classes(p, side):
+    """The classes of the pairs that conflict on the side, from instances_for_pair
+    over every pair whose family indices differ by at most 4*span+6.
+
+    span is the largest spread of one parameter's offsets in one schema.  A
+    pair with a family letter stands with its shift that puts that letter
+    at index 0, so the pairs are those of the finite letters and the
+    indices -reach..reach with a family letter at 0, or with none.  A
+    conflict is named by the pair that check_complemented scans for its
+    class: shifted to smallest family index 0, with the other index cut
+    down to 2*span+1, which stands for every larger difference.
+    """
+    span = max([max(offsets) - min(offsets) for s in p.schemas for name in
+                {pl.param for pl in s.lhs + s.rhs if pl.param}
+                for offsets in [[pl.offset for pl in s.lhs + s.rhs if pl.param == name]]],
+               default=0)
+    reach = 4 * span + 6
+    finite = p.alphabet.finite_generators()
+    gens = finite + [Generator(fam, i) for fam in ("t", "u") for i in range(-reach, reach + 1)]
+    pairs = set(itertools.product(finite, repeat=2))
+    pairs.update(pair for fam in ("t", "u") for g in gens
+                 for pair in ((Generator(fam, 0), g), (g, Generator(fam, 0))))
+    found = set()
+    for x, y in pairs:
+        insts = instances_for_pair(p, x, y, side)
+        if (x == y and insts) or len(insts) > 1:
+            low = min([g.index for g in (x, y) if g.family != "a"], default=0)
+            found.add(tuple(g if g.family == "a" else Generator(g.family, min(
+                g.index - low, 2 * span + 1)) for g in (x, y)))
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=invariant_schemas())
+def test_complemented_verdict_equals_a_brute_scan(p):
+    # the scan's conflicts are the brute scan's classes, so each side's
+    # verdict is the brute scan's too
     right, left = check_complemented(p)
-    assert right == ()
-    assert [(str(x), str(y)) for (x, y), _ in left] == [("a1", "t(10)"), ("t(10)", "a1")]
+    for side, conflicts in (("right", right), ("left", left)):
+        assert {pair for pair, _ in conflicts} == brute_conflict_classes(fresh(p), side), side
 
 
 def test_load_save_round_trip():
