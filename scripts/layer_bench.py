@@ -43,7 +43,9 @@ cases are:
   right first words u^-1 w w^-1 v, per call; a check of every triple,
   made with the case, warms the complement cache;
 - fresh_e8: check_complemented(e8:new), and certify(e8:new) at t_bound 3
-  and at t_bound 6, each on its own fresh presentation;
+  and at t_bound 6, each on its own fresh presentation, and then
+  Presentation.mirror_symmetric on a fresh e8:new, per call (it keeps
+  nothing, so every call builds its forms);
 - windows: instantiate_window on a fresh d4:new at radius 2, per call,
   alone (window_ms) and then followed by the window's first rewrite
   table, the one the first oracle call builds (window_table_ms);
@@ -173,6 +175,7 @@ KEY = "e8:new"
 EQUAL_CALLS = 20  # monoid_equal calls per run, cold and warm
 TRIPLE_CALLS = 20  # enumerate_word_triples calls per run
 WINDOW_CALLS = 50  # windows built per run, with and without their rewrite table
+MIRROR_CALLS = 50  # mirror_symmetric calls per run
 QUOTIENT_TOKENS = ("s1", "s2", "s3", "s4", "t(0)", "t(1)")  # 36 words of length 2
 UNITS = {"ms": 1e3, "us": 1e6}
 
@@ -253,11 +256,16 @@ def cubes():
 
 
 def fresh_e8():
-    """check_complemented and certify at t_bound 3 and 6, each on its own fresh e8:new."""
-    p, q, r = (catalog.load(KEY) for _ in range(3))
+    """check_complemented, certify at t_bound 3 and 6, mirror_symmetric: each on a fresh e8:new."""
+    p, q, r, m = (catalog.load(KEY) for _ in range(4))
+
+    def mirrors():
+        for _ in range(MIRROR_CALLS):
+            m.mirror_symmetric()
     return [("check_complemented_ms", "ms", lambda: check_complemented(p), 1),
             ("certify_cold_ms", "ms", lambda: certify(q, t_bound=3), 1),
-            ("certify6_cold_ms", "ms", lambda: certify(r, t_bound=6), 1)]
+            ("certify6_cold_ms", "ms", lambda: certify(r, t_bound=6), 1),
+            ("mirror_symmetric_us", "us", mirrors, MIRROR_CALLS)]
 
 
 def windows():

@@ -116,10 +116,19 @@ MUTANTS = (
            "p = instantiate_window(p, args.window)",
            "pass",
            ("tests/test_cli.py::test_oracle_equal", "tests/test_cli.py::test_oracle_class")),
-    Mutant("transposed-filing", "src/monorev/presentation.py",
-           "if x.family != y.family or not inst.bindings:",
-           "if True:",
-           ("tests/test_presentation.py::test_scan_files_cold_complements",)),
+    Mutant("transpose-order", "src/monorev/presentation.py",
+           "        lead = inst\n"
+           "        if pos == last and inst.lhs == out[-1].lhs and inst.rhs == out[-1].rhs:\n"
+           "            continue\n",
+           "        if pos == last and inst.lhs == out[-1].lhs and inst.rhs == out[-1].rhs:\n"
+           "            continue\n"
+           "        lead = inst\n",
+           ("tests/test_presentation.py::test_transpose_is_filed_with_its_own_bindings",
+            "tests/test_presentation.py::test_transposed_filing_law")),
+    Mutant("mirror-self", "src/monorev/presentation.py",
+           "if (s.lhs, s.rhs) != back != (s.rhs, s.lhs):",
+           "if s.params and (s.lhs, s.rhs) != back != (s.rhs, s.lhs):",
+           ("tests/test_presentation.py::test_mirror_symmetric",)),
     Mutant("diagonal-conflict", "src/monorev/presentation.py",
            "if x == y:  # solved, not filed: the kernel never looks (x, x) up",
            "if x == y:\n                continue",

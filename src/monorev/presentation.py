@@ -30,15 +30,11 @@ prints, so saving and loading give back the same schemas.
 
 Complements are cached per presentation, for pairs x != y: reversing
 deletes x^-1 x without a lookup.  An entry is None or a ComplementPair, the
-relation and the letters a reversal step pushes.  An instance that leads
-(or trails) with (x, y) is, swapped, one that leads with (y, x), so a
-lookup that finds exactly one instance, or none, files the transposed pair
-as well.  This is half of the mirror lemma of the cube sweep (see
-completeness).  A parametrised instance on two letters of one family is
-not filed both ways: a schema can hit such a pair both ways round, with
-other bindings.  Translation relates (t(0), t(1)) with i=0, j=1 and
-(t(1), t(0)) with i=1, j=0.  The complementedness scan
-(`check_complemented`) solves one generator pair for each class of pairs
+relation and the letters a reversal step pushes.  A cold lookup of (x, y)
+that finds one instance, or none, files (y, x) too, with what a lookup of
+(y, x) would find, bindings included (see _complement).  This is half of
+the mirror lemma of the cube sweep (see completeness).  The
+complementedness scan (`check_complemented`) solves one generator pair for each class of pairs
 under index translation, and refuses a presentation that is not
 translation-invariant.  It looks its pairs up through this cache, so it
 files what it solves, and the reversals that follow it find those pairs
@@ -404,16 +400,21 @@ class Presentation:
         each integer-family offset negated, compared as canonical forms
         (see _canonical_form).  Then, for every c, the map that reverses a
         word and sends each family index i to c - i takes relations onto
-        relations.
+        relations.  A schema whose reflected sides are its own, in either
+        order, gives one form to both lists, so it is left out of both.
         """
         if not self.translation_invariant():
             return False
         fams = self.alphabet.integer_families
-        forms = sorted(_canonical_form(s.params, s.lhs, s.rhs) for s in self.schemas)
-        mirrored = sorted(_canonical_form(s.params, *(
-            tuple(PatternLetter(pl.family, -pl.offset, pl.param) if pl.family in fams else pl
-                  for pl in reversed(side)) for side in (s.lhs, s.rhs))) for s in self.schemas)
-        return forms == mirrored
+        forms, mirrored = [], []
+        for s in self.schemas:
+            back = tuple(tuple(PatternLetter(pl.family, -pl.offset, pl.param)
+                               if pl.offset and pl.family in fams else pl
+                               for pl in reversed(side)) for side in (s.lhs, s.rhs))
+            if (s.lhs, s.rhs) != back != (s.rhs, s.lhs):
+                forms.append(_canonical_form(s.params, s.lhs, s.rhs))
+                mirrored.append(_canonical_form(s.params, *back))
+        return sorted(forms) == sorted(mirrored)
 
     def pinned_letter(self) -> tuple[Schema, PatternLetter] | None:
         """The first integer-family pattern letter whose index a shift cannot move.
@@ -510,6 +511,15 @@ def instances_for_pair(p: Presentation, x: Generator, y: Generator,
     first.  A schema's swapped hit that repeats its unswapped one is left
     out: translation gives t(2) t(1) = t(1) t(0) both ways round.
     """
+    return _solve(p, x, y, side)[0]
+
+
+def _solve(p: Presentation, x: Generator, y: Generator, side: str):
+    """instances_for_pair's list for (x, y), and its last hit, a repeat included, or None.
+
+    When the list holds one instance, that last hit, swapped, is the one
+    instance of (y, x) (see _complement).
+    """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     p.alphabet.require(x)
@@ -521,20 +531,21 @@ def instances_for_pair(p: Presentation, x: Generator, y: Generator,
     found = list(filter(None, (index.get((end, x, y)), index.get((end, x, anyy)),
                                index.get((end, anyx, y)), index.get((end, anyx, anyy)))))
     if not found:
-        return []
+        return [], None
     # each list of the index is in schema order, each schema's unswapped entry first
     hits = found[0] if len(found) == 1 else sorted({hit for hits in found for hit in hits})
     out: list[RelationInstance] = []
-    last = None  # position of out[-1]
+    last = lead = None  # position of out[-1], and the last hit
     for pos, swap in hits:
         inst = p.schemas[pos]._oriented(x, y, end, swap)
         if inst is None:
             continue
+        lead = inst
         if pos == last and inst.lhs == out[-1].lhs and inst.rhs == out[-1].rhs:
             continue
         out.append(inst)
         last = pos
-    return out
+    return out, lead
 
 
 def _complement(p: Presentation, x: Generator, y: Generator, side: str):
@@ -545,14 +556,22 @@ def _complement(p: Presentation, x: Generator, y: Generator, side: str):
     ambiguous pair is solved again on each lookup and caches nothing.
 
     A cold lookup that finds no instance, or one, files (y, x) as well,
-    with the swapped instance; the module docstring says which are left out.
+    with what a lookup of (y, x) finds.  pair_index files each orientation
+    of a schema under (x, y) where it files the other under (y, x), and
+    _oriented solves both with the same values, so a schema's swapped hit
+    S of (x, y), swapped, is its unswapped hit of (y, x), bindings
+    included, and its unswapped hit U gives the swapped one.  (y, x) finds
+    swap(S), swap(U) schema by schema, repeating where S and U do: as many
+    instances, and an unambiguous pair's one is the swapped last hit, S
+    where the schema has it.  Translation hits (t(0), t(1)) with i=0, j=1
+    and, on the same sides, with j=0, i=1: (t(1), t(0)) gets the second.
     """
     key = (side, x, y)
     try:
         return p._complements[key]
     except KeyError:
         pass
-    insts = instances_for_pair(p, x, y, side)
+    insts, lead = _solve(p, x, y, side)
     if len(insts) > 1:
         raise AmbiguousComplementError((x, y), insts)
     if not insts:
@@ -560,9 +579,8 @@ def _complement(p: Presentation, x: Generator, y: Generator, side: str):
         return None
     inst = insts[0]
     result = p._complements[key] = ComplementPair(inst, splice(inst, side))
-    if x.family != y.family or not inst.bindings:
-        swapped = inst.swapped()
-        p._complements[(side, y, x)] = ComplementPair(swapped, splice(swapped, side))
+    swapped = lead.swapped()
+    p._complements[(side, y, x)] = ComplementPair(swapped, splice(swapped, side))
     return result
 
 

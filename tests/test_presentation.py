@@ -6,13 +6,14 @@ import tracemalloc
 import traceback
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monorev import catalog
 from monorev.completeness import certify
 from monorev.presentation import (
     AmbiguousComplementError,
     CapError,
+    ComplementPair,
     Param,
     PatternLetter,
     Presentation,
@@ -27,8 +28,11 @@ from monorev.presentation import (
     pair_scan_generators,
     right_complement,
     save_presentation,
+    splice,
+    _canonical_form,
     _complement,
 )
+from monorev.reversing import reverse_quotient
 from monorev.words import Generator, Letter, UnknownGeneratorError, WordSyntaxError
 
 from conftest import (
@@ -342,6 +346,73 @@ def test_mirror_symmetric_hand_schemas(text, symmetric):
     assert load_presentation(text).mirror_symmetric() is symmetric
 
 
+def reflect(side, fams):
+    """A pattern side read backwards, each offset of a family in fams negated."""
+    return tuple(PatternLetter(pl.family, -pl.offset, pl.param) if pl.family in fams else pl
+                 for pl in reversed(side))
+
+
+def reference_mirror_symmetric(p):
+    """Presentation.mirror_symmetric as the full comparison of every schema's two forms."""
+    if not p.translation_invariant():
+        return False
+    fams = p.alphabet.integer_families
+    forms = sorted(_canonical_form(s.params, s.lhs, s.rhs) for s in p.schemas)
+    mirrored = sorted(_canonical_form(s.params, reflect(s.lhs, fams), reflect(s.rhs, fams))
+                      for s in p.schemas)
+    return forms == mirrored
+
+
+@st.composite
+def reflective_presentations(draw):
+    """A presentation on a1, a2 and the family t whose schemas often reflect onto themselves.
+
+    One to four schemas.  Each has sides drawn at random, or a side and
+    its reflection, or two palindromes under reflection, and may come with
+    its reflection as another schema.  A schema with the parameter i (over
+    Z) puts a letter t(i+k), |k| <= 2, at both ends of its lhs.
+    """
+    alphabet = load_presentation("generators: a1 a2 ; families: t\n").alphabet
+    fams = alphabet.integer_families
+
+    def bound():
+        return PatternLetter("t", draw(st.integers(-2, 2)), "i")
+
+    def letters(param, low, high):
+        return [bound() if param and draw(st.booleans()) else
+                PatternLetter("a", draw(st.integers(1, 2)))
+                for _ in range(draw(st.integers(low, high)))]
+
+    def side(param, ends, palindrome):
+        head = [bound()] * ends + letters(param, 0 if ends else 1, 2)
+        if not palindrome:
+            return tuple(head + [bound()] * ends)
+        middle = draw(st.sampled_from([(), (PatternLetter("a", 1),)]
+                                      + [(PatternLetter("t", 0, "i"),)] * param))
+        return tuple(head) + middle + reflect(head, fams)
+
+    schemas = []
+    for number in range(draw(st.integers(1, 4))):
+        param = draw(st.booleans())
+        kind = draw(st.sampled_from(("random", "swap", "palindromes")))
+        lhs = side(param, param, kind == "palindromes")
+        rhs = (reflect(lhs, fams) if kind == "swap" else
+               side(param, False, kind == "palindromes"))
+        params = (Param("i"),) if param else ()
+        schemas.append(Schema(f"r{number}", params, lhs, rhs))
+        if draw(st.booleans()):
+            schemas.append(Schema(f"m{number}", params, reflect(lhs, fams), reflect(rhs, fams)))
+    return Presentation("random", alphabet, tuple(schemas))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=reflective_presentations())
+def test_mirror_symmetric_equals_the_full_comparison(p):
+    # a schema that reflects onto itself, in either order of its sides, is
+    # left out of both lists; the verdict is the full comparison's
+    assert p.mirror_symmetric() is reference_mirror_symmetric(p)
+
+
 def test_check_complemented_split(d4, yamada):
     assert check_complemented(d4) == ((), ())
     right, left = check_complemented(yamada)
@@ -388,6 +459,34 @@ def test_scan_files_cold_complements(key, text):
     assert p._complements
     for (side, x, y), filed in p._complements.items():
         assert filed == _complement(fresh(p), x, y, side)
+
+
+def test_transpose_is_filed_with_its_own_bindings():
+    # translation hits (t(0), t(1)) with i=0, j=1 and, on the same sides,
+    # with j=0, i=1: the lookup keeps the first, and files the second,
+    # swapped, for (t(1), t(0)), as a lookup of that pair finds it
+    p = catalog.load("d4:new")
+    t0, t1 = Generator("t", 0), Generator("t", 1)
+    assert right_complement(p, t0, t1).rule.bindings == (("i", 0), ("j", 1))
+    filed = p._complements[("right", t1, t0)]
+    assert (filed.rule.schema, filed.rule.bindings) == ("translation", (("i", 1), ("j", 0)))
+    assert filed == right_complement(catalog.load("d4:new"), t1, t0)
+
+
+QUOTIENT_WORDS = [f"{a} {b}" for a in ("s1", "s2", "t(0)", "t(1)", "t(2)")
+                  for b in ("s1", "t(0)", "t(1)")]
+
+
+def test_warm_quotient_steps_equal_fresh_ones(d4):
+    # certify files complements, transposes included, that reversals then
+    # read; each reversal records the rules, bindings included, that it
+    # records on a presentation of its own
+    warm = fresh(d4)
+    certify(warm, t_bound=3)
+    words = [warm.parse(text) for text in QUOTIENT_WORDS]
+    for side in ("right", "left"):
+        for u, v in itertools.product(words, repeat=2):
+            assert reverse_quotient(warm, u, v, side) == reverse_quotient(fresh(d4), u, v, side)
 
 
 def test_homogeneous_is_derived(d4, yamada):
@@ -648,6 +747,38 @@ def test_complemented_verdict_equals_a_brute_scan(p):
     right, left = check_complemented(p)
     for side, conflicts in (("right", right), ("left", left)):
         assert {pair for pair, _ in conflicts} == brute_conflict_classes(fresh(p), side), side
+
+
+LOOKUP_GENERATORS = [Generator("a", 1), Generator("a", 2)] + [
+    Generator(fam, i) for fam in ("t", "u") for i in range(-3, 6)]
+TRANSLATION = load_presentation(
+    "generators: a1 a2 ; families: t u\nschema translation: t(i) t(i-1) = t(j) t(j-1)\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=invariant_schemas(),
+       lookups=st.lists(st.tuples(st.sampled_from(LOOKUP_GENERATORS),
+                                  st.sampled_from(LOOKUP_GENERATORS),
+                                  st.sampled_from(("right", "left"))), min_size=1, max_size=30))
+@example(p=TRANSLATION, lookups=[(Generator("t", 0), Generator("t", 1), "right"),
+                                 (Generator("t", 2), Generator("t", 1), "left")])
+def test_transposed_filing_law(p, lookups):
+    # whatever order the pairs are looked up in, every entry, a transpose
+    # included, is what a lookup of its own pair finds, and an ambiguous
+    # pair files neither order
+    ambiguous = []
+    for x, y, side in lookups:
+        try:
+            _complement(p, x, y, side)
+        except AmbiguousComplementError:
+            ambiguous.append((side, x, y))
+    bare = fresh(p)
+    for (side, x, y), filed in p._complements.items():
+        insts = instances_for_pair(bare, x, y, side)
+        expected = ComplementPair(insts[0], splice(insts[0], side)) if insts else None
+        assert len(insts) <= 1 and filed == expected, (side, x, y)
+    for side, x, y in ambiguous:
+        assert (side, x, y) not in p._complements and (side, y, x) not in p._complements
 
 
 def test_load_save_round_trip():
