@@ -43,9 +43,10 @@ cases are:
   right first words u^-1 w w^-1 v, per call; a check of every triple,
   made with the case, warms the complement cache;
 - fresh_e8: check_complemented(e8:new), and certify(e8:new) at t_bound 3
-  and at t_bound 6, each on its own fresh presentation, and then
+  and at t_bound 6, each on its own fresh presentation, then
   Presentation.mirror_symmetric on a fresh e8:new, per call (it keeps
-  nothing, so every call builds its forms);
+  nothing, so every call builds its forms), and certify on a fresh
+  e8:yamada, which it refuses (certify_refused_ms);
 - windows: instantiate_window on a fresh d4:new at radius 2, per call,
   alone (window_ms) and then followed by the window's first rewrite
   table, the one the first oracle call builds (window_table_ms);
@@ -256,8 +257,10 @@ def cubes():
 
 
 def fresh_e8():
-    """check_complemented, certify at t_bound 3 and 6, mirror_symmetric: each on a fresh e8:new."""
+    """check_complemented, certify at t_bound 3 and 6, mirror_symmetric: each on a fresh
+    e8:new; then certify on a fresh e8:yamada, a refusal."""
     p, q, r, m = (catalog.load(KEY) for _ in range(4))
+    refused = catalog.load("e8:yamada")
 
     def mirrors():
         for _ in range(MIRROR_CALLS):
@@ -265,7 +268,8 @@ def fresh_e8():
     return [("check_complemented_ms", "ms", lambda: check_complemented(p), 1),
             ("certify_cold_ms", "ms", lambda: certify(q, t_bound=3), 1),
             ("certify6_cold_ms", "ms", lambda: certify(r, t_bound=6), 1),
-            ("mirror_symmetric_us", "us", mirrors, MIRROR_CALLS)]
+            ("mirror_symmetric_us", "us", mirrors, MIRROR_CALLS),
+            ("certify_refused_ms", "ms", lambda: certify(refused), 1)]
 
 
 def windows():

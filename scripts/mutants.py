@@ -131,7 +131,7 @@ MUTANTS = (
            ("tests/test_presentation.py::test_mirror_symmetric",)),
     Mutant("diagonal-conflict", "src/monorev/presentation.py",
            "if x == y:  # solved, not filed: the kernel never looks (x, x) up",
-           "if x == y:\n                continue",
+           "if x == y:\n            continue",
            ("tests/test_completeness.py::test_certify_names_the_relation_of_a_diagonal_conflict",
             "tests/test_presentation.py::test_scan_files_cold_complements")),
     Mutant("lemma-skips-lookup", "src/monorev/completeness.py",
@@ -166,13 +166,17 @@ MUTANTS = (
            "typed = sides",
            ("tests/test_completeness.py::test_no_local_types_outside_the_guard",)),
     Mutant("local-type-pairs", "src/monorev/completeness.py",
-           "for f, g in itertools.combinations(finite, 2):",
-           "for f, g in ():",
+           "pairs.get((u, v)), pairs.get((u, w)), pairs.get((v, w)))",
+           "None, None, None)",
            ("tests/test_completeness.py::test_local_types_agree_with_fresh_checks",)),
     Mutant("local-type-role", "src/monorev/completeness.py",
-           "for zero in zeros for pair in ((g, zero), (zero, g))]), len(ids))",
-           "for zero in zeros[:1] for pair in ((g, zero),)]), len(ids))",
+           "for zero in zeros for pair in ((g, zero), (zero, g))]), len(ids)) for g in finite}",
+           "for zero in zeros[:1] for pair in ((g, zero),)]), len(ids)) for g in finite}",
            ("tests/test_completeness.py::test_local_type_law",)),
+    Mutant("sweep-positivity-for-any-set", "src/monorev/completeness.py",
+           "if not sweep and any(l.sign < 0 for word in triple for l in word):",
+           "if passed is None and any(l.sign < 0 for word in triple for l in word):",
+           ("tests/test_completeness.py::test_positivity_is_checked_on_a_warm_cache",)),
     Mutant("triple-normalisation", "src/monorev/completeness.py",
            "for w in thirds.get(min(a, b), zero)]",
            "for w in words]",
@@ -185,6 +189,11 @@ MUTANTS = (
            "for i in range(2 * span + 2))",
            "for i in range(2 * span + 1))",
            ("tests/test_presentation.py::test_complemented_verdict_equals_a_brute_scan",)),
+    Mutant("scan-stops-at-a-complemented-pair", "src/monorev/presentation.py",
+           "                _complement(p, x, y, side)\n                continue\n",
+           "                _complement(p, x, y, side)\n                return\n",
+           ("tests/test_completeness.py::test_certify_refuses_yamada",
+            "tests/test_completeness.py::test_refused_certify_solves_up_to_each_first_conflict")),
     Mutant("union-key-sort", "src/monorev/oracle.py",
            "    keys.sort()\n",
            "",

@@ -146,13 +146,16 @@ run can meet another one first.
 The locality lemma.  A cube check's verdict depends only on the local type
 of its letters.  Call F the finite letters of a generator triple, T the
 letters of the integer families, and write the complement x A = y B of a
-pair on a side as the word A B^-1, as above.  The key of the triple keeps
-each family letter as it is and puts each finite letter f's role in its
-place: f's family, and the words of (f, t(0)) and of (t(0), f) for each
-integer family t, with f written as a placeholder.  Each two positions
-that hold finite letters f and g add their pair type: `same` when f = g,
-otherwise the words of (f, g) and of (g, f) with f and g written as the
-placeholders 0 and 1.  A side gets keys only under a guard: the
+pair on a side as the word A B^-1, as above.  The key of the triple has a
+fixed layout: the side, the fuel, one slot per position and one per two
+positions.  A position's slot holds a family letter as it is, and a finite
+letter f's role in its place: f's family, and the words of (f, t(0)) and
+of (t(0), f) for each integer family t, with f written as a placeholder.
+The slot of two positions that hold finite letters f and g holds their
+pair type: `same` when f = g, otherwise the words of (f, g) and of (g, f)
+with f and g written as the placeholders 0 and 1; it is empty unless both
+letters are finite, which the position slots already say.  A side gets
+keys only under a guard: the
 presentation is translation-invariant, and every finite pattern letter of
 every schema is one of that schema's two boundary letters on the side,
 its first letters on the right and its last on the left.  Two triples with
@@ -180,9 +183,10 @@ equal keys on a side have the same verdict there at every fuel.
   and the same fuel-out.  The lemmas above read only lookups and letter
   equalities, and answer as the kernel does.  So the two verdicts are
   equal.
-A lookup that raises AmbiguousComplementError while the key is built
-leaves the check without a key, and a check whose verdict raised files
-nothing, so every filed verdict is one the check computes.  Without the
+A lookup that raises AmbiguousComplementError while a side's tables are
+built leaves the check without a key and the tables unbuilt, and a check
+whose verdict raised files nothing, so every filed verdict is one the
+check computes.  Without the
 guard the lemma fails: with t(i) s3 t(i) = t(i+1) s3 t(i), s1, s2 and s3
 commuting with each t(i), s1 with s2 and with s3, and s2 braiding with s3,
 the complement of (t(0), t(1)) brings in s3.  There
@@ -421,20 +425,35 @@ class _Sweep(set):
     """The set of a sweep's passed triples, with the local-type tables of the
     sides in `typed`, those where the locality lemma holds (see cube_condition).
 
-    kinds holds the id of the role of (side, f) and of the pair type of
-    (side, f, g), and ids numbers each role and pair type, so that a key
-    hashes as a few small ints and letters; verdicts holds the verdict
-    computed under each key.
+    tables holds each typed side's (roles, pairs), None until the side's
+    first keyed check: roles maps each finite generator to the id of its
+    role, and pairs each ordered pair of finite generators to the id of its
+    pair type, "same" for one letter.  ids numbers each role and pair type,
+    so that a key hashes as a few small ints and letters; verdicts holds the
+    verdict computed under each key.
     """
 
-    __slots__ = ("typed", "ids", "kinds", "verdicts")
+    __slots__ = ("ids", "tables", "verdicts")
 
     def __init__(self, typed) -> None:
         super().__init__()
-        self.typed = typed
         self.ids: dict = {}
-        self.kinds: dict = {}
+        self.tables = dict.fromkeys(typed)
         self.verdicts: dict = {}
+
+
+def _side_types(p: Presentation, ids: dict, side: str) -> tuple[dict, dict]:
+    """The (roles, pairs) tables of a side (see _Sweep), numbered in ids;
+    AmbiguousComplementError when a lookup meets one."""
+    zeros = [Generator(fam, 0) for fam in sorted(p.alphabet.integer_families)]
+    finite = p.alphabet.finite_generators()
+    roles = {g: ids.setdefault((g.family, *[
+        _placed(_complement_word(p, *pair, side), (g,))
+        for zero in zeros for pair in ((g, zero), (zero, g))]), len(ids)) for g in finite}
+    pairs = {(f, g): "same" if f == g else ids.setdefault(tuple(
+        _placed(_complement_word(p, *pair, side), (f, g)) for pair in ((f, g), (g, f))), len(ids))
+        for f in finite for g in finite}
+    return roles, pairs
 
 
 def _local_type(p: Presentation, sweep: _Sweep, gens: tuple[Generator, Generator, Generator],
@@ -442,40 +461,23 @@ def _local_type(p: Presentation, sweep: _Sweep, gens: tuple[Generator, Generator
     """The key of the locality lemma of the module docstring for a generator
     triple on a side at a fuel; AmbiguousComplementError when a lookup meets one.
 
-    A family letter stands as itself, a finite letter as the id of its role,
-    and each two positions that hold finite letters add the id of their
-    pair type, "same" for one letter.  A triple of family letters alone gets
-    None: its key would name only itself, and a sweep checks it once a side.
+    The key is (side, fuel, r_u, r_v, r_w, p_uv, p_uw, p_vw), read from the
+    side's tables, made on its first call: each r is its letter's role, or
+    the letter itself when it is a family letter, and each p is the type of
+    the pair at those two positions, None unless both hold finite letters.
+    The role slots say which positions are finite, so the fixed width loses
+    nothing.  A triple of family letters alone gets None: its key would name
+    only itself, and a sweep checks it once a side.
     """
-    fams = p.alphabet.integer_families
-    kinds, ids = sweep.kinds, sweep.ids
-    key: list = [side, fuel]
-    finite = []
-    for g in gens:
-        if g.family in fams:
-            key.append(g)
-            continue
-        finite.append(g)
-        role = kinds.get((side, g))
-        if role is None:
-            zeros = [Generator(fam, 0) for fam in sorted(fams)]
-            role = kinds[(side, g)] = ids.setdefault((g.family, *[
-                _placed(_complement_word(p, *pair, side), (g,))
-                for zero in zeros for pair in ((g, zero), (zero, g))]), len(ids))
-        key.append(role)
-    if not finite:
+    tables = sweep.tables[side]
+    if tables is None:
+        tables = sweep.tables[side] = _side_types(p, sweep.ids, side)
+    roles, pairs = tables
+    u, v, w = gens
+    types = (roles.get(u, u), roles.get(v, v), roles.get(w, w))
+    if types == gens:
         return None
-    for f, g in itertools.combinations(finite, 2):
-        if f == g:
-            key.append("same")
-            continue
-        kind = kinds.get((side, f, g))
-        if kind is None:
-            kind = kinds[(side, f, g)] = ids.setdefault(tuple(
-                _placed(_complement_word(p, *pair, side), (f, g)) for pair in ((f, g), (g, f))),
-                len(ids))
-        key.append(kind)
-    return tuple(key)
+    return (side, fuel, *types, pairs.get((u, v)), pairs.get((u, w)), pairs.get((v, w)))
 
 
 def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
@@ -488,12 +490,14 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
     keeps none.  `passed` is a sweep's set of word triples that pass on
     this side at this fuel: a triple found there passes, and a computed
     pass adds the triple and (v, u, w) (the mirror lemma of the module
-    docstring).  The set holds positive words only, so only a check not
-    found there checks that the words are positive.  certify's sweep hands
-    a set that also holds its local-type tables: a generator triple whose
-    key (the locality lemma) was filed on this side takes the verdict filed
-    under it, and a computed verdict is filed under its key.  Nothing else
-    is kept.
+    docstring).  The set holds positive words only, so a check found there
+    skips the positivity check, and so does every check of certify's
+    sweep, whose triples enumerate_word_triples builds from positive
+    letters only; any other check, with a plain set or none, makes it.
+    certify's sweep hands a set that also holds its local-type tables: a
+    generator triple whose key (the locality lemma) was filed on this side
+    takes the verdict filed under it, and a computed verdict is filed under
+    its key.  Nothing else is kept.
 
     certify calls this function through the module attribute once per
     (side, triple), a settled check included, and bench/tracing.py counts
@@ -504,10 +508,11 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
     triple = (u, v, w)
     if passed is not None and triple in passed:
         return tuple.__new__(CubeResult, (triple, side, "pass", "ok"))
-    if any(l.sign < 0 for word in triple for l in word):
+    sweep = type(passed) is _Sweep
+    if not sweep and any(l.sign < 0 for word in triple for l in word):
         raise ValueError("cube condition expects positive words")
     key = None
-    if type(passed) is _Sweep and side in passed.typed and len(u) == len(v) == len(w) == 1:
+    if sweep and side in passed.tables and len(u) == len(v) == len(w) == 1:
         try:
             key = _local_type(p, passed, (u[0].gen, v[0].gen, w[0].gen), side, fuel)
         except AmbiguousComplementError:

@@ -34,11 +34,13 @@ relation and the letters a reversal step pushes.  A cold lookup of (x, y)
 that finds one instance, or none, files (y, x) too, with what a lookup of
 (y, x) would find, bindings included (see _complement).  This is half of
 the mirror lemma of the cube sweep (see completeness).  The
-complementedness scan (`check_complemented`) solves one generator pair for each class of pairs
-under index translation, and refuses a presentation that is not
-translation-invariant.  It looks its pairs up through this cache, so it
-files what it solves, and the reversals that follow it find those pairs
-warm.
+complementedness scan (`check_complemented`) solves one generator pair for
+each class of pairs under index translation, and refuses a presentation
+that is not translation-invariant.  A side's scan ends at its first
+conflict, the one witness that rules the side out, so a side that is not
+complemented solves no pair after it.  The scan looks its pairs up through
+this cache, so it files what it solves, and the reversals that follow it
+find those pairs warm.
 
 A presentation is mirror-symmetric (`Presentation.mirror_symmetric`) when
 it is translation-invariant and reflecting its schemas gives them back:
@@ -622,11 +624,13 @@ def check_complemented(p: Presentation) -> tuple[tuple, tuple]:
 
     A pair conflicts when more than one relation leads (or trails) with it,
     or when a relation relates x... to x... with distinct sides.  Each side
-    gives the tuple of its conflicts, ((x, y), relations) with the first two
-    relations found, in pair order; the side is complemented when the tuple
-    is empty.  Each pair of distinct generators is looked up through the
-    complement cache, so the scan files what it solves for the reversals
-    that follow, and a pair whose transpose it has filed is not solved again.
+    gives the tuple of its first conflict in pair order, ((x, y), relations)
+    with the first two relations found, or () when the side is
+    complemented: a side's scan stops at its first conflict, which is all
+    that Dehornoy's criterion needs to rule the side out.  Each pair of
+    distinct generators is looked up through the complement cache, so the
+    scan files what it solves for the reversals that follow, and a pair
+    whose transpose it has filed is not solved again.
 
     The pairs are those of pair_scan_generators(p), in product order, whose
     smallest integer-family index is 0 (a pair of finite letters has none),
@@ -661,22 +665,28 @@ def check_complemented(p: Presentation) -> tuple[tuple, tuple]:
     fams = p.alphabet.integer_families
     pairs = [(x, y) for x, y in itertools.product(pair_scan_generators(p), repeat=2)
              if min([g.index for g in (x, y) if g.family in fams], default=0) == 0]
-    found = []
-    for side in ("right", "left"):
-        conflicts = []
-        for x, y in pairs:
-            if x == y:  # solved, not filed: the kernel never looks (x, x) up
-                insts = instances_for_pair(p, x, y, side)
-            else:
-                try:
-                    _complement(p, x, y, side)
-                    continue
-                except AmbiguousComplementError as exc:
-                    insts = exc.instances
-            if insts:
-                conflicts.append(((x, y), tuple(insts[:2])))
-        found.append(tuple(conflicts))
-    return found[0], found[1]
+    return tuple(tuple(itertools.islice(_conflicts(p, pairs, side), 1))
+                 for side in ("right", "left"))
+
+
+def _conflicts(p: Presentation, pairs: list, side: str):
+    """Yield every conflict of the side among the pairs, in their order, as
+    check_complemented gives it.
+
+    A pair is solved only when the next conflict is asked for, so a caller
+    that stops at the first conflict solves no pair after it.
+    """
+    for x, y in pairs:
+        if x == y:  # solved, not filed: the kernel never looks (x, x) up
+            insts = instances_for_pair(p, x, y, side)
+        else:
+            try:
+                _complement(p, x, y, side)
+                continue
+            except AmbiguousComplementError as exc:
+                insts = exc.instances
+        if insts:
+            yield (x, y), tuple(insts[:2])
 
 
 def materialize_relations(p: Presentation) -> tuple[RelationInstance, ...]:

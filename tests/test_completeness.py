@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monorev import catalog, completeness, reversing
+from monorev import catalog, completeness, presentation, reversing
 from monorev.completeness import (
     SweepCapError,
     certify,
@@ -733,6 +733,25 @@ def test_local_types_agree_with_fresh_checks(monkeypatch):
     assert (len(hits), len(calls)) == (32200, 52335)
 
 
+def test_local_types_keep_the_pinned_verdicts_of_a_pass(monkeypatch):
+    """The eight :new certify calls of one certify-elliptic pass compute the
+    pinned numbers of verdicts and kernel runs: a key that split a local
+    type would compute more of them, one that merged two types fewer."""
+    verdicts = []
+    runs = _count_runs(monkeypatch)
+    verdict = completeness._verdict
+
+    def counted(*args):
+        verdicts.append(args)
+        return verdict(*args)
+
+    monkeypatch.setattr(completeness, "_verdict", counted)
+    for key in ("d4:new", "e6:new", "e7:new", "e8:new"):
+        for t_bound in (3, 6):
+            assert certify(catalog.load(key), t_bound=t_bound).claim == "cancellative-up-to"
+    assert (len(verdicts), len(runs)) == (2012, 536)
+
+
 def test_no_local_types_outside_the_guard(monkeypatch):
     """On the right of BOUNDARY_GUARD a complement brings in a finite letter
     outside its pair, so that side gets no keys, and the certificate is the
@@ -968,6 +987,23 @@ def test_certify_refuses_yamada(yamada):
     assert cert.claim == "refused" and not cert.established
     assert cert.triples_checked == 0
     assert "(s1, t(1))" in cert.refusal
+
+
+@pytest.mark.parametrize("key,solves", [("d4:yamada", 11), ("e8:yamada", 19)])
+def test_refused_certify_solves_up_to_each_first_conflict(key, solves, monkeypatch):
+    """Each side's scan stops at its first conflict, the one witness that
+    rules the side out, so a refused certify solves no pair after it; the
+    full scan of both sides solves 50 and 116 pairs."""
+    calls = []
+    solve = presentation._solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(presentation, "_solve", counted)
+    assert certify(catalog.load(key)).claim == "refused"
+    assert len(calls) == solves
 
 
 def test_certify_refuses_wide_offset_conflict():

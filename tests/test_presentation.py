@@ -31,6 +31,7 @@ from monorev.presentation import (
     splice,
     _canonical_form,
     _complement,
+    _conflicts,
 )
 from monorev.reversing import reverse_quotient
 from monorev.words import Generator, Letter, UnknownGeneratorError, WordSyntaxError
@@ -415,28 +416,37 @@ def test_mirror_symmetric_equals_the_full_comparison(p):
 
 def test_check_complemented_split(d4, yamada):
     assert check_complemented(d4) == ((), ())
-    right, left = check_complemented(yamada)
+    right, left = (tuple(_conflicts(fresh(yamada), scan_pairs(yamada), side))
+                   for side in ("right", "left"))
     assert right
     pair, insts = right[0]
     assert (str(pair[0]), str(pair[1])) == ("s1", "t(1)")
     assert [i.schema for i in insts] == ["t_braid", "double_twist_1"]
     assert len(right) == 8
+    # each side's scan stops at its first conflict
+    assert check_complemented(fresh(yamada)) == (right[:1], left[:1])
+
+
+def scan_pairs(p):
+    """The pairs check_complemented scans: those of pair_scan_generators, in
+    product order, with smallest family index 0."""
+    fams = p.alphabet.integer_families
+    return [(x, y) for x, y in itertools.product(pair_scan_generators(p), repeat=2)
+            if min([g.index for g in (x, y) if g.family in fams], default=0) == 0]
 
 
 def reference_check_complemented(p):
-    """The scan as a plain loop over instances_for_pair, which files nothing.
+    """Every conflict of each side, as _conflicts streams them, from a plain
+    loop over instances_for_pair, which files nothing.
 
-    It loops over the scan's own pairs, those of pair_scan_generators with
-    smallest family index 0: it checks what the scan files, not which pairs
-    it covers, which test_complemented_verdict_equals_a_brute_scan checks.
+    It loops over the scan's own pairs: it checks what the scan files, not
+    which pairs it covers, which test_complemented_verdict_equals_a_brute_scan
+    checks.
     """
     found = []
-    fams = p.alphabet.integer_families
-    pairs = [(x, y) for x, y in itertools.product(pair_scan_generators(p), repeat=2)
-             if min([g.index for g in (x, y) if g.family in fams], default=0) == 0]
     for side in ("right", "left"):
         conflicts = []
-        for x, y in pairs:
+        for x, y in scan_pairs(p):
             insts = instances_for_pair(p, x, y, side)
             if (x == y and insts) or len(insts) > 1:
                 conflicts.append(((x, y), tuple(insts[:2])))
@@ -455,7 +465,9 @@ SCAN_CASES = [*((key, None) for key in catalog.FIXED_NAMES),
 def test_scan_files_cold_complements(key, text):
     p = catalog.load(key) if text is None else load_presentation(text)
     reference = reference_check_complemented(fresh(p))
-    assert check_complemented(p) == reference
+    assert check_complemented(fresh(p)) == tuple(conflicts[:1] for conflicts in reference)
+    pairs = scan_pairs(p)
+    assert tuple(tuple(_conflicts(p, pairs, side)) for side in ("right", "left")) == reference
     assert p._complements
     for (side, x, y), filed in p._complements.items():
         assert filed == _complement(fresh(p), x, y, side)
@@ -743,9 +755,10 @@ def brute_conflict_classes(p, side):
 @given(p=invariant_schemas())
 def test_complemented_verdict_equals_a_brute_scan(p):
     # the scan's conflicts are the brute scan's classes, so each side's
-    # verdict is the brute scan's too
-    right, left = check_complemented(p)
-    for side, conflicts in (("right", right), ("left", left)):
+    # verdict is the brute scan's too, and check_complemented gives the first
+    full = tuple(tuple(_conflicts(fresh(p), scan_pairs(p), side)) for side in ("right", "left"))
+    assert check_complemented(p) == tuple(conflicts[:1] for conflicts in full)
+    for side, conflicts in zip(("right", "left"), full):
         assert {pair for pair, _ in conflicts} == brute_conflict_classes(fresh(p), side), side
 
 

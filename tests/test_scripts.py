@@ -77,7 +77,7 @@ def test_layer_bench(capsys, tmp_path):
         "reverse_warm_us", "window_ms", "window_table_ms", "cancellation_scan_ms",
         "monoid_equal_cold_ms", "monoid_equal_warm_ms", "quotient_ending_us_per_step",
         "quotient_cold_us_per_pair", "quotient_cycling_us_per_step", "parse_word_us",
-        "triples_ms", "mirror_symmetric_us"}
+        "triples_ms", "mirror_symmetric_us", "certify_refused_ms"}
     assert set(figures) == medians | {f"{m}_{s}" for m in medians for s in ("q1", "q3", "unscaled")}
     assert all(value > 0 for value in figures.values())
     assert all(figures[f"{m}_q1"] <= figures[m] <= figures[f"{m}_q3"] for m in medians)
