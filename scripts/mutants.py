@@ -60,8 +60,8 @@ MUTANTS = (
            "kept_done = pos",
            ("tests/test_acceptance.py::test_cycle_proofs_sound",)),
     Mutant("left-sweep-reuse", "src/monorev/completeness.py",
-           'if side == "left" and (failures or cycling or fuel_outs or not p.mirror_symmetric()):',
-           'if side == "left" and not p.mirror_symmetric():',
+           "if sweep is None or failures or cycling or fuel_outs or not p.mirror_symmetric():",
+           "if sweep is None or not p.mirror_symmetric():",
            ("tests/test_completeness.py::test_word_sweep_matches_the_unmirrored_certificate",
             "tests/test_completeness.py::"
             "test_left_sweep_computes_its_checks_after_a_right_non_pass")),
@@ -162,8 +162,8 @@ MUTANTS = (
            "2 + len_v + 2 * len_u",
            ("tests/test_completeness.py::test_distinct_letter_lemmas_keep_the_fuel_gates",)),
     Mutant("local-type-guard", "src/monorev/completeness.py",
-           "typed = [side for side in sides if _typed_side(p, side)]",
-           "typed = sides",
+           "    if not p.translation_invariant() or any(",
+           "    if False and any(",
            ("tests/test_completeness.py::test_no_local_types_outside_the_guard",)),
     Mutant("local-type-pairs", "src/monorev/completeness.py",
            "pairs.get((u, v)), pairs.get((u, w)), pairs.get((v, w)))",
@@ -173,10 +173,10 @@ MUTANTS = (
            "for zero in zeros for pair in ((g, zero), (zero, g))]), len(ids)) for g in finite}",
            "for zero in zeros[:1] for pair in ((g, zero),)]), len(ids)) for g in finite}",
            ("tests/test_completeness.py::test_local_type_law",)),
-    Mutant("sweep-positivity-for-any-set", "src/monorev/completeness.py",
-           "if not sweep and any(l.sign < 0 for word in triple for l in word):",
-           "if passed is None and any(l.sign < 0 for word in triple for l in word):",
-           ("tests/test_completeness.py::test_positivity_is_checked_on_a_warm_cache",)),
+    Mutant("bare-positivity", "src/monorev/completeness.py",
+           "        if any(l.sign < 0 for word in triple for l in word):",
+           "        if False:",
+           ("tests/test_completeness.py::test_cube_validation",)),
     Mutant("triple-normalisation", "src/monorev/completeness.py",
            "for w in thirds.get(min(a, b), zero)]",
            "for w in words]",

@@ -24,10 +24,10 @@ A plain cube_condition call computes its verdict afresh and keeps none;
 the repeated-letter, commuting-letter and equal-complements lemmas below
 settle many of those verdicts with a few complement lookups, with or
 without a sweep.  certify's sweep applies the two mirror lemmas and the
-locality lemma as well, within one call: it hands cube_condition a set of
-the triples that passed on the side, which also holds the side's
-local-type tables, and drops the set when it returns, so no verdict
-outlives the call.
+locality lemma as well, within one call: it hands cube_condition a
+_Sweep, the side's set of passed triples with its local-type tables and
+the verdicts filed under them, and drops it when it returns, so no
+verdict outlives the call.
 
 The repeated-letter lemma.  Take a generator triple (u, v, w) in which
 two of the letters are equal.  If all three are, the check passes.
@@ -136,30 +136,32 @@ overlap and a complemented presentation has one reversing diagram per
 word, so a reversal that ends does so in any order of rewriting.)  The
 image of an index-normalised triple is one again, so when every right
 check of the sweep passed, every left check passes.  certify therefore
-runs the right sweep first and keeps its set for the left sweep only
-when the presentation is mirror-symmetric and the right sweep found no
-failure and no open check; otherwise the left sweep starts from an
-empty set.  Only a sweep that passed everywhere crosses: a reversal that
-sticks or cycles stops at its leftmost blocked redex, and the flipped
-run can meet another one first.
+runs the right sweep first and keeps it for the left side only when the
+presentation is mirror-symmetric and the right sweep found no failure
+and no open check; otherwise the left side gets a sweep of its own.
+Every left triple is then in the kept sweep's set, so no left check
+reads a key filed on the right.  Only a sweep that passed everywhere
+crosses: a reversal that sticks or cycles stops at its leftmost blocked
+redex, and the flipped run can meet another one first.
 
 The locality lemma.  A cube check's verdict depends only on the local type
 of its letters.  Call F the finite letters of a generator triple, T the
 letters of the integer families, and write the complement x A = y B of a
-pair on a side as the word A B^-1, as above.  The key of the triple has a
-fixed layout: the side, the fuel, one slot per position and one per two
-positions.  A position's slot holds a family letter as it is, and a finite
-letter f's role in its place: f's family, and the words of (f, t(0)) and
-of (t(0), f) for each integer family t, with f written as a placeholder.
-The slot of two positions that hold finite letters f and g holds their
-pair type: `same` when f = g, otherwise the words of (f, g) and of (g, f)
-with f and g written as the placeholders 0 and 1; it is empty unless both
-letters are finite, which the position slots already say.  A side gets
-keys only under a guard: the
-presentation is translation-invariant, and every finite pattern letter of
-every schema is one of that schema's two boundary letters on the side,
-its first letters on the right and its last on the left.  Two triples with
-equal keys on a side have the same verdict there at every fuel.
+pair on a side as the word A B^-1, as above.  A sweep serves one side at
+one fuel, so the key of the triple has a fixed layout of one slot per
+position and one per two positions.  A position's slot holds a family
+letter as it is, and a finite letter f's role in its place: f's family,
+and the words of (f, t(0)) and of (t(0), f) for each integer family t,
+with f written as a placeholder.  The slot of two positions that hold
+finite letters f and g holds their pair type: `same` when f = g,
+otherwise the words of (f, g) and of (g, f) with f and g written as the
+placeholders 0 and 1; it is empty unless both letters are finite, which
+the position slots already say.  A side gets keys only under a guard:
+the presentation is translation-invariant, and every finite pattern
+letter of every schema is one of that schema's two boundary letters on
+the side, its first letters on the right and its last on the left.  Two
+triples with equal keys on a side have the same verdict there at every
+fuel.
 - Under the guard, every finite letter of a relation instance leading (or
   trailing) with a pair is a letter of that pair.  So a complement of a
   pair in (F u T)^2 holds no finite letter outside F, and a run on a word
@@ -178,20 +180,19 @@ equal keys on a side have the same verdict there at every fuel.
 - The kernel compares letters only by equality, by sign, by family and
   whether it is an integer family, and, within one family, by index
   differences, which for finite letters are 0 exactly when the letters
-  are equal.  phi preserves all of these, so by induction on the steps the run of phi(W) is phi of
-  the run of W: the same steps, the same stuck pair, the same cycle proof
-  and the same fuel-out.  The lemmas above read only lookups and letter
-  equalities, and answer as the kernel does.  So the two verdicts are
-  equal.
-A lookup that raises AmbiguousComplementError while a side's tables are
-built leaves the check without a key and the tables unbuilt, and a check
-whose verdict raised files nothing, so every filed verdict is one the
-check computes.  Without the
-guard the lemma fails: with t(i) s3 t(i) = t(i+1) s3 t(i), s1, s2 and s3
-commuting with each t(i), s1 with s2 and with s3, and s2 braiding with s3,
-the complement of (t(0), t(1)) brings in s3.  There
-(t(0), t(1), s1) and (t(0), t(1), s2) have one key without the guard, but
-on the right the first passes and the second fails not-trivial.
+  are equal.  phi preserves all of these, so by induction on the steps
+  the run of phi(W) is phi of the run of W: the same steps, the same
+  stuck pair, the same cycle proof and the same fuel-out.  The lemmas
+  above read only lookups and letter equalities, and answer as the kernel
+  does.  So the two verdicts are equal.
+No lookup of a side's tables meets an ambiguous pair, since certify
+sweeps only a side that check_complemented found complemented, and that
+scan covers every pair.  Without the guard the lemma fails: with
+t(i) s3 t(i) = t(i+1) s3 t(i), s1, s2 and s3 commuting with each t(i), s1
+with s2 and with s3, and s2 braiding with s3, the complement of
+(t(0), t(1)) brings in s3.  There (t(0), t(1), s1) and (t(0), t(1), s2)
+have one key without the guard, but on the right the first passes and
+the second fails not-trivial.
 """
 
 from __future__ import annotations
@@ -403,17 +404,6 @@ def cube_traces(p: Presentation, u: Word, v: Word, w: Word, side: str = "right",
     return first, reverse(p, Word(_second_word(u, v, first.final, side)), fuel)
 
 
-def _typed_side(p: Presentation, side: str) -> bool:
-    """Whether the locality lemma of the module docstring holds on this side:
-    p is translation-invariant, and every finite pattern letter of every
-    schema is one of that schema's two boundary letters on the side."""
-    end = 0 if side == "right" else -1
-    fams = p.alphabet.integer_families
-    return p.translation_invariant() and all(
-        pl == s.lhs[end] or pl == s.rhs[end]
-        for s in p.schemas for pl in s.lhs + s.rhs if pl.family not in fams)
-
-
 def _placed(word: tuple[Letter, ...] | None, letters: tuple[Generator, ...]) -> tuple | None:
     """A complement word with each of `letters` written as its position there."""
     if word is None:
@@ -421,31 +411,21 @@ def _placed(word: tuple[Letter, ...] | None, letters: tuple[Generator, ...]) -> 
     return tuple([(letters.index(l.gen), l.sign) if l.gen in letters else l for l in word])
 
 
-class _Sweep(set):
-    """The set of a sweep's passed triples, with the local-type tables of the
-    sides in `typed`, those where the locality lemma holds (see cube_condition).
-
-    tables holds each typed side's (roles, pairs), None until the side's
-    first keyed check: roles maps each finite generator to the id of its
-    role, and pairs each ordered pair of finite generators to the id of its
-    pair type, "same" for one letter.  ids numbers each role and pair type,
-    so that a key hashes as a few small ints and letters; verdicts holds the
-    verdict computed under each key.
-    """
-
-    __slots__ = ("ids", "tables", "verdicts")
-
-    def __init__(self, typed) -> None:
-        super().__init__()
-        self.ids: dict = {}
-        self.tables = dict.fromkeys(typed)
-        self.verdicts: dict = {}
-
-
-def _side_types(p: Presentation, ids: dict, side: str) -> tuple[dict, dict]:
-    """The (roles, pairs) tables of a side (see _Sweep), numbered in ids;
-    AmbiguousComplementError when a lookup meets one."""
-    zeros = [Generator(fam, 0) for fam in sorted(p.alphabet.integer_families)]
+def _side_types(p: Presentation, side: str) -> tuple[dict, dict] | None:
+    """The (roles, pairs) tables of a side (see _Sweep), or None off the guard
+    of the locality lemma of the module docstring: p is translation-invariant,
+    and every finite pattern letter of every schema is one of that schema's
+    two boundary letters on the side.  AmbiguousComplementError when a
+    lookup meets one, which a complemented side never does."""
+    end = 0 if side == "right" else -1
+    fams = p.alphabet.integer_families
+    if not p.translation_invariant() or any(
+            pl != s.lhs[end] and pl != s.rhs[end]
+            for s in p.schemas for pl in s.lhs + s.rhs if pl.family not in fams):
+        return None
+    # numbers each role and pair type, so that a key hashes as a few small ints and letters
+    ids: dict = {}
+    zeros = [Generator(fam, 0) for fam in sorted(fams)]
     finite = p.alphabet.finite_generators()
     roles = {g: ids.setdefault((g.family, *[
         _placed(_complement_word(p, *pair, side), (g,))
@@ -456,48 +436,61 @@ def _side_types(p: Presentation, ids: dict, side: str) -> tuple[dict, dict]:
     return roles, pairs
 
 
-def _local_type(p: Presentation, sweep: _Sweep, gens: tuple[Generator, Generator, Generator],
-                side: str, fuel: int) -> tuple | None:
-    """The key of the locality lemma of the module docstring for a generator
-    triple on a side at a fuel; AmbiguousComplementError when a lookup meets one.
+class _Sweep(set):
+    """One side's sweep at one fuel: the set of its passed triples, the
+    side's local-type tables and the verdicts filed under their keys.
 
-    The key is (side, fuel, r_u, r_v, r_w, p_uv, p_uw, p_vw), read from the
-    side's tables, made on its first call: each r is its letter's role, or
-    the letter itself when it is a family letter, and each p is the type of
-    the pair at those two positions, None unless both hold finite letters.
-    The role slots say which positions are finite, so the fixed width loses
-    nothing.  A triple of family letters alone gets None: its key would name
-    only itself, and a sweep checks it once a side.
+    tables is (roles, pairs), built when the sweep starts, or None where
+    the locality lemma's guard fails (see _side_types): roles maps each
+    finite generator to the id of its role, and pairs each ordered pair of
+    finite generators to the id of its pair type, "same" for one letter.
+    A key names neither side nor fuel.  certify keeps the right sweep for
+    the left side only when the side-mirror lemma makes every left check a
+    pass; each left triple is then in the set, so no left check reads a key.
     """
-    tables = sweep.tables[side]
-    if tables is None:
-        tables = sweep.tables[side] = _side_types(p, sweep.ids, side)
-    roles, pairs = tables
-    u, v, w = gens
-    types = (roles.get(u, u), roles.get(v, v), roles.get(w, w))
-    if types == gens:
-        return None
-    return (side, fuel, *types, pairs.get((u, v)), pairs.get((u, w)), pairs.get((v, w)))
+
+    __slots__ = ("tables", "verdicts")
+
+    def __init__(self, p: Presentation, side: str) -> None:
+        super().__init__()
+        self.tables = _side_types(p, side)
+        self.verdicts: dict = {}
+
+    def key(self, u: Word, v: Word, w: Word) -> tuple | None:
+        """The key of the locality lemma of the module docstring for a triple,
+        (r_u, r_v, r_w, p_uv, p_uw, p_vw), or None off the guard, for longer
+        words and for a triple of family letters alone.
+
+        Each r is its letter's role, or the letter itself when it is a family
+        letter, and each p is the type of the pair at those two positions,
+        None unless both hold finite letters.  The role slots say which
+        positions are finite, so the fixed width loses nothing.  A triple of
+        family letters alone would name only itself, and a sweep checks it once.
+        """
+        if self.tables is None or not len(u) == len(v) == len(w) == 1:
+            return None
+        roles, pairs = self.tables
+        gens = u, v, w = u[0].gen, v[0].gen, w[0].gen
+        types = (roles.get(u, u), roles.get(v, v), roles.get(w, w))
+        if types == gens:
+            return None
+        return (*types, pairs.get((u, v)), pairs.get((u, w)), pairs.get((v, w)))
 
 
 def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
                    side: str = "right", fuel: int = DEFAULT_FUEL,
-                   passed: set | None = None) -> CubeResult:
+                   sweep: _Sweep | None = None) -> CubeResult:
     """Check the cube condition for (u, v, w) on one side, without step records.
 
-    Without `passed` each call computes its verdict afresh, by the
-    repeated-letter lemma of the module docstring or by the kernel, and
-    keeps none.  `passed` is a sweep's set of word triples that pass on
-    this side at this fuel: a triple found there passes, and a computed
-    pass adds the triple and (v, u, w) (the mirror lemma of the module
-    docstring).  The set holds positive words only, so a check found there
-    skips the positivity check, and so does every check of certify's
-    sweep, whose triples enumerate_word_triples builds from positive
-    letters only; any other check, with a plain set or none, makes it.
-    certify's sweep hands a set that also holds its local-type tables: a
-    generator triple whose key (the locality lemma) was filed on this side
-    takes the verdict filed under it, and a computed verdict is filed under
-    its key.  Nothing else is kept.
+    Without a sweep each call checks that the words are positive and
+    computes its verdict afresh, by the lemmas of the module docstring or
+    by the kernel, and keeps none.  certify hands its sweep of this side at
+    this fuel (see _Sweep), whose triples enumerate_word_triples builds
+    from positive letters only: a triple in the sweep's set passes, a
+    generator triple whose key was filed takes the verdict filed under it,
+    and any other check computes its verdict and files it under its key.
+    A pass that was not in the set adds the triple and (v, u, w) to it (the
+    mirror lemma of the module docstring).
 
     certify calls this function through the module attribute once per
     (side, triple), a settled check included, and bench/tracing.py counts
@@ -506,27 +499,22 @@ def cube_condition(p: Presentation, u: Word, v: Word, w: Word,
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     triple = (u, v, w)
-    if passed is not None and triple in passed:
+    if sweep is None:
+        if any(l.sign < 0 for word in triple for l in word):
+            raise ValueError("cube condition expects positive words")
+        return tuple.__new__(CubeResult, (triple, side, *_verdict(p, u, v, w, side, fuel)))
+    if triple in sweep:
         return tuple.__new__(CubeResult, (triple, side, "pass", "ok"))
-    sweep = type(passed) is _Sweep
-    if not sweep and any(l.sign < 0 for word in triple for l in word):
-        raise ValueError("cube condition expects positive words")
-    key = None
-    if sweep and side in passed.tables and len(u) == len(v) == len(w) == 1:
-        try:
-            key = _local_type(p, passed, (u[0].gen, v[0].gen, w[0].gen), side, fuel)
-        except AmbiguousComplementError:
-            pass  # no key: computed as without the tables
-    verdict = None if key is None else passed.verdicts.get(key)
+    key = sweep.key(u, v, w)
+    verdict = None if key is None else sweep.verdicts.get(key)
     if verdict is None:
         verdict = _verdict(p, u, v, w, side, fuel)
         if key is not None:
-            passed.verdicts[key] = verdict
-    status, reason = verdict
-    if passed is not None and status == "pass":
-        passed.add(triple)
-        passed.add((v, u, w))
-    return tuple.__new__(CubeResult, (triple, side, status, reason))
+            sweep.verdicts[key] = verdict
+    if verdict == _PASS:
+        sweep.add(triple)
+        sweep.add((v, u, w))
+    return tuple.__new__(CubeResult, (triple, side, *verdict))
 
 
 def enumerate_word_triples(p: Presentation, max_len: int,
@@ -650,11 +638,11 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     completeness alone does not buy cancellation.
     A sweep of more than MAX_TRIPLES triples raises SweepCapError.
 
-    The sweep calls cube_condition once per side and triple, with the set
-    of the side's passed triples, which holds the local-type tables of the
-    sides where the locality lemma's guard holds; the left sweep keeps the
-    right sweep's set only when the side-mirror lemma of the module
-    docstring makes every left check a pass.  The set is dropped when the
+    The sweep calls cube_condition once per side and triple, with that
+    side's _Sweep.  The left side keeps the right side's sweep only when the
+    side-mirror lemma of the module docstring makes every left check a
+    pass: every left triple is then in its set, so no left check reads a
+    key, which is why a key names no side.  Each sweep is dropped when the
     call returns.
     """
     if goal not in ("cancellative", "complete"):
@@ -690,14 +678,14 @@ def certify(p: Presentation, t_bound: int = 3, fuel: int = DEFAULT_FUEL,
     triples = enumerate_word_triples(p, 1 if word_len is None else word_len, t_bound)
     failures = []
     cycling = fuel_outs = 0
-    typed = [side for side in sides if _typed_side(p, side)]
-    # the sweep's passed triples on one side and its local types, dropped when certify returns
-    passed = _Sweep(typed)
+    # each side's sweep, dropped when certify returns; the left side keeps the
+    # right one when the side-mirror lemma makes every left check a pass
+    sweep = None
     for side in sides:
-        if side == "left" and (failures or cycling or fuel_outs or not p.mirror_symmetric()):
-            passed = _Sweep(typed)
+        if sweep is None or failures or cycling or fuel_outs or not p.mirror_symmetric():
+            sweep = _Sweep(p, side)
         for u, v, w in triples:
-            res = cube_condition(p, u, v, w, side=side, fuel=fuel, passed=passed)
+            res = cube_condition(p, u, v, w, side=side, fuel=fuel, sweep=sweep)
             if res.status == "fail":
                 failures.append((side, (str(u), str(v), str(w)), res.reason))
             elif res.status == "inconclusive":

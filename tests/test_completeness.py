@@ -643,31 +643,32 @@ def test_certify_checks_each_triple_once_a_side(key, monkeypatch):
 def test_verdict_table_files_a_pass_and_its_mirror(d4, monkeypatch):
     p = fresh(d4)
     s1, s2, t0 = p.parse("s1"), p.parse("s2"), p.parse("t(0)")
-    passed = set()
-    assert cube_condition(p, s1, t0, s2, passed=passed).passed
-    assert passed == {(s1, t0, s2), (t0, s1, s2)}
+    sweep = completeness._Sweep(p, "right")
+    assert cube_condition(p, s1, t0, s2, sweep=sweep).passed
+    assert sweep == {(s1, t0, s2), (t0, s1, s2)}
     sides = _count_runs(monkeypatch)
-    res = cube_condition(p, t0, s1, s2, passed=passed)
+    res = cube_condition(p, t0, s1, s2, sweep=sweep)
     assert res.passed and res.triple == (t0, s1, s2) and sides == []
     assert cube_condition(p, t0, s1, s2).passed and sides == ["right", "right"]
 
 
 def test_verdict_table_mirrors_no_other_verdict():
+    # SQUARE_CHAIN is off the locality guard on the right, so its sweep keys nothing
     p = load_presentation(SQUARE_CHAIN, name="square-chain")
     a1, b1, c1 = p.parse("a1"), p.parse("b1"), p.parse("c1")
-    passed = set()
-    assert cube_condition(p, c1, a1, b1, fuel=8, passed=passed).reason == "first reversal cycles"
-    assert passed == set()
-    res = cube_condition(p, a1, c1, b1, fuel=8, passed=passed)
+    sweep = completeness._Sweep(p, "right")
+    assert sweep.tables is None
+    assert cube_condition(p, c1, a1, b1, fuel=8, sweep=sweep).reason == "first reversal cycles"
+    assert sweep == set() and sweep.verdicts == {}
+    res = cube_condition(p, a1, c1, b1, fuel=8, sweep=sweep)
     assert res.reason == "first reversal ran out of fuel"
 
 
 def test_left_sweep_computes_its_checks_after_a_right_non_pass(monkeypatch):
     """classical:3 is mirror-symmetric, but some right checks do not pass:
-    the left sweep then starts afresh and runs the kernel on the left as
-    often as a left sweep from an empty sweep set does.  The
-    repeated-letter lemma settles all but 6 runs, and one local type, that
-    of the three distinct letters, leaves 1 of those."""
+    the left side then gets a sweep of its own and runs the kernel on the
+    left as often as a fresh left sweep does: once, for the one local type
+    of three distinct letters that no lemma settles."""
     sides = _count_runs(monkeypatch)
     p = fresh(C3)
     assert p.mirror_symmetric()
@@ -675,16 +676,39 @@ def test_left_sweep_computes_its_checks_after_a_right_non_pass(monkeypatch):
     left_runs = sides.count("left")
     assert cert.claim == "undetermined"
     sides.clear()
-    passed = completeness._Sweep(["right", "left"])
+    sweep = completeness._Sweep(p, "left")
     for u, v, w in enumerate_word_triples(p, 1, cert.t_bound):
-        cube_condition(p, u, v, w, side="left", passed=passed)
+        cube_condition(p, u, v, w, side="left", sweep=sweep)
     assert left_runs == len(sides) == 1
-    sides.clear()
-    passed = set()
-    for u, v, w in enumerate_word_triples(p, 1, cert.t_bound):
-        cube_condition(p, u, v, w, side="left", passed=passed)
-    assert len(sides) == 6
     assert cert == _unmirrored_certificate(p)
+
+
+def test_left_side_mirror_sweep_reads_no_key(d4, monkeypatch):
+    """On d4:new the left side keeps the right sweep, and every left triple
+    is in its set: no left check reads a key, so a key needs no side slot."""
+    reads, current = {"right": 0, "left": 0}, []
+    check, key = completeness.cube_condition, completeness._Sweep.key
+
+    def traced(p, u, v, w, side="right", **kwargs):
+        current[:] = [side]
+        return check(p, u, v, w, side=side, **kwargs)
+
+    def counted(sweep, u, v, w):
+        reads[current[0]] += 1
+        return key(sweep, u, v, w)
+
+    monkeypatch.setattr(completeness, "cube_condition", traced)
+    monkeypatch.setattr(completeness._Sweep, "key", counted)
+    assert certify(fresh(d4), t_bound=2).claim == "cancellative-up-to"
+    assert reads["right"] > 0 and reads["left"] == 0
+
+
+def test_sweep_needs_a_complemented_side():
+    # certify sweeps only complemented sides; a sweep's tables meet the conflict
+    p = load_presentation("generators: a1 b1\na1 b1 = b1 a1\na1 b1 a1 = b1 a1 b1\n",
+                          name="two-relations")
+    with pytest.raises(AmbiguousComplementError, match=r"pair \(a1, b1\)"):
+        completeness._Sweep(p, "right")
 
 
 # the lemma presentations and three affine keys, one of them cycling
@@ -695,7 +719,7 @@ LOCALITY_PRESENTATIONS = LEMMA_PRESENTATIONS + [catalog.load(k) for k in (
 def _type_hits(monkeypatch):
     """(hits, calls) of the cube_condition calls made from now on, each as
     (p, triple, side, fuel, status, reason).  A hit is a check settled by
-    its local type: a call whose triple is not in its passed set and which
+    its local type: a call whose triple is not in its sweep's set and which
     computes no verdict."""
     hits, calls, computed = [], [], []
     verdict, check = completeness._verdict, completeness.cube_condition
@@ -704,10 +728,10 @@ def _type_hits(monkeypatch):
         computed.append(args)
         return verdict(*args)
 
-    def traced(p, u, v, w, side="right", fuel=DEFAULT_FUEL, passed=None):
-        found = passed is not None and (u, v, w) in passed
+    def traced(p, u, v, w, side="right", fuel=DEFAULT_FUEL, sweep=None):
+        found = sweep is not None and (u, v, w) in sweep
         before = len(computed)
-        res = check(p, u, v, w, side=side, fuel=fuel, passed=passed)
+        res = check(p, u, v, w, side=side, fuel=fuel, sweep=sweep)
         calls.append((p, (u, v, w), side, fuel, res.status, res.reason))
         if not found and len(computed) == before:
             hits.append(calls[-1])
@@ -865,15 +889,16 @@ def test_cube_traces_refuses_non_positive_words(d4):
 
 
 def test_positivity_is_checked_on_a_warm_cache(d4):
+    # certify has filed every complement the lemmas look up; a bare call still checks
     p = fresh(d4)
     s1, s2, s3 = p.parse("s1"), p.parse("s2"), p.parse("s3")
-    passed = set()
-    assert cube_condition(p, s1, s2, s3, passed=passed).passed
+    assert certify(p, t_bound=1).claim == "cancellative-up-to"
+    assert cube_condition(p, s1, s2, s3).passed
     for u in (p.parse("s1^-1"), p.parse("s1 s1^-1")):
-        with pytest.raises(ValueError, match="expects positive words"):
-            cube_condition(p, u, s2, s3, passed=passed)
-        with pytest.raises(ValueError, match="expects positive words"):
-            cube_condition(p, s2, u, s3, side="left")
+        for side in ("right", "left"):
+            for triple in ((u, s2, s3), (s2, u, s3), (s2, s3, u)):
+                with pytest.raises(ValueError, match="expects positive words"):
+                    cube_condition(p, *triple, side=side)
 
 
 @pytest.mark.parametrize("kwargs,message", [

@@ -193,3 +193,11 @@ def test_mutants_still_apply():
             path, _, name = test.partition("::")
             with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
                 assert f"\ndef {name}(" in fh.read(), test
+
+
+def test_readme_lists_every_bench_file():
+    # one row of README's BENCH_*.json table per evidence file in the repo root
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        rows = [line.split("`")[1] for line in fh if line.startswith("| `BENCH_")]
+    files = [name for name in os.listdir(ROOT) if name.startswith("BENCH_") and name.endswith(".json")]
+    assert sorted(rows) == sorted(set(rows)) == sorted(files)
