@@ -135,17 +135,18 @@ MUTANTS = (
            ("tests/test_completeness.py::test_certify_names_the_relation_of_a_diagonal_conflict",
             "tests/test_presentation.py::test_scan_files_cold_complements")),
     Mutant("lemma-skips-lookup", "src/monorev/completeness.py",
-           "        comp = lookup(p, x, y)\n"
-           "        if comp is None:\n"
-           "            return _FIRST[Stuck]\n"
-           "        if fuel >= 2 + len(comp.push):\n"
-           "            return _PASS\n",
-           "        return _PASS\n",
+           "        word = _complement_word(p, u, w if u == v else v, side)\n"
+           "        return word is not None and fuel >= 2 + len(word)\n",
+           "        return True\n",
            ("tests/test_completeness.py::test_two_commutes_keeps_its_stuck_hypotheses",)),
     Mutant("lemma-fuel-gate", "src/monorev/completeness.py",
            "if fuel >= 2 and len(u) == len(v) == len(w) == 1",
            "if len(u) == len(v) == len(w) == 1",
            ("tests/test_completeness.py::test_repeated_letter_lemma_keeps_the_fuel_gates",)),
+    Mutant("lemma-ambiguous-pass", "src/monorev/completeness.py",
+           "        except AmbiguousComplementError:\n            pass",
+           "        except AmbiguousComplementError:\n            return _PASS",
+           ("tests/test_completeness.py::test_distinct_letter_lemmas_law",)),
     Mutant("lemma-commuting-letters", "src/monorev/completeness.py",
            "            for l in over:\n"
            "                x, y = (c, l.gen) if c == u or (c == w and l.sign > 0) else (l.gen, c)\n"

@@ -23,20 +23,23 @@ two reversals again with their step records, for a reader of the traces.
 A plain cube_condition call computes its verdict afresh and keeps none;
 the repeated-letter, commuting-letter and equal-complements lemmas below
 settle many of those verdicts with a few complement lookups, with or
-without a sweep.  certify's sweep applies the two mirror lemmas and the
-locality lemma as well, within one call: it hands cube_condition a
-_Sweep, the side's set of passed triples with its local-type tables and
-the verdicts filed under them, and drops it when it returns, so no
-verdict outlives the call.
+without a sweep.  These three only ever pass a check: a check that none
+of them passes runs the kernel, so every other verdict comes from a
+kernel run, or from a sweep's copy of one.
+certify's sweep applies the two mirror lemmas and the locality lemma as
+well, within one call: it hands cube_condition a _Sweep, the side's set
+of passed triples with its local-type tables and the verdicts filed
+under them, and drops it when it returns, so no verdict outlives the
+call.
 
 The repeated-letter lemma.  Take a generator triple (u, v, w) in which
 two of the letters are equal.  If all three are, the check passes.
 Otherwise let (x, y) be its two distinct letters in the order the first
 reversal meets them: (u, w) when u = v, and when w = u or w = v, (u, v)
 on the right and (v, u) on the left.  The check passes when (x, y) has a
-complement on the side, and is _FIRST[Stuck] (fail stuck-hypothesis)
-when it has none.  On the right, with the kernel's leftmost redex first,
-and push = v' u'^-1 the letters of x v' = y u' that a step pushes:
+complement on the side and the fuel covers both reversals.  On the right,
+with the kernel's leftmost redex first, and push = v' u'^-1 the letters
+of x v' = y u' that a step pushes:
 - w = u: u^-1 u u^-1 v cancels u^-1 u at step 1 and meets u^-1 v at
   step 2, ending on v' u'^-1 in 2 steps.  The second word
   v'^-1 u^-1 v u' meets u^-1 v again, becomes v'^-1 v' u'^-1 u' and
@@ -44,24 +47,24 @@ and push = v' u'^-1 the letters of x v' = y u' that a step pushes:
 - w = v: u^-1 v v^-1 v meets u^-1 v at step 1 and cancels v^-1 v at
   step 2; it ends on the same v' u'^-1, so the second word is the same.
 - u = v: u^-1 w w^-1 u meets u^-1 w at step 1, giving v' u'^-1 w^-1 u.
-  On a complemented side the complement of (w, u) is the swapped
-  complement of (u, w), w u' = u v': read from its other side, an
-  instance that leads with (u, w) leads with (w, u), and conversely.  So
-  step 2 gives v' u'^-1 u' v'^-1, which cancels u'^-1 u' and ends on
-  v' v'^-1 after 2 + |u'| steps; the second word v'^-1 u^-1 u v'
-  cancels to the empty word in 1 + |v'| steps.
+  The complement of (w, u) is the swapped complement of (u, w),
+  w u' = u v': read from its other side, an instance that leads with
+  (u, w) leads with (w, u), and conversely.  So step 2 gives
+  v' u'^-1 u' v'^-1, which cancels u'^-1 u' and ends on v' v'^-1 after
+  2 + |u'| steps; the second word v'^-1 u^-1 u v' cancels to the empty
+  word in 1 + |v'| steps.
 - all three equal: the first reversal cancels twice, the second once.
 The left side mirrors each case: its first word v w^-1 w u^-1 cancels
 v v^-1 first when w = v, and meets v u^-1 first when w = u.  Each of
 these reversals ends, so none is proved to cycle (the cycle proof of
-reversing is sound), and each looks up only (x, y) and, for u = v, its
-transpose, so a pair that leads more than one relation raises
-AmbiguousComplementError from the lemma's lookup as from the kernel's.
-A missing complement sticks at step 1 or step 2.  The lemma therefore
-answers only at fuel >= 2, checked before its lookup, and passes only at
-fuel >= 2 + len(push), which covers both reversals of every case; any
-other check, longer words included, runs the kernel.  cube_traces always
-runs the kernel.
+reversing is sound).  The lemma answers only at fuel >= 2 and passes at
+fuel >= 2 + len(push), which covers both reversals of every case.  It
+reads (x, y) through _complement_word, which on the left for u = v looks
+up the transpose (w, u), related by the same instances swapped: it has a
+complement exactly when (u, w) has one, with a push as long.  A pair
+with no complement, or that leads more than one relation, leaves the
+check to the kernel, as does any other check, longer words included.
+cube_traces always runs the kernel.
 
 The distinct-letter lemmas.  Take a generator triple (u, v, w) of three
 distinct letters, on the right, and write the complement x A = y B of a
@@ -282,15 +285,23 @@ def _complement_word(p: Presentation, x: Generator, y: Generator,
     return None if comp is None else comp.push
 
 
-def _distinct_letters_pass(p: Presentation, u: Generator, v: Generator, w: Generator,
-                           side: str, fuel: int) -> bool:
-    """Whether the commuting-letter or the equal-complements lemma of the module
-    docstring passes the check of three distinct generators at this fuel.
+def _lemma_passes(p: Presentation, u: Generator, v: Generator, w: Generator,
+                  side: str, fuel: int) -> bool:
+    """Whether a lemma of the module docstring passes the check of the
+    generators (u, v, w) at fuel >= 2: the repeated-letter lemma when a
+    letter repeats, else the commuting-letter or the equal-complements lemma.
 
-    It looks up (u, w) and (w, v), the pairs the first reversal meets first,
-    then (u, v) and the commuting letter's pairs, and stops at the first
-    answer that rules both lemmas out.
+    False leaves the verdict to the kernel.  The distinct-letter lemmas look
+    up (u, w) and (w, v), the pairs the first reversal meets first, then
+    (u, v) and the commuting letter's pairs, and stop at the first answer
+    that rules both lemmas out.
     """
+    if u == v == w:
+        return True
+    if u == v or w == u or w == v:
+        # the pair the first reversal meets, or on the left for u = v its transpose
+        word = _complement_word(p, u, w if u == v else v, side)
+        return word is not None and fuel >= 2 + len(word)
     uw = _complement_word(p, u, w, side)
     if uw is None:
         return False
@@ -336,32 +347,14 @@ def _verdict(p: Presentation, u: Word, v: Word, w: Word, side: str,
              fuel: int) -> tuple[str, str]:
     """(status, reason) of the cube check of positive (u, v, w) on one side.
 
-    A generator triple is settled before the kernel by the repeated-letter
-    lemma of the module docstring when it repeats a letter, and otherwise
-    by the commuting-letter or the equal-complements lemma, when the fuel
-    covers the runs each stands for; any other check runs the kernel bare.
+    A generator triple that a lemma of the module docstring passes, at a
+    fuel that covers the runs it stands for, is settled before the kernel
+    (see _lemma_passes); any other check runs the kernel bare, which gives
+    every verdict but a lemma's pass.
     """
-    if fuel >= 2 and len(u) == len(v) == len(w) == 1 and (u == v or w == u or w == v):
-        if u == v == w:
-            return _PASS
-        # the pair the first reversal looks up
-        if u == v:
-            x, y = u[0].gen, w[0].gen
-        elif side == "right":
-            x, y = u[0].gen, v[0].gen
-        else:
-            x, y = v[0].gen, u[0].gen
-        # through reversing's attributes, where the kernel looks its pairs up
-        lookup = reversing.right_complement if side == "right" else reversing.left_complement
-        comp = lookup(p, x, y)
-        if comp is None:
-            return _FIRST[Stuck]
-        if fuel >= 2 + len(comp.push):
-            return _PASS
-    elif fuel >= 3 and len(u) == len(v) == len(w) == 1:
-        # three distinct letters (fuel >= 3 would have taken a repeated one above)
+    if fuel >= 2 and len(u) == len(v) == len(w) == 1:
         try:
-            if _distinct_letters_pass(p, u[0].gen, v[0].gen, w[0].gen, side, fuel):
+            if _lemma_passes(p, u[0].gen, v[0].gen, w[0].gen, side, fuel):
                 return _PASS
         except AmbiguousComplementError:
             pass  # the kernel meets the pair, or sticks first, and answers as it does

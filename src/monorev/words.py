@@ -4,9 +4,11 @@ A generator is a (family, index) pair such as s3 or t(-1), a letter a
 generator with a sign, and a word the tuple of its letters.  All three are
 immutable tuples, and each hashes, compares and orders as its plain tuple.
 So is every other immutable value record of the package, a named tuple
-like Generator: the alphabet, relation instances and schemas, reversal
-outcomes and traces, cube verdicts, derivation steps, grid parts, scan
-reports.  Only completeness.Certificate stays a dataclass, because it is
+like Generator: relation instances and schemas, reversal outcomes and
+traces, cube verdicts, derivation steps, grid parts, scan reports.  The
+alphabet is a named tuple too, but its finite field is a dict, so it
+compares equal as its plain tuple and cannot be hashed.  Only
+completeness.Certificate stays a dataclass, because it is
 copied with dataclasses.replace; presentation.Presentation, which holds
 mutable caches, is a plain class with __slots__.
 
